@@ -2,7 +2,8 @@
 
 The package is organized in layers:
 
-- scalars:     exact Gaussian-rational Laurent polynomials in the formal unit q
+- scalars:     exact Gaussian rationals, the shared immutable sparse-term base,
+               and Laurent polynomials in the formal unit q
 - algebra:     noncommutative polynomials in X1..X3, d1..d3 with canonical
                normal ordering and relation checking
 - realization: exact numeric action of the deformed coordinate operators on

@@ -34,12 +34,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .scalars import GaussRat, QScalar, Q, Q_INV
+from .scalars import QScalar, Q, Q_INV, SparseTerms
 
 N_GEN = 6
 GEN_NAMES = ("X1", "X2", "X3", "d1", "d2", "d3")
 
 Word = tuple  # tuple of int generator codes; () is the identity
+
+_ONE = QScalar.one()
+_Q_SQ = QScalar.from_q_power(2)
+_Q_SQ_MINUS_ONE = _Q_SQ - _ONE
 
 
 class NoRewriteApplicable(Exception):
@@ -118,35 +122,14 @@ def rewrite_at(word, pos):
     if i != j:
         return [(swapped, Q)]
     # diagonal pair d_i X_i
-    out = [(head + tail, QScalar.one()), (swapped, QScalar.from_q_power(2))]
-    qsq_minus_1 = QScalar.from_q_power(2) - QScalar.one()
+    out = [(head + tail, _ONE), (swapped, _Q_SQ)]
     for k in range(i + 1, 3):
-        out.append((head + (k, k + 3) + tail, qsq_minus_1))
+        out.append((head + (k, k + 3) + tail, _Q_SQ_MINUS_ONE))
     return out
 
 
 def _rewrite_positions(word):
     return [p for p in range(len(word) - 1) if word[p] > word[p + 1]]
-
-
-def rewrite_step(word, coeff) -> "NCPoly":
-    """One rewrite at the leftmost out-of-order adjacent pair."""
-    positions = _rewrite_positions(word)
-    if not positions:
-        raise NoRewriteApplicable(f"word {word_to_str(word)} is already normal")
-    coeff = QScalar.coerce(coeff)
-    terms = {}
-    for new_word, factor in rewrite_at(word, positions[0]):
-        _accumulate(terms, new_word, coeff * factor)
-    return NCPoly(terms)
-
-
-def _accumulate(terms, word, coeff):
-    acc = terms.get(word, QScalar.zero()) + coeff
-    if acc.is_zero():
-        terms.pop(word, None)
-    else:
-        terms[word] = acc
 
 
 def normalize(terms, strategy="leftmost", seed=None) -> "NCPoly":
@@ -160,15 +143,16 @@ def normalize(terms, strategy="leftmost", seed=None) -> "NCPoly":
     if isinstance(terms, NCPoly):
         terms = terms.terms
     rng = random.Random(seed) if strategy == "random" else None
+    ring = NCPoly.zero()  # its accumulate and trusted constructor
     done: dict = {}
     pending: dict = {}
     for word, coeff in terms.items():
-        _accumulate(pending, tuple(word), QScalar.coerce(coeff))
+        ring._accumulate(pending, tuple(word), QScalar.coerce(coeff))
     while pending:
         word, coeff = pending.popitem()
         positions = _rewrite_positions(word)
         if not positions:
-            _accumulate(done, word, coeff)
+            ring._accumulate(done, word, coeff)
             continue
         if strategy == "leftmost":
             pos = positions[0]
@@ -179,33 +163,25 @@ def normalize(terms, strategy="leftmost", seed=None) -> "NCPoly":
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
         for new_word, factor in rewrite_at(word, pos):
-            _accumulate(pending, new_word, coeff * factor)
-    return NCPoly(done)
+            ring._accumulate(pending, new_word, coeff * factor)
+    return ring._new(done)
 
 
-class NCPoly:
+class NCPoly(SparseTerms):
     """Noncommutative polynomial in canonical form: map normal word -> QScalar.
 
     Construction does not rewrite; callers pass already-normal words or go
     through normalize()/nc_mul().  Zero coefficients are dropped.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _coerce = staticmethod(QScalar.coerce)
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for word, coeff in terms.items():
-                word = tuple(word)
-                if not is_normal(word):
-                    raise ValueError(f"word {word_to_str(word)} is not normal")
-                coeff = QScalar.coerce(coeff)
-                if not coeff.is_zero():
-                    clean[word] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NCPoly is immutable")
+    def _key(self, word):
+        word = tuple(word)
+        if not is_normal(word):
+            raise ValueError(f"word {word_to_str(word)} is not normal")
+        return word
 
     @staticmethod
     def zero() -> "NCPoly":
@@ -213,51 +189,18 @@ class NCPoly:
 
     @staticmethod
     def one() -> "NCPoly":
-        return NCPoly({(): QScalar.one()})
+        return NCPoly({(): 1})
 
     @staticmethod
     def generator(code: int) -> "NCPoly":
         if not 0 <= code < N_GEN:
             raise ValueError(f"generator code {code} out of range")
-        return NCPoly({(code,): QScalar.one()})
+        return NCPoly({(code,): 1})
 
     @staticmethod
     def from_word(word, coeff=1) -> "NCPoly":
         """Single normal word with coefficient."""
-        return NCPoly({tuple(word): QScalar.coerce(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            _accumulate(terms, word, coeff)
-        return NCPoly(terms)
-
-    def __sub__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, factor) -> "NCPoly":
-        factor = QScalar.coerce(factor)
-        if factor.is_zero():
-            return NCPoly()
-        return NCPoly({w: c * factor for w, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((w, c) for w, c in self.terms.items()))
+        return NCPoly({tuple(word): coeff})
 
     def __repr__(self):
         if not self.terms:
@@ -271,7 +214,7 @@ def nc_mul(a: NCPoly, b: NCPoly) -> NCPoly:
     raw: dict = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            _accumulate(raw, w1 + w2, c1 * c2)
+            a._accumulate(raw, w1 + w2, c1 * c2)
     return normalize(raw)
 
 

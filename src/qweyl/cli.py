@@ -29,6 +29,7 @@ from .dynamics import (
     initial_norm_rate,
     norm_flow_check,
     propagate,
+    step_count,
 )
 from .effective import assemble_effective, compare_to_reference
 from .fock import (
@@ -39,6 +40,7 @@ from .fock import (
     build_h_eff,
     mixing_amplitudes,
     sparsity_pattern,
+    write_csv_table,
 )
 from .realization import (
     MODES,
@@ -131,18 +133,20 @@ def load_config(path) -> dict:
 
 
 def validate_config(config: RunConfig) -> None:
-    if not np.isfinite(config.theta):
-        raise ConfigError("theta must be a finite real number")
+    for key, value in (("theta", config.theta), ("T", config.t_final),
+                       ("dt", config.dt), ("alpha", config.alpha)):
+        if not np.isfinite(value):
+            raise ConfigError(f"{key} must be a finite real number")
     if config.n_max < 1:
         raise ConfigError("nmax must be at least 1")
-    if config.degree < 1:
-        raise ConfigError("degree must be at least 1")
+    if config.degree < 2:
+        raise ConfigError("degree must be at least 2")
     if config.mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {config.mode!r}")
-    if config.t_final <= 0:
-        raise ConfigError("T must be positive")
-    if config.dt <= 0:
-        raise ConfigError("dt must be positive")
+    try:
+        step_count(config.t_final, config.dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if config.alpha < 0:
         raise ConfigError("alpha must be nonnegative")
     if config.fmt not in ("json", "csv"):
@@ -280,18 +284,10 @@ def cmd_effective(config: RunConfig, args) -> tuple:
     return 0, payload
 
 
-def _write_spectrum_csv(config: RunConfig, eigs: np.ndarray) -> str:
-    import csv
-
-    path = os.path.join(config.out, "spectrum.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im", "mode", "theta", "n_max"])
-        for value in eigs:
-            writer.writerow(
-                [repr(float(value.real)), repr(float(value.imag)),
-                 config.mode, repr(float(config.theta)), str(config.n_max)]
-            )
+def _write_csv(config: RunConfig, name: str, header, rows) -> str:
+    os.makedirs(config.out, exist_ok=True)
+    path = os.path.join(config.out, name)
+    write_csv_table(path, header, rows, config.mode, config.theta, config.n_max)
     return path
 
 
@@ -310,11 +306,11 @@ def cmd_spectrum(config: RunConfig, args) -> tuple:
         "ground": [float(eigs[0].real), float(eigs[0].imag)],
         "ok": True,
     }
-    extra = []
+    payload["files"] = []
     if config.fmt == "csv":
-        os.makedirs(config.out, exist_ok=True)
-        extra.append(_write_spectrum_csv(config, eigs))
-    payload["files"] = [os.path.basename(p) for p in extra]
+        rows = ([repr(float(v.real)), repr(float(v.imag))] for v in eigs)
+        _write_csv(config, "spectrum.csv", ["re", "im"], rows)
+        payload["files"] = ["spectrum.csv"]
     return 0, payload
 
 
@@ -335,28 +331,16 @@ def cmd_mixing(config: RunConfig, args) -> tuple:
         },
         "ok": True,
     }
+    payload["files"] = []
     if config.fmt == "csv":
-        import csv
-
-        os.makedirs(config.out, exist_ok=True)
-        path = os.path.join(config.out, "mixing.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dx", "dy", "dz", "in_conjectured_set",
-                             "mode", "theta", "n_max"])
-            conjectured = {
-                offset: offset in report.inside_conjecture
-                for offset in report.offsets
-            }
-            for offset in report.offsets:
-                writer.writerow(
-                    [str(offset[0]), str(offset[1]), str(offset[2]),
-                     str(conjectured[offset]).lower(),
-                     config.mode, repr(float(config.theta)), str(config.n_max)]
-                )
+        rows = (
+            [str(offset[0]), str(offset[1]), str(offset[2]),
+             str(offset in report.inside_conjecture).lower()]
+            for offset in report.offsets
+        )
+        _write_csv(config, "mixing.csv",
+                   ["dx", "dy", "dz", "in_conjectured_set"], rows)
         payload["files"] = ["mixing.csv"]
-    else:
-        payload["files"] = []
     return 0, payload
 
 
@@ -380,16 +364,16 @@ def cmd_evolve(config: RunConfig, args) -> tuple:
 
     h = build_h_eff(config.n_max, config.theta, config.mode)
     traj = propagate(h, psi0, config.t_final, config.dt)
-    flow = norm_flow_check(traj, h)
+    h_i = h.antihermitian_generator()
+    h_i_series = traj.expectation_series(h_i).real
+    flow = norm_flow_check(traj, h_i_series)
     rate = initial_norm_rate(traj)
-    generator_rate = float(
-        2.0 * (psi0.conj() @ (h.antihermitian_generator() @ psi0)).real
-    )
+    generator_rate = float(2.0 * (psi0.conj() @ (h_i @ psi0)).real)
     tracked = [s for s in TRACKED_STATES if max(s) <= config.n_max]
     gmap = gain_loss_map(traj, tracked)
     os.makedirs(config.out, exist_ok=True)
     csv_path = os.path.join(config.out, "trajectory.csv")
-    export_trajectory_csv(traj, h, csv_path, states=tracked)
+    export_trajectory_csv(traj, h_i_series, csv_path, states=tracked)
     ok = flow <= NORM_FLOW_LIMIT
     payload = {
         "method": traj.method,

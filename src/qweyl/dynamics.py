@@ -10,13 +10,14 @@ than a threshold occupation; non-finite amplitudes abort outright.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .fock import FockBasis, FockOperator, h0_diagonal
+from .fock import FockBasis, FockOperator, h0_diagonal, write_csv_table
 
 METHODS = ("matrix-exponential", "fourth-order-explicit")
 EDGE_OCCUPATION_LIMIT = 1e-6
@@ -57,6 +58,17 @@ def _edge_indices(basis: FockBasis) -> np.ndarray:
     )
 
 
+def step_count(T: float, dt: float) -> int:
+    """Number of dt steps spanning T; T must be a positive integer
+    multiple of dt."""
+    if not 0 < T < math.inf or not 0 < dt < math.inf:
+        raise ValueError("T and dt must be positive and finite")
+    n_steps = int(round(T / dt))
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
+        raise ValueError("T must be a positive integer multiple of dt")
+    return n_steps
+
+
 def propagate(
     h: FockOperator,
     psi0,
@@ -75,11 +87,7 @@ def propagate(
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     T = float(T)
     dt = float(dt)
-    if T <= 0 or dt <= 0:
-        raise ValueError("T and dt must be positive")
-    n_steps = int(round(T / dt))
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError("T must be a positive integer multiple of dt")
+    n_steps = step_count(T, dt)
     matrix = h.matrix
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (matrix.shape[0],):
@@ -168,18 +176,18 @@ def propagate(
     )
 
 
-def norm_flow_check(traj: Trajectory, h: FockOperator) -> float:
+def norm_flow_check(traj: Trajectory, h_i_series: np.ndarray) -> float:
     """Max over interior grid points of |dP/dt - 2<H_I>|.
 
-    dP/dt is estimated by centered differences, so the returned
-    deviation carries an O(dt^2) discretization floor.
+    h_i_series is <H_I>(t) on the trajectory's grid, i.e.
+    traj.expectation_series(h.antihermitian_generator()).real.  dP/dt is
+    estimated by centered differences, so the returned deviation
+    carries an O(dt^2) discretization floor.
     """
     if len(traj.times) < 3:
         raise ValueError("need at least three time points")
-    h_i = h.antihermitian_generator()
-    expect = traj.expectation_series(h_i).real
     dp = (traj.norms[2:] - traj.norms[:-2]) / (2.0 * traj.dt)
-    return float(np.max(np.abs(dp - 2.0 * expect[1:-1])))
+    return float(np.max(np.abs(dp - 2.0 * h_i_series[1:-1])))
 
 
 def initial_norm_rate(traj: Trajectory) -> float:
@@ -236,42 +244,19 @@ def gain_loss_map(traj: Trajectory, states) -> GainLossMap:
     return GainLossMap(series=series, net_change=net)
 
 
-def trajectory_metadata(traj: Trajectory) -> dict:
-    return {
-        "theta": traj.theta,
-        "n_max": traj.n_max,
-        "dt": traj.dt,
-        "method": traj.method,
-        "mode": traj.mode,
-        "edge_aborted": traj.edge_aborted,
-        "points": int(len(traj.times)),
-        "t_final": float(traj.times[-1]),
-    }
-
-
-def export_trajectory_csv(traj: Trajectory, h: FockOperator, path, states=()):
-    """CSV of t, P, Re<H_I>, and selected occupations; timestamp-free.
-
-    Rows carry constant provenance columns (mode, theta, n_max) so the
-    table stays self-describing away from its metadata file.
-    """
-    import csv
-
+def export_trajectory_csv(traj: Trajectory, h_i_series: np.ndarray, path, states=()):
+    """CSV of t, P, Re<H_I> (h_i_series, as in norm_flow_check), and
+    selected occupations; timestamp-free, with provenance columns."""
     states = [tuple(int(v) for v in s) for s in states]
-    expect = traj.expectation_series(h.antihermitian_generator()).real
     occs = [traj.occupation(s) for s in states]
-    provenance = [traj.mode, repr(float(traj.theta)), str(traj.n_max)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "p", "re_h_i"]
-            + ["occ_" + "_".join(map(str, s)) for s in states]
-            + ["mode", "theta", "n_max"]
-        )
-        for k in range(len(traj.times)):
-            writer.writerow(
-                [repr(float(traj.times[k])), repr(float(traj.norms[k])),
-                 repr(float(expect[k]))]
-                + [repr(float(o[k])) for o in occs]
-                + provenance
-            )
+    rows = (
+        [repr(float(traj.times[k])), repr(float(traj.norms[k])),
+         repr(float(h_i_series[k]))]
+        + [repr(float(o[k])) for o in occs]
+        for k in range(len(traj.times))
+    )
+    write_csv_table(
+        path,
+        ["t", "p", "re_h_i"] + ["occ_" + "_".join(map(str, s)) for s in states],
+        rows, traj.mode, traj.theta, traj.n_max,
+    )

@@ -187,23 +187,25 @@ class FockOperator:
     def save_csv(self, path, tol: float = COUPLING_TOL) -> None:
         """Nonzero elements for small cutoffs, with provenance columns."""
         basis = self.basis
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["n1", "n2", "n3", "m1", "m2", "m3", "re", "im",
-                 "mode", "theta", "n_max"]
-            )
-            for i in range(self.matrix.shape[0]):
-                bra = basis.state(i)
-                for j in range(self.matrix.shape[1]):
-                    el = self.matrix[i, j]
-                    if abs(el) <= tol:
-                        continue
-                    ket = basis.state(j)
-                    writer.writerow(
-                        [*bra, *ket, repr(el.real), repr(el.imag),
-                         self.mode, repr(self.theta), self.n_max]
-                    )
+        rows = (
+            [*basis.state(i), *basis.state(j), repr(el.real), repr(el.imag)]
+            for i in range(self.matrix.shape[0])
+            for j, el in enumerate(self.matrix[i])
+            if not abs(el) <= tol
+        )
+        write_csv_table(path, ["n1", "n2", "n3", "m1", "m2", "m3", "re", "im"],
+                        rows, self.mode, self.theta, self.n_max)
+
+
+def write_csv_table(path, header, rows, mode: str, theta: float, n_max: int) -> None:
+    """CSV table with the provenance columns mode, theta, n_max appended
+    to the header and to every row."""
+    provenance = [mode, repr(float(theta)), str(n_max)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(header) + ["mode", "theta", "n_max"])
+        for row in rows:
+            writer.writerow(row + provenance)
 
 
 def build_h_eff(n_max: int, theta: float, mode: str) -> FockOperator:

@@ -23,32 +23,23 @@ from fractions import Fraction
 from itertools import product as iter_product
 from math import comb
 
-from .scalars import GaussRat
+from .scalars import GaussRat, SparseTerms, exponent_key
 
 Key = tuple  # (a, b, c, t): exponents of x, y, z and the theta power
 
 AXES = ("x", "y", "z")
 
 
-class CPoly3:
+class CPoly3(SparseTerms):
     """Polynomial in x, y, z, theta with GaussRat coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _scalars = (int, Fraction, GaussRat)
+    _unit_key = (0, 0, 0, 0)
+    _coerce = staticmethod(GaussRat.coerce)
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                a, b, c, t = (int(v) for v in key)
-                if min(a, b, c, t) < 0:
-                    raise ValueError(f"negative exponent in {key}")
-                coeff = GaussRat.coerce(coeff)
-                if not coeff.is_zero():
-                    clean[(a, b, c, t)] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CPoly3 is immutable")
+    def _key(self, key):
+        return exponent_key(key, 4)
 
     # ------------------------------------------------------- constructors
 
@@ -58,7 +49,7 @@ class CPoly3:
 
     @staticmethod
     def const(coeff) -> "CPoly3":
-        return CPoly3({(0, 0, 0, 0): GaussRat.coerce(coeff)})
+        return CPoly3({(0, 0, 0, 0): coeff})
 
     @staticmethod
     def one() -> "CPoly3":
@@ -68,67 +59,20 @@ class CPoly3:
     def variable(axis: int) -> "CPoly3":
         key = [0, 0, 0, 0]
         key[axis] = 1
-        return CPoly3({tuple(key): GaussRat(1)})
+        return CPoly3({tuple(key): 1})
 
     @staticmethod
     def theta() -> "CPoly3":
-        return CPoly3({(0, 0, 0, 1): GaussRat(1)})
+        return CPoly3({(0, 0, 0, 1): 1})
 
     @staticmethod
     def monomial(a, b, c, t=0, coeff=1) -> "CPoly3":
-        return CPoly3({(a, b, c, t): GaussRat.coerce(coeff)})
-
-    # --------------------------------------------------------- arithmetic
-
-    def __add__(self, other):
-        other = _coerce_poly(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = terms.get(key, GaussRat(0)) + coeff
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return CPoly3(terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_coerce_poly(other))
-
-    def __rsub__(self, other):
-        return _coerce_poly(other) + (-self)
-
-    def __neg__(self):
-        return CPoly3({k: -c for k, c in self.terms.items()})
+        return CPoly3({(a, b, c, t): coeff})
 
     def __mul__(self, other):
-        other = _coerce_poly(other)
-        terms: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(k1[i] + k2[i] for i in range(4))
-                acc = terms.get(key, GaussRat(0)) + c1 * c2
-                if acc.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = acc
-        return CPoly3(terms)
+        return self._convolve(other, _add_keys)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        try:
-            other = _coerce_poly(other)
-        except TypeError:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # --------------------------------------------------------- structure
 
@@ -140,14 +84,14 @@ class CPoly3:
             new = list(key)
             new[axis] -= 1
             terms[tuple(new)] = coeff * key[axis]
-        return CPoly3(terms)
+        return self._new(terms)
 
     def truncate_theta(self, max_degree: int = 1) -> "CPoly3":
-        return CPoly3({k: c for k, c in self.terms.items() if k[3] <= max_degree})
+        return self._new({k: c for k, c in self.terms.items() if k[3] <= max_degree})
 
     def theta_slice(self, degree: int) -> "CPoly3":
         """Coefficient of theta^degree, with the theta factor removed."""
-        return CPoly3({
+        return self._new({
             (k[0], k[1], k[2], 0): c for k, c in self.terms.items() if k[3] == degree
         })
 
@@ -159,7 +103,7 @@ class CPoly3:
         even, odd = {}, {}
         for key, coeff in self.terms.items():
             (even if (key[0] + key[1] + key[2]) % 2 == 0 else odd)[key] = coeff
-        return CPoly3(even), CPoly3(odd)
+        return self._new(even), self._new(odd)
 
     def real_imag_split(self):
         """(re, im) with self = re + i*im, both with real coefficients."""
@@ -169,7 +113,7 @@ class CPoly3:
                 re[key] = GaussRat(coeff.re)
             if coeff.im != 0:
                 im[key] = GaussRat(coeff.im)
-        return CPoly3(re), CPoly3(im)
+        return self._new(re), self._new(im)
 
     def eval_theta(self, theta: float) -> dict:
         """Numeric theta substitution: map (a,b,c) -> complex coefficient."""
@@ -226,12 +170,8 @@ class CPoly3:
         return out
 
 
-def _coerce_poly(x) -> CPoly3:
-    if isinstance(x, CPoly3):
-        return x
-    if isinstance(x, (int, Fraction, GaussRat)):
-        return CPoly3.const(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to CPoly3")
+def _add_keys(k1, k2) -> tuple:
+    return (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
 
 
 R_SQUARED = (
@@ -253,7 +193,7 @@ class GaussianPoly:
     __slots__ = ("p",)
 
     def __init__(self, p: CPoly3):
-        object.__setattr__(self, "p", _coerce_poly(p))
+        object.__setattr__(self, "p", CPoly3.coerce(p))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianPoly is immutable")
@@ -269,7 +209,7 @@ class GaussianPoly:
         return GaussianPoly(self.p - other.p)
 
     def scale(self, factor) -> "GaussianPoly":
-        return GaussianPoly(self.p * _coerce_poly(factor))
+        return GaussianPoly(self.p * CPoly3.coerce(factor))
 
     def gauss_derivative(self, axis: int) -> "GaussianPoly":
         # chain rule through the envelope
@@ -284,33 +224,30 @@ class GaussianPoly:
         return f"({self.p!r}) * exp(-r^2/2)"
 
 
-class DiffOp3:
+class DiffOp3(SparseTerms):
     """Sum of CPoly3 coefficients times partial-derivative monomials.
 
     terms maps (dx, dy, dz) derivative orders to CPoly3 coefficients.
     When truncate is set (the default) every product discards theta
-    powers above 1, keeping the whole calculus first order.
+    powers above 1, keeping the whole calculus first order; a sum or
+    product truncates only when both operands do.
     """
 
-    __slots__ = ("terms", "truncate")
+    __slots__ = ("truncate",)
 
     def __init__(self, terms=None, truncate: bool = True):
-        clean = {}
-        if terms:
-            for key, poly in terms.items():
-                key = (int(key[0]), int(key[1]), int(key[2]))
-                if min(key) < 0:
-                    raise ValueError(f"negative derivative order in {key}")
-                poly = _coerce_poly(poly)
-                if truncate:
-                    poly = poly.truncate_theta(1)
-                if not poly.is_zero():
-                    clean[key] = poly
-        object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "truncate", truncate)
+        super().__init__(terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffOp3 is immutable")
+    def _key(self, key):
+        return exponent_key(key, 3)
+
+    def _coerce(self, poly):
+        poly = CPoly3.coerce(poly)
+        return poly.truncate_theta(1) if self.truncate else poly
+
+    def _join(self, other):
+        return self if other.truncate else other
 
     @staticmethod
     def zero(truncate: bool = True) -> "DiffOp3":
@@ -318,18 +255,18 @@ class DiffOp3:
 
     @staticmethod
     def identity(truncate: bool = True) -> "DiffOp3":
-        return DiffOp3({(0, 0, 0): CPoly3.one()}, truncate=truncate)
+        return DiffOp3({(0, 0, 0): 1}, truncate=truncate)
 
     @staticmethod
     def from_poly(poly, truncate: bool = True) -> "DiffOp3":
         """Multiplication operator."""
-        return DiffOp3({(0, 0, 0): _coerce_poly(poly)}, truncate=truncate)
+        return DiffOp3({(0, 0, 0): poly}, truncate=truncate)
 
     @staticmethod
     def partial(axis: int, truncate: bool = True) -> "DiffOp3":
         key = [0, 0, 0]
         key[axis] = 1
-        return DiffOp3({tuple(key): CPoly3.one()}, truncate=truncate)
+        return DiffOp3({tuple(key): 1}, truncate=truncate)
 
     @staticmethod
     def scaling(axis: int, truncate: bool = True) -> "DiffOp3":
@@ -338,25 +275,9 @@ class DiffOp3:
         key[axis] = 1
         return DiffOp3({tuple(key): CPoly3.variable(axis)}, truncate=truncate)
 
-    def __add__(self, other):
-        if not isinstance(other, DiffOp3):
-            return NotImplemented
-        terms = dict(self.terms)
-        for key, poly in other.terms.items():
-            terms[key] = terms.get(key, CPoly3.zero()) + poly
-        return DiffOp3(terms, truncate=self.truncate and other.truncate)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "DiffOp3":
-        factor = _coerce_poly(factor)
-        return DiffOp3(
-            {k: p * factor for k, p in self.terms.items()}, truncate=self.truncate
-        )
-
     def compose(self, other: "DiffOp3") -> "DiffOp3":
         """Operator product self after other, via the Leibniz rule."""
+        ring = self._join(other)
         terms: dict = {}
         for alpha, p in self.terms.items():
             for beta, r in other.terms.items():
@@ -371,9 +292,8 @@ class DiffOp3:
                     if shifted.is_zero():
                         continue
                     key = tuple(g + b for g, b in zip(gamma, beta))
-                    add = p * shifted * coeff
-                    terms[key] = terms.get(key, CPoly3.zero()) + add
-        return DiffOp3(terms, truncate=self.truncate and other.truncate)
+                    ring._accumulate(terms, key, p * shifted * coeff)
+        return ring._new(ring._clean(terms))
 
     def apply(self, f: GaussianPoly) -> GaussianPoly:
         """Act on a Gaussian-enveloped polynomial."""
@@ -390,18 +310,9 @@ class DiffOp3:
 
     def theta_slice(self, degree: int) -> "DiffOp3":
         """Operator made of the theta^degree parts, theta factor removed."""
-        return DiffOp3(
-            {k: p.theta_slice(degree) for k, p in self.terms.items()},
-            truncate=self.truncate,
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp3):
-            return NotImplemented
-        return self.terms == other.terms
+        return self._new(self._clean(
+            {k: p.theta_slice(degree) for k, p in self.terms.items()}
+        ))
 
     def to_json(self):
         return {

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import GEN_NAMES, gen_code, raw_defining_relations
-from .scalars import QScalar
+from .scalars import QScalar, SparseTerms, exponent_key
 
 PRUNE_DEFAULT = 1e-15
 
@@ -63,31 +63,26 @@ def beta_exact(n: int, theta: float) -> complex:
     return cmath.sqrt(cmath.exp(1j * theta * n) * ratio)
 
 
-class MonomialVec:
+class MonomialVec(SparseTerms):
     """Finitely supported map from exponent triples to complex coefficients.
 
     Coefficients with magnitude at or below the prune threshold are
-    dropped on construction, keeping the support finite under rounding
-    noise.
+    dropped on construction and by arithmetic, keeping the support
+    finite under rounding noise.
     """
 
-    __slots__ = ("coeffs", "prune")
+    __slots__ = ("prune",)
+    _coerce = staticmethod(complex)
 
-    def __init__(self, coeffs=None, prune: float = PRUNE_DEFAULT):
-        store = {}
-        if coeffs:
-            for key, val in coeffs.items():
-                key = (int(key[0]), int(key[1]), int(key[2]))
-                if min(key) < 0:
-                    raise ValueError(f"negative exponent in {key}")
-                val = complex(val)
-                if abs(val) > prune:
-                    store[key] = val
-        object.__setattr__(self, "coeffs", store)
+    def __init__(self, terms=None, prune: float = PRUNE_DEFAULT):
         object.__setattr__(self, "prune", prune)
+        super().__init__(terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialVec is immutable")
+    def _key(self, key):
+        return exponent_key(key, 3)
+
+    def _is_zero(self, value) -> bool:
+        return not abs(value) > self.prune
 
     @staticmethod
     def basis(n, prune: float = PRUNE_DEFAULT) -> "MonomialVec":
@@ -97,46 +92,24 @@ class MonomialVec:
     def zero(prune: float = PRUNE_DEFAULT) -> "MonomialVec":
         return MonomialVec({}, prune=prune)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            out[key] = out.get(key, 0.0) + val
-        return MonomialVec(out, prune=self.prune)
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def scale(self, factor) -> "MonomialVec":
-        return MonomialVec(
-            {k: v * factor for k, v in self.coeffs.items()}, prune=self.prune
-        )
-
     def norm(self) -> float:
-        return math.sqrt(sum(abs(v) ** 2 for v in self.coeffs.values()))
+        return math.sqrt(sum(abs(v) ** 2 for v in self.terms.values()))
 
     def diff_max(self, other) -> float:
         """Largest coefficientwise discrepancy against another vector."""
-        keys = set(self.coeffs) | set(other.coeffs)
+        keys = set(self.terms) | set(other.terms)
         if not keys:
             return 0.0
-        return max(abs(self.coeffs.get(k, 0.0) - other.coeffs.get(k, 0.0)) for k in keys)
+        return max(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) for k in keys)
 
     def to_json(self):
         return {
             f"({k[0]},{k[1]},{k[2]})": [v.real, v.imag]
-            for k, v in sorted(self.coeffs.items())
+            for k, v in sorted(self.terms.items())
         }
 
-    def __eq__(self, other):
-        if not isinstance(other, MonomialVec):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def __repr__(self):
-        return f"MonomialVec({self.coeffs!r})"
+        return f"MonomialVec({self.terms!r})"
 
 
 def _higher_sum(n, axis: int) -> int:
@@ -149,13 +122,13 @@ def apply_exact(g, v: MonomialVec, theta: float) -> MonomialVec:
     out: dict = {}
     if code < 3:
         axis = code
-        for n, c in v.coeffs.items():
+        for n, c in v.terms.items():
             factor = cmath.exp(1j * theta * _higher_sum(n, axis)) * beta_exact(n[axis], theta)
             key = tuple(n[k] + (1 if k == axis else 0) for k in range(3))
             out[key] = out.get(key, 0.0) + c * factor
     else:
         axis = code - 3
-        for n, c in v.coeffs.items():
+        for n, c in v.terms.items():
             if n[axis] == 0:
                 continue
             factor = (
@@ -165,7 +138,7 @@ def apply_exact(g, v: MonomialVec, theta: float) -> MonomialVec:
             )
             key = tuple(n[k] - (1 if k == axis else 0) for k in range(3))
             out[key] = out.get(key, 0.0) + c * factor
-    return MonomialVec(out, prune=v.prune)
+    return v._new(v._clean(out))
 
 
 def apply_first_order(g, v: MonomialVec, theta: float, mode: str) -> MonomialVec:
@@ -183,21 +156,21 @@ def apply_first_order(g, v: MonomialVec, theta: float, mode: str) -> MonomialVec
     out: dict = {}
     if code < 3:
         axis = code
-        for n, c in v.coeffs.items():
+        for n, c in v.terms.items():
             half = 0.5 * (n[axis] + 1 + shift)
             mult = 1.0 + 1j * theta * (half + _higher_sum(n, axis))
             key = tuple(n[k] + (1 if k == axis else 0) for k in range(3))
             out[key] = out.get(key, 0.0) + c * mult
     else:
         axis = code - 3
-        for n, c in v.coeffs.items():
+        for n, c in v.terms.items():
             if n[axis] == 0:
                 continue
             half = 0.5 * (n[axis] + shift)
             mult = n[axis] * (1.0 + 1j * theta * (half + _higher_sum(n, axis)))
             key = tuple(n[k] - (1 if k == axis else 0) for k in range(3))
             out[key] = out.get(key, 0.0) + c * mult
-    return MonomialVec(out, prune=v.prune)
+    return v._new(v._clean(out))
 
 
 def apply_word(word, v: MonomialVec, theta: float) -> MonomialVec:

@@ -102,6 +102,11 @@ class TestExitCodes:
         assert main(["spectrum", "--nmax", "2", "--out", str(tmp_path)]) == 2
         assert main(["evolve", "--dt", "-1", "--out", str(tmp_path)]) == 2
         assert main(["mixing", "--nmax", "4", "--out", str(tmp_path)]) == 2
+        assert main(["evolve", "--T", "1", "--dt", "0.3", "--out", str(tmp_path)]) == 2
+        assert main(["evolve", "--T", "nan", "--out", str(tmp_path)]) == 2
+        assert main(["evolve", "--dt", "inf", "--out", str(tmp_path)]) == 2
+        assert main(["evolve", "--alpha", "inf", "--out", str(tmp_path)]) == 2
+        assert main(["verify-algebra", "--degree", "1", "--out", str(tmp_path)]) == 2
 
     def test_corrupt_relation_is_one(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -16,7 +16,6 @@ from qweyl.dynamics import (
     initial_norm_rate,
     norm_flow_check,
     propagate,
-    trajectory_metadata,
 )
 from qweyl.fock import FockBasis, FockOperator, build_h1_matrix, build_h_eff
 
@@ -30,6 +29,12 @@ def basis_vector(basis, state):
 def ground(n_max):
     basis = FockBasis(n_max)
     return basis, basis_vector(basis, (0, 0, 0))
+
+
+def h_i_series(traj, h):
+    """<H_I>(t) along the trajectory, the series the norm-flow check and
+    the trajectory CSV take."""
+    return traj.expectation_series(h.antihermitian_generator()).real
 
 
 class TestClosedFormOracles:
@@ -115,20 +120,20 @@ class TestNormFlow:
         h = build_h_eff(4, 0.01, "paper")
         _, psi0 = ground(4)
         traj = propagate(h, psi0, T=1.0, dt=1e-3)
-        assert norm_flow_check(traj, h) <= 1e-6
+        assert norm_flow_check(traj, h_i_series(traj, h)) <= 1e-6
 
     def test_flow_identity_decay(self):
         # centered differences leave an O(dt^2) floor, well under 1e-6
         h = decay_operator(3, 0.5)
         basis = FockBasis(3)
         traj = propagate(h, basis_vector(basis, (0, 0, 0)), T=2.0, dt=1e-3)
-        assert norm_flow_check(traj, h) <= 1e-6
+        assert norm_flow_check(traj, h_i_series(traj, h)) <= 1e-6
 
     def test_flow_flat_for_hermitian(self):
         h = build_h_eff(3, 0.0, "paper")
         _, psi0 = ground(3)
         traj = propagate(h, psi0, T=1.0, dt=1e-2)
-        assert norm_flow_check(traj, h) <= 1e-10
+        assert norm_flow_check(traj, h_i_series(traj, h)) <= 1e-10
         gen = h.antihermitian_generator()
         assert np.max(np.abs(traj.expectation_series(gen))) <= 1e-12
 
@@ -148,7 +153,7 @@ class TestNormFlow:
         _, psi0 = ground(2)
         traj = propagate(h, psi0, T=0.1, dt=0.1)
         with pytest.raises(ValueError, match="three"):
-            norm_flow_check(traj, h)
+            norm_flow_check(traj, h_i_series(traj, h))
         with pytest.raises(ValueError, match="three"):
             initial_norm_rate(traj)
 
@@ -262,8 +267,8 @@ class TestExport:
         tracked = [(0, 0, 0), (2, 0, 0)]
         path_a = tmp_path / "a.csv"
         path_b = tmp_path / "b.csv"
-        export_trajectory_csv(traj, h, path_a, states=tracked)
-        export_trajectory_csv(traj, h, path_b, states=tracked)
+        export_trajectory_csv(traj, h_i_series(traj, h), path_a, states=tracked)
+        export_trajectory_csv(traj, h_i_series(traj, h), path_b, states=tracked)
         assert path_a.read_bytes() == path_b.read_bytes()
         lines = path_a.read_text().strip().splitlines()
         assert lines[0] == "t,p,re_h_i,occ_0_0_0,occ_2_0_0,mode,theta,n_max"
@@ -273,17 +278,3 @@ class TestExport:
         assert float(first[1]) == 1.0
         assert float(first[3]) == 1.0
         assert first[5:] == ["paper", "0.01", "4"]
-
-    def test_metadata_fields(self):
-        h = build_h_eff(3, 0.01, "rederived")
-        _, psi0 = ground(3)
-        traj = propagate(h, psi0, T=0.1, dt=1e-2)
-        meta = trajectory_metadata(traj)
-        assert meta["theta"] == 0.01
-        assert meta["n_max"] == 3
-        assert meta["dt"] == 1e-2
-        assert meta["method"] == "matrix-exponential"
-        assert meta["mode"] == "rederived"
-        assert meta["edge_aborted"] is False
-        assert meta["points"] == 11
-        assert meta["t_final"] == pytest.approx(0.1)

@@ -76,9 +76,9 @@ def test_beta_rejects_negative_n():
 
 def test_monomialvec_prunes_small_coefficients():
     v = MonomialVec({(0, 0, 0): 1.0, (1, 0, 0): 1e-16})
-    assert list(v.coeffs) == [(0, 0, 0)]
+    assert list(v.terms) == [(0, 0, 0)]
     w = MonomialVec({(1, 0, 0): 1e-16}, prune=0.0)
-    assert list(w.coeffs) == [(1, 0, 0)]
+    assert list(w.terms) == [(1, 0, 0)]
 
 
 def test_monomialvec_rejects_negative_exponents():
@@ -90,17 +90,17 @@ def test_apply_exact_coordinate_examples():
     theta = 0.37
     # X3 on the constant monomial: beta(0) = 1 and an empty higher sum
     out = apply_exact("X3", MonomialVec.basis((0, 0, 0)), theta)
-    assert out.coeffs == {(0, 0, 1): 1.0 + 0.0j}
+    assert out.terms == {(0, 0, 1): 1.0 + 0.0j}
     # X1 on (0,1,2): picks up q^{n2+n3} = q^3
     out = apply_exact("X1", MonomialVec.basis((0, 1, 2)), theta)
-    assert set(out.coeffs) == {(1, 1, 2)}
-    assert abs(out.coeffs[(1, 1, 2)] - cmath.exp(3j * theta)) < 1e-15
+    assert set(out.terms) == {(1, 1, 2)}
+    assert abs(out.terms[(1, 1, 2)] - cmath.exp(3j * theta)) < 1e-15
 
 
 def test_apply_exact_derivative_examples():
     theta = 0.37
     out = apply_exact("d3", MonomialVec.basis((0, 0, 1)), theta)
-    assert out.coeffs == {(0, 0, 0): 1.0 + 0.0j}
+    assert out.terms == {(0, 0, 0): 1.0 + 0.0j}
     # derivative kills a zero exponent
     out = apply_exact("d2", MonomialVec.basis((1, 0, 4)), theta)
     assert out.is_zero()
@@ -165,14 +165,14 @@ def test_normalize_commutes_with_numeric_action():
 def test_first_order_paper_multiplier_at_zero():
     theta = 0.05
     out = apply_first_order("X1", MonomialVec.basis((0, 0, 0)), theta, "paper")
-    assert abs(out.coeffs[(1, 0, 0)] - (1 + 0.5j * theta)) < 1e-16
+    assert abs(out.terms[(1, 0, 0)] - (1 + 0.5j * theta)) < 1e-16
 
 
 def test_first_order_rederived_matches_exact_at_zero_exponent():
     theta = 0.05
     out = apply_first_order("X1", MonomialVec.basis((0, 0, 0)), theta, "rederived")
     exact = apply_exact("X1", MonomialVec.basis((0, 0, 0)), theta)
-    assert out.coeffs[(1, 0, 0)] == 1.0 + 0.0j
+    assert out.terms[(1, 0, 0)] == 1.0 + 0.0j
     assert out.diff_max(exact) == 0.0
 
 

@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qweyl.algebra import NCPoly, nc_mul
+from qweyl.gaussian import CPoly3, DiffOp3
+from qweyl.realization import MonomialVec, apply_exact
 from qweyl.scalars import GaussRat, QScalar, Q, Q_INV, I_UNIT
 
 
@@ -89,3 +92,92 @@ def test_qscalar_substitution_is_homomorphism(a, b):
     theta = 0.137
     prod = (a * b).substitute(theta)
     assert abs(prod - a.substitute(theta) * b.substitute(theta)) < 1e-10
+
+
+# ------------------------------------------- the shared sparse-term base
+#
+# QScalar, NCPoly, CPoly3, DiffOp3 and MonomialVec all sit on
+# SparseTerms.  Whatever their arithmetic builds must be exactly what the
+# validating constructor makes of the same dict: no stored zero (under
+# the class's own zero test) and the same keys in the same order.  The
+# product is each class's own: convolution for QScalar and CPoly3,
+# nc_mul for NCPoly, compose for DiffOp3, and the exact generator action
+# for MonomialVec.
+
+# few distinct keys and unit-sized values, so sums cancel often
+unit_gauss = st.builds(GaussRat, st.integers(-1, 1), st.integers(-1, 1))
+unit_q = st.dictionaries(st.integers(-1, 1), unit_gauss, max_size=3).map(QScalar)
+normal_words = st.lists(st.integers(0, 5), max_size=3).map(lambda w: tuple(sorted(w)))
+unit_cpoly = st.dictionaries(
+    st.tuples(*[st.integers(0, 1)] * 3, st.integers(0, 2)), unit_gauss, max_size=4
+).map(CPoly3)
+unit_complex = st.sampled_from([0.0, 1.0, -1.0, 1j, -1j, 0.5 + 0.5j, 4e-16, -4e-16j])
+
+
+SPECS = {
+    "QScalar": dict(
+        inst=unit_q,
+        factor=unit_gauss,
+        product=lambda a, b, g: a * b,
+        zero=lambda r, c: c.is_zero(),
+        rebuild=lambda r: QScalar(dict(r.terms)),
+    ),
+    "NCPoly": dict(
+        inst=st.dictionaries(normal_words, unit_q, max_size=3).map(NCPoly),
+        factor=unit_q,
+        product=lambda a, b, g: nc_mul(a, b),
+        zero=lambda r, c: c.is_zero(),
+        rebuild=lambda r: NCPoly(dict(r.terms)),
+    ),
+    "CPoly3": dict(
+        inst=unit_cpoly,
+        factor=unit_gauss,
+        product=lambda a, b, g: a * b,
+        zero=lambda r, c: c.is_zero(),
+        rebuild=lambda r: CPoly3(dict(r.terms)),
+    ),
+    "DiffOp3": dict(
+        inst=st.builds(
+            DiffOp3,
+            st.dictionaries(st.tuples(*[st.integers(0, 1)] * 3), unit_cpoly, max_size=3),
+            truncate=st.booleans(),
+        ),
+        factor=unit_cpoly,
+        product=lambda a, b, g: a.compose(b),
+        zero=lambda r, c: c.is_zero(),
+        rebuild=lambda r: DiffOp3(dict(r.terms), truncate=r.truncate),
+    ),
+    "MonomialVec": dict(
+        inst=st.builds(
+            MonomialVec,
+            st.dictionaries(st.tuples(*[st.integers(0, 1)] * 3), unit_complex, max_size=4),
+            prune=st.sampled_from([1e-15, 0.0]),
+        ),
+        factor=unit_complex,
+        product=lambda a, b, g: apply_exact(g, a, 0.3),
+        zero=lambda r, c: not abs(c) > r.prune,
+        rebuild=lambda r: MonomialVec(dict(r.terms), prune=r.prune),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@given(data=st.data())
+def test_sparse_terms_results_are_clean(name, data):
+    spec = SPECS[name]
+    a = data.draw(spec["inst"], label="a")
+    b = data.draw(spec["inst"], label="b")
+    factor = data.draw(spec["factor"], label="factor")
+    g = data.draw(st.integers(0, 5), label="generator")
+    results = [a + b, a - b, -a, a - a, a.scale(factor), spec["product"](a, b, g)]
+    for r in [a, b] + results:
+        assert type(r) is type(a)
+        assert not any(spec["zero"](r, c) for c in r.terms.values())
+        rebuilt = spec["rebuild"](r)
+        assert rebuilt == r
+        assert list(rebuilt.terms) == list(r.terms)
+        with pytest.raises(AttributeError):
+            r.terms = {}
+        with pytest.raises(AttributeError):
+            r.anything = 0
+    assert (a - a).is_zero()
