@@ -7,7 +7,8 @@ reruns except for a single timestamp field) plus plot-ready CSV tables.
 Numeric tables always carry provenance columns (mode, theta, n_max) so
 results from the two first-order conventions can never be confused.
 
-Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error.
+Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
+including a cutoff whose dense operator cannot fit in available memory.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .dynamics import (
 )
 from .effective import assemble_effective, compare_to_reference
 from .fock import (
-    COUPLING_TOL,
     FockBasis,
     INTERIOR_MARGIN,
     build_h1_matrix,
@@ -205,10 +205,32 @@ def write_report(config: RunConfig, name: str, payload: dict) -> str:
     return path
 
 
-def _ground_vector(basis: FockBasis) -> np.ndarray:
-    psi = np.zeros(basis.dim, dtype=complex)
-    psi[basis.index((0, 0, 0))] = 1.0
-    return psi
+def available_memory() -> int:
+    """MemAvailable from /proc/meminfo, else all physical memory."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def dense_run_bytes(n_max: int, points: int = 0) -> int:
+    """Lower bound on a dense run: the operator plus points stored states."""
+    dim = (n_max + 1) ** 3
+    return (dim + points) * dim * 16
+
+
+def _ensure_fits(n_max: int, points: int = 0) -> None:
+    need = dense_run_bytes(n_max, points)
+    free = available_memory()
+    if need > free:
+        raise ConfigError(
+            f"nmax={n_max} needs at least {need / 2**20:.0f} MiB, "
+            f"{free / 2**20:.0f} MiB available"
+        )
 
 
 def cmd_verify_algebra(config: RunConfig, args) -> tuple:
@@ -294,10 +316,10 @@ def _write_csv(config: RunConfig, name: str, header, rows) -> str:
 def cmd_spectrum(config: RunConfig, args) -> tuple:
     if config.n_max < 4:
         raise ConfigError("spectrum runs need nmax >= 4")
+    _ensure_fits(config.n_max)
     h = build_h_eff(config.n_max, config.theta, config.mode)
-    diag = np.diag(h.matrix)
-    if np.count_nonzero(h.matrix - np.diag(diag)) == 0:
-        eigs = np.sort_complex(diag)
+    if h.is_diagonal:
+        eigs = np.sort_complex(np.diag(h.matrix))
     else:
         eigs = np.sort_complex(np.linalg.eigvals(h.matrix))
     payload = {
@@ -319,6 +341,7 @@ def cmd_mixing(config: RunConfig, args) -> tuple:
         raise ConfigError(
             f"mixing runs need nmax > {INTERIOR_MARGIN} so the scan has interior states"
         )
+    _ensure_fits(config.n_max)
     h1 = build_h1_matrix(config.n_max, config.mode)
     basis = FockBasis(config.n_max)
     report = sparsity_pattern(h1, basis)
@@ -345,8 +368,8 @@ def cmd_mixing(config: RunConfig, args) -> tuple:
 
 
 def cmd_evolve(config: RunConfig, args) -> tuple:
-    basis = FockBasis(config.n_max)
-    psi0 = _ground_vector(basis)
+    _ensure_fits(config.n_max, step_count(config.t_final, config.dt) + 1)
+    psi0 = FockBasis(config.n_max).vector((0, 0, 0))
     if getattr(args, "decay_oracle", False):
         alphas = sorted({0.1, 0.5, 1.0, config.alpha})
         rows = []

@@ -22,6 +22,7 @@ from .fock import FockBasis, FockOperator, h0_diagonal, write_csv_table
 METHODS = ("matrix-exponential", "fourth-order-explicit")
 EDGE_OCCUPATION_LIMIT = 1e-6
 EXPLICIT_STEP_LIMIT = 0.1
+EXPECTATION_BLOCK = 256  # trajectory rows per batch in expectation_series
 
 
 @dataclass(frozen=True)
@@ -47,15 +48,14 @@ class Trajectory:
         return np.abs(self.states[:, i]) ** 2
 
     def expectation_series(self, matrix: np.ndarray) -> np.ndarray:
-        """<psi(t)|M|psi(t)> along the trajectory, batched."""
-        acted = self.states @ matrix.T
-        return np.sum(self.states.conj() * acted, axis=1)
-
-
-def _edge_indices(basis: FockBasis) -> np.ndarray:
-    return np.array(
-        [i for i in range(basis.dim) if max(basis.state(i)) == basis.n_max]
-    )
+        """<psi(t)|M|psi(t)> along the trajectory, in fixed row blocks so
+        the temporaries do not grow with the number of points."""
+        out = np.empty(len(self.states), dtype=complex)
+        for start in range(0, len(self.states), EXPECTATION_BLOCK):
+            block = self.states[start:start + EXPECTATION_BLOCK]
+            acted = block @ matrix.T
+            out[start:start + EXPECTATION_BLOCK] = np.sum(block.conj() * acted, axis=1)
+        return out
 
 
 def step_count(T: float, dt: float) -> int:
@@ -110,27 +110,26 @@ def propagate(
             k4 = -1j * (matrix @ (v + dt * k3))
             return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+    elif h.is_diagonal:
+        phases = np.exp(-1j * np.diag(matrix) * dt)
+
+        def step(v):
+            return phases * v
+
     else:
-        diag = np.diag(matrix)
-        if np.count_nonzero(matrix - np.diag(diag)) == 0:
-            phases = np.exp(-1j * diag * dt)
+        u = expm(-1j * dt * matrix)
 
-            def step(v):
-                return phases * v
+        def step(v):
+            return u @ v
 
-        else:
-            u = expm(-1j * dt * matrix)
-
-            def step(v):
-                return u @ v
-
-    basis = FockBasis(h.n_max)
-    edge = _edge_indices(basis)
+    edge = (h.basis.occupations == h.n_max).any(axis=1)
 
     def edge_occupation(v):
-        return float(np.max(np.abs(v[edge]) ** 2)) if edge.size else 0.0
+        return float(np.max(np.abs(v[edge]) ** 2))
 
-    states = [psi0]
+    states = np.empty((n_steps + 1, matrix.shape[0]), dtype=complex)
+    states[0] = psi0
+    filled = 1
     aborted = False
     occ0 = edge_occupation(psi0)
     if occ0 > EDGE_OCCUPATION_LIMIT:
@@ -149,7 +148,8 @@ def propagate(
                     f"non-finite amplitudes at t = {(k + 1) * dt:.6g}; "
                     "growth overflowed the truncated basis"
                 )
-            states.append(v)
+            states[filled] = v
+            filled += 1
             occ = edge_occupation(v)
             if occ > EDGE_OCCUPATION_LIMIT:
                 warnings.warn(
@@ -160,12 +160,12 @@ def propagate(
                 aborted = True
                 break
 
-    arr = np.array(states)
-    times = np.arange(len(states)) * dt
-    norms = np.sum(np.abs(arr) ** 2, axis=1)
+    states = states[:filled]
+    times = np.arange(filled) * dt
+    norms = np.sum(np.abs(states) ** 2, axis=1)
     return Trajectory(
         times=times,
-        states=arr,
+        states=states,
         norms=norms,
         method=method,
         dt=dt,

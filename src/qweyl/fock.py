@@ -15,7 +15,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 
 import numpy as np
@@ -39,6 +39,13 @@ class FockBasis:
         self.n_max = n_max
         self.dim = (n_max + 1) ** 3
 
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """Read-only (dim, 3) integer table of the states in index order."""
+        table = np.indices((self.n_max + 1,) * 3).reshape(3, -1).T
+        table.flags.writeable = False
+        return table
+
     def index(self, state) -> int:
         n1, n2, n3 = state
         for n in (n1, n2, n3):
@@ -48,20 +55,18 @@ class FockBasis:
         return (n1 * side + n2) * side + n3
 
     def state(self, index: int) -> tuple:
-        side = self.n_max + 1
         if not 0 <= index < self.dim:
             raise ValueError(f"index {index} outside dimension {self.dim}")
-        n1, rest = divmod(index, side * side)
-        n2, n3 = divmod(rest, side)
-        return (n1, n2, n3)
+        return tuple(self.occupations[index].tolist())
 
     def states(self):
-        side = self.n_max + 1
-        return iter_product(range(side), repeat=3)
+        return map(tuple, self.occupations.tolist())
 
-    def interior_states(self, margin: int = INTERIOR_MARGIN):
-        top = self.n_max - margin
-        return iter_product(range(top + 1), repeat=3)
+    def vector(self, state) -> np.ndarray:
+        """Unit complex vector on one basis state."""
+        v = np.zeros(self.dim, dtype=complex)
+        v[self.index(state)] = 1.0
+        return v
 
 
 def ladder_matrices(n_max: int):
@@ -129,8 +134,7 @@ def build_h1_matrix(n_max: int, mode: str) -> np.ndarray:
 
 
 def h0_diagonal(n_max: int) -> np.ndarray:
-    basis = FockBasis(n_max)
-    return np.array([sum(n) + 1.5 for n in basis.states()])
+    return FockBasis(n_max).occupations.sum(axis=1) + 1.5
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,11 @@ class FockOperator:
     @property
     def basis(self) -> FockBasis:
         return FockBasis(self.n_max)
+
+    @property
+    def is_diagonal(self) -> bool:
+        """True when every nonzero element sits on the diagonal."""
+        return np.count_nonzero(self.matrix) == np.count_nonzero(np.diag(self.matrix))
 
     def hermitian_part(self) -> np.ndarray:
         return (self.matrix + self.matrix.conj().T) / 2
@@ -185,13 +194,13 @@ class FockOperator:
         )
 
     def save_csv(self, path, tol: float = COUPLING_TOL) -> None:
-        """Nonzero elements for small cutoffs, with provenance columns."""
-        basis = self.basis
+        """Nonzero elements, row-major, with provenance columns; for small cutoffs."""
+        bras, kets = np.nonzero(~(np.abs(self.matrix) <= tol))
+        occ = self.basis.occupations
         rows = (
-            [*basis.state(i), *basis.state(j), repr(el.real), repr(el.imag)]
-            for i in range(self.matrix.shape[0])
-            for j, el in enumerate(self.matrix[i])
-            if not abs(el) <= tol
+            [*bra, *ket, repr(float(el.real)), repr(float(el.imag))]
+            for bra, ket, el in zip(occ[bras].tolist(), occ[kets].tolist(),
+                                    self.matrix[bras, kets])
         )
         write_csv_table(path, ["n1", "n2", "n3", "m1", "m2", "m3", "re", "im"],
                         rows, self.mode, self.theta, self.n_max)
@@ -275,25 +284,27 @@ def sparsity_pattern(
     """
     if basis.n_max - margin < 0:
         raise ValueError("cutoff too small for the interior margin")
+    occ = basis.occupations
+    interior = np.flatnonzero((occ <= basis.n_max - margin).all(axis=1))
+    # indexed [ket, bra], so the nonzeros come ket-major and the weights
+    # are summed in the order of a scan over kets, then bras
+    block = h1[np.ix_(interior, interior)].T
+    kets, bras = np.nonzero(block)
+    mags = np.abs(block[kets, bras])
+    keep = ~(mags <= tol)
+    kets, bras = interior[kets[keep]], interior[bras[keep]]
     offsets = {}
     weight_inside = 0.0
     weight_outside = 0.0
-    interior = list(basis.interior_states(margin))
-    for ket in interior:
-        j = basis.index(ket)
-        for bra in interior:
-            el = h1[basis.index(bra), j]
-            mag = abs(el)
-            if mag <= tol:
-                continue
-            delta = tuple(b - k for b, k in zip(bra, ket))
-            prev = offsets.get(delta, 0.0)
-            if mag > prev:
-                offsets[delta] = mag
-            if delta in CONJECTURED_OFFSETS:
-                weight_inside += mag * mag
-            else:
-                weight_outside += mag * mag
+    deltas = map(tuple, (occ[bras] - occ[kets]).tolist())
+    for delta, mag in zip(deltas, mags[keep].tolist()):
+        prev = offsets.get(delta, 0.0)
+        if mag > prev:
+            offsets[delta] = mag
+        if delta in CONJECTURED_OFFSETS:
+            weight_inside += mag * mag
+        else:
+            weight_outside += mag * mag
     ordered = tuple(sorted(offsets))
     return SparsityReport(
         n_max=basis.n_max,
@@ -314,13 +325,12 @@ def mixing_amplitudes(
     h1: np.ndarray, basis: FockBasis, source, tol: float = COUPLING_TOL
 ) -> dict:
     """Per-target amplitudes <target|H1|source> above tolerance."""
-    j = basis.index(source)
-    out = {}
-    for i in range(h1.shape[0]):
-        el = h1[i, j]
-        if abs(el) > tol:
-            out[basis.state(i)] = complex(el)
-    return out
+    column = h1[:, basis.index(source)]
+    targets = np.flatnonzero(np.abs(column) > tol)
+    return {
+        tuple(state): complex(el)
+        for state, el in zip(basis.occupations[targets].tolist(), column[targets])
+    }
 
 
 def energy_shift(n, theta: float, mode: str, n_max: int = None) -> complex:

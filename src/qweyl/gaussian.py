@@ -13,8 +13,8 @@ composition follows the Leibniz rule
 
     (p D^a) (r D^b) = sum_{g <= a} C(a, g) p (D^{a-g} r) D^{g+b}.
 
-Deformation bookkeeping is first order: operators carry a truncation flag
-(on by default) that discards theta powers above 1 after every product.
+Deformation bookkeeping is first order: operators discard theta powers
+above 1 after every product.
 """
 
 from __future__ import annotations
@@ -228,56 +228,47 @@ class DiffOp3(SparseTerms):
     """Sum of CPoly3 coefficients times partial-derivative monomials.
 
     terms maps (dx, dy, dz) derivative orders to CPoly3 coefficients.
-    When truncate is set (the default) every product discards theta
-    powers above 1, keeping the whole calculus first order; a sum or
-    product truncates only when both operands do.
+    Every coefficient and product discards theta powers above 1,
+    keeping the whole calculus first order.
     """
 
-    __slots__ = ("truncate",)
-
-    def __init__(self, terms=None, truncate: bool = True):
-        object.__setattr__(self, "truncate", truncate)
-        super().__init__(terms)
+    __slots__ = ()
 
     def _key(self, key):
         return exponent_key(key, 3)
 
-    def _coerce(self, poly):
-        poly = CPoly3.coerce(poly)
-        return poly.truncate_theta(1) if self.truncate else poly
-
-    def _join(self, other):
-        return self if other.truncate else other
+    @staticmethod
+    def _coerce(poly):
+        return CPoly3.coerce(poly).truncate_theta(1)
 
     @staticmethod
-    def zero(truncate: bool = True) -> "DiffOp3":
-        return DiffOp3({}, truncate=truncate)
+    def zero() -> "DiffOp3":
+        return DiffOp3()
 
     @staticmethod
-    def identity(truncate: bool = True) -> "DiffOp3":
-        return DiffOp3({(0, 0, 0): 1}, truncate=truncate)
+    def identity() -> "DiffOp3":
+        return DiffOp3({(0, 0, 0): 1})
 
     @staticmethod
-    def from_poly(poly, truncate: bool = True) -> "DiffOp3":
+    def from_poly(poly) -> "DiffOp3":
         """Multiplication operator."""
-        return DiffOp3({(0, 0, 0): poly}, truncate=truncate)
+        return DiffOp3({(0, 0, 0): poly})
 
     @staticmethod
-    def partial(axis: int, truncate: bool = True) -> "DiffOp3":
+    def partial(axis: int) -> "DiffOp3":
         key = [0, 0, 0]
         key[axis] = 1
-        return DiffOp3({tuple(key): 1}, truncate=truncate)
+        return DiffOp3({tuple(key): 1})
 
     @staticmethod
-    def scaling(axis: int, truncate: bool = True) -> "DiffOp3":
+    def scaling(axis: int) -> "DiffOp3":
         """The operator x_axis d/dx_axis, diagonal on monomials."""
         key = [0, 0, 0]
         key[axis] = 1
-        return DiffOp3({tuple(key): CPoly3.variable(axis)}, truncate=truncate)
+        return DiffOp3({tuple(key): CPoly3.variable(axis)})
 
     def compose(self, other: "DiffOp3") -> "DiffOp3":
         """Operator product self after other, via the Leibniz rule."""
-        ring = self._join(other)
         terms: dict = {}
         for alpha, p in self.terms.items():
             for beta, r in other.terms.items():
@@ -292,8 +283,8 @@ class DiffOp3(SparseTerms):
                     if shifted.is_zero():
                         continue
                     key = tuple(g + b for g, b in zip(gamma, beta))
-                    ring._accumulate(terms, key, p * shifted * coeff)
-        return ring._new(ring._clean(terms))
+                    self._accumulate(terms, key, p * shifted * coeff)
+        return self._new(self._clean(terms))
 
     def apply(self, f: GaussianPoly) -> GaussianPoly:
         """Act on a Gaussian-enveloped polynomial."""
@@ -304,9 +295,7 @@ class DiffOp3(SparseTerms):
                 for _ in range(key[axis]):
                     g = g.gauss_derivative(axis)
             total = total + poly * g.p
-        if self.truncate:
-            total = total.truncate_theta(1)
-        return GaussianPoly(total)
+        return GaussianPoly(total.truncate_theta(1))
 
     def theta_slice(self, degree: int) -> "DiffOp3":
         """Operator made of the theta^degree parts, theta factor removed."""

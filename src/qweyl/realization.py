@@ -31,7 +31,7 @@ import numpy as np
 from .algebra import GEN_NAMES, gen_code, raw_defining_relations
 from .scalars import QScalar, SparseTerms, exponent_key
 
-PRUNE_DEFAULT = 1e-15
+PRUNE_TOL = 1e-15
 
 MODES = ("paper", "rederived")
 
@@ -66,31 +66,28 @@ def beta_exact(n: int, theta: float) -> complex:
 class MonomialVec(SparseTerms):
     """Finitely supported map from exponent triples to complex coefficients.
 
-    Coefficients with magnitude at or below the prune threshold are
-    dropped on construction and by arithmetic, keeping the support
-    finite under rounding noise.
+    Coefficients with magnitude at or below PRUNE_TOL are dropped on
+    construction and by arithmetic, keeping the support finite under
+    rounding noise.
     """
 
-    __slots__ = ("prune",)
+    __slots__ = ()
     _coerce = staticmethod(complex)
-
-    def __init__(self, terms=None, prune: float = PRUNE_DEFAULT):
-        object.__setattr__(self, "prune", prune)
-        super().__init__(terms)
 
     def _key(self, key):
         return exponent_key(key, 3)
 
-    def _is_zero(self, value) -> bool:
-        return not abs(value) > self.prune
+    @staticmethod
+    def _is_zero(value) -> bool:
+        return not abs(value) > PRUNE_TOL
 
     @staticmethod
-    def basis(n, prune: float = PRUNE_DEFAULT) -> "MonomialVec":
-        return MonomialVec({tuple(n): 1.0}, prune=prune)
+    def basis(n) -> "MonomialVec":
+        return MonomialVec({tuple(n): 1.0})
 
     @staticmethod
-    def zero(prune: float = PRUNE_DEFAULT) -> "MonomialVec":
-        return MonomialVec({}, prune=prune)
+    def zero() -> "MonomialVec":
+        return MonomialVec()
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(v) ** 2 for v in self.terms.values()))
@@ -116,29 +113,29 @@ def _higher_sum(n, axis: int) -> int:
     return sum(n[k] for k in range(axis + 1, 3))
 
 
+def _shift(v: MonomialVec, axis: int, step: int, multiplier) -> MonomialVec:
+    """Move every monomial of v one step (+1 or -1) along axis, times
+    multiplier(n) of its exponents n; lowering drops n_axis = 0."""
+    out: dict = {}
+    for n, c in v.terms.items():
+        if step < 0 and n[axis] == 0:
+            continue
+        key = tuple(n[k] + (step if k == axis else 0) for k in range(3))
+        out[key] = out.get(key, 0.0) + c * multiplier(n)
+    return v._new(v._clean(out))
+
+
 def apply_exact(g, v: MonomialVec, theta: float) -> MonomialVec:
     """Exact action of one generator, extended linearly over v."""
     code = gen_code(g)
-    out: dict = {}
+    axis = code % 3
     if code < 3:
-        axis = code
-        for n, c in v.terms.items():
-            factor = cmath.exp(1j * theta * _higher_sum(n, axis)) * beta_exact(n[axis], theta)
-            key = tuple(n[k] + (1 if k == axis else 0) for k in range(3))
-            out[key] = out.get(key, 0.0) + c * factor
-    else:
-        axis = code - 3
-        for n, c in v.terms.items():
-            if n[axis] == 0:
-                continue
-            factor = (
-                n[axis]
-                * beta_exact(n[axis] - 1, theta)
-                * cmath.exp(1j * theta * _higher_sum(n, axis))
-            )
-            key = tuple(n[k] - (1 if k == axis else 0) for k in range(3))
-            out[key] = out.get(key, 0.0) + c * factor
-    return v._new(v._clean(out))
+        return _shift(v, axis, 1, lambda n: (
+            cmath.exp(1j * theta * _higher_sum(n, axis)) * beta_exact(n[axis], theta)))
+    return _shift(v, axis, -1, lambda n: (
+        n[axis]
+        * beta_exact(n[axis] - 1, theta)
+        * cmath.exp(1j * theta * _higher_sum(n, axis))))
 
 
 def apply_first_order(g, v: MonomialVec, theta: float, mode: str) -> MonomialVec:
@@ -153,24 +150,12 @@ def apply_first_order(g, v: MonomialVec, theta: float, mode: str) -> MonomialVec
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     shift = 0 if mode == "paper" else -1
-    out: dict = {}
+    axis = code % 3
     if code < 3:
-        axis = code
-        for n, c in v.terms.items():
-            half = 0.5 * (n[axis] + 1 + shift)
-            mult = 1.0 + 1j * theta * (half + _higher_sum(n, axis))
-            key = tuple(n[k] + (1 if k == axis else 0) for k in range(3))
-            out[key] = out.get(key, 0.0) + c * mult
-    else:
-        axis = code - 3
-        for n, c in v.terms.items():
-            if n[axis] == 0:
-                continue
-            half = 0.5 * (n[axis] + shift)
-            mult = n[axis] * (1.0 + 1j * theta * (half + _higher_sum(n, axis)))
-            key = tuple(n[k] - (1 if k == axis else 0) for k in range(3))
-            out[key] = out.get(key, 0.0) + c * mult
-    return v._new(v._clean(out))
+        return _shift(v, axis, 1, lambda n: (
+            1.0 + 1j * theta * (0.5 * (n[axis] + 1 + shift) + _higher_sum(n, axis))))
+    return _shift(v, axis, -1, lambda n: n[axis] * (
+        1.0 + 1j * theta * (0.5 * (n[axis] + shift) + _higher_sum(n, axis))))
 
 
 def apply_word(word, v: MonomialVec, theta: float) -> MonomialVec:
@@ -183,7 +168,7 @@ def apply_word(word, v: MonomialVec, theta: float) -> MonomialVec:
 def apply_poly(p, v: MonomialVec, theta: float) -> MonomialVec:
     """Numeric action of a symbolic polynomial (words with QScalar coefficients)."""
     terms = p.terms if hasattr(p, "terms") else p
-    out = MonomialVec.zero(prune=v.prune)
+    out = MonomialVec.zero()
     for word, coeff in terms.items():
         coeff = QScalar.coerce(coeff)
         out = out + apply_word(word, v, theta).scale(coeff.substitute(theta))

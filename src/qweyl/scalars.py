@@ -110,10 +110,9 @@ class SparseTerms:
     QScalar, CPoly3, DiffOp3, NCPoly and MonomialVec.
 
     A subclass supplies its key check (_key), its coefficient ring
-    (_coerce, _is_zero) and its own product; any further per-instance
-    settings are its __slots__, which every derived result inherits.
-    The public constructor validates keys and coefficients.  Results
-    built by the arithmetic here are clean by construction and skip it.
+    (_coerce, _is_zero) and its own product.  The public constructor
+    validates keys and coefficients.  Results built by the arithmetic
+    here are clean by construction and skip it.
     Accumulation pops a key whose coefficient cancels, so a key that
     comes back is re-appended: floating-point consumers sum in this
     insertion order, so it is part of the result.
@@ -137,17 +136,11 @@ class SparseTerms:
     def _is_zero(self, coeff) -> bool:
         return coeff.is_zero()
 
-    def _join(self, other):
-        """Instance whose settings a sum or product with other takes."""
-        return self
-
     # ------------------------------------------------ trusted builders
 
     def _new(self, terms) -> "SparseTerms":
-        """Same class and settings as self, over already-clean terms."""
+        """Same class as self, over already-clean terms."""
         out = object.__new__(type(self))
-        for name in type(self).__slots__:
-            object.__setattr__(out, name, getattr(self, name))
         object.__setattr__(out, "terms", terms)
         return out
 
@@ -206,11 +199,10 @@ class SparseTerms:
         other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        ring = self._join(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            ring._accumulate(terms, key, coeff)
-        return ring._new(terms)
+            self._accumulate(terms, key, coeff)
+        return self._new(terms)
 
     __radd__ = __add__
 

@@ -63,12 +63,6 @@ def record(tag: str, label: str, ok: bool, detail: str = "") -> None:
         fh.write(line + "\n")
 
 
-def ground_vector(basis: FockBasis) -> np.ndarray:
-    psi = np.zeros(basis.dim, dtype=complex)
-    psi[basis.index((0, 0, 0))] = 1.0
-    return psi
-
-
 # --------------------------------------------------------------- criterion 1
 
 def test_criterion_01_symbolic_relations_and_confluence():
@@ -284,7 +278,7 @@ _C9_ELAPSED = {}
 def _deformed_run():
     t0 = time.monotonic()
     h = build_h_eff(10, 0.01, "paper")
-    traj = propagate(h, ground_vector(FockBasis(10)), T=1.0, dt=1e-3)
+    traj = propagate(h, FockBasis(10).vector((0, 0, 0)), T=1.0, dt=1e-3)
     _C9_ELAPSED["deformed"] = time.monotonic() - t0
     return h, traj
 
@@ -292,7 +286,7 @@ def _deformed_run():
 def test_criterion_09a_unitarity_undeformed():
     t0 = time.monotonic()
     h = build_h_eff(10, 0.0, "paper")
-    traj = propagate(h, ground_vector(FockBasis(10)), T=10.0, dt=1e-3)
+    traj = propagate(h, FockBasis(10).vector((0, 0, 0)), T=10.0, dt=1e-3)
     drift = float(np.max(np.abs(traj.norms - 1.0)))
     _C9_ELAPSED["unitarity"] = time.monotonic() - t0
     ok = drift <= 1e-10
@@ -303,7 +297,7 @@ def test_criterion_09a_unitarity_undeformed():
 def test_criterion_09b_decay_oracle():
     t0 = time.monotonic()
     basis = FockBasis(10)
-    psi0 = ground_vector(basis)
+    psi0 = basis.vector((0, 0, 0))
     worst = 0.0
     for alpha in (0.1, 0.5, 1.0):
         h = decay_operator(10, alpha)

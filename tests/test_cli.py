@@ -8,10 +8,12 @@ from dataclasses import replace
 
 import pytest
 
+from qweyl import cli
 from qweyl.cli import (
     ConfigError,
     RunConfig,
     default_out,
+    dense_run_bytes,
     load_config,
     main,
     save_config,
@@ -107,6 +109,21 @@ class TestExitCodes:
         assert main(["evolve", "--dt", "inf", "--out", str(tmp_path)]) == 2
         assert main(["evolve", "--alpha", "inf", "--out", str(tmp_path)]) == 2
         assert main(["verify-algebra", "--degree", "1", "--out", str(tmp_path)]) == 2
+
+    def test_oversized_cutoff_estimate(self):
+        # arithmetic only: one dense complex operator of dimension 31^3
+        assert dense_run_bytes(30) == 29_791 ** 2 * 16 == 14_200_058_896
+        assert dense_run_bytes(6, points=11) == (343 + 11) * 343 * 16
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum"], ["mixing"], ["evolve"], ["evolve", "--decay-oracle"],
+    ])
+    def test_refuses_what_cannot_fit(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "available_memory", lambda: 2 ** 20)
+        assert main([*argv, "--nmax", "6", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: nmax=6 needs")
+        assert not list(tmp_path.iterdir())
 
     def test_corrupt_relation_is_one(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -2,6 +2,7 @@
 undeformed limit, integrator cross-validation, the norm-flow identity
 dP/dt = 2<H_I>, and the truncation guard rails."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,15 +21,9 @@ from qweyl.dynamics import (
 from qweyl.fock import FockBasis, FockOperator, build_h1_matrix, build_h_eff
 
 
-def basis_vector(basis, state):
-    v = np.zeros(basis.dim, dtype=complex)
-    v[basis.index(state)] = 1.0
-    return v
-
-
 def ground(n_max):
     basis = FockBasis(n_max)
-    return basis, basis_vector(basis, (0, 0, 0))
+    return basis, basis.vector((0, 0, 0))
 
 
 def h_i_series(traj, h):
@@ -41,7 +36,7 @@ class TestClosedFormOracles:
     def test_decay_matches_exponential_law(self):
         # diagonal sink: P(t) = exp(-2*alpha*t) exactly
         basis = FockBasis(3)
-        psi0 = basis_vector(basis, (1, 1, 0))
+        psi0 = basis.vector((1, 1, 0))
         for alpha in (0.1, 0.5, 1.0):
             h = decay_operator(3, alpha)
             traj = propagate(h, psi0, T=5.0, dt=1e-3)
@@ -67,7 +62,7 @@ class TestClosedFormOracles:
     def test_occupations_constant_in_undeformed_limit(self):
         h = build_h_eff(3, 0.0, "paper")
         basis = FockBasis(3)
-        psi0 = (basis_vector(basis, (0, 0, 0)) + basis_vector(basis, (1, 1, 0)))
+        psi0 = (basis.vector((0, 0, 0)) + basis.vector((1, 1, 0)))
         psi0 /= np.linalg.norm(psi0)
         traj = propagate(h, psi0, T=2.0, dt=1e-2)
         for state in ((0, 0, 0), (1, 1, 0), (2, 0, 0)):
@@ -126,7 +121,7 @@ class TestNormFlow:
         # centered differences leave an O(dt^2) floor, well under 1e-6
         h = decay_operator(3, 0.5)
         basis = FockBasis(3)
-        traj = propagate(h, basis_vector(basis, (0, 0, 0)), T=2.0, dt=1e-3)
+        traj = propagate(h, basis.vector((0, 0, 0)), T=2.0, dt=1e-3)
         assert norm_flow_check(traj, h_i_series(traj, h)) <= 1e-6
 
     def test_flow_flat_for_hermitian(self):
@@ -136,6 +131,24 @@ class TestNormFlow:
         assert norm_flow_check(traj, h_i_series(traj, h)) <= 1e-10
         gen = h.antihermitian_generator()
         assert np.max(np.abs(traj.expectation_series(gen))) <= 1e-12
+
+    def test_expectation_series_memory_bounded(self):
+        # the series is evaluated in fixed row blocks: its temporaries
+        # stay below the stored states however long the run, and every
+        # value equals the one-shot batched form
+        h = build_h_eff(10, 0.01, "paper")
+        _, psi0 = ground(10)
+        traj = propagate(h, psi0, T=1.0, dt=1e-3)
+        gen = h.antihermitian_generator()
+        tracemalloc.start()
+        try:
+            series = traj.expectation_series(gen)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < traj.states.nbytes
+        batched = np.sum(traj.states.conj() * (traj.states @ gen.T), axis=1)
+        assert np.array_equal(series, batched)
 
     def test_initial_rate_matches_generator_expectation(self):
         # ground-state loss rate: 2 * theta * Im<000|H1|000> = -3 * theta
@@ -164,7 +177,7 @@ class TestTransfer:
         theta = 0.01
         h = build_h_eff(6, theta, "paper")
         basis = FockBasis(6)
-        psi0 = basis_vector(basis, (1, 0, 0))
+        psi0 = basis.vector((1, 0, 0))
         traj = propagate(h, psi0, T=0.01, dt=1e-3)
         m1 = build_h1_matrix(6, "paper")
         col = basis.index((1, 0, 0))
@@ -224,6 +237,7 @@ class TestGuardRails:
             traj = propagate(h, psi0, T=1.0, dt=1e-3)
         assert traj.edge_aborted
         assert len(traj.times) < 1001
+        assert len(traj.states) == len(traj.norms) == len(traj.times)
         edge_final = max(
             traj.occupation(s)[-1] for s in ((2, 0, 0), (0, 2, 0), (0, 0, 2))
         )
@@ -232,7 +246,7 @@ class TestGuardRails:
     def test_edge_abort_on_initial_state(self):
         h = build_h_eff(2, 0.0, "paper")
         basis = FockBasis(2)
-        psi0 = basis_vector(basis, (2, 2, 2))
+        psi0 = basis.vector((2, 2, 2))
         with pytest.warns(RuntimeWarning, match="initial state"):
             traj = propagate(h, psi0, T=1.0, dt=0.1)
         assert traj.edge_aborted
@@ -246,7 +260,7 @@ class TestGuardRails:
             theta=0.0,
             mode="paper",
         )
-        psi0 = basis_vector(basis, (0, 0, 0))
+        psi0 = basis.vector((0, 0, 0))
         with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("ignore")
             with pytest.raises(RuntimeError, match="non-finite"):
@@ -255,7 +269,7 @@ class TestGuardRails:
     def test_no_renormalization(self):
         h = decay_operator(2, 1.0)
         basis = FockBasis(2)
-        traj = propagate(h, basis_vector(basis, (0, 0, 0)), T=2.0, dt=1e-2)
+        traj = propagate(h, basis.vector((0, 0, 0)), T=2.0, dt=1e-2)
         assert traj.norms[-1] < 0.05
 
 

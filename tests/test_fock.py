@@ -39,6 +39,7 @@ def test_basis_roundtrip():
         assert basis.index(basis.state(i)) == i
     assert basis.index((0, 0, 0)) == 0
     assert basis.state(basis.dim - 1) == (4, 4, 4)
+    assert basis.occupations.tolist() == [list(s) for s in basis.states()]
     with pytest.raises(ValueError):
         basis.index((5, 0, 0))
     with pytest.raises(ValueError):
@@ -176,6 +177,31 @@ def test_sparsity_offsets_even_and_axis_aligned():
     assert 0.0 < rep.outside_weight_fraction < 1.0
 
 
+def pairwise_scan(h1, basis, tol=1e-12, margin=4):
+    """Reference for sparsity_pattern: every interior pair, kets then bras."""
+    interior = [s for s in basis.states() if max(s) <= basis.n_max - margin]
+    offsets, weights = {}, [0.0, 0.0]
+    for ket in interior:
+        for bra in interior:
+            mag = abs(h1[basis.index(bra), basis.index(ket)])
+            if mag <= tol:
+                continue
+            delta = tuple(b - k for b, k in zip(bra, ket))
+            offsets[delta] = max(offsets.get(delta, 0.0), mag)
+            weights[delta not in CONJECTURED_OFFSETS] += mag * mag
+    return offsets, weights
+
+
+@pytest.mark.parametrize("n_max, mode", [(6, "paper"), (8, "rederived")])
+def test_sparsity_matches_pairwise_scan(n_max, mode):
+    # same magnitudes, and weights summed in the same order, so equal bits
+    h1 = build_h1_matrix(n_max, mode)
+    rep = sparsity_pattern(h1, FockBasis(n_max))
+    offsets, weights = pairwise_scan(h1, FockBasis(n_max))
+    assert rep.max_magnitude == dict(sorted(offsets.items()))
+    assert [rep.weight_inside, rep.weight_outside] == weights
+
+
 def test_sparsity_no_odd_offsets():
     # single-step and triple-step transfers are absent: the cubic terms
     # cancel pairwise, leaving only even ladder moves
@@ -310,3 +336,10 @@ def test_csv_export_deterministic(tmp_path):
     lines = p1.read_text().splitlines()
     assert lines[0] == "n1,n2,n3,m1,m2,m3,re,im,mode,theta,n_max"
     assert all(line.endswith(",paper,0.01,2") for line in lines[1:])
+    # every re/im cell is a plain number equal to the element it names
+    for line in lines[1:]:
+        cells = line.split(",")
+        bra, ket = tuple(map(int, cells[:3])), tuple(map(int, cells[3:6]))
+        el = h.element(bra, ket)
+        assert (float(cells[6]), float(cells[7])) == (el.real, el.imag)
+    assert len(lines) - 1 == np.count_nonzero(np.abs(h.matrix) > 1e-12)

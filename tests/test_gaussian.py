@@ -140,9 +140,6 @@ def test_compose_matches_apply():
 def test_truncation_drops_second_order():
     op = DiffOp3.from_poly(TH * X)
     assert op.compose(op).is_zero()
-    untruncated = DiffOp3.from_poly(TH * X, truncate=False)
-    sq = untruncated.compose(untruncated)
-    assert sq == DiffOp3.from_poly(TH * TH * X * X, truncate=False)
 
 
 def test_operator_theta_slice():

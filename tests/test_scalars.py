@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from qweyl.algebra import NCPoly, nc_mul
 from qweyl.gaussian import CPoly3, DiffOp3
-from qweyl.realization import MonomialVec, apply_exact
+from qweyl.realization import PRUNE_TOL, MonomialVec, apply_exact
 from qweyl.scalars import GaussRat, QScalar, Q, Q_INV, I_UNIT
 
 
@@ -137,26 +137,22 @@ SPECS = {
         rebuild=lambda r: CPoly3(dict(r.terms)),
     ),
     "DiffOp3": dict(
-        inst=st.builds(
-            DiffOp3,
-            st.dictionaries(st.tuples(*[st.integers(0, 1)] * 3), unit_cpoly, max_size=3),
-            truncate=st.booleans(),
-        ),
+        inst=st.dictionaries(
+            st.tuples(*[st.integers(0, 1)] * 3), unit_cpoly, max_size=3
+        ).map(DiffOp3),
         factor=unit_cpoly,
         product=lambda a, b, g: a.compose(b),
         zero=lambda r, c: c.is_zero(),
-        rebuild=lambda r: DiffOp3(dict(r.terms), truncate=r.truncate),
+        rebuild=lambda r: DiffOp3(dict(r.terms)),
     ),
     "MonomialVec": dict(
-        inst=st.builds(
-            MonomialVec,
-            st.dictionaries(st.tuples(*[st.integers(0, 1)] * 3), unit_complex, max_size=4),
-            prune=st.sampled_from([1e-15, 0.0]),
-        ),
+        inst=st.dictionaries(
+            st.tuples(*[st.integers(0, 1)] * 3), unit_complex, max_size=4
+        ).map(MonomialVec),
         factor=unit_complex,
         product=lambda a, b, g: apply_exact(g, a, 0.3),
-        zero=lambda r, c: not abs(c) > r.prune,
-        rebuild=lambda r: MonomialVec(dict(r.terms), prune=r.prune),
+        zero=lambda r, c: not abs(c) > PRUNE_TOL,
+        rebuild=lambda r: MonomialVec(dict(r.terms)),
     ),
 }
 
