@@ -87,6 +87,9 @@ _CONFIG_TABLE = (
     ("format", "fmt", str),
 )
 
+# config key -> the values it may take
+_CHOICES = {"mode": MODES, "format": ("json", "csv")}
+
 
 def default_out() -> str:
     return os.environ.get("QWEYL_OUT", "qweyl_out")
@@ -111,7 +114,7 @@ def load_config(path) -> dict:
     try:
         with open(path) as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, line in enumerate(raw.splitlines(), start=1):
         line = line.strip()
@@ -133,24 +136,22 @@ def load_config(path) -> dict:
 
 
 def validate_config(config: RunConfig) -> None:
-    for key, value in (("theta", config.theta), ("T", config.t_final),
-                       ("dt", config.dt), ("alpha", config.alpha)):
-        if not np.isfinite(value):
+    for key, field, kind in _CONFIG_TABLE:
+        value = getattr(config, field)
+        if kind is float and not np.isfinite(value):
             raise ConfigError(f"{key} must be a finite real number")
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ConfigError(f"{key} must be one of {_CHOICES[key]}, got {value!r}")
     if config.n_max < 1:
         raise ConfigError("nmax must be at least 1")
     if config.degree < 2:
         raise ConfigError("degree must be at least 2")
-    if config.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {config.mode!r}")
     try:
         step_count(config.t_final, config.dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if config.alpha < 0:
         raise ConfigError("alpha must be nonnegative")
-    if config.fmt not in ("json", "csv"):
-        raise ConfigError(f"format must be json or csv, got {config.fmt!r}")
 
 
 def assemble_config(args) -> RunConfig:
@@ -168,26 +169,16 @@ def assemble_config(args) -> RunConfig:
     return config
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
+def _json_default(obj):
+    """numpy scalars and arrays as plain JSON values, complex as [re, im]."""
+    if isinstance(obj, complex):
         return [float(obj.real), float(obj.imag)]
-    return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_report(config: RunConfig, name: str, payload: dict) -> str:
-    os.makedirs(config.out, exist_ok=True)
     data = {
         "command": name,
         "provenance": {
@@ -200,7 +191,7 @@ def write_report(config: RunConfig, name: str, payload: dict) -> str:
     data.update(payload)
     path = os.path.join(config.out, name.replace("-", "_") + ".json")
     with open(path, "w") as fh:
-        json.dump(_jsonable(data), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
     return path
 
@@ -234,6 +225,7 @@ def _ensure_fits(n_max: int, points: int = 0) -> None:
 
 
 def cmd_verify_algebra(config: RunConfig, args) -> tuple:
+    """run the symbolic relation suite and the numeric residual check"""
     reports = [
         check_relation(lhs, rhs, name)
         for name, lhs, rhs in defining_relations()
@@ -258,32 +250,24 @@ def cmd_verify_algebra(config: RunConfig, args) -> tuple:
 
 
 def cmd_expand_scan(config: RunConfig, args) -> tuple:
+    """measure first-order residual slopes across theta for both modes"""
     thetas = np.geomspace(1e-4, 1e-1, 13)
-    interior = []
+    lo, hi = SLOPE_WINDOW
+    rows = {"interior": [], "origin": []}
     gate_ok = True
-    for code in range(6):
-        for mono in SCAN_MONOMIALS:
-            vec = MonomialVec.basis(mono)
-            for mode in MODES:
-                res = expansion_order_scan(code, vec, thetas, mode)
-                row = res.to_json()
-                row["monomial"] = list(mono)
-                interior.append(row)
-                if mode == "rederived" and res.slope is not None:
-                    lo, hi = SLOPE_WINDOW
-                    if not lo <= res.slope <= hi:
+    for block, monomials in (("interior", SCAN_MONOMIALS), ("origin", ((0, 0, 0),))):
+        for code in range(6):
+            for mono in monomials:
+                vec = MonomialVec.basis(mono)
+                for mode in MODES:
+                    res = expansion_order_scan(code, vec, thetas, mode)
+                    rows[block].append({**res.to_json(), "monomial": list(mono)})
+                    # the gate reads only the rederived interior slopes
+                    if (block == "interior" and mode == "rederived"
+                            and res.slope is not None and not lo <= res.slope <= hi):
                         gate_ok = False
-    origin = []
-    vec0 = MonomialVec.basis((0, 0, 0))
-    for code in range(6):
-        for mode in MODES:
-            res = expansion_order_scan(code, vec0, thetas, mode)
-            row = res.to_json()
-            row["monomial"] = [0, 0, 0]
-            origin.append(row)
     payload = {
-        "interior": interior,
-        "origin": origin,
+        **rows,
         "rederived_gate": {"window": list(SLOPE_WINDOW), "holds": gate_ok},
         "ok": gate_ok,
     }
@@ -291,6 +275,7 @@ def cmd_expand_scan(config: RunConfig, args) -> tuple:
 
 
 def cmd_effective(config: RunConfig, args) -> tuple:
+    """emit the effective-Hamiltonian decomposition and discrepancy report"""
     effs = {mode: assemble_effective(mode) for mode in MODES}
     comparison = compare_to_reference(effs["paper"])
     shift_a = [
@@ -307,21 +292,18 @@ def cmd_effective(config: RunConfig, args) -> tuple:
 
 
 def _write_csv(config: RunConfig, name: str, header, rows) -> str:
-    os.makedirs(config.out, exist_ok=True)
     path = os.path.join(config.out, name)
     write_csv_table(path, header, rows, config.mode, config.theta, config.n_max)
     return path
 
 
 def cmd_spectrum(config: RunConfig, args) -> tuple:
+    """diagonalize the truncated Hamiltonian"""
     if config.n_max < 4:
         raise ConfigError("spectrum runs need nmax >= 4")
     _ensure_fits(config.n_max)
     h = build_h_eff(config.n_max, config.theta, config.mode)
-    if h.is_diagonal:
-        eigs = np.sort_complex(np.diag(h.matrix))
-    else:
-        eigs = np.sort_complex(np.linalg.eigvals(h.matrix))
+    eigs = np.sort_complex(np.linalg.eigvals(h.matrix))
     payload = {
         "dimension": int(h.matrix.shape[0]),
         "eigenvalues": [[float(v.real), float(v.imag)] for v in eigs],
@@ -337,6 +319,7 @@ def cmd_spectrum(config: RunConfig, args) -> tuple:
 
 
 def cmd_mixing(config: RunConfig, args) -> tuple:
+    """scan coupling sparsity and compare against the conjectured offsets"""
     if config.n_max <= INTERIOR_MARGIN:
         raise ConfigError(
             f"mixing runs need nmax > {INTERIOR_MARGIN} so the scan has interior states"
@@ -368,7 +351,9 @@ def cmd_mixing(config: RunConfig, args) -> tuple:
 
 
 def cmd_evolve(config: RunConfig, args) -> tuple:
-    _ensure_fits(config.n_max, step_count(config.t_final, config.dt) + 1)
+    """propagate the ground state and check norm-flow identities"""
+    n_steps = step_count(config.t_final, config.dt)
+    _ensure_fits(config.n_max, n_steps + 1)
     psi0 = FockBasis(config.n_max).vector((0, 0, 0))
     if getattr(args, "decay_oracle", False):
         alphas = sorted({0.1, 0.5, 1.0, config.alpha})
@@ -385,19 +370,21 @@ def cmd_evolve(config: RunConfig, args) -> tuple:
         payload = {"decay_table": rows, "threshold": DECAY_LIMIT, "ok": ok}
         return (0 if ok else 1), payload
 
+    if n_steps < 2:
+        raise ConfigError("the norm-flow check needs T >= 2*dt")
     h = build_h_eff(config.n_max, config.theta, config.mode)
     traj = propagate(h, psi0, config.t_final, config.dt)
-    h_i = h.antihermitian_generator()
-    h_i_series = traj.expectation_series(h_i).real
-    flow = norm_flow_check(traj, h_i_series)
-    rate = initial_norm_rate(traj)
-    generator_rate = float(2.0 * (psi0.conj() @ (h_i @ psi0)).real)
+    h_i_series = traj.expectation_series(h.antihermitian_generator()).real
+    # an edge abort can leave too few points for the difference stencils
+    flow = rate = None
+    if len(traj.times) >= 3:
+        flow = norm_flow_check(traj, h_i_series)
+        rate = initial_norm_rate(traj)
     tracked = [s for s in TRACKED_STATES if max(s) <= config.n_max]
     gmap = gain_loss_map(traj, tracked)
-    os.makedirs(config.out, exist_ok=True)
     csv_path = os.path.join(config.out, "trajectory.csv")
     export_trajectory_csv(traj, h_i_series, csv_path, states=tracked)
-    ok = flow <= NORM_FLOW_LIMIT
+    ok = flow is not None and flow <= NORM_FLOW_LIMIT
     payload = {
         "method": traj.method,
         "points": int(len(traj.times)),
@@ -405,7 +392,7 @@ def cmd_evolve(config: RunConfig, args) -> tuple:
         "norm_flow_deviation": flow,
         "norm_flow_threshold": NORM_FLOW_LIMIT,
         "initial_rate": rate,
-        "generator_expectation_rate": generator_rate,
+        "generator_expectation_rate": float(2.0 * h_i_series[0]),
         "edge_aborted": traj.edge_aborted,
         "gain_loss": gmap.to_json(),
         "files": ["trajectory.csv"],
@@ -423,6 +410,12 @@ _COMMANDS = {
     "evolve": cmd_evolve,
 }
 
+# command-only on/off flags: command -> (flag, help)
+_SWITCHES = {
+    "verify-algebra": ("--corrupt-relation", argparse.SUPPRESS),
+    "evolve": ("--decay-oracle", "check the constant-sink closed-form decay law instead"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -430,36 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Symbolic and numeric checks for the deformed oscillator pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "verify-algebra": "run the symbolic relation suite and the numeric residual check",
-        "expand-scan": "measure first-order residual slopes across theta for both modes",
-        "effective": "emit the effective-Hamiltonian decomposition and discrepancy report",
-        "spectrum": "diagonalize the truncated Hamiltonian",
-        "mixing": "scan coupling sparsity and compare against the conjectured offsets",
-        "evolve": "propagate the ground state and check norm-flow identities",
-    }
-    for name, blurb in descriptions.items():
-        sp = sub.add_parser(name, help=blurb)
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.__doc__)
         sp.add_argument("--config", help="key=value config file; flags override it")
-        sp.add_argument("--theta", type=float, dest="theta")
-        sp.add_argument("--nmax", type=int, dest="n_max")
-        sp.add_argument("--degree", type=int, dest="degree")
-        sp.add_argument("--mode", choices=MODES, dest="mode")
-        sp.add_argument("--T", type=float, dest="t_final")
-        sp.add_argument("--dt", type=float, dest="dt")
-        sp.add_argument("--alpha", type=float, dest="alpha")
-        sp.add_argument("--out", dest="out")
-        sp.add_argument("--format", choices=("json", "csv"), dest="fmt")
-        if name == "verify-algebra":
-            sp.add_argument(
-                "--corrupt-relation", action="store_true", help=argparse.SUPPRESS
-            )
-        if name == "evolve":
-            sp.add_argument(
-                "--decay-oracle",
-                action="store_true",
-                help="check the constant-sink closed-form decay law instead",
-            )
+        for key, field, kind in _CONFIG_TABLE:
+            sp.add_argument(f"--{key}", type=kind, choices=_CHOICES.get(key), dest=field)
+        if name in _SWITCHES:
+            flag, text = _SWITCHES[name]
+            sp.add_argument(flag, action="store_true", help=text)
     return parser
 
 
@@ -468,6 +439,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = assemble_config(args)
+        try:
+            os.makedirs(config.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
         code, payload = _COMMANDS[args.command](config, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

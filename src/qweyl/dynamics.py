@@ -123,45 +123,31 @@ def propagate(
             return u @ v
 
     edge = (h.basis.occupations == h.n_max).any(axis=1)
-
-    def edge_occupation(v):
-        return float(np.max(np.abs(v[edge]) ** 2))
-
     states = np.empty((n_steps + 1, matrix.shape[0]), dtype=complex)
-    states[0] = psi0
-    filled = 1
+    v = psi0
     aborted = False
-    occ0 = edge_occupation(psi0)
-    if occ0 > EDGE_OCCUPATION_LIMIT:
-        warnings.warn(
-            f"edge occupation {occ0:.3g} in the initial state exceeds "
-            f"{EDGE_OCCUPATION_LIMIT}; not evolving",
-            RuntimeWarning,
-        )
-        aborted = True
-    else:
-        v = psi0
-        for k in range(n_steps):
+    for k in range(n_steps + 1):
+        if k:
             v = step(v)
             if not np.all(np.isfinite(v)):
                 raise RuntimeError(
-                    f"non-finite amplitudes at t = {(k + 1) * dt:.6g}; "
+                    f"non-finite amplitudes at t = {k * dt:.6g}; "
                     "growth overflowed the truncated basis"
                 )
-            states[filled] = v
-            filled += 1
-            occ = edge_occupation(v)
-            if occ > EDGE_OCCUPATION_LIMIT:
-                warnings.warn(
-                    f"edge occupation {occ:.3g} at t = {(k + 1) * dt:.6g} "
-                    f"exceeds {EDGE_OCCUPATION_LIMIT}; stopping early",
-                    RuntimeWarning,
-                )
-                aborted = True
-                break
+        states[k] = v
+        occ = float(np.max(np.abs(v[edge]) ** 2))
+        if occ > EDGE_OCCUPATION_LIMIT:
+            where = f"at t = {k * dt:.6g}" if k else "in the initial state"
+            warnings.warn(
+                f"edge occupation {occ:.3g} {where} exceeds "
+                f"{EDGE_OCCUPATION_LIMIT}; stopping early",
+                RuntimeWarning,
+            )
+            aborted = True
+            break
 
-    states = states[:filled]
-    times = np.arange(filled) * dt
+    states = states[:k + 1]
+    times = np.arange(len(states)) * dt
     norms = np.sum(np.abs(states) ** 2, axis=1)
     return Trajectory(
         times=times,

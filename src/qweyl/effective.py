@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .algebra import gen_code
 from .gaussian import CPoly3, DiffOp3, GaussianPoly, gaussian_expectation
-from .realization import MODES
+from .realization import check_mode
 from .reference import (
     REFERENCE_A,
     REFERENCE_B,
@@ -38,11 +38,6 @@ I = GaussRat(0, 1)
 MINUS_I = GaussRat(0, -1)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
 def expansion_bracket(axis: int, mode: str) -> DiffOp3:
     """First-order multiplier [1 + i theta (...)] attached to one axis.
 
@@ -50,7 +45,7 @@ def expansion_bracket(axis: int, mode: str) -> DiffOp3:
     the full scaling of every later axis.  paper mode keeps a constant
     half from the shifted count; rederived mode drops it.
     """
-    _check_mode(mode)
+    check_mode(mode)
     i_theta = CPoly3.theta() * I
     half_i_theta = i_theta * HALF
     op = DiffOp3.identity() + DiffOp3.scaling(axis).scale(half_i_theta)
@@ -199,7 +194,7 @@ def assemble_effective(mode: str) -> EffectiveHamiltonian:
     -(i/2) A' piece to the zero-derivative remainder leaves the scalar
     potential, split into real and imaginary parts.
     """
-    _check_mode(mode)
+    check_mode(mode)
     h = state_symbol_hamiltonian(mode)
     a_field = []
     for axis in range(3):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .effective import hamiltonian_operator
 from .gaussian import DiffOp3
-from .realization import MODES
+from .realization import check_mode
 
 COUPLING_TOL = 1e-12
 INTERIOR_MARGIN = 4  # highest per-axis degree of any first-order term
@@ -115,16 +115,9 @@ def operator_matrix(op: DiffOp3, n_max: int) -> np.ndarray:
     """Dense matrix of a theta-free polynomial-coefficient operator."""
     side = n_max + 1
     out = np.zeros((side ** 3, side ** 3), dtype=complex)
-    for (dx, dy, dz), poly in op.terms.items():
-        for (a, b, c, t), coeff in poly.terms.items():
-            if t != 0:
-                raise ValueError(
-                    "operator still carries theta; take a theta slice first"
-                )
-            m1 = _axis_term_matrix(n_max, a, dx)
-            m2 = _axis_term_matrix(n_max, b, dy)
-            m3 = _axis_term_matrix(n_max, c, dz)
-            out += complex(coeff) * np.kron(m1, np.kron(m2, m3))
+    for coeff, axes in op.axis_terms():
+        m1, m2, m3 = (_axis_term_matrix(n_max, power, deriv) for power, deriv in axes)
+        out += coeff * np.kron(m1, np.kron(m2, m3))
     return out
 
 
@@ -193,9 +186,10 @@ class FockOperator:
             mode=header["mode"],
         )
 
-    def save_csv(self, path, tol: float = COUPLING_TOL) -> None:
-        """Nonzero elements, row-major, with provenance columns; for small cutoffs."""
-        bras, kets = np.nonzero(~(np.abs(self.matrix) <= tol))
+    def save_csv(self, path) -> None:
+        """Elements above COUPLING_TOL, row-major, with provenance columns;
+        for small cutoffs."""
+        bras, kets = np.nonzero(~(np.abs(self.matrix) <= COUPLING_TOL))
         occ = self.basis.occupations
         rows = (
             [*bra, *ket, repr(float(el.real)), repr(float(el.imag))]
@@ -219,8 +213,7 @@ def write_csv_table(path, header, rows, mode: str, theta: float, n_max: int) -> 
 
 def build_h_eff(n_max: int, theta: float, mode: str) -> FockOperator:
     """Effective Hamiltonian H0 + theta*H1 over the truncated basis."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_mode(mode)
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
@@ -269,29 +262,25 @@ class SparsityReport:
         }
 
 
-def sparsity_pattern(
-    h1: np.ndarray,
-    basis: FockBasis,
-    tol: float = COUPLING_TOL,
-    margin: int = INTERIOR_MARGIN,
-) -> SparsityReport:
-    """Scan interior-to-interior couplings for their offset set.
+def sparsity_pattern(h1: np.ndarray, basis: FockBasis) -> SparsityReport:
+    """Scan interior-to-interior couplings above COUPLING_TOL for their
+    offset set.
 
-    Both bra and ket stay at least margin below the cutoff so every
-    offset the operator can produce is visible.  Weights are summed
-    squared magnitudes, split by membership in the conjectured
+    Both bra and ket stay at least INTERIOR_MARGIN below the cutoff so
+    every offset the operator can produce is visible.  Weights are
+    summed squared magnitudes, split by membership in the conjectured
     {-1,0,1}^3 offset set.
     """
-    if basis.n_max - margin < 0:
+    if basis.n_max - INTERIOR_MARGIN < 0:
         raise ValueError("cutoff too small for the interior margin")
     occ = basis.occupations
-    interior = np.flatnonzero((occ <= basis.n_max - margin).all(axis=1))
+    interior = np.flatnonzero((occ <= basis.n_max - INTERIOR_MARGIN).all(axis=1))
     # indexed [ket, bra], so the nonzeros come ket-major and the weights
     # are summed in the order of a scan over kets, then bras
     block = h1[np.ix_(interior, interior)].T
     kets, bras = np.nonzero(block)
     mags = np.abs(block[kets, bras])
-    keep = ~(mags <= tol)
+    keep = ~(mags <= COUPLING_TOL)
     kets, bras = interior[kets[keep]], interior[bras[keep]]
     offsets = {}
     weight_inside = 0.0
@@ -308,8 +297,8 @@ def sparsity_pattern(
     ordered = tuple(sorted(offsets))
     return SparsityReport(
         n_max=basis.n_max,
-        tol=tol,
-        margin=margin,
+        tol=COUPLING_TOL,
+        margin=INTERIOR_MARGIN,
         offsets=ordered,
         max_magnitude={o: offsets[o] for o in ordered},
         inside_conjecture=tuple(o for o in ordered if o in CONJECTURED_OFFSETS),
@@ -321,12 +310,10 @@ def sparsity_pattern(
     )
 
 
-def mixing_amplitudes(
-    h1: np.ndarray, basis: FockBasis, source, tol: float = COUPLING_TOL
-) -> dict:
-    """Per-target amplitudes <target|H1|source> above tolerance."""
+def mixing_amplitudes(h1: np.ndarray, basis: FockBasis, source) -> dict:
+    """Per-target amplitudes <target|H1|source> above COUPLING_TOL."""
     column = h1[:, basis.index(source)]
-    targets = np.flatnonzero(np.abs(column) > tol)
+    targets = np.flatnonzero(np.abs(column) > COUPLING_TOL)
     return {
         tuple(state): complex(el)
         for state, el in zip(basis.occupations[targets].tolist(), column[targets])

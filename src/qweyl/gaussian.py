@@ -303,6 +303,18 @@ class DiffOp3(SparseTerms):
             {k: p.theta_slice(degree) for k, p in self.terms.items()}
         ))
 
+    def axis_terms(self):
+        """Yield (complex coefficient, ((a, dx), (b, dy), (c, dz))) for
+        each term coeff * x^a y^b z^c d^dx d^dy d^dz, in insertion order;
+        the operator must be theta-free."""
+        for (dx, dy, dz), poly in self.terms.items():
+            for (a, b, c, t), coeff in poly.terms.items():
+                if t != 0:
+                    raise ValueError(
+                        "operator still carries theta; take a theta slice first"
+                    )
+                yield complex(coeff), ((a, dx), (b, dy), (c, dz))
+
     def to_json(self):
         return {
             f"d({k[0]},{k[1]},{k[2]})": p.to_json()

@@ -9,6 +9,7 @@ degree that can appear.  3D elements factorize per axis.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -18,6 +19,7 @@ from numpy.polynomial.hermite import hermgauss
 from .gaussian import DiffOp3
 
 GRID_SIZE = 48  # exact for integrand degree <= 95
+NODES, WEIGHTS = hermgauss(GRID_SIZE)
 
 _U = Polynomial([0.0, 1.0])
 
@@ -46,12 +48,6 @@ def envelope_derivative(prefactor: Polynomial) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _grid():
-    nodes, weights = hermgauss(GRID_SIZE)
-    return nodes, weights
-
-
-@lru_cache(maxsize=None)
 def element_1d(n: int, power: int, deriv: int, m: int) -> float:
     """<n| u^power d^deriv |m> for single-mode eigenfunctions.
 
@@ -63,22 +59,15 @@ def element_1d(n: int, power: int, deriv: int, m: int) -> float:
     for _ in range(deriv):
         acted = envelope_derivative(acted)
     integrand = hermite_prefactor(n) * _U ** power * acted
-    nodes, weights = _grid()
-    return float(np.dot(weights, integrand(nodes)))
+    return float(np.dot(WEIGHTS, integrand(NODES)))
 
 
 def element_3d(op: DiffOp3, bra, ket) -> complex:
     """<bra| op |ket> for a theta-free polynomial-coefficient operator."""
     total = 0.0 + 0.0j
-    for (dx, dy, dz), poly in op.terms.items():
-        for (a, b, c, t), coeff in poly.terms.items():
-            if t != 0:
-                raise ValueError(
-                    "operator still carries theta; take a theta slice first"
-                )
-            total += complex(coeff) * (
-                element_1d(bra[0], a, dx, ket[0])
-                * element_1d(bra[1], b, dy, ket[1])
-                * element_1d(bra[2], c, dz, ket[2])
-            )
+    for coeff, axes in op.axis_terms():
+        total += coeff * math.prod(
+            element_1d(n, power, deriv, m)
+            for n, (power, deriv), m in zip(bra, axes, ket)
+        )
     return total

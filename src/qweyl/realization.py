@@ -36,6 +36,12 @@ PRUNE_TOL = 1e-15
 MODES = ("paper", "rederived")
 
 
+def check_mode(mode: str) -> None:
+    """Refuse a first-order convention other than those in MODES."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 def at_removable_point(theta: float) -> bool:
     """True when q^2 = 1, i.e. theta is an exact float multiple of pi.
 
@@ -147,8 +153,7 @@ def apply_first_order(g, v: MonomialVec, theta: float, mode: str) -> MonomialVec
     higher-index exponential.
     """
     code = gen_code(g)
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    check_mode(mode)
     shift = 0 if mode == "paper" else -1
     axis = code % 3
     if code < 3:

@@ -70,6 +70,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="theta"):
             validate_config(replace(RunConfig(), theta=float("nan"), out="x"))
 
+    # one value per config key, each different from its default
+    FLAG_VALUES = {
+        "theta": "0.25", "nmax": "5", "degree": "4", "mode": "rederived",
+        "T": "2.0", "dt": "0.01", "alpha": "0.75", "out": "somewhere",
+        "format": "csv",
+    }
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_key_is_a_flag(self, command, tmp_path):
+        assert set(self.FLAG_VALUES) == {key for key, _, _ in cli._CONFIG_TABLE}
+        parser = cli.build_parser()
+
+        def config(*flags):
+            return cli.assemble_config(parser.parse_args([command, *flags]))
+
+        for key, value in self.FLAG_VALUES.items():
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            assert config(f"--{key}", value) == config("--config", str(cfg)) != config()
+
     def test_env_var_sets_default_out(self, monkeypatch):
         monkeypatch.setenv("QWEYL_OUT", "/tmp/somewhere-else")
         assert default_out() == "/tmp/somewhere-else"
@@ -109,6 +129,17 @@ class TestExitCodes:
         assert main(["evolve", "--dt", "inf", "--out", str(tmp_path)]) == 2
         assert main(["evolve", "--alpha", "inf", "--out", str(tmp_path)]) == 2
         assert main(["verify-algebra", "--degree", "1", "--out", str(tmp_path)]) == 2
+        assert main(["evolve", "--T", "0.01", "--dt", "0.01",
+                     "--out", str(tmp_path)]) == 2
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["effective", "--out", str(blocker / "x")]) == 2
+        undecodable = tmp_path / "bytes.cfg"
+        undecodable.write_bytes(b"\xff\xfe")
+        assert main(["effective", "--config", str(undecodable),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 11 and all(line.startswith("error: ") for line in err)
 
     def test_oversized_cutoff_estimate(self):
         # arithmetic only: one dense complex operator of dimension 31^3
@@ -248,6 +279,24 @@ class TestCommands:
         lines = (out / "trajectory.csv").read_text().strip().splitlines()
         assert len(lines) == 102
         assert lines[0].startswith("t,p,re_h_i,occ_0_0_0")
+
+    def test_evolve_edge_abort_before_three_points(self, tmp_path, capsys):
+        # at n_max=2 the ground state reaches the cutoff edge in one step
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="edge occupation"):
+            rc = main([
+                "evolve", "--nmax", "2", "--theta", "0.5", "--T", "1",
+                "--dt", "0.1", "--out", str(out),
+            ])
+        assert rc == 1
+        report = read_report(out, "evolve")
+        assert report["edge_aborted"] is True
+        assert report["points"] < 3
+        assert report["norm_flow_deviation"] is None
+        assert report["initial_rate"] is None
+        assert report["ok"] is False
+        lines = (out / "trajectory.csv").read_text().strip().splitlines()
+        assert len(lines) == report["points"] + 1
 
     def test_evolve_decay_oracle(self, tmp_path, capsys):
         out = tmp_path / "out"

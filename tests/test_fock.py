@@ -87,8 +87,12 @@ def test_h0_through_ladder_route_is_diagonal():
 
 
 def test_operator_matrix_rejects_theta_terms():
-    with pytest.raises(ValueError):
-        operator_matrix(hamiltonian_operator("paper"), 2)
+    # the ladder route and the quadrature oracle both refuse
+    op = hamiltonian_operator("paper")
+    with pytest.raises(ValueError, match="theta slice"):
+        operator_matrix(op, 2)
+    with pytest.raises(ValueError, match="theta slice"):
+        element_3d(op, (0, 0, 0), (0, 0, 0))
 
 
 def test_build_h_eff_validation():

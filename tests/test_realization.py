@@ -6,6 +6,8 @@ import mpmath
 import pytest
 
 from qweyl.algebra import d_code, normalize, x_code
+from qweyl.effective import expansion_bracket
+from qweyl.fock import build_h_eff
 from qweyl.scalars import QScalar
 from qweyl.realization import (
     MonomialVec,
@@ -16,6 +18,7 @@ from qweyl.realization import (
     apply_word,
     at_removable_point,
     beta_exact,
+    check_mode,
     expansion_order_scan,
     monomials_up_to,
     relation_residual_numeric,
@@ -186,6 +189,19 @@ def test_first_order_at_theta_zero_equals_exact():
 def test_first_order_unknown_mode():
     with pytest.raises(ValueError):
         apply_first_order("X1", MonomialVec.basis((0, 0, 0)), 0.1, "exact")
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda mode: apply_first_order("X1", MonomialVec.basis((0, 0, 0)), 0.1, mode),
+    lambda mode: expansion_bracket(0, mode),
+    lambda mode: build_h_eff(4, 0.0, mode),  # theta 0 builds no first-order part
+], ids=["apply_first_order", "expansion_bracket", "build_h_eff"])
+def test_bad_mode_refused_by_check_mode(refuse):
+    with pytest.raises(ValueError) as want:
+        check_mode("exact")
+    with pytest.raises(ValueError) as got:
+        refuse("exact")
+    assert str(got.value) == str(want.value)
 
 
 def test_scan_rederived_slope_two():
