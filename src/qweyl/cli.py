@@ -8,7 +8,8 @@ Numeric tables always carry provenance columns (mode, theta, n_max) so
 results from the two first-order conventions can never be confused.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
-including a cutoff whose dense operator cannot fit in available memory.
+including a cutoff that cannot fit in available memory and a theta that
+overflows the operator or its step propagator.
 """
 
 from __future__ import annotations
@@ -208,19 +209,22 @@ def available_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def dense_run_bytes(n_max: int, points: int = 0) -> int:
-    """Lower bound on a dense run: the operator plus points stored states."""
+def run_bytes(n_max: int, points: int = 0) -> int:
+    """Lower bound on a run: the sparse operator (at most 7 entries per
+    column, each a complex value and an index), its largest parity-sector
+    block as dense complex values, and points stored states."""
     dim = (n_max + 1) ** 3
-    return (dim + points) * dim * 16
+    sector = (n_max // 2 + 1) ** 3
+    return 7 * dim * (16 + 8) + sector * sector * 16 + points * dim * 16
 
 
 def _ensure_fits(n_max: int, points: int = 0) -> None:
-    need = dense_run_bytes(n_max, points)
+    need = run_bytes(n_max, points)
     free = available_memory()
     if need > free:
         raise ConfigError(
-            f"nmax={n_max} needs at least {need / 2**20:.0f} MiB, "
-            f"{free / 2**20:.0f} MiB available"
+            f"nmax={n_max} needs at least {need / 2**20:.1f} MiB, "
+            f"{free / 2**20:.1f} MiB available"
         )
 
 
@@ -302,8 +306,12 @@ def cmd_spectrum(config: RunConfig, args) -> tuple:
     if config.n_max < 4:
         raise ConfigError("spectrum runs need nmax >= 4")
     _ensure_fits(config.n_max)
-    h = build_h_eff(config.n_max, config.theta, config.mode)
-    eigs = np.sort_complex(np.linalg.eigvals(h.matrix))
+    try:
+        h = build_h_eff(config.n_max, config.theta, config.mode)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    blocks = (h.block(np.flatnonzero(h.basis.parity == s)) for s in range(8))
+    eigs = np.sort_complex(np.concatenate([np.linalg.eigvals(b) for b in blocks]))
     payload = {
         "dimension": int(h.matrix.shape[0]),
         "eigenvalues": [[float(v.real), float(v.imag)] for v in eigs],
@@ -372,8 +380,12 @@ def cmd_evolve(config: RunConfig, args) -> tuple:
 
     if n_steps < 2:
         raise ConfigError("the norm-flow check needs T >= 2*dt")
-    h = build_h_eff(config.n_max, config.theta, config.mode)
-    traj = propagate(h, psi0, config.t_final, config.dt)
+    try:
+        h = build_h_eff(config.n_max, config.theta, config.mode)
+        traj = propagate(h, psi0, config.t_final, config.dt)
+    except (ValueError, RuntimeError) as exc:
+        # a huge theta overflows the operator or its step propagator
+        raise ConfigError(str(exc)) from None
     h_i_series = traj.expectation_series(h.antihermitian_generator()).real
     # an edge abort can leave too few points for the difference stencils
     flow = rate = None

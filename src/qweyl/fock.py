@@ -6,19 +6,21 @@ assembled as a product of band matrices built above the cutoff and
 cropped afterwards, so all stored elements equal their infinite-basis
 values; truncation only limits which states exist, never corrupts an
 element.  The zeroth-order part is written directly as the exact
-diagonal n1+n2+n3+3/2.
+diagonal n1+n2+n3+3/2.  Operators are held sparse; the first-order
+operator moves one quantum number by 0 or +-2, so it never joins two
+per-axis parity sectors, and dense work runs on one sector block.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
 
 import numpy as np
+import scipy.sparse as sp
 
 from .effective import hamiltonian_operator
 from .gaussian import DiffOp3
@@ -45,6 +47,14 @@ class FockBasis:
         table = np.indices((self.n_max + 1,) * 3).reshape(3, -1).T
         table.flags.writeable = False
         return table
+
+    @cached_property
+    def parity(self) -> np.ndarray:
+        """Per-axis parity sector of each state, (n1%2, n2%2, n3%2) read
+        as a 3-bit label in 0..7."""
+        labels = (self.occupations % 2) @ (4, 2, 1)
+        labels.flags.writeable = False
+        return labels
 
     def index(self, state) -> int:
         n1, n2, n3 = state
@@ -106,22 +116,22 @@ def _axis_term_matrix(n_max: int, power: int, deriv: int):
         m = d @ m
     for _ in range(power):
         m = x @ m
-    m = m[: n_max + 1, : n_max + 1].copy()
-    m.flags.writeable = False
+    m = sp.csr_array(m[: n_max + 1, : n_max + 1])
+    m.data.flags.writeable = False  # shared by every caller of the cache
     return m
 
 
-def operator_matrix(op: DiffOp3, n_max: int) -> np.ndarray:
-    """Dense matrix of a theta-free polynomial-coefficient operator."""
+def operator_matrix(op: DiffOp3, n_max: int) -> sp.csr_array:
+    """Sparse matrix of a theta-free polynomial-coefficient operator."""
     side = n_max + 1
-    out = np.zeros((side ** 3, side ** 3), dtype=complex)
+    out = sp.csr_array((side ** 3, side ** 3), dtype=complex)
     for coeff, axes in op.axis_terms():
         m1, m2, m3 = (_axis_term_matrix(n_max, power, deriv) for power, deriv in axes)
-        out += coeff * np.kron(m1, np.kron(m2, m3))
+        out = out + coeff * sp.kron(m1, sp.kron(m2, m3, format="csr"), format="csr")
     return out
 
 
-def build_h1_matrix(n_max: int, mode: str) -> np.ndarray:
+def build_h1_matrix(n_max: int, mode: str) -> sp.csr_array:
     """Matrix of the first-order operator (the theta coefficient)."""
     return operator_matrix(hamiltonian_operator(mode).theta_slice(1), n_max)
 
@@ -132,26 +142,32 @@ def h0_diagonal(n_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Dense operator over the truncated basis with cutoff metadata."""
+    """Sparse (CSR, sorted indices) operator over the truncated basis with
+    cutoff metadata.  No stored nonzero may join two parity sectors."""
 
-    matrix: np.ndarray
+    matrix: sp.csr_array
     n_max: int
     theta: float
     mode: str
 
-    @property
+    def __post_init__(self):
+        parity = self.basis.parity
+        bras, kets = self.matrix.nonzero()
+        if np.any(parity[bras] != parity[kets]):
+            raise ValueError("operator couples two parity sectors")
+
+    @cached_property
     def basis(self) -> FockBasis:
         return FockBasis(self.n_max)
 
-    @property
-    def is_diagonal(self) -> bool:
-        """True when every nonzero element sits on the diagonal."""
-        return np.count_nonzero(self.matrix) == np.count_nonzero(np.diag(self.matrix))
+    def block(self, indices) -> np.ndarray:
+        """Dense submatrix on the given basis indices."""
+        return self.matrix[indices][:, indices].toarray()
 
-    def hermitian_part(self) -> np.ndarray:
+    def hermitian_part(self) -> sp.csr_array:
         return (self.matrix + self.matrix.conj().T) / 2
 
-    def antihermitian_generator(self) -> np.ndarray:
+    def antihermitian_generator(self) -> sp.csr_array:
         """H_I in the exact split H = H_R + i H_I, both Hermitian."""
         return (self.matrix - self.matrix.conj().T) / 2j
 
@@ -159,42 +175,15 @@ class FockOperator:
         basis = self.basis
         return complex(self.matrix[basis.index(bra), basis.index(ket)])
 
-    def save_binary(self, path) -> None:
-        """JSON header line, newline, then row-major complex doubles."""
-        header = {
-            "dimension": int(self.matrix.shape[0]),
-            "n_max": self.n_max,
-            "theta": self.theta,
-            "mode": self.mode,
-        }
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode())
-            fh.write(b"\n")
-            fh.write(np.ascontiguousarray(self.matrix, dtype=complex).tobytes())
-
-    @staticmethod
-    def load_binary(path) -> "FockOperator":
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode())
-            raw = fh.read()
-        dim = header["dimension"]
-        matrix = np.frombuffer(raw, dtype=complex).reshape(dim, dim)
-        return FockOperator(
-            matrix=matrix,
-            n_max=header["n_max"],
-            theta=header["theta"],
-            mode=header["mode"],
-        )
-
     def save_csv(self, path) -> None:
-        """Elements above COUPLING_TOL, row-major, with provenance columns;
-        for small cutoffs."""
-        bras, kets = np.nonzero(~(np.abs(self.matrix) <= COUPLING_TOL))
+        """Elements above COUPLING_TOL, row-major, with provenance columns."""
+        m = self.matrix.tocoo()
+        keep = ~(np.abs(m.data) <= COUPLING_TOL)
         occ = self.basis.occupations
         rows = (
             [*bra, *ket, repr(float(el.real)), repr(float(el.imag))]
-            for bra, ket, el in zip(occ[bras].tolist(), occ[kets].tolist(),
-                                    self.matrix[bras, kets])
+            for bra, ket, el in zip(occ[m.row[keep]].tolist(),
+                                    occ[m.col[keep]].tolist(), m.data[keep])
         )
         write_csv_table(path, ["n1", "n2", "n3", "m1", "m2", "m3", "re", "im"],
                         rows, self.mode, self.theta, self.n_max)
@@ -217,9 +206,12 @@ def build_h_eff(n_max: int, theta: float, mode: str) -> FockOperator:
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    matrix = np.diag(h0_diagonal(n_max)).astype(complex)
+    matrix = sp.diags_array(h0_diagonal(n_max).astype(complex), format="csr")
     if theta != 0.0:
-        matrix = matrix + theta * build_h1_matrix(n_max, mode)
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = matrix + theta * build_h1_matrix(n_max, mode)
+        if not np.all(np.isfinite(matrix.data)):
+            raise ValueError(f"theta={theta!r} overflows the operator")
     return FockOperator(matrix=matrix, n_max=n_max, theta=theta, mode=mode)
 
 
@@ -262,7 +254,7 @@ class SparsityReport:
         }
 
 
-def sparsity_pattern(h1: np.ndarray, basis: FockBasis) -> SparsityReport:
+def sparsity_pattern(h1: sp.csr_array, basis: FockBasis) -> SparsityReport:
     """Scan interior-to-interior couplings above COUPLING_TOL for their
     offset set.
 
@@ -275,13 +267,14 @@ def sparsity_pattern(h1: np.ndarray, basis: FockBasis) -> SparsityReport:
         raise ValueError("cutoff too small for the interior margin")
     occ = basis.occupations
     interior = np.flatnonzero((occ <= basis.n_max - INTERIOR_MARGIN).all(axis=1))
-    # indexed [ket, bra], so the nonzeros come ket-major and the weights
-    # are summed in the order of a scan over kets, then bras
-    block = h1[np.ix_(interior, interior)].T
-    kets, bras = np.nonzero(block)
-    mags = np.abs(block[kets, bras])
+    # indexed [ket, bra] in sorted CSR, so the nonzeros come ket-major and
+    # the weights are summed in the order of a scan over kets, then bras
+    block = sp.csr_array(h1[interior][:, interior].T)
+    block.sort_indices()
+    block = block.tocoo()
+    mags = np.abs(block.data)
     keep = ~(mags <= COUPLING_TOL)
-    kets, bras = interior[kets[keep]], interior[bras[keep]]
+    kets, bras = interior[block.row[keep]], interior[block.col[keep]]
     offsets = {}
     weight_inside = 0.0
     weight_outside = 0.0
@@ -310,9 +303,9 @@ def sparsity_pattern(h1: np.ndarray, basis: FockBasis) -> SparsityReport:
     )
 
 
-def mixing_amplitudes(h1: np.ndarray, basis: FockBasis, source) -> dict:
+def mixing_amplitudes(h1: sp.csr_array, basis: FockBasis, source) -> dict:
     """Per-target amplitudes <target|H1|source> above COUPLING_TOL."""
-    column = h1[:, basis.index(source)]
+    column = h1[:, [basis.index(source)]].toarray()[:, 0]
     targets = np.flatnonzero(np.abs(column) > COUPLING_TOL)
     return {
         tuple(state): complex(el)
@@ -337,38 +330,3 @@ def energy_shift(n, theta: float, mode: str, n_max: int = None) -> complex:
     basis = FockBasis(n_max)
     i = basis.index(n)
     return theta * complex(h1[i, i])
-
-
-@dataclass(frozen=True)
-class ConvergenceTable:
-    """A quantity evaluated over increasing cutoffs, with successive
-    absolute differences."""
-
-    label: str
-    n_max_values: tuple
-    values: tuple
-    diffs: tuple
-
-    def to_json(self):
-        return {
-            "label": self.label,
-            "n_max": list(self.n_max_values),
-            "values": [[v.real, v.imag] for v in self.values],
-            "successive_diffs": list(self.diffs),
-        }
-
-
-def cutoff_convergence(quantity, n_max_values, label: str = "") -> ConvergenceTable:
-    """Evaluate quantity(n_max) over strictly increasing cutoffs."""
-    n_max_values = tuple(int(v) for v in n_max_values)
-    if len(n_max_values) < 2:
-        raise ValueError("need at least two cutoffs")
-    if any(b <= a for a, b in zip(n_max_values, n_max_values[1:])):
-        raise ValueError("cutoffs must be strictly increasing")
-    values = tuple(complex(quantity(v)) for v in n_max_values)
-    diffs = tuple(
-        abs(b - a) for a, b in zip(values, values[1:])
-    )
-    return ConvergenceTable(
-        label=label, n_max_values=n_max_values, values=values, diffs=diffs
-    )

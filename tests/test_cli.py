@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qweyl import cli
@@ -13,12 +14,13 @@ from qweyl.cli import (
     ConfigError,
     RunConfig,
     default_out,
-    dense_run_bytes,
     load_config,
     main,
+    run_bytes,
     save_config,
     validate_config,
 )
+from qweyl.fock import build_h_eff
 
 
 def read_report(out_dir, command):
@@ -138,19 +140,29 @@ class TestExitCodes:
         undecodable.write_bytes(b"\xff\xfe")
         assert main(["effective", "--config", str(undecodable),
                      "--out", str(tmp_path)]) == 2
+        # a theta that overflows the operator, or only its step propagator
+        assert main(["spectrum", "--nmax", "4", "--theta", "1e308",
+                     "--out", str(tmp_path)]) == 2
+        for theta in ("1e308", "1e300"):
+            assert main(["evolve", "--nmax", "2", "--theta", theta, "--T", "0.2",
+                         "--dt", "0.1", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 11 and all(line.startswith("error: ") for line in err)
+        assert len(err) == 14 and all(line.startswith("error: ") for line in err)
+        assert not list(tmp_path.glob("*.json"))
 
     def test_oversized_cutoff_estimate(self):
-        # arithmetic only: one dense complex operator of dimension 31^3
-        assert dense_run_bytes(30) == 29_791 ** 2 * 16 == 14_200_058_896
-        assert dense_run_bytes(6, points=11) == (343 + 11) * 343 * 16
+        # arithmetic only: 7 sparse entries per column at 16 + 8 bytes, the
+        # largest parity sector ((n_max//2 + 1)^3 states) as a dense complex
+        # block, then the stored states
+        assert run_bytes(6) == 7 * 343 * 24 + 64 ** 2 * 16 == 123_160
+        assert run_bytes(6, points=11) == 123_160 + 11 * 343 * 16
+        assert run_bytes(30) == 7 * 29_791 * 24 + 4_096 ** 2 * 16 == 273_440_344
 
     @pytest.mark.parametrize("argv", [
         ["spectrum"], ["mixing"], ["evolve"], ["evolve", "--decay-oracle"],
     ])
     def test_refuses_what_cannot_fit(self, argv, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "available_memory", lambda: 2 ** 20)
+        monkeypatch.setattr(cli, "available_memory", lambda: run_bytes(6) - 1)
         assert main([*argv, "--nmax", "6", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: nmax=6 needs")
@@ -241,6 +253,19 @@ class TestCommands:
         csv_lines = (out / "spectrum.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "re,im,mode,theta,n_max"
         assert csv_lines[1].split(",")[2:] == ["paper", "0.0", "4"]
+
+    @pytest.mark.parametrize("n_max", [6, 8])
+    @pytest.mark.parametrize("mode", ["paper", "rederived"])
+    def test_sector_spectrum_matches_dense(self, n_max, mode, tmp_path):
+        config = RunConfig(theta=0.01, n_max=n_max, mode=mode, out=str(tmp_path))
+        _, payload = cli.cmd_spectrum(config, None)
+        sectors = np.sort_complex([complex(*v) for v in payload["eigenvalues"]])
+        h = build_h_eff(n_max, 0.01, mode)
+        dense = np.sort_complex(np.linalg.eigvals(h.matrix.toarray()))
+        assert np.max(np.abs(sectors - dense)) <= 1e-10
+        trace = complex(h.matrix.diagonal().sum())
+        for eigs in (sectors, dense):
+            assert abs(eigs.sum() - trace) <= 1e-12 * np.abs(eigs).sum()
 
     def test_mixing_report(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import expm
 
 from qweyl.dynamics import (
     EDGE_OCCUPATION_LIMIT,
@@ -48,10 +50,10 @@ class TestClosedFormOracles:
         h = decay_operator(2, 0.7)
         basis = FockBasis(2)
         gen = h.antihermitian_generator()
-        assert np.array_equal(gen, -0.7 * np.eye(basis.dim))
+        assert np.array_equal(gen.toarray(), -0.7 * np.eye(basis.dim))
         herm = h.hermitian_part()
         expected = np.diag([sum(basis.state(i)) + 1.5 for i in range(basis.dim)])
-        assert np.array_equal(herm, expected)
+        assert np.array_equal(herm.toarray(), expected)
 
     def test_unitarity_in_undeformed_limit(self):
         h = build_h_eff(4, 0.0, "paper")
@@ -255,7 +257,7 @@ class TestGuardRails:
     def test_non_finite_amplitudes_raise(self):
         basis = FockBasis(2)
         grow = FockOperator(
-            matrix=np.diag(np.full(basis.dim, 1000.0j)),
+            matrix=sp.diags_array(np.full(basis.dim, 1000.0j), format="csr"),
             n_max=2,
             theta=0.0,
             mode="paper",
@@ -271,6 +273,25 @@ class TestGuardRails:
         basis = FockBasis(2)
         traj = propagate(h, basis.vector((0, 0, 0)), T=2.0, dt=1e-2)
         assert traj.norms[-1] < 0.05
+
+
+class TestSectors:
+    @pytest.mark.parametrize("kets", [((0, 0, 0),), ((0, 0, 0), (1, 1, 0))])
+    def test_sector_propagation_matches_full_basis(self, kets):
+        # 200 steps in the sectors psi0 occupies against the dense
+        # propagator of the whole basis
+        h = build_h_eff(6, 0.01, "paper")
+        basis = FockBasis(6)
+        psi0 = sum(basis.vector(k) for k in kets) / np.sqrt(len(kets))
+        traj = propagate(h, psi0, T=0.2, dt=1e-3)
+        u = expm(-1j * 1e-3 * h.matrix.toarray())
+        full = [psi0]
+        for _ in range(200):
+            full.append(u @ full[-1])
+        assert np.max(np.abs(traj.states - np.array(full))) <= 1e-12
+        # amplitude outside the kept sectors is exactly zero
+        kept = [basis.parity[basis.index(k)] for k in kets]
+        assert not np.any(traj.states[:, ~np.isin(basis.parity, kept)])
 
 
 class TestExport:

@@ -9,9 +9,9 @@ from qweyl.fock import (
     CONJECTURED_OFFSETS,
     FockBasis,
     FockOperator,
+    _axis_term_matrix,
     build_h1_matrix,
     build_h_eff,
-    cutoff_convergence,
     energy_shift,
     h0_diagonal,
     ladder_matrices,
@@ -20,6 +20,7 @@ from qweyl.fock import (
     sparsity_pattern,
 )
 from qweyl.quadrature import element_1d, element_3d, hermite_prefactor
+from qweyl.realization import MODES
 
 
 def states_up_to(total: int):
@@ -71,7 +72,7 @@ def test_canonical_commutator_on_interior():
 def test_h_eff_at_theta_zero_is_exactly_diagonal():
     h = build_h_eff(4, 0.0, "paper")
     want = np.diag(h0_diagonal(4)).astype(complex)
-    assert np.array_equal(h.matrix, want)
+    assert np.array_equal(h.matrix.toarray(), want)
     assert h.matrix[0, 0] == 1.5
     basis = h.basis
     n = (2, 1, 0)
@@ -84,6 +85,25 @@ def test_h0_through_ladder_route_is_diagonal():
     got = operator_matrix(hamiltonian_operator("paper").theta_slice(0), 4)
     want = np.diag(h0_diagonal(4))
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def dense_operator_matrix(op, n_max):
+    """The dense np.kron build of operator_matrix, kept as its oracle."""
+    side = n_max + 1
+    out = np.zeros((side ** 3, side ** 3), dtype=complex)
+    for coeff, axes in op.axis_terms():
+        m1, m2, m3 = (_axis_term_matrix(n_max, p, d).toarray() for p, d in axes)
+        out += coeff * np.kron(m1, np.kron(m2, m3))
+    return out
+
+
+@pytest.mark.parametrize("n_max", [4, 6])
+@pytest.mark.parametrize("mode", MODES)
+def test_sparse_h1_equals_dense_build(n_max, mode):
+    h1 = build_h1_matrix(n_max, mode)
+    dense = dense_operator_matrix(hamiltonian_operator(mode).theta_slice(1), n_max)
+    assert np.array_equal(h1.toarray(), dense)
+    assert h1.nnz == np.count_nonzero(dense)
 
 
 def test_operator_matrix_rejects_theta_terms():
@@ -100,6 +120,8 @@ def test_build_h_eff_validation():
         build_h_eff(4, 0.01, "classical")
     with pytest.raises(ValueError):
         build_h_eff(4, float("nan"), "paper")
+    with pytest.raises(ValueError, match="overflows"):
+        build_h_eff(4, 1e308, "paper")
 
 
 def test_ground_state_first_order_element():
@@ -131,10 +153,10 @@ def test_hermitian_split_is_exact():
     h = build_h_eff(4, 0.01, "paper")
     h_r = h.hermitian_part()
     h_i = h.antihermitian_generator()
-    assert np.array_equal(h_r, h_r.conj().T)
-    assert np.array_equal(h_i, h_i.conj().T)
+    assert np.array_equal(h_r.toarray(), h_r.conj().T.toarray())
+    assert np.array_equal(h_i.toarray(), h_i.conj().T.toarray())
     recon = h_r + 1j * h_i
-    assert np.max(np.abs(recon - h.matrix)) < 1e-15
+    assert np.max(np.abs(recon.toarray() - h.matrix.toarray())) < 1e-15
 
 
 def test_ladder_route_agrees_with_quadrature():
@@ -201,7 +223,7 @@ def test_sparsity_matches_pairwise_scan(n_max, mode):
     # same magnitudes, and weights summed in the same order, so equal bits
     h1 = build_h1_matrix(n_max, mode)
     rep = sparsity_pattern(h1, FockBasis(n_max))
-    offsets, weights = pairwise_scan(h1, FockBasis(n_max))
+    offsets, weights = pairwise_scan(h1.toarray(), FockBasis(n_max))
     assert rep.max_magnitude == dict(sorted(offsets.items()))
     assert [rep.weight_inside, rep.weight_outside] == weights
 
@@ -238,22 +260,35 @@ def test_sparsity_report_json():
     assert [0, 0, 0] in doc["offsets"]
 
 
-def test_parity_consistency_computed_from_operator():
+# the identity and the six single-axis +-2 moves
+SECTOR_OFFSETS = {(0, 0, 0)} | {
+    tuple(s * v for v in axis)
+    for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for s in (-2, 2)
+}
+
+
+@pytest.mark.parametrize("n_max, mode", [(n, m) for n in range(2, 9) for m in MODES])
+def test_parity_sectors_conserved(n_max, mode):
     # per-axis degree parity of every generating term, computed from the
     # symbolic operator itself
-    op1 = hamiltonian_operator("paper").theta_slice(1)
+    op1 = hamiltonian_operator(mode).theta_slice(1)
     parities = set()
     for (dx, dy, dz), poly in op1.terms.items():
         for (a, b, c, _t) in poly.terms:
             parities.add(((a + dx) % 2, (b + dy) % 2, (c + dz) % 2))
     assert parities == {(0, 0, 0)}
-    # matrix couplings must respect exactly that parity per axis
-    h1 = build_h1_matrix(5, "paper")
-    basis = FockBasis(5)
-    rows, cols = np.nonzero(np.abs(h1) > 1e-12)
-    for i, j in zip(rows, cols):
-        bra, ket = basis.state(i), basis.state(j)
-        assert all((b - k) % 2 == 0 for b, k in zip(bra, ket))
+    # every stored coupling stays in one sector, by one of the 7 offsets
+    basis = FockBasis(n_max)
+    bras, kets = build_h1_matrix(n_max, mode).nonzero()
+    assert np.array_equal(basis.parity[bras], basis.parity[kets])
+    deltas = set(map(tuple, (basis.occupations[bras] - basis.occupations[kets]).tolist()))
+    assert deltas <= SECTOR_OFFSETS
+    # the operator type refuses a matrix that joins two sectors
+    matrix = build_h_eff(n_max, 0.0, mode).matrix.tolil()
+    matrix[basis.index((0, 0, 0)), basis.index((1, 0, 0))] = 0.5
+    with pytest.raises(ValueError, match="parity sectors"):
+        FockOperator(matrix=matrix.tocsr(), n_max=n_max, theta=0.0, mode=mode)
 
 
 def test_mixing_amplitudes_from_ground_state():
@@ -293,42 +328,12 @@ def test_energy_shift_mode_dependence():
     assert r != p
 
 
-def test_cutoff_convergence_of_interior_element():
-    def element(n_max):
-        basis = FockBasis(n_max)
-        h1 = build_h1_matrix(n_max, "paper")
-        return h1[basis.index((2, 0, 0)), basis.index((0, 0, 0))]
-
-    table = cutoff_convergence(element, (6, 8), label="cubic transfer")
-    assert table.diffs == (0.0,)
-    assert table.values[0] == pytest.approx(-3 * math.sqrt(2) / 4 * 1j)
-    doc = table.to_json()
-    assert doc["label"] == "cubic transfer"
-    assert doc["successive_diffs"] == [0.0]
-
-
-def test_cutoff_convergence_validation():
-    with pytest.raises(ValueError):
-        cutoff_convergence(lambda n: 0.0, (6,))
-    with pytest.raises(ValueError):
-        cutoff_convergence(lambda n: 0.0, (8, 6))
-
-
 def test_h0_spectrum_exact_at_every_cutoff():
     for n_max in (2, 4):
         h = build_h_eff(n_max, 0.0, "paper")
-        eigs = np.sort(np.linalg.eigvalsh(h.matrix.real))
+        eigs = np.sort(np.linalg.eigvalsh(h.matrix.toarray().real))
         want = np.sort(h0_diagonal(n_max))
         assert np.array_equal(eigs, want)
-
-
-def test_binary_roundtrip(tmp_path):
-    h = build_h_eff(3, 0.01, "paper")
-    path = tmp_path / "h_eff.bin"
-    h.save_binary(path)
-    back = FockOperator.load_binary(path)
-    assert np.array_equal(back.matrix, h.matrix)
-    assert back.n_max == 3 and back.theta == 0.01 and back.mode == "paper"
 
 
 def test_csv_export_deterministic(tmp_path):
@@ -340,10 +345,14 @@ def test_csv_export_deterministic(tmp_path):
     lines = p1.read_text().splitlines()
     assert lines[0] == "n1,n2,n3,m1,m2,m3,re,im,mode,theta,n_max"
     assert all(line.endswith(",paper,0.01,2") for line in lines[1:])
-    # every re/im cell is a plain number equal to the element it names
+    # every re/im cell is a plain number equal to the element it names,
+    # one row per element above tol, in row-major order
+    indices = []
     for line in lines[1:]:
         cells = line.split(",")
         bra, ket = tuple(map(int, cells[:3])), tuple(map(int, cells[3:6]))
         el = h.element(bra, ket)
         assert (float(cells[6]), float(cells[7])) == (el.real, el.imag)
-    assert len(lines) - 1 == np.count_nonzero(np.abs(h.matrix) > 1e-12)
+        indices.append((h.basis.index(bra), h.basis.index(ket)))
+    assert indices == sorted(set(indices))
+    assert len(lines) - 1 == np.count_nonzero(np.abs(h.matrix.toarray()) > 1e-12)
