@@ -4,8 +4,9 @@ Solves i dpsi/dt = H psi without renormalizing: the squared norm P(t)
 is the observable, and its flow obeys dP/dt = 2<H_I> with H_I the
 Hermitian generator of the anti-Hermitian part.  Probability pumped
 into the cutoff edge is an artifact of truncation, so evolution stops
-with a warning as soon as any edge state (some n_j = n_max) holds more
-than a threshold occupation; non-finite amplitudes abort outright.
+with a warning as soon as any edge state (some n_j > n_max - 2, so its
+same-parity neighbour along axis j is cut off) holds more than a
+threshold occupation; non-finite amplitudes abort outright.
 """
 
 from __future__ import annotations
@@ -23,16 +24,20 @@ from .fock import FockBasis, FockOperator, h0_diagonal, write_csv_table
 METHODS = ("matrix-exponential", "fourth-order-explicit")
 EDGE_OCCUPATION_LIMIT = 1e-6
 EXPLICIT_STEP_LIMIT = 0.1
-EXPECTATION_BLOCK = 256  # trajectory rows per batch in expectation_series
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid evolution record: states stored as rows."""
+    """Uniform-grid evolution record.  states holds one row per time
+    point and one column per basis index in keep, the parity sectors of
+    the initial state; every other amplitude is exactly zero.  h_i is
+    <H_I>(t) on the same grid."""
 
     times: np.ndarray
+    keep: np.ndarray
     states: np.ndarray
     norms: np.ndarray
+    h_i: np.ndarray
     method: str
     dt: float
     n_max: int
@@ -40,23 +45,12 @@ class Trajectory:
     mode: str
     edge_aborted: bool = False
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
     def occupation(self, state) -> np.ndarray:
         i = FockBasis(self.n_max).index(state)
-        return np.abs(self.states[:, i]) ** 2
-
-    def expectation_series(self, matrix: sp.csr_array) -> np.ndarray:
-        """<psi(t)|M|psi(t)> along the trajectory, in fixed row blocks so
-        the temporaries do not grow with the number of points."""
-        out = np.empty(len(self.states), dtype=complex)
-        for start in range(0, len(self.states), EXPECTATION_BLOCK):
-            block = self.states[start:start + EXPECTATION_BLOCK]
-            acted = block @ matrix.T
-            out[start:start + EXPECTATION_BLOCK] = np.sum(block.conj() * acted, axis=1)
-        return out
+        column = np.searchsorted(self.keep, i)
+        if column == len(self.keep) or self.keep[column] != i:
+            return np.zeros(len(self.times))
+        return np.abs(self.states[:, column]) ** 2
 
 
 def step_count(T: float, dt: float) -> int:
@@ -79,8 +73,8 @@ def propagate(
 ) -> Trajectory:
     """Evolve psi0 under i dpsi/dt = H psi on a uniform grid.
 
-    Only the parity sectors psi0 occupies are evolved, as one dense
-    block; every other amplitude stays exactly zero.  The
+    Only the parity sectors psi0 occupies are evolved and stored, as one
+    dense block; every other amplitude stays exactly zero.  The
     matrix-exponential method computes the block's step propagator once
     by scaling and squaring and reapplies it; the explicit method is
     classical four-stage Runge-Kutta and requires dt*|H| on the block
@@ -122,8 +116,8 @@ def propagate(
         def step(v):
             return u @ v
 
-    edge = (h.basis.occupations[keep] == h.n_max).any(axis=1)
-    states = np.zeros((n_steps + 1, len(psi0)), dtype=complex)
+    edge = (h.basis.occupations[keep] > h.n_max - 2).any(axis=1)
+    states = np.empty((n_steps + 1, len(keep)), dtype=complex)
     v = psi0[keep]
     aborted = False
     for k in range(n_steps + 1):
@@ -134,7 +128,7 @@ def propagate(
                     f"non-finite amplitudes at t = {k * dt:.6g}; "
                     "growth overflowed the truncated basis"
                 )
-        states[k, keep] = v
+        states[k] = v
         occ = float(np.max(np.abs(v[edge]) ** 2, initial=0.0))
         if occ > EDGE_OCCUPATION_LIMIT:
             where = f"at t = {k * dt:.6g}" if k else "in the initial state"
@@ -147,12 +141,14 @@ def propagate(
             break
 
     states = states[:k + 1]
-    times = np.arange(len(states)) * dt
-    norms = np.sum(np.abs(states) ** 2, axis=1)
+    # psi is zero off keep, so the keep block of H_I gives <psi|H_I|psi>
+    generator = h.antihermitian_generator()[keep][:, keep]
     return Trajectory(
-        times=times,
+        times=np.arange(len(states)) * dt,
+        keep=keep,
         states=states,
-        norms=norms,
+        norms=np.sum(np.abs(states) ** 2, axis=1),
+        h_i=np.vecdot(states, states @ generator.T).real,
         method=method,
         dt=dt,
         n_max=h.n_max,
@@ -162,18 +158,16 @@ def propagate(
     )
 
 
-def norm_flow_check(traj: Trajectory, h_i_series: np.ndarray) -> float:
+def norm_flow_check(traj: Trajectory) -> float:
     """Max over interior grid points of |dP/dt - 2<H_I>|.
 
-    h_i_series is <H_I>(t) on the trajectory's grid, i.e.
-    traj.expectation_series(h.antihermitian_generator()).real.  dP/dt is
-    estimated by centered differences, so the returned deviation
-    carries an O(dt^2) discretization floor.
+    dP/dt is estimated by centered differences, so the returned
+    deviation carries an O(dt^2) discretization floor.
     """
     if len(traj.times) < 3:
         raise ValueError("need at least three time points")
     dp = (traj.norms[2:] - traj.norms[:-2]) / (2.0 * traj.dt)
-    return float(np.max(np.abs(dp - 2.0 * h_i_series[1:-1])))
+    return float(np.max(np.abs(dp - 2.0 * traj.h_i[1:-1])))
 
 
 def initial_norm_rate(traj: Trajectory) -> float:
@@ -198,9 +192,8 @@ def decay_operator(n_max: int, alpha: float, mode: str = "paper") -> FockOperato
 
 @dataclass(frozen=True)
 class GainLossMap:
-    """Occupation time series for selected states, with net change."""
+    """Net occupation change of selected states over a trajectory."""
 
-    series: dict
     net_change: dict
 
     def gaining(self, tol: float = 0.0):
@@ -220,24 +213,22 @@ class GainLossMap:
 
 
 def gain_loss_map(traj: Trajectory, states) -> GainLossMap:
-    series = {}
     net = {}
     for state in states:
         state = tuple(int(v) for v in state)
         occ = traj.occupation(state)
-        series[state] = occ
         net[state] = float(occ[-1] - occ[0])
-    return GainLossMap(series=series, net_change=net)
+    return GainLossMap(net_change=net)
 
 
-def export_trajectory_csv(traj: Trajectory, h_i_series: np.ndarray, path, states=()):
-    """CSV of t, P, Re<H_I> (h_i_series, as in norm_flow_check), and
-    selected occupations; timestamp-free, with provenance columns."""
+def export_trajectory_csv(traj: Trajectory, path, states=()):
+    """CSV of t, P, <H_I> and selected occupations; timestamp-free, with
+    provenance columns."""
     states = [tuple(int(v) for v in s) for s in states]
     occs = [traj.occupation(s) for s in states]
     rows = (
         [repr(float(traj.times[k])), repr(float(traj.norms[k])),
-         repr(float(h_i_series[k]))]
+         repr(float(traj.h_i[k]))]
         + [repr(float(o[k])) for o in occs]
         for k in range(len(traj.times))
     )

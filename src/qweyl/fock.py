@@ -317,7 +317,9 @@ def energy_shift(n, theta: float, mode: str, n_max: int = None) -> complex:
     """First-order shift theta*<n|H1|n>, linear in theta by construction.
 
     The state must sit at least the interior margin below the cutoff;
-    by default the cutoff is chosen minimally around the state.
+    by default the cutoff is chosen minimally around the state.  The
+    diagonal element of each product term is the product of its 1-D
+    diagonal elements, so no 3-D matrix is built.
     """
     n = tuple(int(v) for v in n)
     if n_max is None:
@@ -326,7 +328,9 @@ def energy_shift(n, theta: float, mode: str, n_max: int = None) -> complex:
         raise ValueError(
             f"state {n} too close to cutoff {n_max} for an exact shift"
         )
-    h1 = build_h1_matrix(n_max, mode)
-    basis = FockBasis(n_max)
-    i = basis.index(n)
-    return theta * complex(h1[i, i])
+    element = 0j
+    for coeff, axes in hamiltonian_operator(mode).theta_slice(1).axis_terms():
+        d1, d2, d3 = (_axis_term_matrix(n_max, power, deriv)[nj, nj]
+                      for nj, (power, deriv) in zip(n, axes))
+        element += coeff * (d1 * (d2 * d3))
+    return theta * complex(element)

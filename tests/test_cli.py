@@ -155,7 +155,7 @@ class TestExitCodes:
         # largest parity sector ((n_max//2 + 1)^3 states) as a dense complex
         # block, then the stored states
         assert run_bytes(6) == 7 * 343 * 24 + 64 ** 2 * 16 == 123_160
-        assert run_bytes(6, points=11) == 123_160 + 11 * 343 * 16
+        assert run_bytes(6, points=11) == 123_160 + 11 * 64 * 16
         assert run_bytes(30) == 7 * 29_791 * 24 + 4_096 ** 2 * 16 == 273_440_344
 
     @pytest.mark.parametrize("argv", [
@@ -323,6 +323,21 @@ class TestCommands:
         lines = (out / "trajectory.csv").read_text().strip().splitlines()
         assert len(lines) == report["points"] + 1
 
+    def test_evolve_edge_abort_at_odd_nmax(self, tmp_path, capsys):
+        # at odd n_max no even state has n_j = n_max; (2,0,0) is still on
+        # the edge because (4,0,0), the next state it couples to, is cut off
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="edge occupation"):
+            rc = main([
+                "evolve", "--nmax", "3", "--theta", "0.5", "--T", "1",
+                "--dt", "0.01", "--out", str(out),
+            ])
+        assert rc == 1
+        report = read_report(out, "evolve")
+        assert report["edge_aborted"] is True
+        assert report["points"] < 101
+        assert report["ok"] is False
+
     def test_evolve_decay_oracle(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main([
@@ -336,6 +351,16 @@ class TestCommands:
         for row in table:
             assert row["ok"] is True
             assert row["max_abs_deviation"] <= 1e-8
+
+    def test_evolve_decay_oracle_fails_on_edge_abort(self, tmp_path, capsys):
+        # at n_max=1 the ground state is itself an edge state, so every
+        # run stops at its first point and checks no decay
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="initial state"):
+            rc = main(["evolve", "--nmax", "1", "--decay-oracle", "--out", str(out)])
+        assert rc == 1
+        report = read_report(out, "evolve")
+        assert not any(row["ok"] for row in report["decay_table"])
 
 
 class TestDeterminism:

@@ -2,7 +2,6 @@
 undeformed limit, integrator cross-validation, the norm-flow identity
 dP/dt = 2<H_I>, and the truncation guard rails."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,12 +25,6 @@ from qweyl.fock import FockBasis, FockOperator, build_h1_matrix, build_h_eff
 def ground(n_max):
     basis = FockBasis(n_max)
     return basis, basis.vector((0, 0, 0))
-
-
-def h_i_series(traj, h):
-    """<H_I>(t) along the trajectory, the series the norm-flow check and
-    the trajectory CSV take."""
-    return traj.expectation_series(h.antihermitian_generator()).real
 
 
 class TestClosedFormOracles:
@@ -71,7 +64,7 @@ class TestClosedFormOracles:
             occ = traj.occupation(state)
             assert np.max(np.abs(occ - occ[0])) <= 1e-12
         # the state still acquires relative phase
-        assert np.max(np.abs(traj.final_state - psi0)) > 0.1
+        assert np.max(np.abs(traj.states[-1] - psi0[traj.keep])) > 0.1
 
 
 class TestIntegrators:
@@ -80,8 +73,8 @@ class TestIntegrators:
         _, psi0 = ground(4)
         ta = propagate(h, psi0, T=1.0, dt=1e-3, method="matrix-exponential")
         tb = propagate(h, psi0, T=1.0, dt=1e-3, method="fourth-order-explicit")
-        assert abs(np.linalg.norm(ta.final_state) - np.linalg.norm(tb.final_state)) <= 1e-6
-        assert np.max(np.abs(ta.final_state - tb.final_state)) <= 1e-9
+        assert abs(np.linalg.norm(ta.states[-1]) - np.linalg.norm(tb.states[-1])) <= 1e-6
+        assert np.max(np.abs(ta.states[-1] - tb.states[-1])) <= 1e-9
 
     def test_explicit_step_limit_enforced(self):
         h = build_h_eff(4, 0.01, "paper")
@@ -117,40 +110,21 @@ class TestNormFlow:
         h = build_h_eff(4, 0.01, "paper")
         _, psi0 = ground(4)
         traj = propagate(h, psi0, T=1.0, dt=1e-3)
-        assert norm_flow_check(traj, h_i_series(traj, h)) <= 1e-6
+        assert norm_flow_check(traj) <= 1e-6
 
     def test_flow_identity_decay(self):
         # centered differences leave an O(dt^2) floor, well under 1e-6
         h = decay_operator(3, 0.5)
         basis = FockBasis(3)
         traj = propagate(h, basis.vector((0, 0, 0)), T=2.0, dt=1e-3)
-        assert norm_flow_check(traj, h_i_series(traj, h)) <= 1e-6
+        assert norm_flow_check(traj) <= 1e-6
 
     def test_flow_flat_for_hermitian(self):
         h = build_h_eff(3, 0.0, "paper")
         _, psi0 = ground(3)
         traj = propagate(h, psi0, T=1.0, dt=1e-2)
-        assert norm_flow_check(traj, h_i_series(traj, h)) <= 1e-10
-        gen = h.antihermitian_generator()
-        assert np.max(np.abs(traj.expectation_series(gen))) <= 1e-12
-
-    def test_expectation_series_memory_bounded(self):
-        # the series is evaluated in fixed row blocks: its temporaries
-        # stay below the stored states however long the run, and every
-        # value equals the one-shot batched form
-        h = build_h_eff(10, 0.01, "paper")
-        _, psi0 = ground(10)
-        traj = propagate(h, psi0, T=1.0, dt=1e-3)
-        gen = h.antihermitian_generator()
-        tracemalloc.start()
-        try:
-            series = traj.expectation_series(gen)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < traj.states.nbytes
-        batched = np.sum(traj.states.conj() * (traj.states @ gen.T), axis=1)
-        assert np.array_equal(series, batched)
+        assert norm_flow_check(traj) <= 1e-10
+        assert np.max(np.abs(traj.h_i)) <= 1e-12
 
     def test_initial_rate_matches_generator_expectation(self):
         # ground-state loss rate: 2 * theta * Im<000|H1|000> = -3 * theta
@@ -168,7 +142,7 @@ class TestNormFlow:
         _, psi0 = ground(2)
         traj = propagate(h, psi0, T=0.1, dt=0.1)
         with pytest.raises(ValueError, match="three"):
-            norm_flow_check(traj, h_i_series(traj, h))
+            norm_flow_check(traj)
         with pytest.raises(ValueError, match="three"):
             initial_norm_rate(traj)
 
@@ -288,10 +262,17 @@ class TestSectors:
         full = [psi0]
         for _ in range(200):
             full.append(u @ full[-1])
-        assert np.max(np.abs(traj.states - np.array(full))) <= 1e-12
-        # amplitude outside the kept sectors is exactly zero
+        full = np.array(full)
         kept = [basis.parity[basis.index(k)] for k in kets]
-        assert not np.any(traj.states[:, ~np.isin(basis.parity, kept)])
+        assert np.array_equal(traj.keep, np.flatnonzero(np.isin(basis.parity, kept)))
+        assert np.max(np.abs(traj.states - full[:, traj.keep])) <= 1e-12
+        # the full propagator leaves no amplitude outside the kept sectors
+        off = np.ones(basis.dim, dtype=bool)
+        off[traj.keep] = False
+        assert np.max(np.abs(full[:, off])) <= 1e-12
+        gen = h.antihermitian_generator().toarray()
+        h_i = np.sum(full.conj() * (full @ gen.T), axis=1).real
+        assert np.max(np.abs(traj.h_i - h_i)) <= 1e-12
 
 
 class TestExport:
@@ -302,8 +283,8 @@ class TestExport:
         tracked = [(0, 0, 0), (2, 0, 0)]
         path_a = tmp_path / "a.csv"
         path_b = tmp_path / "b.csv"
-        export_trajectory_csv(traj, h_i_series(traj, h), path_a, states=tracked)
-        export_trajectory_csv(traj, h_i_series(traj, h), path_b, states=tracked)
+        export_trajectory_csv(traj, path_a, states=tracked)
+        export_trajectory_csv(traj, path_b, states=tracked)
         assert path_a.read_bytes() == path_b.read_bytes()
         lines = path_a.read_text().strip().splitlines()
         assert lines[0] == "t,p,re_h_i,occ_0_0_0,occ_2_0_0,mode,theta,n_max"

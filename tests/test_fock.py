@@ -9,6 +9,7 @@ from qweyl.fock import (
     CONJECTURED_OFFSETS,
     FockBasis,
     FockOperator,
+    INTERIOR_MARGIN,
     _axis_term_matrix,
     build_h1_matrix,
     build_h_eff,
@@ -326,6 +327,16 @@ def test_energy_shift_mode_dependence():
     r = energy_shift((0, 0, 0), 0.01, "rederived")
     assert r == pytest.approx(-0.03j)
     assert r != p
+    # the shift reads 1-D diagonal elements; the assembled H1 is the oracle
+    for mode in MODES:
+        for n_max in range(6, 11):
+            h1 = build_h1_matrix(n_max, mode)
+            basis = FockBasis(n_max)
+            m = n_max - INTERIOR_MARGIN
+            for n in ((m, 1, 0), (0, m, 1), (1, 0, m)):
+                i = basis.index(n)
+                shift = energy_shift(n, 1.0, mode, n_max=n_max)
+                assert abs(shift - h1[i, i]) <= 1e-13
 
 
 def test_h0_spectrum_exact_at_every_cutoff():

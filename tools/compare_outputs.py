@@ -44,6 +44,8 @@ def runs(config: str) -> list:
     out.append(("evolve-edge-abort", ["evolve", "--mode", "rederived", "--theta",
                                       "0.05", "--nmax", "6", "--T", "1", "--dt",
                                       "0.001"]))
+    out.append(("evolve-edge-abort-odd-nmax", ["evolve", "--theta", "0.5", "--nmax",
+                                               "3", "--T", "1", "--dt", "0.01"]))
     for c in ("verify-algebra", "expand-scan", "effective", "evolve"):
         out.append((f"default-{c}", [c]))
     out.append(("default-decay", ["evolve", "--decay-oracle"]))
