@@ -100,7 +100,7 @@ def ladder_matrices(n_max: int):
     return x, d
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _axis_term_matrix(n_max: int, power: int, deriv: int):
     """Cropped matrix of u^power d^deriv, exact on all stored elements.
 
@@ -131,9 +131,15 @@ def operator_matrix(op: DiffOp3, n_max: int) -> sp.csr_array:
     return out
 
 
+@lru_cache(maxsize=2)
+def _h1_operator(mode: str) -> DiffOp3:
+    """The theta coefficient of hamiltonian_operator(mode), one per mode."""
+    return hamiltonian_operator(mode).theta_slice(1)
+
+
 def build_h1_matrix(n_max: int, mode: str) -> sp.csr_array:
     """Matrix of the first-order operator (the theta coefficient)."""
-    return operator_matrix(hamiltonian_operator(mode).theta_slice(1), n_max)
+    return operator_matrix(_h1_operator(mode), n_max)
 
 
 def h0_diagonal(n_max: int) -> np.ndarray:
@@ -329,7 +335,7 @@ def energy_shift(n, theta: float, mode: str, n_max: int = None) -> complex:
             f"state {n} too close to cutoff {n_max} for an exact shift"
         )
     element = 0j
-    for coeff, axes in hamiltonian_operator(mode).theta_slice(1).axis_terms():
+    for coeff, axes in _h1_operator(mode).axis_terms():
         d1, d2, d3 = (_axis_term_matrix(n_max, power, deriv)[nj, nj]
                       for nj, (power, deriv) in zip(n, axes))
         element += coeff * (d1 * (d2 * d3))

@@ -24,7 +24,7 @@ NODES, WEIGHTS = hermgauss(GRID_SIZE)
 _U = Polynomial([0.0, 1.0])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def hermite_prefactor(n: int) -> Polynomial:
     """Polynomial part of the n-th oscillator eigenfunction.
 
@@ -47,7 +47,7 @@ def envelope_derivative(prefactor: Polynomial) -> Polynomial:
     return prefactor.deriv() - _U * prefactor
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def element_1d(n: int, power: int, deriv: int, m: int) -> float:
     """<n| u^power d^deriv |m> for single-mode eigenfunctions.
 

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic for the symbolic layer.
 
-- GaussRat: a complex number a + b*i with both parts exact rationals.
+- GaussRat: a complex number a + b*i with both parts exact rationals,
+  each held as a Python int unless a division made it fractional.
 - SparseTerms: the immutable, zero-dropping term map that QScalar here
   and CPoly3, DiffOp3, NCPoly and MonomialVec elsewhere are built on.
 - QScalar: a Laurent polynomial in a formal unit-modulus symbol q, with
@@ -16,22 +17,23 @@ import operator
 from fractions import Fraction
 
 
-def _as_fraction(x) -> Fraction:
+def _as_part(x):
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class GaussRat:
-    """Gaussian rational: re + im*i with re, im exact Fractions."""
+    """Gaussian rational re + im*i; each part is an int when integral and
+    a Fraction otherwise, so only a division makes a part fractional."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        object.__setattr__(self, "re", _as_part(re))
+        object.__setattr__(self, "im", _as_part(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
@@ -40,7 +42,7 @@ class GaussRat:
     def coerce(x) -> "GaussRat":
         if isinstance(x, GaussRat):
             return x
-        return GaussRat(_as_fraction(x))
+        return GaussRat(x)
 
     def __add__(self, other):
         other = GaussRat.coerce(other)
@@ -73,8 +75,8 @@ class GaussRat:
         if d == 0:
             raise ZeroDivisionError("division by zero GaussRat")
         return GaussRat(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
+            Fraction(self.re * other.re + self.im * other.im, d),
+            Fraction(self.im * other.re - self.re * other.im, d),
         )
 
     def conjugate(self):
@@ -274,6 +276,11 @@ class QScalar(SparseTerms):
     __add__ = __radd__ = SparseTerms.__add__
 
     def __mul__(self, other):
+        other = self._operand(other)
+        if other is not NotImplemented and len(other.terms) == 1:
+            (power, c), = other.terms.items()
+            if c.re == 1 and c.im == 0:  # times q^power: shift every key
+                return self._new({k + power: v for k, v in self.terms.items()})
         return self._convolve(other, operator.add)
 
     __rmul__ = __mul__

@@ -1,9 +1,12 @@
+import hashlib
 import math
+import random
 from itertools import product as iter_product
 
 import numpy as np
 import pytest
 
+from qweyl import fock
 from qweyl.effective import ground_state_energy, hamiltonian_operator
 from qweyl.fock import (
     CONJECTURED_OFFSETS,
@@ -337,6 +340,34 @@ def test_energy_shift_mode_dependence():
                 i = basis.index(n)
                 shift = energy_shift(n, 1.0, mode, n_max=n_max)
                 assert abs(shift - h1[i, i]) <= 1e-13
+
+
+# sha256 of repr() of the 80 shifts below, each computed from a freshly
+# built operator: the one shared theta slice per mode must move no bit
+ENERGY_SHIFT_DIGEST = "427a1e9999bb7e1c42cc614643461a70c2020499ce8fb015cbbe039669c49de8"
+
+
+def test_energy_shift_builds_the_operator_once_per_mode(monkeypatch):
+    calls = []
+
+    def counted(mode):
+        calls.append(mode)
+        return hamiltonian_operator(mode)
+
+    monkeypatch.setattr(fock, "hamiltonian_operator", counted)
+    fock._h1_operator.cache_clear()
+    rng = random.Random(80)
+    states = [tuple(rng.randrange(5) for _ in range(3)) for _ in range(40)]
+    values = [energy_shift(n, 0.37, mode)
+              for mode in ("paper", "rederived") for n in states]
+    assert sorted(calls) == ["paper", "rederived"]
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == ENERGY_SHIFT_DIGEST
+
+
+@pytest.mark.parametrize("cached", [_axis_term_matrix, element_1d, hermite_prefactor])
+def test_caches_are_bounded(cached):
+    maxsize = cached.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
 
 
 def test_h0_spectrum_exact_at_every_cutoff():

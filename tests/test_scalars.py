@@ -1,4 +1,6 @@
 import cmath
+import operator
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, strategies as st
 from qweyl.algebra import NCPoly, nc_mul
 from qweyl.gaussian import CPoly3, DiffOp3
 from qweyl.realization import PRUNE_TOL, MonomialVec, apply_exact
-from qweyl.scalars import GaussRat, QScalar, Q, Q_INV, I_UNIT
+from qweyl.scalars import GaussRat, QScalar, Q, Q_INV, I_UNIT, SparseTerms
 
 
 def test_gaussrat_arithmetic():
@@ -92,6 +94,77 @@ def test_qscalar_substitution_is_homomorphism(a, b):
     theta = 0.137
     prod = (a * b).substitute(theta)
     assert abs(prod - a.substitute(theta) * b.substitute(theta)) < 1e-10
+
+
+# ------------------------------------------ int parts, Fraction reference
+#
+# A GaussRat part is an int when integral and a Fraction otherwise.  The
+# arithmetic must agree with the same formulas on plain Fractions, and
+# the part types must follow the values.
+
+parts = st.one_of(st.integers(-30, 30), small_rat)
+
+
+def assert_parts(g, re, im):
+    for part, want in ((g.re, re), (g.im, im)):
+        assert part == want
+        if want.denominator == 1:
+            assert type(part) is int
+        else:
+            assert type(part) is Fraction
+
+
+@given(parts, parts, parts, parts)
+def test_gaussrat_matches_fraction_reference(a, b, c, d):
+    x, y = GaussRat(a, b), GaussRat(c, d)
+    a, b, c, d = map(Fraction, (a, b, c, d))
+    assert_parts(x, a, b)
+    assert_parts(x + y, a + c, b + d)
+    assert_parts(x - y, a - c, b - d)
+    assert_parts(x * y, a * c - b * d, a * d + b * c)
+    den = c * c + d * d
+    if den:
+        assert_parts(x / y, (a * c + b * d) / den, (b * c - a * d) / den)
+
+
+def test_gaussrat_division_never_floats():
+    half = GaussRat(1) / 2
+    assert half == GaussRat(Fraction(1, 2))
+    assert type(half.re) is Fraction and type(half.im) is int
+    whole = GaussRat(4, 2) / GaussRat(2)
+    assert whole == GaussRat(2, 1)
+    assert type(whole.re) is int and type(whole.im) is int
+    assert type(GaussRat(True).re) is int
+    with pytest.raises(TypeError):
+        GaussRat(0.5)
+
+
+@contextmanager
+def counted_convolutions():
+    calls = []
+
+    def spy(self, other, add_keys):
+        calls.append(other)
+        return SparseTerms._convolve(self, other, add_keys)
+
+    QScalar._convolve = spy
+    try:
+        yield calls
+    finally:
+        del QScalar._convolve
+
+
+@given(qscalars, st.integers(-3, 3), gauss.filter(lambda c: c != 1))
+def test_unit_monomial_product_is_a_key_shift(x, k, c):
+    # q^k relabels the keys; c*q^k with c != 1 and q^2 - 1 still convolve
+    for other, convolutions in ((QScalar.from_q_power(k), 0),
+                                (QScalar.from_q_power(k, c), 1),
+                                (QScalar.from_q_power(2) - 1, 1)):
+        want = SparseTerms._convolve(x, other, operator.add)
+        with counted_convolutions() as calls:
+            got = x * other
+        assert len(calls) == convolutions
+        assert list(got.terms.items()) == list(want.terms.items())
 
 
 # ------------------------------------------- the shared sparse-term base
