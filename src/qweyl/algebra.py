@@ -143,7 +143,7 @@ def normalize(terms, strategy="leftmost", seed=None) -> "NCPoly":
     if isinstance(terms, NCPoly):
         terms = terms.terms
     rng = random.Random(seed) if strategy == "random" else None
-    ring = NCPoly.zero()  # its accumulate and trusted constructor
+    ring = NCPoly()  # its accumulate and trusted constructor
     done: dict = {}
     pending: dict = {}
     for word, coeff in terms.items():
@@ -184,10 +184,6 @@ class NCPoly(SparseTerms):
         return word
 
     @staticmethod
-    def zero() -> "NCPoly":
-        return NCPoly()
-
-    @staticmethod
     def one() -> "NCPoly":
         return NCPoly({(): 1})
 
@@ -196,11 +192,6 @@ class NCPoly(SparseTerms):
         if not 0 <= code < N_GEN:
             raise ValueError(f"generator code {code} out of range")
         return NCPoly({(code,): 1})
-
-    @staticmethod
-    def from_word(word, coeff=1) -> "NCPoly":
-        """Single normal word with coefficient."""
-        return NCPoly({tuple(word): coeff})
 
     def __repr__(self):
         if not self.terms:
@@ -291,79 +282,49 @@ def defining_relations():
     ]
 
 
+#: partner offsets of the reduced symplectic identity: the paper's 4 - j,
+#: and 7 - j, which pairs every y_j with another
+LITERAL_OFFSET = 4
+ALTERNATIVE_OFFSET = 7
+
+
 def y_generator(i: int, alpha) -> NCPoly:
     """Symplectic-style generators: y_1..y_3 are scaled derivatives in
     reversed order, y_4..y_6 are the coordinates.
     """
-    alpha = QScalar.coerce(alpha)
-    if i == 1:
-        return NCPoly.generator(d_code(3)).scale(alpha * Q)
-    if i == 2:
-        return NCPoly.generator(d_code(2)).scale(alpha * QScalar.from_q_power(2))
-    if i == 3:
-        return NCPoly.generator(d_code(1)).scale(alpha * QScalar.from_q_power(3))
+    if i in (1, 2, 3):
+        scale = QScalar.coerce(alpha) * QScalar.from_q_power(i)
+        return NCPoly.generator(d_code(4 - i)).scale(scale)
     if i in (4, 5, 6):
         return NCPoly.generator(x_code(i - 3))
     raise ValueError(f"y-generator index {i} out of range 1..6")
 
 
-@dataclass(frozen=True)
-class SymplecticPairing:
-    """Pairing convention for the reduced symplectic identity.
-
-    partner(j) = partner_offset - j, and the right-hand sum runs over
-    y_k y_{partner_offset - k} for k < j.  The tested j values must keep
-    every index inside 1..6.
-    """
-
-    name: str
-    partner_offset: int
-    js: tuple
-
-    def partner(self, j: int) -> int:
-        return self.partner_offset - j
-
-    def validate(self):
-        for j in self.js:
-            for idx in (j, self.partner(j)):
-                if not 1 <= idx <= 6:
-                    raise ValueError(
-                        f"pairing {self.name}: index {idx} escapes 1..6 at j={j}"
-                    )
-
-
-def literal_pairing() -> SymplecticPairing:
-    """Partner 4-j; only j in 1..3 keeps indices in range."""
-    return SymplecticPairing(name="literal-4-j", partner_offset=4, js=(1, 2, 3))
-
-
-def alternative_pairing() -> SymplecticPairing:
-    """Partner 7-j; well-defined for all j in 1..6."""
-    return SymplecticPairing(name="alternative-7-j", partner_offset=7, js=(1, 2, 3, 4, 5, 6))
-
-
-def check_reduced_symplectic(pairing: SymplecticPairing, alpha) -> list:
-    """Evaluate y_p(j) y_j - q^-2 y_j y_p(j) against
-    -q^-j alpha (q^-2 - 1) sum_{k<j} q^{k-j} y_k y_p(k) for each tested j.
+def check_reduced_symplectic(partner_offset: int, alpha) -> list:
+    """Evaluate y_p y_j - q^-2 y_j y_p, with partner p = partner_offset - j,
+    against -q^-j alpha (q^-2 - 1) sum_{k<j} q^{k-j} y_k y_{partner_offset-k}
+    for each j in 1..6 whose partner also lies in 1..6.
 
     Returns one RelationReport per j.  Reports record pass or fail with the
     full residual; callers decide what to make of them.
     """
-    pairing.validate()
     alpha = QScalar.coerce(alpha)
     q_m2 = QScalar.from_q_power(-2)
     reports = []
-    for j in pairing.js:
-        p = pairing.partner(j)
+    for j in range(1, 7):
+        p = partner_offset - j
+        if not 1 <= p <= 6:
+            continue
         yj = y_generator(j, alpha)
         yp = y_generator(p, alpha)
         lhs = nc_mul(yp, yj) - nc_mul(yj, yp).scale(q_m2)
-        rhs = NCPoly.zero()
+        rhs = NCPoly()
         for k in range(1, j):
-            term = nc_mul(y_generator(k, alpha), y_generator(pairing.partner(k), alpha))
+            term = nc_mul(y_generator(k, alpha), y_generator(partner_offset - k, alpha))
             rhs = rhs + term.scale(QScalar.from_q_power(k - j))
         rhs = rhs.scale(alpha * (q_m2 - QScalar.one()) * QScalar.from_q_power(-j)).scale(-1)
-        reports.append(check_relation(lhs, rhs, name=f"{pairing.name} j={j} partner={p}"))
+        reports.append(check_relation(
+            lhs, rhs, name=f"partner {partner_offset}-j: j={j} partner={p}"))
     return reports
 
 

@@ -96,18 +96,6 @@ def default_out() -> str:
     return os.environ.get("QWEYL_OUT", "qweyl_out")
 
 
-def save_config(config: RunConfig, path) -> None:
-    """Write the config as key=value lines; floats use repr and so
-    round-trip losslessly through load_config."""
-    lines = []
-    for key, field, kind in _CONFIG_TABLE:
-        value = getattr(config, field)
-        text = repr(value) if kind is float else str(value)
-        lines.append(f"{key}={text}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def load_config(path) -> dict:
     """Parse a key=value config file into dataclass field overrides."""
     keys = {key: (field, kind) for key, field, kind in _CONFIG_TABLE}

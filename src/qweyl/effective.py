@@ -19,10 +19,9 @@ comparison report and the README record where.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import gen_code
-from .gaussian import CPoly3, DiffOp3, GaussianPoly, gaussian_expectation
+from .gaussian import CPoly3, DiffOp3, gaussian_expectation
 from .realization import check_mode
 from .reference import (
     REFERENCE_A,
@@ -31,11 +30,7 @@ from .reference import (
     epsilon_cyclic,
     epsilon_full_sum,
 )
-from .scalars import GaussRat
-
-HALF = Fraction(1, 2)
-I = GaussRat(0, 1)
-MINUS_I = GaussRat(0, -1)
+from .scalars import HALF, I_UNIT, GaussRat
 
 
 def expansion_bracket(axis: int, mode: str) -> DiffOp3:
@@ -46,7 +41,7 @@ def expansion_bracket(axis: int, mode: str) -> DiffOp3:
     half from the shifted count; rederived mode drops it.
     """
     check_mode(mode)
-    i_theta = CPoly3.theta() * I
+    i_theta = CPoly3.theta() * I_UNIT
     half_i_theta = i_theta * HALF
     op = DiffOp3.identity() + DiffOp3.scaling(axis).scale(half_i_theta)
     if mode == "paper":
@@ -70,9 +65,10 @@ def generator_operator(g, mode: str) -> DiffOp3:
     return bracket.compose(DiffOp3.partial(axis))
 
 
-def first_order_action(g, mode: str) -> GaussianPoly:
-    """Action of an expanded generator on the Gaussian ground state."""
-    return generator_operator(g, mode).apply(GaussianPoly.ground_state())
+def first_order_action(g, mode: str) -> CPoly3:
+    """Prefactor of an expanded generator acting on the Gaussian ground
+    state."""
+    return generator_operator(g, mode).apply(CPoly3.one())
 
 
 def drift_polynomials(mode: str):
@@ -82,11 +78,11 @@ def drift_polynomials(mode: str):
     coordinate generators as (x_j - i theta b_j) times it.
     """
     a = tuple(
-        first_order_action(f"d{j}", mode).p.theta_slice(1) * MINUS_I
+        first_order_action(f"d{j}", mode).theta_slice(1) * -I_UNIT
         for j in (1, 2, 3)
     )
     b = tuple(
-        first_order_action(f"X{j}", mode).p.theta_slice(1) * I
+        first_order_action(f"X{j}", mode).theta_slice(1) * I_UNIT
         for j in (1, 2, 3)
     )
     return a, b
@@ -98,7 +94,7 @@ def hamiltonian_operator(mode: str) -> DiffOp3:
     Composes the operator forms honestly, so the first-order part
     includes second- and third-derivative terms.
     """
-    total = DiffOp3.zero()
+    total = DiffOp3()
     for j in (1, 2, 3):
         d_op = generator_operator(f"d{j}", mode)
         x_op = generator_operator(f"X{j}", mode)
@@ -111,8 +107,8 @@ def state_symbol_hamiltonian(mode: str) -> DiffOp3:
     symbol: (d_j + i theta a_j) for derivatives, multiplication by
     (x_j - i theta b_j) for coordinates."""
     a, b = drift_polynomials(mode)
-    i_theta = CPoly3.theta() * I
-    total = DiffOp3.zero()
+    i_theta = CPoly3.theta() * I_UNIT
+    total = DiffOp3()
     for axis in range(3):
         sd = DiffOp3.partial(axis) + DiffOp3.from_poly(i_theta * a[axis])
         sx = DiffOp3.from_poly(CPoly3.variable(axis) - i_theta * b[axis])
@@ -126,13 +122,13 @@ def magnetic_kinetic(a_field) -> DiffOp3:
     Expands to -(1/2) Laplacian - i sum A_j d_j - (i/2) sum A_j'; the
     A^2 term is second order and drops.
     """
-    total = DiffOp3.zero()
+    total = DiffOp3()
     for axis in range(3):
         d = DiffOp3.partial(axis)
         total = total + d.compose(d).scale(-HALF)
-        total = total + d.scale(a_field[axis] * MINUS_I)
+        total = total + d.scale(a_field[axis] * -I_UNIT)
         total = total + DiffOp3.from_poly(
-            a_field[axis].derivative(axis) * MINUS_I * HALF
+            a_field[axis].derivative(axis) * -I_UNIT * HALF
         )
     return total
 
@@ -148,7 +144,7 @@ def curl(field) -> tuple:
 
 
 def divergence(field) -> CPoly3:
-    out = CPoly3.zero()
+    out = CPoly3()
     for axis in range(3):
         out = out + field[axis].derivative(axis)
     return out
@@ -199,14 +195,14 @@ def assemble_effective(mode: str) -> EffectiveHamiltonian:
     a_field = []
     for axis in range(3):
         key = tuple(1 if i == axis else 0 for i in range(3))
-        a_field.append(h.terms.get(key, CPoly3.zero()) * I)
+        a_field.append(h.terms.get(key, CPoly3()) * I_UNIT)
     a_field = tuple(a_field)
-    remainder = h.terms.get((0, 0, 0), CPoly3.zero())
+    remainder = h.terms.get((0, 0, 0), CPoly3())
     half_i = GaussRat(0, HALF)
     for axis in range(3):
         remainder = remainder + a_field[axis].derivative(axis) * half_i
     v_r, v_i = remainder.real_imag_split()
-    reassembled = magnetic_kinetic(a_field) + DiffOp3.from_poly(v_r + v_i * I)
+    reassembled = magnetic_kinetic(a_field) + DiffOp3.from_poly(v_r + v_i * I_UNIT)
     mismatch = h - reassembled
     return EffectiveHamiltonian(mode, a_field, v_r, v_i, mismatch, h)
 
@@ -214,8 +210,7 @@ def assemble_effective(mode: str) -> EffectiveHamiltonian:
 def ground_state_energy(mode: str) -> CPoly3:
     """Ground-state expectation of the composed-operator Hamiltonian,
     as a constant polynomial in theta."""
-    acted = hamiltonian_operator(mode).apply(GaussianPoly.ground_state())
-    return gaussian_expectation(acted.p)
+    return gaussian_expectation(hamiltonian_operator(mode).apply(CPoly3.one()))
 
 
 @dataclass(frozen=True)

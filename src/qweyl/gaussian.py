@@ -1,14 +1,16 @@
 """Symbolic calculus on polynomial-times-Gaussian wavefunctions.
 
 CPoly3 is a commutative polynomial in (x, y, z) and a formal deformation
-symbol theta, with exact Gaussian-rational coefficients.  GaussianPoly is
-a CPoly3 prefactor attached to the fixed envelope exp(-r^2/2); DiffOp3 is
-a polynomial-coefficient differential operator.  Differentiating through
-the envelope uses
+symbol theta, with exact Gaussian-rational coefficients.  DiffOp3 is a
+polynomial-coefficient differential operator.  A state p * exp(-r^2/2)
+is held as its CPoly3 prefactor p against the fixed, implicit envelope;
+the ground state is the unit prefactor CPoly3.one() (an overall
+normalization scales out of every identity checked here).
+Differentiating through the envelope uses
 
     d/dx_j (p * exp(-r^2/2)) = (dp/dx_j - x_j p) * exp(-r^2/2),
 
-so every operator action stays inside the GaussianPoly class.  Operator
+so every operator action maps a prefactor to a prefactor.  Operator
 composition follows the Leibniz rule
 
     (p D^a) (r D^b) = sum_{g <= a} C(a, g) p (D^{a-g} r) D^{g+b}.
@@ -42,10 +44,6 @@ class CPoly3(SparseTerms):
         return exponent_key(key, 4)
 
     # ------------------------------------------------------- constructors
-
-    @staticmethod
-    def zero() -> "CPoly3":
-        return CPoly3()
 
     @staticmethod
     def const(coeff) -> "CPoly3":
@@ -181,49 +179,6 @@ R_SQUARED = (
 )
 
 
-class GaussianPoly:
-    """Prefactor polynomial attached to the fixed envelope exp(-r^2/2).
-
-    The envelope itself is immutable and implicit; all operations act on
-    the prefactor.  The ground-state wavefunction is the unit prefactor
-    (an overall normalization constant scales out of every identity
-    checked here).
-    """
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: CPoly3):
-        object.__setattr__(self, "p", CPoly3.coerce(p))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianPoly is immutable")
-
-    @staticmethod
-    def ground_state() -> "GaussianPoly":
-        return GaussianPoly(CPoly3.one())
-
-    def __add__(self, other):
-        return GaussianPoly(self.p + other.p)
-
-    def __sub__(self, other):
-        return GaussianPoly(self.p - other.p)
-
-    def scale(self, factor) -> "GaussianPoly":
-        return GaussianPoly(self.p * CPoly3.coerce(factor))
-
-    def gauss_derivative(self, axis: int) -> "GaussianPoly":
-        # chain rule through the envelope
-        return GaussianPoly(self.p.derivative(axis) - CPoly3.variable(axis) * self.p)
-
-    def __eq__(self, other):
-        if not isinstance(other, GaussianPoly):
-            return NotImplemented
-        return self.p == other.p
-
-    def __repr__(self):
-        return f"({self.p!r}) * exp(-r^2/2)"
-
-
 class DiffOp3(SparseTerms):
     """Sum of CPoly3 coefficients times partial-derivative monomials.
 
@@ -240,10 +195,6 @@ class DiffOp3(SparseTerms):
     @staticmethod
     def _coerce(poly):
         return CPoly3.coerce(poly).truncate_theta(1)
-
-    @staticmethod
-    def zero() -> "DiffOp3":
-        return DiffOp3()
 
     @staticmethod
     def identity() -> "DiffOp3":
@@ -286,16 +237,17 @@ class DiffOp3(SparseTerms):
                     self._accumulate(terms, key, p * shifted * coeff)
         return self._new(self._clean(terms))
 
-    def apply(self, f: GaussianPoly) -> GaussianPoly:
-        """Act on a Gaussian-enveloped polynomial."""
-        total = CPoly3.zero()
+    def apply(self, f: CPoly3) -> CPoly3:
+        """Act on f * exp(-r^2/2); returns the new prefactor."""
+        total = CPoly3()
         for key, poly in self.terms.items():
             g = f
             for axis in (2, 1, 0):
                 for _ in range(key[axis]):
-                    g = g.gauss_derivative(axis)
-            total = total + poly * g.p
-        return GaussianPoly(total.truncate_theta(1))
+                    # chain rule through the envelope
+                    g = g.derivative(axis) - CPoly3.variable(axis) * g
+            total = total + poly * g
+        return total.truncate_theta(1)
 
     def theta_slice(self, degree: int) -> "DiffOp3":
         """Operator made of the theta^degree parts, theta factor removed."""
@@ -351,7 +303,7 @@ def gaussian_expectation(poly: CPoly3) -> CPoly3:
     contribute the closed-form moment (2k-1)!!/2^k per axis.  theta stays
     formal, so the result is a constant polynomial in theta.
     """
-    total = CPoly3.zero()
+    total = CPoly3()
     for (a, b, c, t), coeff in poly.terms.items():
         if a % 2 or b % 2 or c % 2:
             continue

@@ -91,10 +91,6 @@ class MonomialVec(SparseTerms):
     def basis(n) -> "MonomialVec":
         return MonomialVec({tuple(n): 1.0})
 
-    @staticmethod
-    def zero() -> "MonomialVec":
-        return MonomialVec()
-
     def norm(self) -> float:
         return math.sqrt(sum(abs(v) ** 2 for v in self.terms.values()))
 
@@ -104,12 +100,6 @@ class MonomialVec(SparseTerms):
         if not keys:
             return 0.0
         return max(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) for k in keys)
-
-    def to_json(self):
-        return {
-            f"({k[0]},{k[1]},{k[2]})": [v.real, v.imag]
-            for k, v in sorted(self.terms.items())
-        }
 
     def __repr__(self):
         return f"MonomialVec({self.terms!r})"
@@ -173,7 +163,7 @@ def apply_word(word, v: MonomialVec, theta: float) -> MonomialVec:
 def apply_poly(p, v: MonomialVec, theta: float) -> MonomialVec:
     """Numeric action of a symbolic polynomial (words with QScalar coefficients)."""
     terms = p.terms if hasattr(p, "terms") else p
-    out = MonomialVec.zero()
+    out = MonomialVec()
     for word, coeff in terms.items():
         coeff = QScalar.coerce(coeff)
         out = out + apply_word(word, v, theta).scale(coeff.substitute(theta))
@@ -181,13 +171,11 @@ def apply_poly(p, v: MonomialVec, theta: float) -> MonomialVec:
 
 
 def monomials_up_to(degree: int):
-    """All exponent triples with total degree at most the cutoff."""
-    out = []
+    """Yield every exponent triple with total degree at most the cutoff."""
     for n1 in range(degree + 1):
         for n2 in range(degree + 1 - n1):
             for n3 in range(degree + 1 - n1 - n2):
-                out.append((n1, n2, n3))
-    return out
+                yield (n1, n2, n3)
 
 
 @dataclass(frozen=True)
@@ -213,15 +201,14 @@ def relation_residual_numeric(theta: float, degree_cutoff: int) -> ResidualRepor
     """
     if degree_cutoff < 2:
         raise ValueError("degree cutoff must be at least 2")
-    basis = [MonomialVec.basis(n) for n in monomials_up_to(degree_cutoff)]
-    per_relation = {}
-    for name, lhs, rhs in raw_defining_relations():
-        worst = 0.0
-        for vec in basis:
+    relations = raw_defining_relations()
+    per_relation = {name: 0.0 for name, _, _ in relations}
+    for n in monomials_up_to(degree_cutoff):
+        vec = MonomialVec.basis(n)
+        for name, lhs, rhs in relations:
             lhs_v = apply_poly(lhs, vec, theta)
             rhs_v = apply_poly(rhs, vec, theta)
-            worst = max(worst, lhs_v.diff_max(rhs_v))
-        per_relation[name] = worst
+            per_relation[name] = max(per_relation[name], lhs_v.diff_max(rhs_v))
     return ResidualReport(
         theta=theta,
         degree_cutoff=degree_cutoff,

@@ -10,13 +10,8 @@ magnetic-field z-entry that repeats the x-entry.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .gaussian import CPoly3
-from .scalars import GaussRat
-
-HALF = Fraction(1, 2)
-I = GaussRat(0, 1)
+from .scalars import HALF, I_UNIT
 
 X = CPoly3.variable(0)
 Y = CPoly3.variable(1)
@@ -41,12 +36,12 @@ REFERENCE_DRIFT_B = (
 # ground-state action prefactors for all six generators: applying a
 # generator to the Gaussian ground state yields (prefactor) * Psi
 REFERENCE_GROUND_ACTIONS = {
-    "d1": -X + THETA * REFERENCE_DRIFT_A[0] * I,
-    "d2": -Y + THETA * REFERENCE_DRIFT_A[1] * I,
-    "d3": -Z + THETA * REFERENCE_DRIFT_A[2] * I,
-    "X1": X - THETA * REFERENCE_DRIFT_B[0] * I,
-    "X2": Y - THETA * REFERENCE_DRIFT_B[1] * I,
-    "X3": Z - THETA * REFERENCE_DRIFT_B[2] * I,
+    "d1": -X + THETA * REFERENCE_DRIFT_A[0] * I_UNIT,
+    "d2": -Y + THETA * REFERENCE_DRIFT_A[1] * I_UNIT,
+    "d3": -Z + THETA * REFERENCE_DRIFT_A[2] * I_UNIT,
+    "X1": X - THETA * REFERENCE_DRIFT_B[0] * I_UNIT,
+    "X2": Y - THETA * REFERENCE_DRIFT_B[1] * I_UNIT,
+    "X3": Z - THETA * REFERENCE_DRIFT_B[2] * I_UNIT,
 }
 
 # vector potential: theta times the a-drift, componentwise
@@ -95,7 +90,7 @@ def epsilon_full_sum() -> tuple:
     """
     out = []
     for i in range(3):
-        total = CPoly3.zero()
+        total = CPoly3()
         for (a, b, c), sign in _EPSILON.items():
             if a != i:
                 continue

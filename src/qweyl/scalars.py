@@ -103,8 +103,9 @@ class GaussRat:
         return f"GaussRat({self.re}, {self.im})"
 
 
-#: the imaginary unit as an exact scalar
+#: the imaginary unit and one half as exact scalars
 I_UNIT = GaussRat(0, 1)
+HALF = Fraction(1, 2)
 
 
 class SparseTerms:
@@ -263,10 +264,6 @@ class QScalar(SparseTerms):
     @staticmethod
     def from_q_power(power: int, coeff=1) -> "QScalar":
         return QScalar({power: coeff})
-
-    @staticmethod
-    def zero() -> "QScalar":
-        return QScalar()
 
     @staticmethod
     def one() -> "QScalar":

@@ -150,7 +150,7 @@ def test_criterion_04_ground_state_actions_exact():
     mismatches = [
         name
         for name, want in REFERENCE_GROUND_ACTIONS.items()
-        if first_order_action(name, "paper").p != want
+        if first_order_action(name, "paper") != want
     ]
     ok = not mismatches
     record("4", "all six first-order ground-state actions exact", ok,

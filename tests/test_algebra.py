@@ -5,17 +5,17 @@ import pytest
 
 from qweyl.scalars import GaussRat, QScalar, Q, Q_INV
 from qweyl.algebra import (
+    ALTERNATIVE_OFFSET,
+    LITERAL_OFFSET,
     NCPoly,
     NoRewriteApplicable,
     RelationReport,
-    alternative_pairing,
     check_reduced_symplectic,
     check_relation,
     d_code,
     defining_relations,
     inversion_measure,
     is_normal,
-    literal_pairing,
     nc_mul,
     normalize,
     poly_to_json,
@@ -30,7 +30,7 @@ D1, D2, D3 = (NCPoly.generator(d_code(i)) for i in (1, 2, 3))
 
 
 def poly(word, coeff=1):
-    return NCPoly.from_word(word, coeff)
+    return NCPoly({word: coeff})
 
 
 # ---------------------------------------------------------------- rewriting
@@ -122,10 +122,10 @@ def test_nc_mul_associativity_random():
     rng = random.Random(2024)
 
     def rand_poly():
-        p = NCPoly.zero()
+        p = NCPoly()
         for _ in range(rng.randint(1, 2)):
             w = tuple(sorted(rng.choices(range(6), k=rng.randint(0, 3))))
-            p = p + NCPoly.from_word(w, rng.randint(-3, 3))
+            p = p + NCPoly({w: rng.randint(-3, 3)})
         return p
 
     for _ in range(200):
@@ -238,7 +238,7 @@ def test_y_generators():
 def test_literal_pairing_j1_residual():
     # y_3 y_1 - q^-2 y_1 y_3 with empty right-hand sum leaves
     # alpha^2 (q^4 - q^3) d1 d3 as the residual
-    reports = check_reduced_symplectic(literal_pairing(), 1)
+    reports = check_reduced_symplectic(LITERAL_OFFSET, 1)
     rep = reports[0]
     assert not rep.holds
     want = poly((d_code(1), d_code(3)), QScalar.from_q_power(4) - QScalar.from_q_power(3))
@@ -247,7 +247,7 @@ def test_literal_pairing_j1_residual():
 
 def test_literal_pairing_alpha_scaling():
     # LHS is quadratic in the y's, so alpha enters the j=1 residual squared
-    reports = check_reduced_symplectic(literal_pairing(), 2)
+    reports = check_reduced_symplectic(LITERAL_OFFSET, 2)
     want = poly(
         (d_code(1), d_code(3)),
         (QScalar.from_q_power(4) - QScalar.from_q_power(3)) * 4,
@@ -256,28 +256,27 @@ def test_literal_pairing_alpha_scaling():
 
 
 def test_literal_pairing_vanishes_at_q_one():
-    for rep in check_reduced_symplectic(literal_pairing(), 1):
+    for rep in check_reduced_symplectic(LITERAL_OFFSET, 1):
         assert all(c.at_q_one().is_zero() for c in rep.residual.terms.values()), rep.name
 
 
 def test_alternative_pairing_j1_residual():
     # y_6 y_1 - q^-2 y_1 y_6 = alpha q (X3 d3 - q^-2 d3 X3) = -alpha q^-1
-    reports = check_reduced_symplectic(alternative_pairing(), 1)
+    reports = check_reduced_symplectic(ALTERNATIVE_OFFSET, 1)
     rep = reports[0]
     assert not rep.holds
-    assert rep.residual == NCPoly.from_word((), -Q_INV)
+    assert rep.residual == poly((), -Q_INV)
 
 
 def test_alternative_pairing_runs_all_six():
-    reports = check_reduced_symplectic(alternative_pairing(), 1)
+    reports = check_reduced_symplectic(ALTERNATIVE_OFFSET, 1)
     assert len(reports) == 6
     assert all(isinstance(r, RelationReport) for r in reports)
-
-
-def test_malformed_pairing_rejected():
-    bad = literal_pairing().__class__(name="bad", partner_offset=4, js=(1, 2, 3, 4))
-    with pytest.raises(ValueError):
-        check_reduced_symplectic(bad, 1)
+    # partner 4 - j leaves 1..6 from j = 4 on, so those j are not run
+    literal = check_reduced_symplectic(LITERAL_OFFSET, 1)
+    assert [r.name for r in literal] == [
+        f"partner 4-j: j={j} partner={4 - j}" for j in (1, 2, 3)
+    ]
 
 
 # ------------------------------------------------------------ serialization

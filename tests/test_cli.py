@@ -17,7 +17,6 @@ from qweyl.cli import (
     load_config,
     main,
     run_bytes,
-    save_config,
     validate_config,
 )
 from qweyl.fock import build_h_eff
@@ -35,7 +34,12 @@ class TestConfig:
             t_final=2.5, dt=1e-3, alpha=2.0 / 3.0, out="somewhere", fmt="csv",
         )
         path = tmp_path / "run.cfg"
-        save_config(config, path)
+        # the floats as their repr, which a lossless reader must invert
+        path.write_text(
+            f"theta={config.theta!r}\nnmax=6\ndegree=4\nmode=rederived\n"
+            f"T={config.t_final!r}\ndt={config.dt!r}\nalpha={config.alpha!r}\n"
+            "out=somewhere\nformat=csv\n"
+        )
         back = replace(RunConfig(), **load_config(path))
         assert back == config
 

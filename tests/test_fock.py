@@ -1,12 +1,12 @@
 import hashlib
 import math
 import random
-from itertools import product as iter_product
 
 import numpy as np
 import pytest
 
 from qweyl import fock
+from qweyl.cli import run_bytes
 from qweyl.effective import ground_state_energy, hamiltonian_operator
 from qweyl.fock import (
     CONJECTURED_OFFSETS,
@@ -293,6 +293,15 @@ def test_parity_sectors_conserved(n_max, mode):
     matrix[basis.index((0, 0, 0)), basis.index((1, 0, 0))] = 0.5
     with pytest.raises(ValueError, match="parity sectors"):
         FockOperator(matrix=matrix.tocsr(), n_max=n_max, theta=0.0, mode=mode)
+
+
+def test_largest_sector_matches_run_bytes():
+    # run_bytes sizes a run by the largest parity sector, (n_max//2 + 1)^3;
+    # one more stored point costs that many complex values
+    for n_max in range(1, 15):
+        largest = np.bincount(FockBasis(n_max).parity).max()
+        assert largest == (n_max // 2 + 1) ** 3
+        assert run_bytes(n_max, 1) - run_bytes(n_max, 0) == 16 * largest
 
 
 def test_mixing_amplitudes_from_ground_state():

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from qweyl.gaussian import (
     CPoly3,
     DiffOp3,
-    GaussianPoly,
     R_SQUARED,
     gaussian_expectation,
 )
@@ -21,7 +20,7 @@ TH = CPoly3.theta()
 def test_cpoly_arithmetic():
     assert (X + Y) * (X + Y) == X * X + 2 * X * Y + Y * Y
     assert (X - X).is_zero()
-    assert X * CPoly3.zero() == CPoly3.zero()
+    assert X * CPoly3() == CPoly3()
     assert R_SQUARED == X * X + Y * Y + Z * Z
     assert 2 * X == X + X
     assert 1 - TH == CPoly3.one() - TH
@@ -85,24 +84,23 @@ def test_cpoly_to_json_canonical():
 
 def test_gaussian_derivative_of_ground_state():
     # the envelope alone differentiates to -x_j times itself
-    psi = GaussianPoly.ground_state()
-    assert psi.gauss_derivative(0) == GaussianPoly(-X)
-    assert psi.gauss_derivative(1) == GaussianPoly(-Y)
-    assert psi.gauss_derivative(2) == GaussianPoly(-Z)
+    psi = CPoly3.one()
+    assert DiffOp3.partial(0).apply(psi) == -X
+    assert DiffOp3.partial(1).apply(psi) == -Y
+    assert DiffOp3.partial(2).apply(psi) == -Z
 
 
 def test_gaussian_second_derivative():
-    psi = GaussianPoly.ground_state()
-    dd = psi.gauss_derivative(0).gauss_derivative(0)
-    assert dd == GaussianPoly(X * X - 1)
+    dx = DiffOp3.partial(0)
+    assert dx.apply(dx.apply(CPoly3.one())) == X * X - 1
 
 
 def test_scaling_operator_on_ground_state():
-    psi = GaussianPoly.ground_state()
+    psi = CPoly3.one()
     m1 = DiffOp3.scaling(0)
-    assert m1.apply(psi) == GaussianPoly(-X * X)
+    assert m1.apply(psi) == -X * X
     m23 = DiffOp3.scaling(1) + DiffOp3.scaling(2)
-    assert m23.apply(psi) == GaussianPoly(-(Y * Y) - Z * Z)
+    assert m23.apply(psi) == -(Y * Y) - Z * Z
 
 
 def test_compose_canonical_commutator():
@@ -133,7 +131,7 @@ def test_compose_matches_apply():
     # (A B) psi == A (B psi) on a nontrivial prefactor
     a = DiffOp3.partial(0).compose(DiffOp3.partial(1)) + DiffOp3.from_poly(X * Z)
     b = DiffOp3.scaling(2) + DiffOp3.from_poly(Y)
-    psi = GaussianPoly(X + Y * Y)
+    psi = X + Y * Y
     assert a.compose(b).apply(psi) == a.apply(b.apply(psi))
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import mpmath
 import pytest
@@ -11,7 +12,6 @@ from qweyl.fock import build_h_eff
 from qweyl.scalars import QScalar
 from qweyl.realization import (
     MonomialVec,
-    ScanResult,
     apply_exact,
     apply_first_order,
     apply_poly,
@@ -134,6 +134,23 @@ def test_relation_residual_rejects_small_cutoff():
         relation_residual_numeric(0.1, 1)
 
 
+def test_relation_residual_memory_flat_in_degree():
+    # the scan holds one monomial at a time, so its traced peak does not
+    # grow with the cutoff; holding the whole basis (about 440 B per
+    # monomial) would add some 44 KiB for the 100 monomials from 3 to 7
+    def traced_peak(degree):
+        tracemalloc.start()
+        try:
+            relation_residual_numeric(0.01, degree)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    relation_residual_numeric(0.01, 7)  # warm-up: caches and free lists
+    low, high = traced_peak(3), traced_peak(7)
+    assert high - low < 16 * 1024, (low, high)
+
+
 def test_diagonal_relation_on_xyz():
     # d1 X1 - q^2 X1 d1 - 1 - (q^2-1)(X2 d2 + X3 d3) annihilates xyz
     theta = 0.01
@@ -223,7 +240,7 @@ def test_scan_exact_match_paths():
     res = expansion_order_scan("d3", MonomialVec.basis((1, 1, 1)), GRID, "rederived")
     assert res.exact_match and res.slope is None
     # the zero vector trivially matches
-    res = expansion_order_scan("X2", MonomialVec.zero(), GRID, "paper")
+    res = expansion_order_scan("X2", MonomialVec(), GRID, "paper")
     assert res.exact_match
 
 
@@ -243,6 +260,6 @@ def test_scan_result_serializes():
 
 
 def test_monomials_up_to_counts():
-    assert len(monomials_up_to(0)) == 1
-    assert len(monomials_up_to(6)) == 84  # C(9,3)
+    assert len(list(monomials_up_to(0))) == 1
+    assert len(list(monomials_up_to(6))) == 84  # C(9,3)
     assert all(sum(m) <= 3 for m in monomials_up_to(3))
