@@ -29,9 +29,9 @@ EXPLICIT_STEP_LIMIT = 0.1
 @dataclass(frozen=True)
 class Trajectory:
     """Uniform-grid evolution record.  states holds one row per time
-    point and one column per basis index in keep, the parity sectors of
-    the initial state; every other amplitude is exactly zero.  h_i is
-    <H_I>(t) on the same grid."""
+    point and one column per basis index in keep, the states the initial
+    state reaches through the nonzeros of H; every other amplitude is
+    exactly zero.  h_i is <H_I>(t) on the same grid."""
 
     times: np.ndarray
     keep: np.ndarray
@@ -73,12 +73,14 @@ def propagate(
 ) -> Trajectory:
     """Evolve psi0 under i dpsi/dt = H psi on a uniform grid.
 
-    Only the parity sectors psi0 occupies are evolved and stored, as one
-    dense block; every other amplitude stays exactly zero.  The
-    matrix-exponential method computes the block's step propagator once
-    by scaling and squaring and reapplies it; the explicit method is
-    classical four-stage Runge-Kutta and requires dt*|H| on the block
-    below the stability margin.
+    Only the states psi0 reaches through the nonzeros of H (keep) are
+    evolved and stored, as one dense block; every other amplitude stays
+    exactly zero.  The matrix-exponential method computes the block's
+    step propagator once by scaling and squaring and reapplies it; the
+    explicit method is classical four-stage Runge-Kutta and requires
+    dt*|H| on the block below the stability margin.  The grid is stepped
+    in windows of 1, 2, 4, ... points and each window is checked as a
+    whole, so a stop at point k has computed at most 2k+1 points.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -88,11 +90,14 @@ def propagate(
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (h.matrix.shape[0],):
         raise ValueError("psi0 dimension does not match the operator")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-6:
+    if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-6:
         raise ValueError("psi0 must be unit-normalized")
-    # H never joins two parity sectors, so psi stays in those of psi0
-    parity = h.basis.parity
-    keep = np.flatnonzero(np.isin(parity, parity[psi0 != 0]))
+    # grow the support of psi0 along the nonzeros of H until it is closed
+    pattern = h.matrix != 0
+    reach = psi0 != 0
+    while not np.array_equal(grown := reach | (pattern @ reach), reach):
+        reach = grown
+    keep = np.flatnonzero(reach)
     matrix = h.block(keep)
 
     if method == "fourth-order-explicit":
@@ -118,29 +123,35 @@ def propagate(
 
     edge = (h.basis.occupations[keep] > h.n_max - 2).any(axis=1)
     states = np.empty((n_steps + 1, len(keep)), dtype=complex)
-    v = psi0[keep]
-    aborted = False
-    for k in range(n_steps + 1):
-        if k:
-            v = step(v)
-            if not np.all(np.isfinite(v)):
-                raise RuntimeError(
-                    f"non-finite amplitudes at t = {k * dt:.6g}; "
-                    "growth overflowed the truncated basis"
+    states[0] = psi0[keep]
+    start, end, aborted = 0, n_steps + 1, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < end:
+            stop = min(2 * start + 1, end)
+            for k in range(max(start, 1), stop):
+                states[k] = step(states[k - 1])
+            window = states[start:stop]
+            bad = ~np.isfinite(window).all(axis=1)
+            occ = np.max(np.abs(window[:, edge]) ** 2, axis=1, initial=0.0)
+            hits = np.flatnonzero(bad | (occ > EDGE_OCCUPATION_LIMIT))
+            if hits.size:
+                i = hits[0]
+                k = start + i
+                if bad[i]:
+                    raise RuntimeError(
+                        f"non-finite amplitudes at t = {k * dt:.6g}; "
+                        "growth overflowed the truncated basis"
+                    )
+                where = f"at t = {k * dt:.6g}" if k else "in the initial state"
+                warnings.warn(
+                    f"edge occupation {float(occ[i]):.3g} {where} exceeds "
+                    f"{EDGE_OCCUPATION_LIMIT}; stopping early",
+                    RuntimeWarning,
                 )
-        states[k] = v
-        occ = float(np.max(np.abs(v[edge]) ** 2, initial=0.0))
-        if occ > EDGE_OCCUPATION_LIMIT:
-            where = f"at t = {k * dt:.6g}" if k else "in the initial state"
-            warnings.warn(
-                f"edge occupation {occ:.3g} {where} exceeds "
-                f"{EDGE_OCCUPATION_LIMIT}; stopping early",
-                RuntimeWarning,
-            )
-            aborted = True
-            break
+                end, aborted = k + 1, True
+            start = stop
 
-    states = states[:k + 1]
+    states = states[:end]
     # psi is zero off keep, so the keep block of H_I gives <psi|H_I|psi>
     generator = h.antihermitian_generator()[keep][:, keep]
     return Trajectory(
@@ -225,13 +236,9 @@ def export_trajectory_csv(traj: Trajectory, path, states=()):
     """CSV of t, P, <H_I> and selected occupations; timestamp-free, with
     provenance columns."""
     states = [tuple(int(v) for v in s) for s in states]
-    occs = [traj.occupation(s) for s in states]
-    rows = (
-        [repr(float(traj.times[k])), repr(float(traj.norms[k])),
-         repr(float(traj.h_i[k]))]
-        + [repr(float(o[k])) for o in occs]
-        for k in range(len(traj.times))
-    )
+    columns = [traj.times, traj.norms, traj.h_i]
+    columns += [traj.occupation(s) for s in states]
+    rows = ([repr(x) for x in row] for row in zip(*(c.tolist() for c in columns)))
     write_csv_table(
         path,
         ["t", "p", "re_h_i"] + ["occ_" + "_".join(map(str, s)) for s in states],

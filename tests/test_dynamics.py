@@ -1,14 +1,17 @@
 """Evolution tests: closed-form decay oracle, unitarity in the
 undeformed limit, integrator cross-validation, the norm-flow identity
-dP/dt = 2<H_I>, and the truncation guard rails."""
+dP/dt = 2<H_I> and its dt^2 order, the reachable set, and the
+truncation guard rails against a step-by-step reference loop."""
 
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from qweyl import dynamics
 from qweyl.dynamics import (
     EDGE_OCCUPATION_LIMIT,
     GainLossMap,
@@ -20,11 +23,90 @@ from qweyl.dynamics import (
     propagate,
 )
 from qweyl.fock import FockBasis, FockOperator, build_h1_matrix, build_h_eff
+from qweyl.realization import MODES
 
 
 def ground(n_max):
     basis = FockBasis(n_max)
     return basis, basis.vector((0, 0, 0))
+
+
+def quiet_propagate(*args, **kwargs):
+    """propagate with its edge-abort RuntimeWarning silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return propagate(*args, **kwargs)
+
+
+def reference_propagate(h, psi0, T, dt, method="matrix-exponential"):
+    """Step-by-step evolution with the checks inside the loop.
+
+    Evolves the parity sectors psi0 occupies and checks every point as
+    it is made: non-finite amplitudes raise, an edge state above
+    EDGE_OCCUPATION_LIMIT stops the run.  Returns (keep, states,
+    warning text or None).
+    """
+    parity = h.basis.parity
+    keep = np.flatnonzero(np.isin(parity, parity[psi0 != 0]))
+    matrix = h.block(keep)
+    if method == "fourth-order-explicit":
+        def step(v):
+            k1 = -1j * (matrix @ v)
+            k2 = -1j * (matrix @ (v + 0.5 * dt * k1))
+            k3 = -1j * (matrix @ (v + 0.5 * dt * k2))
+            k4 = -1j * (matrix @ (v + dt * k3))
+            return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    else:
+        u = expm(-1j * dt * matrix)
+
+        def step(v):
+            return u @ v
+    edge = (h.basis.occupations[keep] > h.n_max - 2).any(axis=1)
+    n_steps = int(round(T / dt))
+    states = [psi0[keep]]
+    for k in range(n_steps + 1):
+        if k:
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = step(states[-1])
+            if not np.all(np.isfinite(v)):
+                raise RuntimeError(
+                    f"non-finite amplitudes at t = {k * dt:.6g}; "
+                    "growth overflowed the truncated basis"
+                )
+            states.append(v)
+        occ = float(np.max(np.abs(states[-1][edge]) ** 2, initial=0.0))
+        if occ > EDGE_OCCUPATION_LIMIT:
+            where = f"at t = {k * dt:.6g}" if k else "in the initial state"
+            return keep, np.array(states), (
+                f"edge occupation {occ:.3g} {where} exceeds "
+                f"{EDGE_OCCUPATION_LIMIT}; stopping early"
+            )
+    return keep, np.array(states), None
+
+
+class CountingPropagator:
+    """Wraps a step propagator and counts the steps taken with it."""
+
+    def __init__(self, u):
+        self.u = u
+        self.calls = 0
+
+    def __matmul__(self, v):
+        self.calls += 1
+        return self.u @ v
+
+
+@pytest.fixture
+def step_spy(monkeypatch):
+    """Counting wrappers around every propagator dynamics.expm returns."""
+    spies = []
+
+    def counting_expm(a):
+        spies.append(CountingPropagator(expm(a)))
+        return spies[-1]
+
+    monkeypatch.setattr(dynamics, "expm", counting_expm)
+    return spies
 
 
 class TestClosedFormOracles:
@@ -67,6 +149,24 @@ class TestClosedFormOracles:
         assert np.max(np.abs(traj.states[-1] - psi0[traj.keep])) > 0.1
 
 
+    def test_unitarity_over_the_full_basis(self):
+        # theta = 0 from a state on every basis index, so every parity
+        # sector is occupied, keep is the whole basis and the dense step
+        # runs at full width; edge amplitudes stay under the edge limit
+        n_max = 4
+        h = build_h_eff(n_max, 0.0, "paper")
+        basis = FockBasis(n_max)
+        rng = np.random.default_rng(7)
+        psi0 = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        psi0[(basis.occupations > n_max - 2).any(axis=1)] = 1e-4
+        psi0 /= np.linalg.norm(psi0)
+        assert len(np.unique(basis.parity[psi0 != 0])) == 8
+        traj = propagate(h, psi0, T=10.0, dt=1e-3)
+        assert not traj.edge_aborted
+        assert np.array_equal(traj.keep, np.arange(basis.dim))
+        assert np.max(np.abs(traj.norms - 1.0)) <= 1e-10
+
+
 class TestIntegrators:
     def test_methods_agree(self):
         h = build_h_eff(4, 0.01, "paper")
@@ -95,6 +195,8 @@ class TestIntegrators:
             propagate(h, psi0, T=1.0, dt=0.3)
         with pytest.raises(ValueError, match="unit-normalized"):
             propagate(h, 2.0 * psi0, T=1.0, dt=0.1)
+        with pytest.raises(ValueError, match="unit-normalized"):
+            propagate(h, np.full(basis.dim, np.nan), T=1.0, dt=0.1)
         with pytest.raises(ValueError, match="dimension"):
             propagate(h, np.ones(3, dtype=complex), T=1.0, dt=0.1)
 
@@ -136,6 +238,20 @@ class TestNormFlow:
         expected = 2.0 * (psi0.conj() @ (h.antihermitian_generator() @ psi0)).real
         assert abs(expected - (-3.0 * theta)) <= 1e-12
         assert abs(rate - expected) <= 1e-6
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_flow_deviation_is_second_order_in_dt(self, mode):
+        # the centered-difference floor falls 4x per dt halving; T=0.5 at
+        # n_max=10 stays clear of the edge (at n_max=8, T=1 stops near 0.8)
+        h = build_h_eff(10, 0.05, mode)
+        _, psi0 = ground(10)
+        deviations = []
+        for j in range(4):
+            traj = propagate(h, psi0, T=0.5, dt=0.02 / 2 ** j)
+            assert not traj.edge_aborted
+            deviations.append(norm_flow_check(traj))
+        orders = np.log2(np.array(deviations[:-1]) / deviations[1:])
+        assert np.all((1.9 <= orders) & (orders <= 2.1)), orders
 
     def test_short_trajectories_rejected(self):
         h = build_h_eff(2, 0.0, "paper")
@@ -247,6 +363,121 @@ class TestGuardRails:
         basis = FockBasis(2)
         traj = propagate(h, basis.vector((0, 0, 0)), T=2.0, dt=1e-2)
         assert traj.norms[-1] < 0.05
+
+
+class TestAbortSemantics:
+    """The windowed checks stop where checking every step stops."""
+
+    @pytest.mark.parametrize("n_max, theta, mode, dt, method", [
+        (3, 0.5, "paper", 1e-2, "matrix-exponential"),
+        (4, 0.05, "paper", 1e-3, "matrix-exponential"),
+        (6, 0.05, "rederived", 1e-3, "matrix-exponential"),
+        (3, 0.1, "paper", 1e-3, "fourth-order-explicit"),
+    ])
+    def test_edge_abort_matches_reference(self, n_max, theta, mode, dt, method):
+        h = build_h_eff(n_max, theta, mode)
+        _, psi0 = ground(n_max)
+        keep, states, message = reference_propagate(h, psi0, 1.0, dt, method)
+        assert message is not None
+        with pytest.warns(RuntimeWarning) as record:
+            traj = propagate(h, psi0, T=1.0, dt=dt, method=method)
+        assert [str(w.message) for w in record] == [message]
+        assert traj.edge_aborted
+        assert np.array_equal(traj.keep, keep)
+        assert np.array_equal(traj.states, states)
+
+    def test_edge_abort_computes_at_most_twice_the_stop(self, step_spy):
+        h = build_h_eff(6, 0.05, "rederived")
+        _, psi0 = ground(6)
+        traj = quiet_propagate(h, psi0, T=1.0, dt=1e-3)
+        k = len(traj.times) - 1
+        assert traj.edge_aborted and 0 < k < 1000
+        # point 0 is psi0 and every later point is one step, so at most
+        # 2k+1 points means at most 2k steps
+        assert k <= step_spy[0].calls <= 2 * k
+
+    def test_complete_run_steps_once_per_point(self, step_spy):
+        h = build_h_eff(4, 0.01, "paper")
+        _, psi0 = ground(4)
+        traj = propagate(h, psi0, T=0.1, dt=1e-3)
+        assert not traj.edge_aborted
+        assert step_spy[0].calls == 100
+
+    @pytest.mark.parametrize("method", ["matrix-exponential", "fourth-order-explicit"])
+    def test_overflow_matches_reference(self, method, step_spy):
+        # i dpsi/dt = 100i psi grows by e^100 per unit time and passes the
+        # largest double near t = 7.1: at the eighth unit step, or after
+        # some 14,000 explicit steps
+        basis = FockBasis(2)
+        dt = 1.0 if method == "matrix-exponential" else 5e-4
+        grow = FockOperator(
+            matrix=sp.diags_array(np.full(basis.dim, 100.0j), format="csr"),
+            n_max=2,
+            theta=0.0,
+            mode="paper",
+        )
+        psi0 = basis.vector((0, 0, 0))
+        with pytest.raises(RuntimeError) as expected:
+            reference_propagate(grow, psi0, 20.0, dt, method)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError) as raised:
+                propagate(grow, psi0, T=20.0, dt=dt, method=method)
+        assert str(raised.value) == str(expected.value)
+        if method == "matrix-exponential":
+            assert "at t = 8;" in str(raised.value)
+            assert step_spy[0].calls <= 2 * 8
+
+
+class TestReachableSet:
+    @given(
+        n_max=st.integers(2, 12),
+        mode=st.sampled_from(MODES),
+        theta=st.one_of(st.floats(-0.1, -1e-3), st.floats(1e-3, 0.1)),
+    )
+    @settings(max_examples=25)
+    def test_ground_state_reaches_its_parity_sector(self, n_max, mode, theta):
+        h = build_h_eff(n_max, theta, mode)
+        _, psi0 = ground(n_max)
+        # one short explicit step: keep does not depend on the method
+        traj = quiet_propagate(h, psi0, T=1e-5, dt=1e-5,
+                               method="fourth-order-explicit")
+        assert np.array_equal(traj.keep, np.flatnonzero(h.basis.parity == 0))
+
+    @given(n_max=st.integers(2, 12), mode=st.sampled_from(MODES), data=st.data())
+    @settings(max_examples=25)
+    def test_diagonal_operators_keep_the_support(self, n_max, mode, data):
+        basis = FockBasis(n_max)
+        support = data.draw(st.lists(st.integers(0, basis.dim - 1),
+                                     min_size=1, max_size=8, unique=True))
+        psi0 = np.zeros(basis.dim, dtype=complex)
+        psi0[support] = 1.0 / np.sqrt(len(support))
+        for h in (decay_operator(n_max, 0.5, mode), build_h_eff(n_max, 0.0, mode)):
+            traj = quiet_propagate(h, psi0, T=0.1, dt=0.1)
+            assert np.array_equal(traj.keep, sorted(support))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind", ["deformed", "undeformed", "decay"])
+    def test_final_state_matches_full_basis_exponential(self, mode, kind):
+        # the stored state after 200 steps against one full-basis
+        # exponential over T; the oracle is exactly zero off keep
+        n_max, T = 6, 0.2
+        h = {"deformed": lambda: build_h_eff(n_max, 0.01, mode),
+             "undeformed": lambda: build_h_eff(n_max, 0.0, mode),
+             "decay": lambda: decay_operator(n_max, 0.5, mode)}[kind]()
+        basis = FockBasis(n_max)
+        psi0 = (basis.vector((0, 0, 0)) + basis.vector((1, 1, 0))) / np.sqrt(2)
+        traj = propagate(h, psi0, T=T, dt=1e-3)
+        assert not traj.edge_aborted
+        oracle = expm(-1j * T * h.matrix.toarray()) @ psi0
+        assert np.max(np.abs(traj.states[-1] - oracle[traj.keep])) <= 1e-12
+        off = np.ones(basis.dim, dtype=bool)
+        off[traj.keep] = False
+        assert np.all(oracle[off] == 0)
+        if kind == "deformed":
+            assert np.array_equal(traj.keep, np.flatnonzero(np.isin(basis.parity, (0, 6))))
+        else:
+            assert np.array_equal(traj.keep, [basis.index((0, 0, 0)), basis.index((1, 1, 0))])
 
 
 class TestSectors:
