@@ -28,6 +28,7 @@ from .dynamics import (
     decay_operator,
     export_trajectory_csv,
     gain_loss_map,
+    held_bytes,
     initial_norm_rate,
     norm_flow_check,
     propagate,
@@ -197,18 +198,20 @@ def available_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def run_bytes(n_max: int, points: int = 0) -> int:
+def largest_sector(n_max: int) -> int:
+    """States in the largest per-axis parity sector, the even one."""
+    return (n_max // 2 + 1) ** 3
+
+
+def run_bytes(n_max: int, held: int) -> int:
     """Lower bound on a run: the sparse operator (at most 7 entries per
-    column, each a complex value and an index), its largest parity-sector
-    block as dense complex values, and points stored states of that
-    block, the even sector the ground state evolves in."""
-    dim = (n_max + 1) ** 3
-    sector = (n_max // 2 + 1) ** 3
-    return 7 * dim * (16 + 8) + sector * sector * 16 + points * sector * 16
+    column, each a complex value and an index) plus the held bytes of
+    what the command builds from it."""
+    return 7 * (n_max + 1) ** 3 * (16 + 8) + held
 
 
-def _ensure_fits(n_max: int, points: int = 0) -> None:
-    need = run_bytes(n_max, points)
+def _ensure_fits(n_max: int, held: int) -> None:
+    need = run_bytes(n_max, held)
     free = available_memory()
     if need > free:
         raise ConfigError(
@@ -294,7 +297,8 @@ def cmd_spectrum(config: RunConfig, args) -> tuple:
     """diagonalize the truncated Hamiltonian"""
     if config.n_max < 4:
         raise ConfigError("spectrum runs need nmax >= 4")
-    _ensure_fits(config.n_max)
+    # the largest parity-sector block as dense complex values
+    _ensure_fits(config.n_max, 16 * largest_sector(config.n_max) ** 2)
     try:
         h = build_h_eff(config.n_max, config.theta, config.mode)
     except ValueError as exc:
@@ -321,7 +325,8 @@ def cmd_mixing(config: RunConfig, args) -> tuple:
         raise ConfigError(
             f"mixing runs need nmax > {INTERIOR_MARGIN} so the scan has interior states"
         )
-    _ensure_fits(config.n_max)
+    # the largest parity-sector block as dense complex values
+    _ensure_fits(config.n_max, 16 * largest_sector(config.n_max) ** 2)
     h1 = build_h1_matrix(config.n_max, config.mode)
     basis = FockBasis(config.n_max)
     report = sparsity_pattern(h1, basis)
@@ -350,9 +355,13 @@ def cmd_mixing(config: RunConfig, args) -> tuple:
 def cmd_evolve(config: RunConfig, args) -> tuple:
     """propagate the ground state and check norm-flow identities"""
     n_steps = step_count(config.t_final, config.dt)
-    _ensure_fits(config.n_max, n_steps + 1)
+    decay = getattr(args, "decay_oracle", False)
+    # H is diagonal under the decay oracle and at theta = 0, so the ground
+    # state evolves alone; otherwise it reaches its even sector
+    evolved = 1 if decay or config.theta == 0 else largest_sector(config.n_max)
+    _ensure_fits(config.n_max, held_bytes(evolved, n_steps))
     psi0 = FockBasis(config.n_max).vector((0, 0, 0))
-    if getattr(args, "decay_oracle", False):
+    if decay:
         alphas = sorted({0.1, 0.5, 1.0, config.alpha})
         rows = []
         ok = True
@@ -370,9 +379,10 @@ def cmd_evolve(config: RunConfig, args) -> tuple:
 
     if n_steps < 2:
         raise ConfigError("the norm-flow check needs T >= 2*dt")
+    tracked = [s for s in TRACKED_STATES if max(s) <= config.n_max]
     try:
         h = build_h_eff(config.n_max, config.theta, config.mode)
-        traj = propagate(h, psi0, config.t_final, config.dt)
+        traj = propagate(h, psi0, config.t_final, config.dt, track=tracked)
     except (ValueError, RuntimeError) as exc:
         # a huge theta overflows the operator or its step propagator
         raise ConfigError(str(exc)) from None
@@ -381,7 +391,6 @@ def cmd_evolve(config: RunConfig, args) -> tuple:
     if len(traj.times) >= 3:
         flow = norm_flow_check(traj)
         rate = initial_norm_rate(traj)
-    tracked = [s for s in TRACKED_STATES if max(s) <= config.n_max]
     gmap = gain_loss_map(traj, tracked)
     csv_path = os.path.join(config.out, "trajectory.csv")
     export_trajectory_csv(traj, csv_path, states=tracked)

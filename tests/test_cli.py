@@ -14,11 +14,13 @@ from qweyl.cli import (
     ConfigError,
     RunConfig,
     default_out,
+    largest_sector,
     load_config,
     main,
     run_bytes,
     validate_config,
 )
+from qweyl.dynamics import KRYLOV_THRESHOLD, WINDOW_CAP, held_bytes
 from qweyl.fock import build_h_eff
 
 
@@ -155,18 +157,35 @@ class TestExitCodes:
         assert not list(tmp_path.glob("*.json"))
 
     def test_oversized_cutoff_estimate(self):
-        # arithmetic only: 7 sparse entries per column at 16 + 8 bytes, the
-        # largest parity sector ((n_max//2 + 1)^3 states) as a dense complex
-        # block, then the stored states
-        assert run_bytes(6) == 7 * 343 * 24 + 64 ** 2 * 16 == 123_160
-        assert run_bytes(6, points=11) == 123_160 + 11 * 64 * 16
-        assert run_bytes(30) == 7 * 29_791 * 24 + 4_096 ** 2 * 16 == 273_440_344
+        # arithmetic only: 7 sparse entries per column at 16 + 8 bytes, plus
+        # what the command holds.  spectrum and mixing: the largest parity
+        # sector ((n_max//2 + 1)^3 states) as a dense complex block
+        assert largest_sector(6) == 64 and largest_sector(30) == 4_096
+        assert run_bytes(6, 16 * 64 ** 2) == 7 * 343 * 24 + 64 ** 2 * 16 == 123_160
+        assert run_bytes(30, 16 * 4_096 ** 2) == 273_440_344
+        # evolve: the dense block up to the Krylov threshold, then one
+        # window of states, never more points than the run has
+        assert 64 <= KRYLOV_THRESHOLD < 4_096 and 11 < WINDOW_CAP < 5_001
+        assert held_bytes(64, 10) == 16 * (64 ** 2 + 11 * 64)
+        assert held_bytes(64, 5_000) == 16 * (64 ** 2 + WINDOW_CAP * 64)
+        assert held_bytes(4_096, 5_000) == 16 * WINDOW_CAP * 4_096
+        # a decay run at n_max=30 evolves one amplitude: about 4.8 MiB,
+        # where (steps + 1) even-sector states made it 573 MiB
+        assert run_bytes(30, held_bytes(1, 5_000)) == (
+            7 * 29_791 * 24 + 16 * (1 + WINDOW_CAP))
+
+    def test_decay_run_is_charged_one_amplitude(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "available_memory", lambda: 32 * 2 ** 20)
+        assert main(["spectrum", "--nmax", "30", "--out", str(tmp_path)]) == 2
+        assert main(["evolve", "--decay-oracle", "--nmax", "30", "--T", "0.01",
+                     "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("argv", [
         ["spectrum"], ["mixing"], ["evolve"], ["evolve", "--decay-oracle"],
     ])
     def test_refuses_what_cannot_fit(self, argv, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "available_memory", lambda: run_bytes(6) - 1)
+        # the sparse operator alone: every command holds more than that
+        monkeypatch.setattr(cli, "available_memory", lambda: run_bytes(6, 0))
         assert main([*argv, "--nmax", "6", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: nmax=6 needs")

@@ -3,6 +3,9 @@ undeformed limit, integrator cross-validation, the norm-flow identity
 dP/dt = 2<H_I> and its dt^2 order, the reachable set, and the
 truncation guard rails against a step-by-step reference loop."""
 
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +17,8 @@ from scipy.linalg import expm
 from qweyl import dynamics
 from qweyl.dynamics import (
     EDGE_OCCUPATION_LIMIT,
+    KRYLOV_THRESHOLD,
+    WINDOW_CAP,
     GainLossMap,
     decay_operator,
     export_trajectory_csv,
@@ -84,6 +89,22 @@ def reference_propagate(h, psi0, T, dt, method="matrix-exponential"):
     return keep, np.array(states), None
 
 
+TRACKED = ((0, 0, 0), (2, 0, 0))
+
+
+def assert_streams_match(traj, h, states):
+    """The streamed series and final state of traj equal, bit for bit,
+    the ones computed row by row from the reference loop's states."""
+    generator = h.antihermitian_generator()[traj.keep][:, traj.keep]
+    assert np.array_equal(traj.times, np.arange(len(states)) * traj.dt)
+    assert np.array_equal(traj.norms, np.sum(np.abs(states) ** 2, axis=1))
+    assert np.array_equal(traj.h_i, np.vecdot(states, states @ generator.T).real)
+    assert np.array_equal(traj.states, states[-1:])
+    for state in TRACKED:
+        column = np.searchsorted(traj.keep, h.basis.index(state))
+        assert np.array_equal(traj.occupation(state), np.abs(states[:, column]) ** 2)
+
+
 class CountingPropagator:
     """Wraps a step propagator and counts the steps taken with it."""
 
@@ -141,12 +162,14 @@ class TestClosedFormOracles:
         basis = FockBasis(3)
         psi0 = (basis.vector((0, 0, 0)) + basis.vector((1, 1, 0)))
         psi0 /= np.linalg.norm(psi0)
-        traj = propagate(h, psi0, T=2.0, dt=1e-2)
-        for state in ((0, 0, 0), (1, 1, 0), (2, 0, 0)):
+        tracked = ((0, 0, 0), (1, 1, 0), (2, 0, 0))
+        traj = propagate(h, psi0, T=2.0, dt=1e-2, track=tracked)
+        for state in tracked:
             occ = traj.occupation(state)
             assert np.max(np.abs(occ - occ[0])) <= 1e-12
-        # the state still acquires relative phase
-        assert np.max(np.abs(traj.states[-1] - psi0[traj.keep])) > 0.1
+        # the final state still acquires relative phase
+        assert traj.states.shape == (1, len(traj.keep))
+        assert np.max(np.abs(traj.states[0] - psi0[traj.keep])) > 0.1
 
 
     def test_unitarity_over_the_full_basis(self):
@@ -173,8 +196,9 @@ class TestIntegrators:
         _, psi0 = ground(4)
         ta = propagate(h, psi0, T=1.0, dt=1e-3, method="matrix-exponential")
         tb = propagate(h, psi0, T=1.0, dt=1e-3, method="fourth-order-explicit")
-        assert abs(np.linalg.norm(ta.states[-1]) - np.linalg.norm(tb.states[-1])) <= 1e-6
-        assert np.max(np.abs(ta.states[-1] - tb.states[-1])) <= 1e-9
+        assert np.max(np.abs(ta.norms - tb.norms)) <= 1e-9
+        assert np.max(np.abs(ta.h_i - tb.h_i)) <= 1e-9
+        assert np.max(np.abs(ta.states[0] - tb.states[0])) <= 1e-9
 
     def test_explicit_step_limit_enforced(self):
         h = build_h_eff(4, 0.01, "paper")
@@ -270,11 +294,12 @@ class TestTransfer:
         h = build_h_eff(6, theta, "paper")
         basis = FockBasis(6)
         psi0 = basis.vector((1, 0, 0))
-        traj = propagate(h, psi0, T=0.01, dt=1e-3)
+        targets = ((3, 0, 0), (1, 2, 0), (1, 0, 2))
+        traj = propagate(h, psi0, T=0.01, dt=1e-3, track=targets)
         m1 = build_h1_matrix(6, "paper")
         col = basis.index((1, 0, 0))
         t = traj.times[-1]
-        for target in ((3, 0, 0), (1, 2, 0), (1, 0, 2)):
+        for target in targets:
             occ = traj.occupation(target)[-1]
             predicted = (theta * abs(m1[basis.index(target), col]) * t) ** 2
             assert occ == pytest.approx(predicted, rel=5e-3)
@@ -283,12 +308,15 @@ class TestTransfer:
         h = build_h_eff(6, 0.01, "paper")
         basis = FockBasis(6)
         _, psi0 = ground(6)
-        traj = propagate(h, psi0, T=0.01, dt=1e-3)
+        forbidden = ((1, 0, 0), (1, 1, 0), (1, 1, 1))
+        far = ((4, 0, 0), (2, 2, 0))
+        traj = propagate(h, psi0, T=0.01, dt=1e-3,
+                         track=forbidden + far + ((2, 0, 0),))
         # parity-forbidden states never populate
-        for target in ((1, 0, 0), (1, 1, 0), (1, 1, 1)):
+        for target in forbidden:
             assert np.max(traj.occupation(target)) == 0.0
         # even states two hops away stay below the direct-coupling scale
-        for target in ((4, 0, 0), (2, 2, 0)):
+        for target in far:
             assert np.max(traj.occupation(target)) <= 1e-10
         # directly coupled states do populate
         assert traj.occupation((2, 0, 0))[-1] > 1e-9
@@ -296,8 +324,8 @@ class TestTransfer:
     def test_gain_loss_map_ground_state(self):
         h = build_h_eff(6, 0.01, "paper")
         _, psi0 = ground(6)
-        traj = propagate(h, psi0, T=0.1, dt=1e-3)
         tracked = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 0, 0)]
+        traj = propagate(h, psi0, T=0.1, dt=1e-3, track=tracked)
         gmap = gain_loss_map(traj, tracked)
         assert isinstance(gmap, GainLossMap)
         assert gmap.net_change[(0, 0, 0)] < 0.0
@@ -313,11 +341,22 @@ class TestTransfer:
     def test_gain_loss_map_flat_when_undeformed(self):
         h = build_h_eff(3, 0.0, "paper")
         _, psi0 = ground(3)
-        traj = propagate(h, psi0, T=1.0, dt=1e-2)
-        gmap = gain_loss_map(traj, [(0, 0, 0), (2, 0, 0)])
+        tracked = [(0, 0, 0), (2, 0, 0)]
+        traj = propagate(h, psi0, T=1.0, dt=1e-2, track=tracked)
+        gmap = gain_loss_map(traj, tracked)
         assert gmap.net_change[(0, 0, 0)] == pytest.approx(0.0, abs=1e-12)
         assert gmap.gaining(tol=1e-12) == []
         assert gmap.losing(tol=1e-12) == []
+
+    def test_untracked_occupation_is_a_key_error(self):
+        h = build_h_eff(3, 0.01, "paper")
+        _, psi0 = ground(3)
+        traj = propagate(h, psi0, T=0.01, dt=1e-3, track=[(0, 0, 0)])
+        assert len(traj.occupation((0, 0, 0))) == len(traj.times)
+        with pytest.raises(KeyError, match=r"\(2, 0, 0\) was not tracked"):
+            traj.occupation((2, 0, 0))
+        with pytest.raises(ValueError, match="outside cutoff"):
+            propagate(h, psi0, T=0.01, dt=1e-3, track=[(4, 0, 0)])
 
 
 class TestGuardRails:
@@ -325,14 +364,15 @@ class TestGuardRails:
         # at n_max=2 the ground state couples straight into the cutoff edge
         h = build_h_eff(2, 0.5, "paper")
         _, psi0 = ground(2)
+        edge_states = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
         with pytest.warns(RuntimeWarning, match="edge occupation"):
-            traj = propagate(h, psi0, T=1.0, dt=1e-3)
+            traj = propagate(h, psi0, T=1.0, dt=1e-3, track=edge_states)
         assert traj.edge_aborted
         assert len(traj.times) < 1001
-        assert len(traj.states) == len(traj.norms) == len(traj.times)
-        edge_final = max(
-            traj.occupation(s)[-1] for s in ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-        )
+        assert len(traj.norms) == len(traj.h_i) == len(traj.times)
+        assert all(len(traj.occupation(s)) == len(traj.times) for s in edge_states)
+        assert traj.states.shape == (1, len(traj.keep))
+        edge_final = max(traj.occupation(s)[-1] for s in edge_states)
         assert edge_final > EDGE_OCCUPATION_LIMIT
 
     def test_edge_abort_on_initial_state(self):
@@ -380,11 +420,11 @@ class TestAbortSemantics:
         keep, states, message = reference_propagate(h, psi0, 1.0, dt, method)
         assert message is not None
         with pytest.warns(RuntimeWarning) as record:
-            traj = propagate(h, psi0, T=1.0, dt=dt, method=method)
+            traj = propagate(h, psi0, T=1.0, dt=dt, method=method, track=TRACKED)
         assert [str(w.message) for w in record] == [message]
         assert traj.edge_aborted
         assert np.array_equal(traj.keep, keep)
-        assert np.array_equal(traj.states, states)
+        assert_streams_match(traj, h, states)
 
     def test_edge_abort_computes_at_most_twice_the_stop(self, step_spy):
         h = build_h_eff(6, 0.05, "rederived")
@@ -402,6 +442,22 @@ class TestAbortSemantics:
         traj = propagate(h, psi0, T=0.1, dt=1e-3)
         assert not traj.edge_aborted
         assert step_spy[0].calls == 100
+
+    def test_capped_windows_match_reference(self, step_spy, monkeypatch):
+        # windows stop doubling at the cap, so a stop at point k has taken
+        # at most max(2k, k + cap - 1) steps
+        cap = 16
+        monkeypatch.setattr(dynamics, "WINDOW_CAP", cap)
+        h = build_h_eff(6, 0.05, "rederived")
+        _, psi0 = ground(6)
+        _, states, message = reference_propagate(h, psi0, 1.0, 1e-3)
+        with pytest.warns(RuntimeWarning) as record:
+            traj = propagate(h, psi0, T=1.0, dt=1e-3, track=TRACKED)
+        assert [str(w.message) for w in record] == [message]
+        assert_streams_match(traj, h, states)
+        k = len(traj.times) - 1
+        assert k > 2 * cap
+        assert k <= step_spy[0].calls <= k + cap - 1
 
     @pytest.mark.parametrize("method", ["matrix-exponential", "fourth-order-explicit"])
     def test_overflow_matches_reference(self, method, step_spy):
@@ -470,7 +526,8 @@ class TestReachableSet:
         traj = propagate(h, psi0, T=T, dt=1e-3)
         assert not traj.edge_aborted
         oracle = expm(-1j * T * h.matrix.toarray()) @ psi0
-        assert np.max(np.abs(traj.states[-1] - oracle[traj.keep])) <= 1e-12
+        assert np.max(np.abs(traj.states[0] - oracle[traj.keep])) <= 1e-12
+        assert abs(traj.norms[-1] - np.vdot(oracle, oracle).real) <= 1e-12
         off = np.ones(basis.dim, dtype=bool)
         off[traj.keep] = False
         assert np.all(oracle[off] == 0)
@@ -496,7 +553,9 @@ class TestSectors:
         full = np.array(full)
         kept = [basis.parity[basis.index(k)] for k in kets]
         assert np.array_equal(traj.keep, np.flatnonzero(np.isin(basis.parity, kept)))
-        assert np.max(np.abs(traj.states - full[:, traj.keep])) <= 1e-12
+        assert np.max(np.abs(traj.states[0] - full[-1, traj.keep])) <= 1e-12
+        norms = np.sum(np.abs(full) ** 2, axis=1)
+        assert np.max(np.abs(traj.norms - norms)) <= 1e-12
         # the full propagator leaves no amplitude outside the kept sectors
         off = np.ones(basis.dim, dtype=bool)
         off[traj.keep] = False
@@ -506,12 +565,79 @@ class TestSectors:
         assert np.max(np.abs(traj.h_i - h_i)) <= 1e-12
 
 
+class TestStreaming:
+    def test_peak_memory_flat_in_steps(self):
+        # doubling T at fixed dt adds 2,000 points of series (24 bytes
+        # each), never stored states: the traced peak grows by less than
+        # one window of states
+        h = build_h_eff(10, 0.01, "paper")
+        _, psi0 = ground(10)
+        propagate(h, psi0, T=0.01, dt=1e-3)
+        peaks = []
+        for T in (2.0, 4.0):
+            tracemalloc.start()
+            try:
+                traj = propagate(h, psi0, T=T, dt=1e-3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert not traj.edge_aborted
+        window = WINDOW_CAP * len(traj.keep) * 16
+        assert peaks[1] - peaks[0] < window, peaks
+
+
+class TestKrylovStep:
+    @pytest.mark.parametrize("n_max", [10, 20])
+    def test_krylov_matches_dense(self, n_max, monkeypatch):
+        # n_max 10 (216 states) steps with the dense propagator and
+        # n_max 20 (1,331 states) with expm_multiply; each is also run
+        # the other way by moving the threshold
+        h = build_h_eff(n_max, 0.05, "paper")
+        _, psi0 = ground(n_max)
+        tracked = ((0, 0, 0), (2, 0, 0))
+        natural = propagate(h, psi0, T=0.1, dt=1e-3, track=tracked)
+        krylov = len(natural.keep) > KRYLOV_THRESHOLD
+        assert krylov == (n_max == 20)
+        monkeypatch.setattr(dynamics, "KRYLOV_THRESHOLD",
+                            10 ** 9 if krylov else 0)
+        other = propagate(h, psi0, T=0.1, dt=1e-3, track=tracked)
+        assert not natural.edge_aborted and not other.edge_aborted
+        assert np.max(np.abs(natural.norms - other.norms)) <= 1e-10
+        assert np.max(np.abs(natural.h_i - other.h_i)) <= 1e-10
+        assert np.max(np.abs(natural.states - other.states)) <= 1e-10
+        for s in tracked:
+            assert np.max(np.abs(natural.occupation(s) - other.occupation(s))) <= 1e-10
+        if not krylov:
+            # RK4 at a tenth of the step, read on the common grid points
+            rk4 = propagate(h, psi0, T=0.1, dt=1e-4, method="fourth-order-explicit")
+            for traj in (natural, other):
+                assert np.max(np.abs(rk4.norms[::10] - traj.norms)) <= 1e-10
+                assert np.max(np.abs(rk4.h_i[::10] - traj.h_i)) <= 1e-10
+                assert np.max(np.abs(rk4.states - traj.states)) <= 1e-10
+
+    def test_krylov_step_margin(self, step_spy):
+        # the Krylov cost grows with dt*|H|, so a huge one is refused
+        # instead of stepped; no dense propagator is formed either way
+        h = build_h_eff(20, 1e6, "paper")
+        _, psi0 = ground(20)
+        with pytest.raises(ValueError, match="Krylov step margin"):
+            propagate(h, psi0, T=0.01, dt=1e-3)
+        assert step_spy == []
+
+    def test_sparse_solver_is_imported_lazily(self):
+        code = ("import sys, qweyl.cli; "
+                "print('scipy.sparse.linalg' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "False"
+
+
 class TestExport:
     def test_csv_roundtrip_deterministic(self, tmp_path):
         h = build_h_eff(4, 0.01, "paper")
         _, psi0 = ground(4)
-        traj = propagate(h, psi0, T=0.1, dt=1e-2)
         tracked = [(0, 0, 0), (2, 0, 0)]
+        traj = propagate(h, psi0, T=0.1, dt=1e-2, track=tracked)
         path_a = tmp_path / "a.csv"
         path_b = tmp_path / "b.csv"
         export_trajectory_csv(traj, path_a, states=tracked)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qweyl import fock
-from qweyl.cli import run_bytes
+from qweyl.cli import largest_sector
 from qweyl.effective import ground_state_energy, hamiltonian_operator
 from qweyl.fock import (
     CONJECTURED_OFFSETS,
@@ -296,12 +296,13 @@ def test_parity_sectors_conserved(n_max, mode):
 
 
 def test_largest_sector_matches_run_bytes():
-    # run_bytes sizes a run by the largest parity sector, (n_max//2 + 1)^3;
-    # one more stored point costs that many complex values
+    # the memory bounds size spectrum and mixing by the largest parity
+    # sector and evolve by the even one the ground state reaches; both
+    # are largest_sector(n_max) = (n_max//2 + 1)^3 states
     for n_max in range(1, 15):
-        largest = np.bincount(FockBasis(n_max).parity).max()
-        assert largest == (n_max // 2 + 1) ** 3
-        assert run_bytes(n_max, 1) - run_bytes(n_max, 0) == 16 * largest
+        sizes = np.bincount(FockBasis(n_max).parity)
+        assert sizes.max() == sizes[0] == (n_max // 2 + 1) ** 3
+        assert largest_sector(n_max) == sizes[0]
 
 
 def test_mixing_amplitudes_from_ground_state():

@@ -46,6 +46,9 @@ def runs(config: str) -> list:
                                       "0.001"]))
     out.append(("evolve-edge-abort-odd-nmax", ["evolve", "--theta", "0.5", "--nmax",
                                                "3", "--T", "1", "--dt", "0.01"]))
+    # 1,331 even-sector states: above dynamics.KRYLOV_THRESHOLD, so this
+    # run steps with expm_multiply
+    out.append(("evolve-krylov-n20", ["evolve", "--nmax", "20", "--T", "0.05"]))
     for c in ("verify-algebra", "expand-scan", "effective", "evolve"):
         out.append((f"default-{c}", [c]))
     out.append(("default-decay", ["evolve", "--decay-oracle"]))
