@@ -10,7 +10,20 @@ encoded as integers 0..5 in that order.  The defining relations are
 
 A word is in canonical (normal) form when all X's precede all d's and each
 group has non-decreasing index, which with this encoding is exactly the
-non-decreasing words over 0..5.  Rewriting is oriented left-to-right:
+non-decreasing words over 0..5.  By Bergman's diamond lemma every word
+has exactly one normal form, however it is reached, so normalize has two
+paths that must agree term for term.
+
+The default path folds a word's letters left to right into a map
+(normal word, q-power) -> int.  Multiplying a normal word by one letter
+on the right has a closed form (_insert): the letter takes its sorted
+place, picking up one power of q or q^{-1} per letter it passes, and an
+X_a that meets copies of d_a also yields the diagonal rule's shorter and
+X_k d_k words, summed over the copies.  Each output word's q-coefficient
+becomes one QScalar, times the input coefficient.
+
+The stepper, run when a strategy is named, rewrites one adjacent
+out-of-order pair at a time, oriented left-to-right:
 
     X_b X_a -> q^{-1} X_a X_b                      (b > a)
     d_b d_a -> q       d_a d_b                     (b > a)
@@ -26,15 +39,17 @@ both letters or replace the inverted pair d_a X_a by a non-inverted pair
 X_k d_k).  Each rewrite therefore strictly decreases (m, s)
 lexicographically, and normalization reaches a fixpoint.  Confluence is
 exercised by test suites that normalize random words under different
-admissible strategies.
+admissible strategies, and the default path is checked against the
+stepper.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .scalars import QScalar, Q, Q_INV, SparseTerms
+from .scalars import GaussRat, QScalar, Q, Q_INV, SparseTerms
 
 N_GEN = 6
 GEN_NAMES = ("X1", "X2", "X3", "d1", "d2", "d3")
@@ -81,26 +96,6 @@ def is_normal(word) -> bool:
     return all(word[p] <= word[p + 1] for p in range(len(word) - 1))
 
 
-def inversion_measure(word) -> tuple:
-    """(mixed, same_type) inversion counts; strictly decreases per rewrite.
-
-    mixed counts pairs (p < r) with word[p] a derivative and word[r] a
-    coordinate; same_type counts strictly-decreasing index pairs within
-    the coordinate letters plus those within the derivative letters.
-    """
-    mixed = 0
-    same = 0
-    n = len(word)
-    for p in range(n):
-        for r in range(p + 1, n):
-            a, b = word[p], word[r]
-            if a >= 3 and b < 3:
-                mixed += 1
-            elif (a < 3) == (b < 3) and a > b:
-                same += 1
-    return (mixed, same)
-
-
 def rewrite_at(word, pos):
     """Apply the defining relation at adjacent position pos.
 
@@ -132,16 +127,77 @@ def _rewrite_positions(word):
     return [p for p in range(len(word) - 1) if word[p] > word[p + 1]]
 
 
-def normalize(terms, strategy="leftmost", seed=None) -> "NCPoly":
-    """Rewrite every word of the input to canonical form.
+def _insert(word, letter) -> list:
+    """Normal form of a normal word times one letter, as
+    [(normal word, q-power, +1 or -1)] with no (word, q-power) repeated.
 
-    terms may be an NCPoly or any mapping word -> coefficient.  strategy
-    selects which out-of-order position is rewritten next ("leftmost",
-    "rightmost", or "random" with the given seed); all strategies must
-    agree on the result, which the confluence tests check.
+    d_b passes each larger derivative at q.  X_a passes each derivative
+    d_c (c != a) at q and each larger coordinate at q^-1.  Each of the
+    m copies of d_a it meets branches by the diagonal rule; summed over
+    the copies, with h derivatives above d_a, the branches close to
+        sum_{j<m} q^(h+2j)          times the word less one d_a,
+        (q^(2m) - 1) q^(h+c_k)      times it with X_k and d_k added (k > a),
+    where c_k counts the derivatives below d_k in the word less one d_a
+    (X_k passes those left of the copy it came from, d_k merges past
+    the rest), less the coordinates above X_k.
     """
-    if isinstance(terms, NCPoly):
-        terms = terms.terms
+    at = bisect_right(word, letter)
+    placed = word[:at] + (letter,) + word[at:]
+    if letter >= 3:
+        return [(placed, len(word) - at, 1)]
+    first_d = bisect_left(word, 3, at)
+    lo = bisect_left(word, letter + 3, first_d)
+    hi = bisect_right(word, letter + 3, lo)
+    m = hi - lo
+    out = [(placed, len(word) - first_d + m - (first_d - at), 1)]
+    if m:
+        rest = word[:lo] + word[lo + 1:]
+        h = len(word) - hi
+        out.extend((rest, h + 2 * j, 1) for j in range(m))
+        for k in range(letter + 1, 3):
+            xk = bisect_right(rest, k, 0, first_d)
+            dk = bisect_left(rest, k + 3, first_d)
+            grown = rest[:xk] + (k,) + rest[xk:dk] + (k + 3,) + rest[dk:]
+            power = h + (dk - first_d) - (first_d - xk)
+            out.append((grown, power + 2 * m, 1))
+            out.append((grown, power, -1))
+    return out
+
+
+def _normalize_by_insertion(terms) -> "NCPoly":
+    """Fold each word's letters into integer q-coefficients, one _insert
+    per (normal word, letter) pair met in this call."""
+    inserted: dict = {}
+    ring = NCPoly()
+    done: dict = {}
+    for word, coeff in terms.items():
+        coeff = QScalar.coerce(coeff)
+        if coeff.is_zero():
+            continue
+        state = {(): {0: 1}}  # normal word -> {q-power: int}
+        for letter in word:
+            grown: dict = {}
+            for w, powers in state.items():
+                out = inserted.get((w, letter))
+                if out is None:
+                    out = inserted[w, letter] = _insert(w, letter)
+                for w2, dp, sign in out:
+                    into = grown.get(w2)
+                    if into is None:
+                        into = grown[w2] = {}
+                    for p, c in powers.items():
+                        p += dp
+                        into[p] = into.get(p, 0) + sign * c
+            state = grown
+        for w in sorted(state):
+            powers = {p: GaussRat(c) for p, c in sorted(state[w].items()) if c}
+            if powers:
+                ring._accumulate(done, w, _ONE._new(powers) * coeff)
+    return ring._new({w: done[w] for w in sorted(done)})
+
+
+def _normalize_by_rewriting(terms, strategy, seed) -> "NCPoly":
+    """Apply one rewrite_at step at a time, at the position strategy picks."""
     rng = random.Random(seed) if strategy == "random" else None
     ring = NCPoly()  # its accumulate and trusted constructor
     done: dict = {}
@@ -165,6 +221,23 @@ def normalize(terms, strategy="leftmost", seed=None) -> "NCPoly":
         for new_word, factor in rewrite_at(word, pos):
             ring._accumulate(pending, new_word, coeff * factor)
     return ring._new(done)
+
+
+def normalize(terms, strategy=None, seed=None) -> "NCPoly":
+    """Rewrite every word of the input to canonical form.
+
+    terms may be an NCPoly or any mapping word -> coefficient.  By
+    default the closed-form insertion kernel runs and the terms come in
+    ascending word order.  An explicit strategy runs the rewriting
+    stepper instead, choosing which out-of-order position is rewritten
+    next ("leftmost", "rightmost", or "random" with the given seed);
+    every path must agree on the result, which the tests check.
+    """
+    if isinstance(terms, NCPoly):
+        terms = terms.terms
+    if strategy is None:
+        return _normalize_by_insertion(terms)
+    return _normalize_by_rewriting(terms, strategy, seed)
 
 
 class NCPoly(SparseTerms):

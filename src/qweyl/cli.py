@@ -203,6 +203,14 @@ def largest_sector(n_max: int) -> int:
     return (n_max // 2 + 1) ** 3
 
 
+def interior_scan_bytes(n_max: int) -> int:
+    """What the sparsity scan holds beside the operator: at most 7
+    entries per interior column, each a complex value with two 32-bit
+    COO indices, plus its magnitude and its bra and ket indices."""
+    interior = (n_max - INTERIOR_MARGIN + 1) ** 3
+    return 7 * interior * (16 + 2 * 4 + 3 * 8)
+
+
 def run_bytes(n_max: int, held: int) -> int:
     """Lower bound on a run: the sparse operator (at most 7 entries per
     column, each a complex value and an index) plus the held bytes of
@@ -325,8 +333,7 @@ def cmd_mixing(config: RunConfig, args) -> tuple:
         raise ConfigError(
             f"mixing runs need nmax > {INTERIOR_MARGIN} so the scan has interior states"
         )
-    # the largest parity-sector block as dense complex values
-    _ensure_fits(config.n_max, 16 * largest_sector(config.n_max) ** 2)
+    _ensure_fits(config.n_max, interior_scan_bytes(config.n_max))
     h1 = build_h1_matrix(config.n_max, config.mode)
     basis = FockBasis(config.n_max)
     report = sparsity_pattern(h1, basis)

@@ -18,6 +18,8 @@ from fractions import Fraction
 
 
 def _as_part(x):
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):

@@ -1,8 +1,10 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
+from qweyl import algebra
 from qweyl.scalars import GaussRat, QScalar, Q, Q_INV
 from qweyl.algebra import (
     ALTERNATIVE_OFFSET,
@@ -14,11 +16,11 @@ from qweyl.algebra import (
     check_relation,
     d_code,
     defining_relations,
-    inversion_measure,
     is_normal,
     nc_mul,
     normalize,
     poly_to_json,
+    raw_defining_relations,
     rewrite_at,
     word_to_str,
     x_code,
@@ -175,6 +177,26 @@ def test_q_one_specialization_classical_weyl():
 
 # -------------------------------------------------------------- termination
 
+def inversion_measure(word) -> tuple:
+    """(mixed, same_type) inversion counts; strictly decreases per rewrite.
+
+    mixed counts pairs (p < r) with word[p] a derivative and word[r] a
+    coordinate; same_type counts strictly-decreasing index pairs within
+    the coordinate letters plus those within the derivative letters.
+    """
+    mixed = 0
+    same = 0
+    n = len(word)
+    for p in range(n):
+        for r in range(p + 1, n):
+            a, b = word[p], word[r]
+            if a >= 3 and b < 3:
+                mixed += 1
+            elif (a < 3) == (b < 3) and a > b:
+                same += 1
+    return (mixed, same)
+
+
 def test_inversion_measure_strictly_decreases():
     rng = random.Random(7)
     for _ in range(300):
@@ -219,6 +241,96 @@ def test_normal_forms_golden_digest():
                 for w, q in nf.terms.items()
             ]))
     assert hashlib.sha256(repr(forms).encode()).hexdigest() == NORMAL_FORM_DIGEST
+
+
+# ------------------------------------------ insertion kernel vs the stepper
+#
+# The default normalize path never calls rewrite_at; the leftmost stepper
+# is its oracle, and by the diamond lemma the two must agree exactly.
+
+def stepper(terms):
+    return normalize(terms, strategy="leftmost")
+
+
+def random_scalar(rng):
+    """A QScalar over one to three q-powers with fractional Gaussian parts."""
+    def part():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    return QScalar({rng.randint(-4, 4): GaussRat(part(), part())
+                    for _ in range(rng.randint(1, 3))})
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_default_path_matches_stepper_on_words(chunk):
+    # 4 x 750 seeded words of length 0-12
+    rng = random.Random(9000 + chunk)
+    for _ in range(750):
+        word = tuple(rng.choices(range(6), k=rng.randint(0, 12)))
+        nf = normalize({word: 1})
+        assert nf == stepper({word: 1}), word
+        assert list(nf.terms) == sorted(nf.terms), word
+
+
+def test_default_path_matches_stepper_on_relations():
+    for name, lhs, rhs in raw_defining_relations():
+        difference = dict(lhs)
+        for word, c in rhs.items():
+            difference[word] = difference.get(word, 0) - c
+        for raw in (lhs, rhs, difference):
+            assert normalize(raw) == stepper(raw), name
+        assert normalize(difference).is_zero(), name
+
+
+@pytest.mark.parametrize("chunk", range(2))
+def test_default_path_matches_stepper_on_scalar_inputs(chunk):
+    # 2 x 750 sums of words with fractional, multi-power coefficients;
+    # every fifth is a defining relation between random words, lhs - rhs,
+    # which must cancel to zero
+    rng = random.Random(4242 + chunk)
+    relations = raw_defining_relations()
+    zeros = 0
+    for n in range(750):
+        terms = {}
+        if n % 5 == 0:
+            _, lhs, rhs = rng.choice(relations)
+            head = tuple(rng.choices(range(6), k=rng.randint(0, 3)))
+            tail = tuple(rng.choices(range(6), k=rng.randint(0, 3)))
+            coeff = random_scalar(rng)
+            for side, sign in ((lhs, 1), (rhs, -1)):
+                for word, c in side.items():
+                    key = head + word + tail
+                    terms[key] = terms.get(key, 0) + c * coeff * sign
+        else:
+            for _ in range(rng.randint(1, 4)):
+                word = tuple(rng.choices(range(6), k=rng.randint(0, 7)))
+                terms[word] = terms.get(word, 0) + random_scalar(rng)
+        want = stepper(terms)
+        got = normalize(terms)
+        assert got == want, terms
+        assert list(got.terms) == sorted(got.terms)
+        zeros += want.is_zero()
+    assert zeros >= 150
+
+
+def test_default_path_makes_no_rewrite_steps(monkeypatch):
+    calls = []
+    real = algebra.rewrite_at
+
+    def counted(word, pos):
+        calls.append(word)
+        return real(word, pos)
+
+    monkeypatch.setattr(algebra, "rewrite_at", counted)
+    rng = random.Random(77)
+    for _ in range(200):
+        normalize({tuple(rng.choices(range(6), k=rng.randint(2, 10))): 1})
+    for _, lhs, rhs in raw_defining_relations():
+        normalize(lhs)
+        nc_mul(normalize(rhs), D1)
+    assert calls == []
+    # the counter sees the stepper, so an empty count is not vacuous
+    stepper({(d_code(1), x_code(1)): 1})
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------- symplectic checks

@@ -14,6 +14,7 @@ from qweyl.cli import (
     ConfigError,
     RunConfig,
     default_out,
+    interior_scan_bytes,
     largest_sector,
     load_config,
     main,
@@ -158,8 +159,8 @@ class TestExitCodes:
 
     def test_oversized_cutoff_estimate(self):
         # arithmetic only: 7 sparse entries per column at 16 + 8 bytes, plus
-        # what the command holds.  spectrum and mixing: the largest parity
-        # sector ((n_max//2 + 1)^3 states) as a dense complex block
+        # what the command holds.  spectrum: the largest parity sector
+        # ((n_max//2 + 1)^3 states) as a dense complex block
         assert largest_sector(6) == 64 and largest_sector(30) == 4_096
         assert run_bytes(6, 16 * 64 ** 2) == 7 * 343 * 24 + 64 ** 2 * 16 == 123_160
         assert run_bytes(30, 16 * 4_096 ** 2) == 273_440_344
@@ -173,6 +174,14 @@ class TestExitCodes:
         # where (steps + 1) even-sector states made it 573 MiB
         assert run_bytes(30, held_bytes(1, 5_000)) == (
             7 * 29_791 * 24 + 16 * (1 + WINDOW_CAP))
+
+    def test_mixing_is_charged_its_interior_scan(self, tmp_path, monkeypatch):
+        # 7 entries per interior column at 48 bytes: (30 - 4 + 1)^3 = 19,683
+        # interior states, not a dense 4,096-state sector block (256 MiB)
+        assert interior_scan_bytes(30) == 7 * 19_683 * 48 == 6_613_488
+        need = run_bytes(30, interior_scan_bytes(30))
+        monkeypatch.setattr(cli, "available_memory", lambda: need + 1)
+        assert main(["mixing", "--nmax", "30", "--out", str(tmp_path)]) == 0
 
     def test_decay_run_is_charged_one_amplitude(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "available_memory", lambda: 32 * 2 ** 20)

@@ -49,6 +49,10 @@ def runs(config: str) -> list:
     # 1,331 even-sector states: above dynamics.KRYLOV_THRESHOLD, so this
     # run steps with expm_multiply
     out.append(("evolve-krylov-n20", ["evolve", "--nmax", "20", "--T", "0.05"]))
+    # the symbolic benchmark's degree, and the one report whose residual
+    # is a non-zero normal form
+    out.append(("verify-algebra-degree8", ["verify-algebra", "--degree", "8"]))
+    out.append(("verify-algebra-corrupt", ["verify-algebra", "--corrupt-relation"]))
     for c in ("verify-algebra", "expand-scan", "effective", "evolve"):
         out.append((f"default-{c}", [c]))
     out.append(("default-decay", ["evolve", "--decay-oracle"]))
