@@ -92,6 +92,14 @@ def d_code(i: int) -> int:
     return i + 2
 
 
+def _checked_word(word) -> Word:
+    """word as a tuple, refused with ValueError unless every code is in 0..5."""
+    word = tuple(word)
+    if word and not 0 <= min(word) <= max(word) < N_GEN:
+        raise ValueError(f"word {word} has a generator code outside 0..5")
+    return word
+
+
 def is_normal(word) -> bool:
     return all(word[p] <= word[p + 1] for p in range(len(word) - 1))
 
@@ -171,6 +179,7 @@ def _normalize_by_insertion(terms) -> "NCPoly":
     ring = NCPoly()
     done: dict = {}
     for word, coeff in terms.items():
+        word = _checked_word(word)
         coeff = QScalar.coerce(coeff)
         if coeff.is_zero():
             continue
@@ -203,7 +212,7 @@ def _normalize_by_rewriting(terms, strategy, seed) -> "NCPoly":
     done: dict = {}
     pending: dict = {}
     for word, coeff in terms.items():
-        ring._accumulate(pending, tuple(word), QScalar.coerce(coeff))
+        ring._accumulate(pending, _checked_word(word), QScalar.coerce(coeff))
     while pending:
         word, coeff = pending.popitem()
         positions = _rewrite_positions(word)
@@ -251,7 +260,7 @@ class NCPoly(SparseTerms):
     _coerce = staticmethod(QScalar.coerce)
 
     def _key(self, word):
-        word = tuple(word)
+        word = _checked_word(word)
         if not is_normal(word):
             raise ValueError(f"word {word_to_str(word)} is not normal")
         return word

@@ -15,6 +15,7 @@ overflows the operator or its step propagator.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -23,10 +24,15 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .algebra import check_relation, defining_relations
+from .algebra import (
+    ALTERNATIVE_OFFSET,
+    LITERAL_OFFSET,
+    check_reduced_symplectic,
+    check_relation,
+    defining_relations,
+)
 from .dynamics import (
     decay_operator,
-    export_trajectory_csv,
     gain_loss_map,
     held_bytes,
     initial_norm_rate,
@@ -42,7 +48,6 @@ from .fock import (
     build_h_eff,
     mixing_amplitudes,
     sparsity_pattern,
-    write_csv_table,
 )
 from .realization import (
     MODES,
@@ -228,7 +233,7 @@ def _ensure_fits(n_max: int, held: int) -> None:
         )
 
 
-def cmd_verify_algebra(config: RunConfig, args) -> tuple:
+def cmd_verify_algebra(config: RunConfig, args) -> dict:
     """run the symbolic relation suite and the numeric residual check"""
     reports = [
         check_relation(lhs, rhs, name)
@@ -243,17 +248,24 @@ def cmd_verify_algebra(config: RunConfig, args) -> tuple:
         symbolic_ok = symbolic_ok and bad.holds
     numeric = relation_residual_numeric(config.theta, config.degree)
     numeric_ok = numeric.max_residual <= NUMERIC_RESIDUAL_LIMIT
-    ok = symbolic_ok and numeric_ok
-    payload = {
+    # the paper's identity fails under both pairings, so it is reported
+    # and does not enter ok
+    reduced = {
+        f"partner_{offset}": [
+            r.to_json() for r in check_reduced_symplectic(offset, 1)
+        ]
+        for offset in (LITERAL_OFFSET, ALTERNATIVE_OFFSET)
+    }
+    return {
         "relations": [r.to_json() for r in reports],
         "numeric": numeric.to_json(),
         "numeric_threshold": NUMERIC_RESIDUAL_LIMIT,
-        "ok": ok,
+        "reduced_symplectic": reduced,
+        "ok": symbolic_ok and numeric_ok,
     }
-    return (0 if ok else 1), payload
 
 
-def cmd_expand_scan(config: RunConfig, args) -> tuple:
+def cmd_expand_scan(config: RunConfig, args) -> dict:
     """measure first-order residual slopes across theta for both modes"""
     thetas = np.geomspace(1e-4, 1e-1, 13)
     lo, hi = SLOPE_WINDOW
@@ -270,15 +282,14 @@ def cmd_expand_scan(config: RunConfig, args) -> tuple:
                     if (block == "interior" and mode == "rederived"
                             and res.slope is not None and not lo <= res.slope <= hi):
                         gate_ok = False
-    payload = {
+    return {
         **rows,
         "rederived_gate": {"window": list(SLOPE_WINDOW), "holds": gate_ok},
         "ok": gate_ok,
     }
-    return (0 if gate_ok else 1), payload
 
 
-def cmd_effective(config: RunConfig, args) -> tuple:
+def cmd_effective(config: RunConfig, args) -> dict:
     """emit the effective-Hamiltonian decomposition and discrepancy report"""
     effs = {mode: assemble_effective(mode) for mode in MODES}
     comparison = compare_to_reference(effs["paper"])
@@ -286,22 +297,28 @@ def cmd_effective(config: RunConfig, args) -> tuple:
         (effs["rederived"].a[j] - effs["paper"].a[j]).to_json() for j in range(3)
     ]
     shift_v_i = (effs["rederived"].v_i - effs["paper"].v_i).to_json()
-    payload = {
+    return {
         "modes": {mode: eff.to_json() for mode, eff in effs.items()},
         "reference_comparison": comparison.to_json(),
         "mode_shift": {"a": shift_a, "v_i": shift_v_i},
         "ok": True,
     }
-    return 0, payload
 
 
 def _write_csv(config: RunConfig, name: str, header, rows) -> str:
-    path = os.path.join(config.out, name)
-    write_csv_table(path, header, rows, config.mode, config.theta, config.n_max)
-    return path
+    """Write a timestamp-free table into the output directory and return
+    its name.  The provenance columns mode, theta, n_max close the header
+    and every row; floats are written as their repr."""
+    provenance = [config.mode, repr(float(config.theta)), str(config.n_max)]
+    with open(os.path.join(config.out, name), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*header, "mode", "theta", "n_max"])
+        for row in rows:
+            writer.writerow([*row, *provenance])
+    return name
 
 
-def cmd_spectrum(config: RunConfig, args) -> tuple:
+def cmd_spectrum(config: RunConfig, args) -> dict:
     """diagonalize the truncated Hamiltonian"""
     if config.n_max < 4:
         raise ConfigError("spectrum runs need nmax >= 4")
@@ -313,21 +330,21 @@ def cmd_spectrum(config: RunConfig, args) -> tuple:
         raise ConfigError(str(exc)) from None
     blocks = (h.block(np.flatnonzero(h.basis.parity == s)) for s in range(8))
     eigs = np.sort_complex(np.concatenate([np.linalg.eigvals(b) for b in blocks]))
+    eigenvalues = [[v.real, v.imag] for v in eigs.tolist()]
     payload = {
         "dimension": int(h.matrix.shape[0]),
-        "eigenvalues": [[float(v.real), float(v.imag)] for v in eigs],
-        "ground": [float(eigs[0].real), float(eigs[0].imag)],
+        "eigenvalues": eigenvalues,
+        "ground": eigenvalues[0],
+        "files": [],
         "ok": True,
     }
-    payload["files"] = []
     if config.fmt == "csv":
-        rows = ([repr(float(v.real)), repr(float(v.imag))] for v in eigs)
-        _write_csv(config, "spectrum.csv", ["re", "im"], rows)
-        payload["files"] = ["spectrum.csv"]
-    return 0, payload
+        payload["files"] = [
+            _write_csv(config, "spectrum.csv", ["re", "im"], eigenvalues)]
+    return payload
 
 
-def cmd_mixing(config: RunConfig, args) -> tuple:
+def cmd_mixing(config: RunConfig, args) -> dict:
     """scan coupling sparsity and compare against the conjectured offsets"""
     if config.n_max <= INTERIOR_MARGIN:
         raise ConfigError(
@@ -344,22 +361,20 @@ def cmd_mixing(config: RunConfig, args) -> tuple:
             ",".join(map(str, state)): [value.real, value.imag]
             for state, value in sorted(couplings.items())
         },
+        "files": [],
         "ok": True,
     }
-    payload["files"] = []
     if config.fmt == "csv":
         rows = (
-            [str(offset[0]), str(offset[1]), str(offset[2]),
-             str(offset in report.inside_conjecture).lower()]
+            [*offset, str(offset in report.inside_conjecture).lower()]
             for offset in report.offsets
         )
-        _write_csv(config, "mixing.csv",
-                   ["dx", "dy", "dz", "in_conjectured_set"], rows)
-        payload["files"] = ["mixing.csv"]
-    return 0, payload
+        payload["files"] = [_write_csv(
+            config, "mixing.csv", ["dx", "dy", "dz", "in_conjectured_set"], rows)]
+    return payload
 
 
-def cmd_evolve(config: RunConfig, args) -> tuple:
+def cmd_evolve(config: RunConfig, args) -> dict:
     """propagate the ground state and check norm-flow identities"""
     n_steps = step_count(config.t_final, config.dt)
     decay = getattr(args, "decay_oracle", False)
@@ -381,8 +396,7 @@ def cmd_evolve(config: RunConfig, args) -> tuple:
             row_ok = deviation <= DECAY_LIMIT and not traj.edge_aborted
             ok = ok and row_ok
             rows.append({"alpha": alpha, "max_abs_deviation": deviation, "ok": row_ok})
-        payload = {"decay_table": rows, "threshold": DECAY_LIMIT, "ok": ok}
-        return (0 if ok else 1), payload
+        return {"decay_table": rows, "threshold": DECAY_LIMIT, "ok": ok}
 
     if n_steps < 2:
         raise ConfigError("the norm-flow check needs T >= 2*dt")
@@ -398,11 +412,10 @@ def cmd_evolve(config: RunConfig, args) -> tuple:
     if len(traj.times) >= 3:
         flow = norm_flow_check(traj)
         rate = initial_norm_rate(traj)
-    gmap = gain_loss_map(traj, tracked)
-    csv_path = os.path.join(config.out, "trajectory.csv")
-    export_trajectory_csv(traj, csv_path, states=tracked)
-    ok = flow is not None and flow <= NORM_FLOW_LIMIT
-    payload = {
+    header = ["t", "p", "re_h_i"] + ["occ_" + "_".join(map(str, s)) for s in tracked]
+    columns = [traj.times, traj.norms, traj.h_i] + [traj.occupation(s) for s in tracked]
+    rows = zip(*(c.tolist() for c in columns))
+    return {
         "method": traj.method,
         "points": int(len(traj.times)),
         "final_norm": float(traj.norms[-1]),
@@ -411,11 +424,10 @@ def cmd_evolve(config: RunConfig, args) -> tuple:
         "initial_rate": rate,
         "generator_expectation_rate": float(2.0 * traj.h_i[0]),
         "edge_aborted": traj.edge_aborted,
-        "gain_loss": gmap.to_json(),
-        "files": ["trajectory.csv"],
-        "ok": ok,
+        "gain_loss": gain_loss_map(traj, tracked),
+        "files": [_write_csv(config, "trajectory.csv", header, rows)],
+        "ok": flow is not None and flow <= NORM_FLOW_LIMIT,
     }
-    return (0 if ok else 1), payload
 
 
 _COMMANDS = {
@@ -460,14 +472,13 @@ def main(argv=None) -> int:
             os.makedirs(config.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
-        code, payload = _COMMANDS[args.command](config, args)
+        payload = _COMMANDS[args.command](config, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     path = write_report(config, args.command, payload)
-    status = "ok" if code == 0 else "FAIL"
-    print(f"{args.command}: {status} -> {path}")
-    return code
+    print(f"{args.command}: {'ok' if payload['ok'] else 'FAIL'} -> {path}")
+    return 0 if payload["ok"] else 1
 
 
 if __name__ == "__main__":

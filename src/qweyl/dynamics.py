@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from .fock import FockOperator, h0_diagonal, write_csv_table
+from .fock import FockOperator, h0_diagonal
 
 METHODS = ("matrix-exponential", "fourth-order-explicit")
 EDGE_OCCUPATION_LIMIT = 1e-6
@@ -53,9 +53,6 @@ class Trajectory:
     tracked: dict
     method: str
     dt: float
-    n_max: int
-    theta: float
-    mode: str
     edge_aborted: bool = False
 
     def occupation(self, state) -> np.ndarray:
@@ -226,9 +223,6 @@ def propagate(
         tracked=dict(zip(track, occupations[:end].T)),
         method=method,
         dt=dt,
-        n_max=h.n_max,
-        theta=h.theta,
-        mode=h.mode,
         edge_aborted=aborted,
     )
 
@@ -265,47 +259,15 @@ def decay_operator(n_max: int, alpha: float, mode: str = "paper") -> FockOperato
     )
 
 
-@dataclass(frozen=True)
-class GainLossMap:
-    """Net occupation change of selected states over a trajectory."""
-
-    net_change: dict
-
-    def gaining(self, tol: float = 0.0):
-        return sorted(s for s, d in self.net_change.items() if d > tol)
-
-    def losing(self, tol: float = 0.0):
-        return sorted(s for s, d in self.net_change.items() if d < -tol)
-
-    def to_json(self):
-        return {
-            "net_change": {
-                ",".join(map(str, s)): v for s, v in self.net_change.items()
-            },
-            "gaining": [list(s) for s in self.gaining()],
-            "losing": [list(s) for s in self.losing()],
-        }
-
-
-def gain_loss_map(traj: Trajectory, states) -> GainLossMap:
-    """Net occupation change of states, each tracked by propagate."""
+def gain_loss_map(traj: Trajectory, states) -> dict:
+    """Net occupation change over the trajectory of states, each tracked
+    by propagate, and the sorted states that gained and lost, as JSON."""
     net = {}
     for state in states:
-        state = tuple(int(v) for v in state)
         occ = traj.occupation(state)
-        net[state] = float(occ[-1] - occ[0])
-    return GainLossMap(net_change=net)
-
-
-def export_trajectory_csv(traj: Trajectory, path, states=()):
-    """CSV of t, P, <H_I> and the occupations of states, each tracked by
-    propagate; timestamp-free, with provenance columns."""
-    states = [tuple(int(v) for v in s) for s in states]
-    columns = [traj.times, traj.norms, traj.h_i]
-    columns += [traj.occupation(s) for s in states]
-    rows = ([repr(x) for x in row] for row in zip(*(c.tolist() for c in columns)))
-    write_csv_table(
-        path,
-        ["t", "p", "re_h_i"] + ["occ_" + "_".join(map(str, s)) for s in states],
-        rows, traj.mode, traj.theta, traj.n_max,
-    )
+        net[tuple(int(v) for v in state)] = float(occ[-1] - occ[0])
+    return {
+        "net_change": {",".join(map(str, s)): d for s, d in net.items()},
+        "gaining": [list(s) for s in sorted(net) if net[s] > 0],
+        "losing": [list(s) for s in sorted(net) if net[s] < 0],
+    }

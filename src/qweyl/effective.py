@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import gen_code
-from .gaussian import CPoly3, DiffOp3, gaussian_expectation
+from .gaussian import CPoly3, DiffOp3
 from .realization import check_mode
 from .reference import (
     REFERENCE_A,
@@ -205,12 +205,6 @@ def assemble_effective(mode: str) -> EffectiveHamiltonian:
     reassembled = magnetic_kinetic(a_field) + DiffOp3.from_poly(v_r + v_i * I_UNIT)
     mismatch = h - reassembled
     return EffectiveHamiltonian(mode, a_field, v_r, v_i, mismatch, h)
-
-
-def ground_state_energy(mode: str) -> CPoly3:
-    """Ground-state expectation of the composed-operator Hamiltonian,
-    as a constant polynomial in theta."""
-    return gaussian_expectation(hamiltonian_operator(mode).apply(CPoly3.one()))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ per-axis parity sectors, and dense work runs on one sector block.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -170,9 +169,6 @@ class FockOperator:
         """Dense submatrix on the given basis indices."""
         return self.matrix[indices][:, indices].toarray()
 
-    def hermitian_part(self) -> sp.csr_array:
-        return (self.matrix + self.matrix.conj().T) / 2
-
     def antihermitian_generator(self) -> sp.csr_array:
         """H_I in the exact split H = H_R + i H_I, both Hermitian."""
         return (self.matrix - self.matrix.conj().T) / 2j
@@ -180,30 +176,6 @@ class FockOperator:
     def element(self, bra, ket) -> complex:
         basis = self.basis
         return complex(self.matrix[basis.index(bra), basis.index(ket)])
-
-    def save_csv(self, path) -> None:
-        """Elements above COUPLING_TOL, row-major, with provenance columns."""
-        m = self.matrix.tocoo()
-        keep = ~(np.abs(m.data) <= COUPLING_TOL)
-        occ = self.basis.occupations
-        rows = (
-            [*bra, *ket, repr(float(el.real)), repr(float(el.imag))]
-            for bra, ket, el in zip(occ[m.row[keep]].tolist(),
-                                    occ[m.col[keep]].tolist(), m.data[keep])
-        )
-        write_csv_table(path, ["n1", "n2", "n3", "m1", "m2", "m3", "re", "im"],
-                        rows, self.mode, self.theta, self.n_max)
-
-
-def write_csv_table(path, header, rows, mode: str, theta: float, n_max: int) -> None:
-    """CSV table with the provenance columns mode, theta, n_max appended
-    to the header and to every row."""
-    provenance = [mode, repr(float(theta)), str(n_max)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(header) + ["mode", "theta", "n_max"])
-        for row in rows:
-            writer.writerow(row + provenance)
 
 
 def build_h_eff(n_max: int, theta: float, mode: str) -> FockOperator:

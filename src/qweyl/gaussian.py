@@ -93,16 +93,6 @@ class CPoly3(SparseTerms):
             (k[0], k[1], k[2], 0): c for k, c in self.terms.items() if k[3] == degree
         })
 
-    def max_theta_degree(self) -> int:
-        return max((k[3] for k in self.terms), default=0)
-
-    def parity_split(self):
-        """(even, odd) parts under (x, y, z) -> (-x, -y, -z)."""
-        even, odd = {}, {}
-        for key, coeff in self.terms.items():
-            (even if (key[0] + key[1] + key[2]) % 2 == 0 else odd)[key] = coeff
-        return self._new(even), self._new(odd)
-
     def real_imag_split(self):
         """(re, im) with self = re + i*im, both with real coefficients."""
         re, im = {}, {}
@@ -112,13 +102,6 @@ class CPoly3(SparseTerms):
             if coeff.im != 0:
                 im[key] = GaussRat(coeff.im)
         return self._new(re), self._new(im)
-
-    def eval_theta(self, theta: float) -> dict:
-        """Numeric theta substitution: map (a,b,c) -> complex coefficient."""
-        out: dict = {}
-        for (a, b, c, t), coeff in self.terms.items():
-            out[(a, b, c)] = out.get((a, b, c), 0.0) + complex(coeff) * theta ** t
-        return {k: v for k, v in out.items() if v != 0.0}
 
     def to_json(self):
         """Canonical JSON: {"(a,b,c)": sorted rows [re, im, theta_degree]}."""

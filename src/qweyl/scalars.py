@@ -81,9 +81,6 @@ class GaussRat:
             Fraction(self.im * other.re - self.re * other.im, d),
         )
 
-    def conjugate(self):
-        return GaussRat(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -289,13 +286,6 @@ class QScalar(SparseTerms):
         total = 0j
         for power, coeff in self.terms.items():
             total += complex(coeff) * cmath.exp(1j * theta * power)
-        return total
-
-    def at_q_one(self) -> GaussRat:
-        """Exact value at q = 1 (sum of all coefficients)."""
-        total = GaussRat(0)
-        for coeff in self.terms.values():
-            total = total + coeff
         return total
 
     def coeff_rows(self) -> list[list[int]]:

@@ -226,6 +226,24 @@ class TestCommands:
         assert all(r["holds"] for r in report["relations"])
         assert report["numeric"]["max_residual"] <= 1e-12
 
+    def test_verify_algebra_reports_reduced_symplectic(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["verify-algebra", "--degree", "2", "--out", str(out)])
+        assert rc == 0
+        report = read_report(out, "verify-algebra")
+        reduced = report["reduced_symplectic"]
+        # partner 4 - j lies in 1..6 for j = 1..3, partner 7 - j for all six
+        assert sorted(reduced) == ["partner_4", "partner_7"]
+        assert len(reduced["partner_4"]) == 3
+        assert len(reduced["partner_7"]) == 6
+        # the identity fails under both pairings and does not enter ok
+        assert not any(r["holds"] for rows in reduced.values() for r in rows)
+        assert report["ok"] is True
+        # j=1 under 4 - j leaves alpha^2 (q^4 - q^3) d1 d3, at alpha = 1
+        assert reduced["partner_4"][0]["residual"] == [
+            {"word": "d1 d3", "coeff": [[3, -1, 1, 0, 1], [4, 1, 1, 0, 1]]}
+        ]
+
     def test_verify_algebra_classical_limit(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main([
@@ -290,7 +308,7 @@ class TestCommands:
     @pytest.mark.parametrize("mode", ["paper", "rederived"])
     def test_sector_spectrum_matches_dense(self, n_max, mode, tmp_path):
         config = RunConfig(theta=0.01, n_max=n_max, mode=mode, out=str(tmp_path))
-        _, payload = cli.cmd_spectrum(config, None)
+        payload = cli.cmd_spectrum(config, None)
         sectors = np.sort_complex([complex(*v) for v in payload["eigenvalues"]])
         h = build_h_eff(n_max, 0.01, mode)
         dense = np.sort_complex(np.linalg.eigvals(h.matrix.toarray()))
@@ -336,6 +354,22 @@ class TestCommands:
         lines = (out / "trajectory.csv").read_text().strip().splitlines()
         assert len(lines) == 102
         assert lines[0].startswith("t,p,re_h_i,occ_0_0_0")
+
+    def test_trajectory_csv_deterministic(self, tmp_path, capsys):
+        argv = ["evolve", "--nmax", "4", "--T", "0.1", "--dt", "0.01"]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+        path_a = tmp_path / "a" / "trajectory.csv"
+        assert path_a.read_bytes() == (tmp_path / "b" / "trajectory.csv").read_bytes()
+        lines = path_a.read_text().strip().splitlines()
+        assert lines[0] == ("t,p,re_h_i,occ_0_0_0,occ_2_0_0,occ_0_2_0,occ_0_0_2,"
+                            "mode,theta,n_max")
+        assert len(lines) == read_report(tmp_path / "a", "evolve")["points"] + 1
+        first = lines[1].split(",")
+        assert float(first[0]) == 0.0
+        assert float(first[1]) == 1.0
+        assert float(first[3]) == 1.0
+        assert first[7:] == ["paper", "0.01", "4"]
 
     def test_evolve_edge_abort_before_three_points(self, tmp_path, capsys):
         # at n_max=2 the ground state reaches the cutoff edge in one step

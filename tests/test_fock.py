@@ -7,7 +7,7 @@ import pytest
 
 from qweyl import fock
 from qweyl.cli import largest_sector
-from qweyl.effective import ground_state_energy, hamiltonian_operator
+from qweyl.effective import hamiltonian_operator
 from qweyl.fock import (
     CONJECTURED_OFFSETS,
     FockBasis,
@@ -23,6 +23,7 @@ from qweyl.fock import (
     operator_matrix,
     sparsity_pattern,
 )
+from qweyl.gaussian import CPoly3, gaussian_expectation
 from qweyl.quadrature import element_1d, element_3d, hermite_prefactor
 from qweyl.realization import MODES
 
@@ -133,9 +134,8 @@ def test_ground_state_first_order_element():
     got = h1[0, 0]
     # cross-check against the symbolic Gaussian integral of the same
     # operator route
-    symbolic = complex(
-        ground_state_energy("paper").theta_slice(1).terms[(0, 0, 0, 0)]
-    )
+    energy = gaussian_expectation(hamiltonian_operator("paper").apply(CPoly3.one()))
+    symbolic = complex(energy.theta_slice(1).terms[(0, 0, 0, 0)])
     assert abs(got - symbolic) < 1e-12
     assert abs(got - (-1.5j)) < 1e-12
     # the imaginary part is genuinely nonzero: the first-order operator
@@ -155,7 +155,7 @@ def test_frozen_interior_elements():
 
 def test_hermitian_split_is_exact():
     h = build_h_eff(4, 0.01, "paper")
-    h_r = h.hermitian_part()
+    h_r = (h.matrix + h.matrix.conj().T) / 2
     h_i = h.antihermitian_generator()
     assert np.array_equal(h_r.toarray(), h_r.conj().T.toarray())
     assert np.array_equal(h_i.toarray(), h_i.conj().T.toarray())
@@ -386,25 +386,3 @@ def test_h0_spectrum_exact_at_every_cutoff():
         eigs = np.sort(np.linalg.eigvalsh(h.matrix.toarray().real))
         want = np.sort(h0_diagonal(n_max))
         assert np.array_equal(eigs, want)
-
-
-def test_csv_export_deterministic(tmp_path):
-    h = build_h_eff(2, 0.01, "paper")
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    h.save_csv(p1)
-    h.save_csv(p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    lines = p1.read_text().splitlines()
-    assert lines[0] == "n1,n2,n3,m1,m2,m3,re,im,mode,theta,n_max"
-    assert all(line.endswith(",paper,0.01,2") for line in lines[1:])
-    # every re/im cell is a plain number equal to the element it names,
-    # one row per element above tol, in row-major order
-    indices = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        bra, ket = tuple(map(int, cells[:3])), tuple(map(int, cells[3:6]))
-        el = h.element(bra, ket)
-        assert (float(cells[6]), float(cells[7])) == (el.real, el.imag)
-        indices.append((h.basis.index(bra), h.basis.index(ket)))
-    assert indices == sorted(set(indices))
-    assert len(lines) - 1 == np.count_nonzero(np.abs(h.matrix.toarray()) > 1e-12)

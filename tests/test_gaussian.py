@@ -46,19 +46,10 @@ def test_cpoly_derivative():
 
 def test_cpoly_theta_bookkeeping():
     p = X + TH * Y + TH * TH * Z
-    assert p.max_theta_degree() == 2
     assert p.truncate_theta(1) == X + TH * Y
     assert p.theta_slice(0) == X
     assert p.theta_slice(1) == Y
     assert p.theta_slice(2) == Z
-
-
-def test_cpoly_parity_split():
-    p = X * X + X * Y * Z + TH * X + 5
-    even, odd = p.parity_split()
-    assert even == X * X + CPoly3.const(5)
-    assert odd == X * Y * Z + TH * X
-    assert even + odd == p
 
 
 def test_cpoly_real_imag_split():
@@ -68,13 +59,6 @@ def test_cpoly_real_imag_split():
     re, im = p.real_imag_split()
     assert re == 2 * X
     assert im == 3 * X + Y
-
-
-def test_cpoly_eval_theta():
-    p = X + TH * CPoly3.monomial(1, 0, 0, 0, Fraction(1, 2))
-    vals = p.eval_theta(0.1)
-    assert vals == {(1, 0, 0): 1.0 + 0.05}
-    assert (TH * X).eval_theta(0.0) == {}
 
 
 def test_cpoly_to_json_canonical():

@@ -38,6 +38,9 @@ def runs(config: str) -> list:
         for c in ("spectrum", "mixing"):
             out.append((f"{c}-n{n}", [c, "--theta", "0.01", "--nmax", str(n),
                                       "--format", "csv"]))
+    # the default JSON format, whose reports list no files
+    for c in ("spectrum", "mixing"):
+        out.append((f"{c}-json-n6", [c, "--nmax", "6"]))
     for n in (4, 8):
         out.append((f"spectrum-theta0-n{n}", ["spectrum", "--theta", "0",
                                               "--nmax", str(n), "--format", "csv"]))
