@@ -298,11 +298,7 @@ class RelationReport:
     residual: NCPoly
 
     def to_json(self):
-        return {
-            "name": self.name,
-            "holds": self.holds,
-            "residual": poly_to_json(self.residual),
-        }
+        return {**vars(self), "residual": poly_to_json(self.residual)}
 
 
 def check_relation(lhs: NCPoly, rhs: NCPoly, name="relation") -> RelationReport:

@@ -388,7 +388,7 @@ def cmd_evolve(config: RunConfig, args) -> dict:
         rows = []
         ok = True
         for alpha in alphas:
-            h = decay_operator(config.n_max, alpha, config.mode)
+            h = decay_operator(config.n_max, alpha)
             traj = propagate(h, psi0, config.t_final, config.dt)
             exact = np.exp(-2.0 * alpha * traj.times)
             deviation = float(np.max(np.abs(traj.norms - exact)))

@@ -247,16 +247,14 @@ def initial_norm_rate(traj: Trajectory) -> float:
     return float((-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * traj.dt))
 
 
-def decay_operator(n_max: int, alpha: float, mode: str = "paper") -> FockOperator:
+def decay_operator(n_max: int, alpha: float) -> FockOperator:
     """Constant-sink case: the diagonal oscillator minus i*alpha.
 
     Its squared norm obeys P(t) = exp(-2*alpha*t) exactly, which makes
     it the closed-form oracle for the integrator.
     """
     diag = h0_diagonal(n_max).astype(complex) - 1j * float(alpha)
-    return FockOperator(
-        matrix=sp.diags_array(diag, format="csr"), n_max=n_max, theta=0.0, mode=mode
-    )
+    return FockOperator(matrix=sp.diags_array(diag, format="csr"), n_max=n_max)
 
 
 def gain_loss_map(traj: Trajectory, states) -> dict:

@@ -106,9 +106,7 @@ def _axis_term_matrix(n_max: int, power: int, deriv: int):
     Built at cutoff n_max + power + deriv so no intermediate state in
     the band product is lost, then cropped back.
     """
-    ext = n_max + power + deriv
-    if ext < 1:
-        ext = 1
+    ext = max(1, n_max + power + deriv)
     x, d = ladder_matrices(ext)
     m = np.eye(ext + 1)
     for _ in range(deriv):
@@ -148,12 +146,10 @@ def h0_diagonal(n_max: int) -> np.ndarray:
 @dataclass(frozen=True)
 class FockOperator:
     """Sparse (CSR, sorted indices) operator over the truncated basis with
-    cutoff metadata.  No stored nonzero may join two parity sectors."""
+    its cutoff.  No stored nonzero may join two parity sectors."""
 
     matrix: sp.csr_array
     n_max: int
-    theta: float
-    mode: str
 
     def __post_init__(self):
         parity = self.basis.parity
@@ -190,7 +186,7 @@ def build_h_eff(n_max: int, theta: float, mode: str) -> FockOperator:
             matrix = matrix + theta * build_h1_matrix(n_max, mode)
         if not np.all(np.isfinite(matrix.data)):
             raise ValueError(f"theta={theta!r} overflows the operator")
-    return FockOperator(matrix=matrix, n_max=n_max, theta=theta, mode=mode)
+    return FockOperator(matrix=matrix, n_max=n_max)
 
 
 @dataclass(frozen=True)

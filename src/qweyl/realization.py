@@ -4,13 +4,18 @@ The commutative monomial x^{n1} y^{n2} z^{n3} is encoded by its exponent
 triple.  With q = exp(i*theta), the deformed coordinate X_j multiplies by
 x_j after applying the diagonal factors beta(M_j) and q^{sum of higher
 M_k}, and the deformed derivative d_j differentiates first and applies the
-same diagonal factors afterwards.  On a single monomial:
+same diagonal factors afterwards.  So each letter maps one monomial to
+one monomial:
 
     X_j:  coeff *= q^{S_j} * beta(n_j),          n_j -> n_j + 1
     d_j:  coeff *= n_j * beta(n_j - 1) * q^{S_j}, n_j -> n_j - 1
 
 where S_j = sum_{k>j} n_k and beta(n) is the square root of the symmetric
-q-number ratio (q^{2(n+1)} - 1) / ((q^2 - 1)(n + 1)).
+q-number ratio (q^{2(n+1)} - 1) / ((q^2 - 1)(n + 1)).  A word acts on a
+monomial as one scalar chain (_image), pruned after each letter as a
+MonomialVec is, with beta(k) and q^s from tables filled once per call.
+The relation scan substitutes each coefficient once and shares a word's
+image among the relations at one monomial, dropping it at the next.
 
 First-order expansions in theta are provided in two modes.  "paper" keeps
 the correction proportional to M_j + 1 in the beta factor; "rederived"
@@ -43,11 +48,8 @@ def check_mode(mode: str) -> None:
 
 
 def at_removable_point(theta: float) -> bool:
-    """True when q^2 = 1, i.e. theta is an exact float multiple of pi.
-
-    At these points the defining ratio of beta is 0/0 with limit 1, and
-    beta_exact returns that limit instead of dividing.
-    """
+    """True when q^2 = 1, i.e. theta is an exact float multiple of pi, where
+    beta's defining ratio is 0/0 and beta_exact returns its limit 1."""
     return math.fmod(theta, math.pi) == 0.0
 
 
@@ -97,77 +99,110 @@ class MonomialVec(SparseTerms):
     def diff_max(self, other) -> float:
         """Largest coefficientwise discrepancy against another vector."""
         keys = set(self.terms) | set(other.terms)
-        if not keys:
-            return 0.0
-        return max(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) for k in keys)
+        diffs = (abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) for k in keys)
+        return max(diffs, default=0.0)
 
     def __repr__(self):
         return f"MonomialVec({self.terms!r})"
 
 
-def _higher_sum(n, axis: int) -> int:
-    return sum(n[k] for k in range(axis + 1, 3))
+class _Table(dict):
+    """f(key, theta) at one theta, computed on the first lookup of key."""
+
+    __slots__ = ("f", "theta")
+
+    def __init__(self, f, theta: float):
+        self.f, self.theta = f, theta
+
+    def __missing__(self, key):
+        value = self[key] = self.f(key, self.theta)
+        return value
 
 
-def _shift(v: MonomialVec, axis: int, step: int, multiplier) -> MonomialVec:
-    """Move every monomial of v one step (+1 or -1) along axis, times
-    multiplier(n) of its exponents n; lowering drops n_axis = 0."""
-    out: dict = {}
+def _phase(s: int, theta: float) -> complex:
+    return cmath.exp(1j * theta * s)
+
+
+def _tables(theta: float) -> tuple:
+    return _Table(beta_exact, theta), _Table(_phase, theta)
+
+
+def _image(letters, n, c, theta, tables=None, shift=0):
+    """(exponents, coefficient) of c x^n under the letters, or None once it
+    vanishes: exact factors from tables, else first-order ones with shift;
+    each letter sets c = 0.0 + c * factor, pruned as MonomialVec prunes."""
+    n = list(n)
+    for code in letters:
+        axis = code % 3
+        k, higher = n[axis], sum(n[axis + 1:])
+        if code < 3:
+            factor = (tables[1][higher] * tables[0][k] if tables else
+                      1.0 + 1j * theta * (0.5 * (k + 1 + shift) + higher))
+            n[axis] = k + 1
+        elif k == 0:
+            return None
+        else:
+            factor = (k * tables[0][k - 1] * tables[1][higher] if tables else
+                      k * (1.0 + 1j * theta * (0.5 * (k + shift) + higher)))
+            n[axis] = k - 1
+        c = 0.0 + c * factor
+        if not abs(c) > PRUNE_TOL:
+            return None
+    return tuple(n), c
+
+
+def _act(letters, v: MonomialVec, theta, tables=None, shift=0) -> dict:
+    """Images of v's terms in v's order; each letter shifts all alike, so none meet."""
+    out = {}
     for n, c in v.terms.items():
-        if step < 0 and n[axis] == 0:
-            continue
-        key = tuple(n[k] + (step if k == axis else 0) for k in range(3))
-        out[key] = out.get(key, 0.0) + c * multiplier(n)
-    return v._new(v._clean(out))
+        if image := _image(letters, n, c, theta, tables, shift):
+            out[image[0]] = image[1]
+    return out
 
 
 def apply_exact(g, v: MonomialVec, theta: float) -> MonomialVec:
     """Exact action of one generator, extended linearly over v."""
-    code = gen_code(g)
-    axis = code % 3
-    if code < 3:
-        return _shift(v, axis, 1, lambda n: (
-            cmath.exp(1j * theta * _higher_sum(n, axis)) * beta_exact(n[axis], theta)))
-    return _shift(v, axis, -1, lambda n: (
-        n[axis]
-        * beta_exact(n[axis] - 1, theta)
-        * cmath.exp(1j * theta * _higher_sum(n, axis))))
+    return v._new(_act((gen_code(g),), v, theta, _tables(theta)))
 
 
 def apply_first_order(g, v: MonomialVec, theta: float, mode: str) -> MonomialVec:
-    """First-order action: diagonal multiplier then shift.
-
-    mode "paper" uses the beta correction (1/2)i*theta*(M_j + 1) read at
-    the exponent the beta factor sees; mode "rederived" uses
-    (1/2)i*theta*M_j at the same point.  Both add i*theta*S_j from the
-    higher-index exponential.
-    """
+    """First-order action, diagonal multiplier then shift: the beta correction
+    (1/2)i*theta*(M_j + 1) in mode "paper" or (1/2)i*theta*M_j in "rederived",
+    at the exponent beta sees, plus i*theta*S_j from the higher exponential."""
     code = gen_code(g)
     check_mode(mode)
-    shift = 0 if mode == "paper" else -1
-    axis = code % 3
-    if code < 3:
-        return _shift(v, axis, 1, lambda n: (
-            1.0 + 1j * theta * (0.5 * (n[axis] + 1 + shift) + _higher_sum(n, axis))))
-    return _shift(v, axis, -1, lambda n: n[axis] * (
-        1.0 + 1j * theta * (0.5 * (n[axis] + shift) + _higher_sum(n, axis))))
+    return v._new(_act((code,), v, theta, shift=0 if mode == "paper" else -1))
 
 
 def apply_word(word, v: MonomialVec, theta: float) -> MonomialVec:
     """Operator word acting right-to-left: (a, b) means a after b."""
-    for code in reversed(word):
-        v = apply_exact(code, v, theta)
-    return v
+    letters = tuple(gen_code(g) for g in reversed(word))
+    return v._new(_act(letters, v, theta, _tables(theta)))
+
+
+def _side(p, theta: float) -> list:
+    """(codes right to left, substituted coefficient) for each word of p."""
+    return [(tuple(gen_code(g) for g in reversed(word)),
+             QScalar.coerce(coeff).substitute(theta))
+            for word, coeff in getattr(p, "terms", p).items()]
+
+
+def _apply_side(side, v: MonomialVec, tables, memo: dict) -> MonomialVec:
+    """Sum of coefficient times word on v over side, as scale and + give it."""
+    out = {}
+    for letters, f in side:
+        if letters not in memo:
+            memo[letters] = _act(letters, v, None, tables)
+        for n, c in memo[letters].items():
+            c = c * f
+            if abs(c) > PRUNE_TOL:
+                v._accumulate(out, n, c)
+    return v._new(out)
 
 
 def apply_poly(p, v: MonomialVec, theta: float) -> MonomialVec:
     """Numeric action of a symbolic polynomial (words with QScalar coefficients)."""
-    terms = p.terms if hasattr(p, "terms") else p
-    out = MonomialVec()
-    for word, coeff in terms.items():
-        coeff = QScalar.coerce(coeff)
-        out = out + apply_word(word, v, theta).scale(coeff.substitute(theta))
-    return out
+    return _apply_side(_side(p, theta), v, _tables(theta), {})
 
 
 def monomials_up_to(degree: int):
@@ -186,12 +221,7 @@ class ResidualReport:
     per_relation: dict
 
     def to_json(self):
-        return {
-            "theta": self.theta,
-            "degree_cutoff": self.degree_cutoff,
-            "max_residual": self.max_residual,
-            "per_relation": dict(sorted(self.per_relation.items())),
-        }
+        return {**vars(self), "per_relation": dict(sorted(self.per_relation.items()))}
 
 
 def relation_residual_numeric(theta: float, degree_cutoff: int) -> ResidualReport:
@@ -201,20 +231,19 @@ def relation_residual_numeric(theta: float, degree_cutoff: int) -> ResidualRepor
     """
     if degree_cutoff < 2:
         raise ValueError("degree cutoff must be at least 2")
-    relations = raw_defining_relations()
+    tables = _tables(theta)
+    relations = [(name, _side(lhs, theta), _side(rhs, theta))
+                 for name, lhs, rhs in raw_defining_relations()]
     per_relation = {name: 0.0 for name, _, _ in relations}
     for n in monomials_up_to(degree_cutoff):
         vec = MonomialVec.basis(n)
+        memo = {}  # word -> its image of vec, shared by the relations
         for name, lhs, rhs in relations:
-            lhs_v = apply_poly(lhs, vec, theta)
-            rhs_v = apply_poly(rhs, vec, theta)
+            lhs_v = _apply_side(lhs, vec, tables, memo)
+            rhs_v = _apply_side(rhs, vec, tables, memo)
             per_relation[name] = max(per_relation[name], lhs_v.diff_max(rhs_v))
-    return ResidualReport(
-        theta=theta,
-        degree_cutoff=degree_cutoff,
-        max_residual=max(per_relation.values()),
-        per_relation=per_relation,
-    )
+    return ResidualReport(theta, degree_cutoff, max(per_relation.values()),
+                          per_relation)
 
 
 @dataclass(frozen=True)
@@ -226,13 +255,7 @@ class ScanResult:
     points: tuple  # pairs (theta, residual)
 
     def to_json(self):
-        return {
-            "generator": self.generator,
-            "mode": self.mode,
-            "slope": self.slope,
-            "exact_match": self.exact_match,
-            "points": [[t, r] for t, r in self.points],
-        }
+        return {**vars(self), "points": [[t, r] for t, r in self.points]}
 
 
 def expansion_order_scan(g, v: MonomialVec, theta_grid, mode: str) -> ScanResult:
@@ -249,21 +272,8 @@ def expansion_order_scan(g, v: MonomialVec, theta_grid, mode: str) -> ScanResult
     if max(thetas) / min(thetas) < 100.0:
         raise ValueError("theta grid must span at least two decades")
     code = gen_code(g)
-    points = []
-    for theta in thetas:
-        exact = apply_exact(code, v, theta)
-        approx = apply_first_order(code, v, theta, mode)
-        points.append((theta, (exact - approx).norm()))
-    fit = [(t, r) for t, r in points if r > 0.0]
-    if not fit:
-        return ScanResult(
-            generator=GEN_NAMES[code], mode=mode, slope=None,
-            exact_match=True, points=tuple(points),
-        )
-    logs_t = np.log([t for t, _ in fit])
-    logs_r = np.log([r for _, r in fit])
-    slope = float(np.polyfit(logs_t, logs_r, 1)[0])
-    return ScanResult(
-        generator=GEN_NAMES[code], mode=mode, slope=slope,
-        exact_match=False, points=tuple(points),
-    )
+    points = [(t, (apply_exact(code, v, t)
+                   - apply_first_order(code, v, t, mode)).norm()) for t in thetas]
+    fit = np.log([(t, r) for t, r in points if r > 0.0]).reshape(-1, 2)
+    slope = float(np.polyfit(*fit.T, 1)[0]) if len(fit) else None
+    return ScanResult(GEN_NAMES[code], mode, slope, slope is None, tuple(points))

@@ -385,8 +385,6 @@ class TestGuardRails:
         grow = FockOperator(
             matrix=sp.diags_array(np.full(basis.dim, 1000.0j), format="csr"),
             n_max=2,
-            theta=0.0,
-            mode="paper",
         )
         psi0 = basis.vector((0, 0, 0))
         with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
@@ -465,8 +463,6 @@ class TestAbortSemantics:
         grow = FockOperator(
             matrix=sp.diags_array(np.full(basis.dim, 100.0j), format="csr"),
             n_max=2,
-            theta=0.0,
-            mode="paper",
         )
         psi0 = basis.vector((0, 0, 0))
         with pytest.raises(RuntimeError) as expected:
@@ -504,7 +500,7 @@ class TestReachableSet:
                                      min_size=1, max_size=8, unique=True))
         psi0 = np.zeros(basis.dim, dtype=complex)
         psi0[support] = 1.0 / np.sqrt(len(support))
-        for h in (decay_operator(n_max, 0.5, mode), build_h_eff(n_max, 0.0, mode)):
+        for h in (decay_operator(n_max, 0.5), build_h_eff(n_max, 0.0, mode)):
             traj = quiet_propagate(h, psi0, T=0.1, dt=0.1)
             assert np.array_equal(traj.keep, sorted(support))
 
@@ -516,7 +512,7 @@ class TestReachableSet:
         n_max, T = 6, 0.2
         h = {"deformed": lambda: build_h_eff(n_max, 0.01, mode),
              "undeformed": lambda: build_h_eff(n_max, 0.0, mode),
-             "decay": lambda: decay_operator(n_max, 0.5, mode)}[kind]()
+             "decay": lambda: decay_operator(n_max, 0.5)}[kind]()
         basis = FockBasis(n_max)
         psi0 = (basis.vector((0, 0, 0)) + basis.vector((1, 1, 0))) / np.sqrt(2)
         traj = propagate(h, psi0, T=T, dt=1e-3)

@@ -292,7 +292,7 @@ def test_parity_sectors_conserved(n_max, mode):
     matrix = build_h_eff(n_max, 0.0, mode).matrix.tolil()
     matrix[basis.index((0, 0, 0)), basis.index((1, 0, 0))] = 0.5
     with pytest.raises(ValueError, match="parity sectors"):
-        FockOperator(matrix=matrix.tocsr(), n_max=n_max, theta=0.0, mode=mode)
+        FockOperator(matrix=matrix.tocsr(), n_max=n_max)
 
 
 def test_largest_sector_matches_run_bytes():

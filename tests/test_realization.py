@@ -4,13 +4,24 @@ import random
 import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 
-from qweyl.algebra import d_code, normalize, x_code
+from qweyl.algebra import (
+    GEN_NAMES,
+    d_code,
+    gen_code,
+    normalize,
+    raw_defining_relations,
+    x_code,
+)
+from qweyl.cli import SCAN_MONOMIALS
 from qweyl.effective import expansion_bracket
 from qweyl.fock import build_h_eff
-from qweyl.scalars import QScalar
+from qweyl.scalars import GaussRat, QScalar
 from qweyl.realization import (
+    MODES,
+    PRUNE_TOL,
     MonomialVec,
     apply_exact,
     apply_first_order,
@@ -263,3 +274,207 @@ def test_monomials_up_to_counts():
     assert len(list(monomials_up_to(0))) == 1
     assert len(list(monomials_up_to(6))) == 84  # C(9,3)
     assert all(sum(m) <= 3 for m in monomials_up_to(3))
+
+
+# ------------------------------------------- the per-letter sparse-pass oracle
+#
+# The reference applies each letter as one pass over a sparse vector: a
+# fresh dict, a multiplier per monomial and a cleaned MonomialVec.  The
+# one-monomial chain of qweyl.realization must reproduce it bit for bit,
+# term order included.
+
+def _higher_sum(n, axis):
+    return sum(n[k] for k in range(axis + 1, 3))
+
+
+def _shift_pass(v, axis, step, multiplier):
+    out = {}
+    for n, c in v.terms.items():
+        if step < 0 and n[axis] == 0:
+            continue
+        key = tuple(n[k] + (step if k == axis else 0) for k in range(3))
+        out[key] = out.get(key, 0.0) + c * multiplier(n)
+    return v._new(v._clean(out))
+
+
+def oracle_exact(g, v, theta):
+    code = gen_code(g)
+    axis = code % 3
+    if code < 3:
+        return _shift_pass(v, axis, 1, lambda n: (
+            cmath.exp(1j * theta * _higher_sum(n, axis)) * beta_exact(n[axis], theta)))
+    return _shift_pass(v, axis, -1, lambda n: (
+        n[axis]
+        * beta_exact(n[axis] - 1, theta)
+        * cmath.exp(1j * theta * _higher_sum(n, axis))))
+
+
+def oracle_first_order(g, v, theta, mode):
+    code = gen_code(g)
+    check_mode(mode)
+    shift = 0 if mode == "paper" else -1
+    axis = code % 3
+    if code < 3:
+        return _shift_pass(v, axis, 1, lambda n: (
+            1.0 + 1j * theta * (0.5 * (n[axis] + 1 + shift) + _higher_sum(n, axis))))
+    return _shift_pass(v, axis, -1, lambda n: n[axis] * (
+        1.0 + 1j * theta * (0.5 * (n[axis] + shift) + _higher_sum(n, axis))))
+
+
+def oracle_word(word, v, theta):
+    for code in reversed(word):
+        v = oracle_exact(code, v, theta)
+    return v
+
+
+def oracle_poly(p, v, theta):
+    terms = p.terms if hasattr(p, "terms") else p
+    out = MonomialVec()
+    for word, coeff in terms.items():
+        coeff = QScalar.coerce(coeff)
+        out = out + oracle_word(word, v, theta).scale(coeff.substitute(theta))
+    return out
+
+
+def oracle_diff_max(a, b):
+    keys = set(a.terms) | set(b.terms)
+    if not keys:
+        return 0.0
+    return max(abs(a.terms.get(k, 0.0) - b.terms.get(k, 0.0)) for k in keys)
+
+
+def oracle_residual_json(theta, degree):
+    relations = raw_defining_relations()
+    per_relation = {name: 0.0 for name, _, _ in relations}
+    for n in monomials_up_to(degree):
+        vec = MonomialVec.basis(n)
+        for name, lhs, rhs in relations:
+            diff = oracle_diff_max(oracle_poly(lhs, vec, theta),
+                                   oracle_poly(rhs, vec, theta))
+            per_relation[name] = max(per_relation[name], diff)
+    return {
+        "theta": theta,
+        "degree_cutoff": degree,
+        "max_residual": max(per_relation.values()),
+        "per_relation": dict(sorted(per_relation.items())),
+    }
+
+
+def oracle_scan_json(g, v, thetas, mode):
+    code = gen_code(g)
+    points = []
+    for theta in map(float, thetas):
+        exact = oracle_exact(code, v, theta)
+        approx = oracle_first_order(code, v, theta, mode)
+        points.append((theta, (exact - approx).norm()))
+    fit = [(t, r) for t, r in points if r > 0.0]
+    slope = None
+    if fit:
+        logs_t = np.log([t for t, _ in fit])
+        logs_r = np.log([r for _, r in fit])
+        slope = float(np.polyfit(logs_t, logs_r, 1)[0])
+    return {
+        "generator": GEN_NAMES[code],
+        "mode": mode,
+        "slope": slope,
+        "exact_match": not fit,
+        "points": [[t, r] for t, r in points],
+    }
+
+
+def same_terms(got, want):
+    """Equal coefficients bit for bit (signed zeros too) in the same key order."""
+    return repr(list(got.terms.items())) == repr(list(want.terms.items()))
+
+
+ORACLE_THETAS = (0.0, 1e-4, 0.01, 0.3, 2.0, math.pi)
+
+
+@pytest.mark.parametrize("degree", [2, 5, 8])
+@pytest.mark.parametrize("theta", ORACLE_THETAS)
+def test_relation_residual_matches_sparse_pass_oracle(theta, degree):
+    got = relation_residual_numeric(theta, degree).to_json()
+    assert repr(got) == repr(oracle_residual_json(theta, degree))
+
+
+def random_vec(rng):
+    """The constant monomial (so every derivative lowers some n_j = 0), two
+    to four random complex terms and one just above PRUNE_TOL, shuffled."""
+    terms = {(0, 0, 0): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))}
+    size = rng.randint(3, 5)
+    while len(terms) < size:
+        mono = tuple(rng.randint(0, 3) for _ in range(3))
+        terms[mono] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    near = tuple(rng.randint(0, 3) for _ in range(3))
+    while near in terms:
+        near = tuple(rng.randint(0, 3) for _ in range(3))
+    terms[near] = 1.2 * PRUNE_TOL
+    keys = list(terms)
+    rng.shuffle(keys)
+    return MonomialVec({k: terms[k] for k in keys})
+
+
+@pytest.mark.parametrize("theta", ORACLE_THETAS)
+def test_actions_match_sparse_pass_oracle_on_random_words(theta):
+    rng = random.Random(int(1e6 * theta) + 7)
+    for _ in range(60):
+        v = random_vec(rng)
+        assert len(v.terms) >= 4  # the near-threshold term survived construction
+        for code in range(6):
+            assert same_terms(apply_exact(code, v, theta), oracle_exact(code, v, theta))
+            for mode in MODES:
+                assert same_terms(apply_first_order(code, v, theta, mode),
+                                  oracle_first_order(code, v, theta, mode))
+        word = tuple(rng.randrange(6) for _ in range(rng.randint(0, 10)))
+        assert same_terms(apply_word(word, v, theta), oracle_word(word, v, theta)), word
+        poly = {tuple(rng.randrange(6) for _ in range(rng.randint(0, 10))):
+                QScalar({rng.randint(-3, 3): GaussRat(rng.randint(-3, 3), rng.randint(-3, 3))})
+                for _ in range(rng.randint(1, 4))}
+        assert same_terms(apply_poly(poly, v, theta), oracle_poly(poly, v, theta)), poly
+        normal = normalize({word: QScalar.one()})
+        assert same_terms(apply_poly(normal, v, theta), oracle_poly(normal, v, theta))
+
+
+def test_chain_prunes_after_every_letter():
+    # |X1 factor| at n1 = 5 and theta = 0.3 is |beta(5)| = 0.741, so the
+    # 1.2e-15 term falls to 8.9e-16 and is dropped at the first letter,
+    # though d1 would then multiply it by 6 |beta(5)| = 4.45
+    v = MonomialVec({(0, 0, 0): 1.0, (5, 0, 0): 1.2 * PRUNE_TOL})
+    word = (d_code(1), x_code(1))
+    for got, want in ((apply_exact("X1", v, 0.3), oracle_exact("X1", v, 0.3)),
+                      (apply_word(word, v, 0.3), oracle_word(word, v, 0.3))):
+        assert same_terms(got, want)
+        assert (6, 0, 0) not in got.terms and (5, 0, 0) not in got.terms
+    # lowering n_j = 0 drops the term, on its own and inside a word
+    v = MonomialVec({(0, 0, 0): 1.0, (0, 3, 1): 0.5})
+    word = (d_code(1), x_code(2))
+    for got, want in ((apply_exact("d1", v, 0.3), oracle_exact("d1", v, 0.3)),
+                      (apply_word(word, v, 0.3), oracle_word(word, v, 0.3))):
+        assert same_terms(got, want)
+        assert got.is_zero()
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: apply_exact(6, v, 0.1),
+    lambda v: apply_exact("Y1", v, 0.1),
+    lambda v: apply_first_order(-1, v, 0.1, "paper"),
+    lambda v: apply_word((0, 7, 3), v, 0.1),
+    lambda v: apply_poly({(2, 9): QScalar.one()}, v, 0.1),
+], ids=["exact-code", "exact-name", "first-order", "word", "poly"])
+def test_bad_generator_code_raises(call):
+    for v in (MonomialVec.basis((1, 1, 1)), MonomialVec()):
+        with pytest.raises(ValueError, match="generator"):
+            call(v)
+
+
+def test_expand_scan_results_match_sparse_pass_oracle():
+    thetas = np.geomspace(1e-4, 1e-1, 13)
+    count = 0
+    for mono in (*SCAN_MONOMIALS, (0, 0, 0)):
+        v = MonomialVec.basis(mono)
+        for code in range(6):
+            for mode in MODES:
+                got = expansion_order_scan(code, v, thetas, mode).to_json()
+                assert repr(got) == repr(oracle_scan_json(code, v, thetas, mode))
+                count += 1
+    assert count == 72

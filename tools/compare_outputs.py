@@ -56,6 +56,13 @@ def runs(config: str) -> list:
     # is a non-zero normal form
     out.append(("verify-algebra-degree8", ["verify-algebra", "--degree", "8"]))
     out.append(("verify-algebra-corrupt", ["verify-algebra", "--corrupt-relation"]))
+    # the removable point q^2 = 1, where beta is its limit 1, and a cutoff
+    # past the benchmark's
+    out.append(("verify-algebra-theta-pi", ["verify-algebra", "--theta",
+                                            "3.141592653589793"]))
+    out.append(("verify-algebra-theta0", ["verify-algebra", "--theta", "0"]))
+    out.append(("verify-algebra-degree10", ["verify-algebra", "--theta", "0.3",
+                                            "--degree", "10"]))
     for c in ("verify-algebra", "expand-scan", "effective", "evolve"):
         out.append((f"default-{c}", [c]))
     out.append(("default-decay", ["evolve", "--decay-oracle"]))
