@@ -378,10 +378,15 @@ def cmd_evolve(config: RunConfig, args) -> dict:
     """propagate the ground state and check norm-flow identities"""
     n_steps = step_count(config.t_final, config.dt)
     decay = getattr(args, "decay_oracle", False)
+    tracked = [] if decay else [s for s in TRACKED_STATES if max(s) <= config.n_max]
     # H is diagonal under the decay oracle and at theta = 0, so the ground
     # state evolves alone; otherwise it reaches its even sector
     evolved = 1 if decay or config.theta == 0 else largest_sector(config.n_max)
-    _ensure_fits(config.n_max, held_bytes(evolved, n_steps))
+    # beyond what propagate holds, its series are held once more per
+    # point: as the CSV table, or as the decay law, the deviation from it
+    # and the deviation's magnitude
+    series = 8 * (3 + len(tracked)) * (n_steps + 1)
+    _ensure_fits(config.n_max, held_bytes(evolved, n_steps, len(tracked)) + series)
     psi0 = FockBasis(config.n_max).vector((0, 0, 0))
     if decay:
         alphas = sorted({0.1, 0.5, 1.0, config.alpha})
@@ -400,7 +405,6 @@ def cmd_evolve(config: RunConfig, args) -> dict:
 
     if n_steps < 2:
         raise ConfigError("the norm-flow check needs T >= 2*dt")
-    tracked = [s for s in TRACKED_STATES if max(s) <= config.n_max]
     try:
         h = build_h_eff(config.n_max, config.theta, config.mode)
         traj = propagate(h, psi0, config.t_final, config.dt, track=tracked)
@@ -414,9 +418,9 @@ def cmd_evolve(config: RunConfig, args) -> dict:
         rate = initial_norm_rate(traj)
     header = ["t", "p", "re_h_i"] + ["occ_" + "_".join(map(str, s)) for s in tracked]
     columns = [traj.times, traj.norms, traj.h_i] + [traj.occupation(s) for s in tracked]
-    rows = zip(*(c.tolist() for c in columns))
+    rows = (row.tolist() for row in np.column_stack(columns))
     return {
-        "method": traj.method,
+        "method": "matrix-exponential",
         "points": int(len(traj.times)),
         "final_norm": float(traj.norms[-1]),
         "norm_flow_deviation": flow,

@@ -2,7 +2,10 @@
 
 Solves i dpsi/dt = H psi without renormalizing: the squared norm P(t)
 is the observable, and its flow obeys dP/dt = 2<H_I> with H_I the
-Hermitian generator of the anti-Hermitian part.  Probability pumped
+Hermitian generator of the anti-Hermitian part.  The states the initial
+one reaches are stepped by one dense step propagator, or with
+expm_multiply on the sparse block when there are more than
+KRYLOV_THRESHOLD of them.  Probability pumped
 into the cutoff edge is an artifact of truncation, so evolution stops
 with a warning as soon as any edge state (some n_j > n_max - 2, so its
 same-parity neighbour along axis j is cut off) holds more than a
@@ -21,9 +24,7 @@ from scipy.linalg import expm
 
 from .fock import FockOperator, h0_diagonal
 
-METHODS = ("matrix-exponential", "fourth-order-explicit")
 EDGE_OCCUPATION_LIMIT = 1e-6
-EXPLICIT_STEP_LIMIT = 0.1
 # Reach sets with more states than this step each window with
 # expm_multiply instead of a dense step propagator: on a 2-vCPU VM,
 # 5,000 steps of the even sector took 2.7 s dense against 3.6 s Krylov
@@ -51,7 +52,6 @@ class Trajectory:
     norms: np.ndarray
     h_i: np.ndarray
     tracked: dict
-    method: str
     dt: float
     edge_aborted: bool = False
 
@@ -69,38 +69,33 @@ def step_count(T: float, dt: float) -> int:
     multiple of dt."""
     if not 0 < T < math.inf or not 0 < dt < math.inf:
         raise ValueError("T and dt must be positive and finite")
-    n_steps = int(round(T / dt))
+    ratio = T / dt
+    if ratio == math.inf:
+        raise ValueError("T/dt overflows a double; raise dt or lower T")
+    n_steps = int(round(ratio))
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError("T must be a positive integer multiple of dt")
     return n_steps
 
 
-def held_bytes(dim: int, n_steps: int) -> int:
+def held_bytes(dim: int, n_steps: int, tracked: int = 0) -> int:
     """Lower bound on what propagate holds for a dim-state reach set over
-    n_steps steps: the dense block at or below KRYLOV_THRESHOLD states and
-    one window of states, all complex."""
+    n_steps steps with tracked track states: the dense block at or below
+    KRYLOV_THRESHOLD states and one window of states, all complex, and
+    per grid point the time, P, <H_I> and each tracked occupation."""
     dense = dim * dim if dim <= KRYLOV_THRESHOLD else 0
-    return 16 * (dense + min(n_steps + 1, WINDOW_CAP) * dim)
+    points = n_steps + 1
+    return 16 * (dense + min(points, WINDOW_CAP) * dim) + 8 * (3 + tracked) * points
 
 
-def propagate(
-    h: FockOperator,
-    psi0,
-    T: float,
-    dt: float,
-    method: str = "matrix-exponential",
-    track=(),
-) -> Trajectory:
+def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajectory:
     """Evolve psi0 under i dpsi/dt = H psi on a uniform grid.
 
     Only the states psi0 reaches through the nonzeros of H (keep) are
-    evolved; every other amplitude stays exactly zero.  The
-    matrix-exponential method computes the block's step propagator once
-    by scaling and squaring and reapplies it, or, for more than
-    KRYLOV_THRESHOLD states, steps each window with expm_multiply on the
-    sparse block.  The explicit method is classical four-stage
-    Runge-Kutta and requires dt*|H| on the block below the stability
-    margin.
+    evolved; every other amplitude stays exactly zero.  A reach set of at
+    most KRYLOV_THRESHOLD states is stepped by its dense step propagator,
+    computed once by scaling and squaring and reapplied; a larger one
+    fills each window with expm_multiply on the sparse block.
 
     The grid is stepped in windows of 1, 2, 4, ... points, at most
     WINDOW_CAP each, and each window is checked as a whole, so a stop at
@@ -108,8 +103,6 @@ def propagate(
     <H_I>(t) and the occupations of the track states are taken from each
     window before it is dropped; only they and the final state are kept.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     T = float(T)
     dt = float(dt)
     n_steps = step_count(T, dt)
@@ -126,25 +119,10 @@ def propagate(
     while not np.array_equal(grown := reach | (pattern @ reach), reach):
         reach = grown
     keep = np.flatnonzero(reach)
-    krylov = len(keep) > KRYLOV_THRESHOLD
-    matrix = h.matrix[keep][:, keep] if krylov else h.block(keep)
-    scale = dt * abs(matrix).sum(axis=1).max()
 
-    if method == "fourth-order-explicit":
-        if scale > EXPLICIT_STEP_LIMIT:
-            raise ValueError(
-                f"dt*|H| = {scale:.3g} exceeds the explicit stability margin "
-                f"{EXPLICIT_STEP_LIMIT}; shrink dt"
-            )
-
-        def step(v):
-            k1 = -1j * (matrix @ v)
-            k2 = -1j * (matrix @ (v + 0.5 * dt * k1))
-            k3 = -1j * (matrix @ (v + 0.5 * dt * k2))
-            k4 = -1j * (matrix @ (v + dt * k3))
-            return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    elif krylov:
+    if len(keep) > KRYLOV_THRESHOLD:
+        matrix = h.matrix[keep][:, keep]
+        scale = dt * abs(matrix).sum(axis=1).max()
         if scale > KRYLOV_STEP_LIMIT:
             raise ValueError(
                 f"dt*|H| = {scale:.3g} exceeds the Krylov step margin "
@@ -154,12 +132,18 @@ def propagate(
         from scipy.sparse.linalg import expm_multiply
 
         minus_ih = -1j * matrix
-        step = None  # each window is stepped at once, below
-    else:
-        u = expm(-1j * dt * matrix)
 
-        def step(v):
-            return u @ v
+        def advance(last, window):
+            window[:] = expm_multiply(
+                minus_ih, last, start=0.0, stop=len(window) * dt,
+                num=len(window) + 1, endpoint=True,
+            )[1:]
+    else:
+        u = expm(-1j * dt * h.block(keep))
+
+        def advance(last, window):
+            for i in range(len(window)):
+                window[i] = u @ (window[i - 1] if i else last)
 
     edge = (h.basis.occupations[keep] > h.n_max - 2).any(axis=1)
     # psi is zero off keep, so the keep block of H_I gives <psi|H_I|psi>
@@ -178,16 +162,10 @@ def propagate(
         while start < end:
             stop = min(2 * start + 1, start + WINDOW_CAP, end)
             window = buffer[:stop - start]
-            if not start:
-                window[0] = last
-            elif step is None:
-                window[:] = expm_multiply(
-                    minus_ih, last, start=0.0, stop=len(window) * dt,
-                    num=len(window) + 1, endpoint=True,
-                )[1:]
+            if start:
+                advance(last, window)
             else:
-                for i in range(len(window)):
-                    window[i] = step(window[i - 1] if i else last)
+                window[0] = last
             bad = ~np.isfinite(window).all(axis=1)
             occ = np.max(np.abs(window[:, edge]) ** 2, axis=1, initial=0.0)
             hits = np.flatnonzero(bad | (occ > EDGE_OCCUPATION_LIMIT))
@@ -221,7 +199,6 @@ def propagate(
         norms=norms[:end],
         h_i=h_i[:end],
         tracked=dict(zip(track, occupations[:end].T)),
-        method=method,
         dt=dt,
         edge_aborted=aborted,
     )

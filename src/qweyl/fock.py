@@ -169,10 +169,6 @@ class FockOperator:
         """H_I in the exact split H = H_R + i H_I, both Hermitian."""
         return (self.matrix - self.matrix.conj().T) / 2j
 
-    def element(self, bra, ket) -> complex:
-        basis = self.basis
-        return complex(self.matrix[basis.index(bra), basis.index(ket)])
-
 
 def build_h_eff(n_max: int, theta: float, mode: str) -> FockOperator:
     """Effective Hamiltonian H0 + theta*H1 over the truncated basis."""

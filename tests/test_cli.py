@@ -165,15 +165,18 @@ class TestExitCodes:
         assert run_bytes(6, 16 * 64 ** 2) == 7 * 343 * 24 + 64 ** 2 * 16 == 123_160
         assert run_bytes(30, 16 * 4_096 ** 2) == 273_440_344
         # evolve: the dense block up to the Krylov threshold, then one
-        # window of states, never more points than the run has
+        # window of states, never more points than the run has, and per
+        # point the time, P, <H_I> and each tracked occupation
         assert 64 <= KRYLOV_THRESHOLD < 4_096 and 11 < WINDOW_CAP < 5_001
-        assert held_bytes(64, 10) == 16 * (64 ** 2 + 11 * 64)
-        assert held_bytes(64, 5_000) == 16 * (64 ** 2 + WINDOW_CAP * 64)
-        assert held_bytes(4_096, 5_000) == 16 * WINDOW_CAP * 4_096
-        # a decay run at n_max=30 evolves one amplitude: about 4.8 MiB,
+        assert held_bytes(64, 10) == 16 * (64 ** 2 + 11 * 64) + 8 * 3 * 11
+        assert held_bytes(64, 5_000) == (
+            16 * (64 ** 2 + WINDOW_CAP * 64) + 8 * 3 * 5_001)
+        assert held_bytes(4_096, 5_000, 4) == (
+            16 * WINDOW_CAP * 4_096 + 8 * 7 * 5_001)
+        # a decay run at n_max=30 evolves one amplitude: about 4.9 MiB,
         # where (steps + 1) even-sector states made it 573 MiB
         assert run_bytes(30, held_bytes(1, 5_000)) == (
-            7 * 29_791 * 24 + 16 * (1 + WINDOW_CAP))
+            7 * 29_791 * 24 + 16 * (1 + WINDOW_CAP) + 8 * 3 * 5_001)
 
     def test_mixing_is_charged_its_interior_scan(self, tmp_path, monkeypatch):
         # 7 entries per interior column at 48 bytes: (30 - 4 + 1)^3 = 19,683
@@ -188,6 +191,38 @@ class TestExitCodes:
         assert main(["spectrum", "--nmax", "30", "--out", str(tmp_path)]) == 2
         assert main(["evolve", "--decay-oracle", "--nmax", "30", "--T", "0.01",
                      "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("argv, series", [
+        (["evolve", "--theta", "0"], 7), (["evolve", "--decay-oracle"], 3),
+    ])
+    def test_evolve_is_charged_its_series(self, argv, series, tmp_path,
+                                          monkeypatch, capsys):
+        # 100,001 points of one evolved amplitude: propagate's series and
+        # the CSV table (or the decay law and its deviations) dwarf the
+        # 4 MiB available, which the operator and one window fit into
+        monkeypatch.setattr(cli, "available_memory", lambda: 4 * 2 ** 20)
+        assert main([*argv, "--nmax", "4", "--T", "10", "--dt", "1e-4",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: nmax=4 needs at least ")
+        need = float(err[0].split("needs at least ")[1].split(" MiB")[0])
+        assert need >= 2 * 8 * series * 100_001 / 2 ** 20
+        assert not list(tmp_path.iterdir())
+
+    def test_evolve_too_many_points_is_two(self, tmp_path, capsys):
+        # 10^15 points cannot be held anywhere: refused, not a MemoryError
+        assert main(["evolve", "--nmax", "4", "--T", "1e12", "--dt", "1e-3",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: nmax=4 needs at least ")
+
+    @pytest.mark.parametrize("command", ["evolve", "spectrum"])
+    def test_overflowing_step_count_is_two(self, command, tmp_path, capsys):
+        # T/dt is inf: every command validates the step count
+        assert main([command, "--T", "1e300", "--dt", "1e-300",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: T/dt overflows a double; raise dt or lower T"]
 
     @pytest.mark.parametrize("argv", [
         ["spectrum"], ["mixing"], ["evolve"], ["evolve", "--decay-oracle"],

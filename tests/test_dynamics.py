@@ -188,27 +188,32 @@ class TestClosedFormOracles:
         assert np.max(np.abs(traj.norms - 1.0)) <= 1e-10
 
 
+def rk4_series(h, psi0, T, dt):
+    """Norms, <H_I> and final state of the RK4 reference loop."""
+    keep, states, message = reference_propagate(h, psi0, T, dt,
+                                                "fourth-order-explicit")
+    assert message is None
+    generator = h.antihermitian_generator()[keep][:, keep]
+    norms = np.sum(np.abs(states) ** 2, axis=1)
+    h_i = np.vecdot(states, states @ generator.T).real
+    return keep, norms, h_i, states[-1]
+
+
 class TestIntegrators:
     def test_methods_agree(self):
+        # the step propagator against the independent RK4 loop
         h = build_h_eff(4, 0.01, "paper")
         _, psi0 = ground(4)
-        ta = propagate(h, psi0, T=1.0, dt=1e-3, method="matrix-exponential")
-        tb = propagate(h, psi0, T=1.0, dt=1e-3, method="fourth-order-explicit")
-        assert np.max(np.abs(ta.norms - tb.norms)) <= 1e-9
-        assert np.max(np.abs(ta.h_i - tb.h_i)) <= 1e-9
-        assert np.max(np.abs(ta.states[0] - tb.states[0])) <= 1e-9
-
-    def test_explicit_step_limit_enforced(self):
-        h = build_h_eff(4, 0.01, "paper")
-        _, psi0 = ground(4)
-        with pytest.raises(ValueError, match="stability margin"):
-            propagate(h, psi0, T=1.0, dt=0.1, method="fourth-order-explicit")
+        traj = propagate(h, psi0, T=1.0, dt=1e-3)
+        keep, norms, h_i, final = rk4_series(h, psi0, 1.0, 1e-3)
+        assert np.array_equal(traj.keep, keep)
+        assert np.max(np.abs(traj.norms - norms)) <= 1e-9
+        assert np.max(np.abs(traj.h_i - h_i)) <= 1e-9
+        assert np.max(np.abs(traj.states[0] - final)) <= 1e-9
 
     def test_propagate_validation(self):
         h = build_h_eff(2, 0.0, "paper")
         basis, psi0 = ground(2)
-        with pytest.raises(ValueError, match="method"):
-            propagate(h, psi0, T=1.0, dt=0.1, method="euler")
         with pytest.raises(ValueError, match="positive"):
             propagate(h, psi0, T=-1.0, dt=0.1)
         with pytest.raises(ValueError, match="positive"):
@@ -402,19 +407,18 @@ class TestGuardRails:
 class TestAbortSemantics:
     """The windowed checks stop where checking every step stops."""
 
-    @pytest.mark.parametrize("n_max, theta, mode, dt, method", [
-        (3, 0.5, "paper", 1e-2, "matrix-exponential"),
-        (4, 0.05, "paper", 1e-3, "matrix-exponential"),
-        (6, 0.05, "rederived", 1e-3, "matrix-exponential"),
-        (3, 0.1, "paper", 1e-3, "fourth-order-explicit"),
+    @pytest.mark.parametrize("n_max, theta, mode, dt", [
+        (3, 0.5, "paper", 1e-2),
+        (4, 0.05, "paper", 1e-3),
+        (6, 0.05, "rederived", 1e-3),
     ])
-    def test_edge_abort_matches_reference(self, n_max, theta, mode, dt, method):
+    def test_edge_abort_matches_reference(self, n_max, theta, mode, dt):
         h = build_h_eff(n_max, theta, mode)
         _, psi0 = ground(n_max)
-        keep, states, message = reference_propagate(h, psi0, 1.0, dt, method)
+        keep, states, message = reference_propagate(h, psi0, 1.0, dt)
         assert message is not None
         with pytest.warns(RuntimeWarning) as record:
-            traj = propagate(h, psi0, T=1.0, dt=dt, method=method, track=TRACKED)
+            traj = propagate(h, psi0, T=1.0, dt=dt, track=TRACKED)
         assert [str(w.message) for w in record] == [message]
         assert traj.edge_aborted
         assert np.array_equal(traj.keep, keep)
@@ -453,28 +457,24 @@ class TestAbortSemantics:
         assert k > 2 * cap
         assert k <= step_spy[0].calls <= k + cap - 1
 
-    @pytest.mark.parametrize("method", ["matrix-exponential", "fourth-order-explicit"])
-    def test_overflow_matches_reference(self, method, step_spy):
+    def test_overflow_matches_reference(self, step_spy):
         # i dpsi/dt = 100i psi grows by e^100 per unit time and passes the
-        # largest double near t = 7.1: at the eighth unit step, or after
-        # some 14,000 explicit steps
+        # largest double near t = 7.1: at the eighth unit step
         basis = FockBasis(2)
-        dt = 1.0 if method == "matrix-exponential" else 5e-4
         grow = FockOperator(
             matrix=sp.diags_array(np.full(basis.dim, 100.0j), format="csr"),
             n_max=2,
         )
         psi0 = basis.vector((0, 0, 0))
         with pytest.raises(RuntimeError) as expected:
-            reference_propagate(grow, psi0, 20.0, dt, method)
+            reference_propagate(grow, psi0, 20.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError) as raised:
-                propagate(grow, psi0, T=20.0, dt=dt, method=method)
+                propagate(grow, psi0, T=20.0, dt=1.0)
         assert str(raised.value) == str(expected.value)
-        if method == "matrix-exponential":
-            assert "at t = 8;" in str(raised.value)
-            assert step_spy[0].calls <= 2 * 8
+        assert "at t = 8;" in str(raised.value)
+        assert step_spy[0].calls <= 2 * 8
 
 
 class TestReachableSet:
@@ -487,9 +487,7 @@ class TestReachableSet:
     def test_ground_state_reaches_its_parity_sector(self, n_max, mode, theta):
         h = build_h_eff(n_max, theta, mode)
         _, psi0 = ground(n_max)
-        # one short explicit step: keep does not depend on the method
-        traj = quiet_propagate(h, psi0, T=1e-5, dt=1e-5,
-                               method="fourth-order-explicit")
+        traj = quiet_propagate(h, psi0, T=1e-5, dt=1e-5)
         assert np.array_equal(traj.keep, np.flatnonzero(h.basis.parity == 0))
 
     @given(n_max=st.integers(2, 12), mode=st.sampled_from(MODES), data=st.data())
@@ -600,12 +598,13 @@ class TestKrylovStep:
         for s in tracked:
             assert np.max(np.abs(natural.occupation(s) - other.occupation(s))) <= 1e-10
         if not krylov:
-            # RK4 at a tenth of the step, read on the common grid points
-            rk4 = propagate(h, psi0, T=0.1, dt=1e-4, method="fourth-order-explicit")
+            # the RK4 loop at a tenth of the step, read on the common grid
+            # points
+            _, norms, h_i, final = rk4_series(h, psi0, 0.1, 1e-4)
             for traj in (natural, other):
-                assert np.max(np.abs(rk4.norms[::10] - traj.norms)) <= 1e-10
-                assert np.max(np.abs(rk4.h_i[::10] - traj.h_i)) <= 1e-10
-                assert np.max(np.abs(rk4.states - traj.states)) <= 1e-10
+                assert np.max(np.abs(norms[::10] - traj.norms)) <= 1e-10
+                assert np.max(np.abs(h_i[::10] - traj.h_i)) <= 1e-10
+                assert np.max(np.abs(final - traj.states[0])) <= 1e-10
 
     def test_krylov_step_margin(self, step_spy):
         # the Krylov cost grows with dt*|H|, so a huge one is refused

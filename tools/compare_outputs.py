@@ -52,6 +52,11 @@ def runs(config: str) -> list:
     # 1,331 even-sector states: above dynamics.KRYLOV_THRESHOLD, so this
     # run steps with expm_multiply
     out.append(("evolve-krylov-n20", ["evolve", "--nmax", "20", "--T", "0.05"]))
+    # a 100,001-row CSV through the streamed rows, with a one-amplitude
+    # reach set, and the decay oracle at the largest routine cutoff
+    out.append(("evolve-theta0-long", ["evolve", "--theta", "0", "--nmax", "4",
+                                       "--T", "10", "--dt", "1e-4"]))
+    out.append(("evolve-decay-n30", ["evolve", "--decay-oracle", "--nmax", "30"]))
     # the symbolic benchmark's degree, and the one report whose residual
     # is a non-zero normal form
     out.append(("verify-algebra-degree8", ["verify-algebra", "--degree", "8"]))
