@@ -11,10 +11,10 @@ encoded as integers 0..5 in that order.  The defining relations are
 A word is in canonical (normal) form when all X's precede all d's and each
 group has non-decreasing index, which with this encoding is exactly the
 non-decreasing words over 0..5.  By Bergman's diamond lemma every word
-has exactly one normal form, however it is reached, so normalize has two
-paths that must agree term for term.
+has exactly one normal form, however it is reached, so normalize and
+normalize_by_rewriting must agree term for term.
 
-The default path folds a word's letters left to right into a map
+normalize folds a word's letters left to right into a map
 (normal word, q-power) -> int.  Multiplying a normal word by one letter
 on the right has a closed form (_insert): the letter takes its sorted
 place, picking up one power of q or q^{-1} per letter it passes, and an
@@ -22,8 +22,8 @@ X_a that meets copies of d_a also yields the diagonal rule's shorter and
 X_k d_k words, summed over the copies.  Each output word's q-coefficient
 becomes one QScalar, times the input coefficient.
 
-The stepper, run when a strategy is named, rewrites one adjacent
-out-of-order pair at a time, oriented left-to-right:
+normalize_by_rewriting, the stepper, rewrites one adjacent out-of-order
+pair at a time, oriented left-to-right:
 
     X_b X_a -> q^{-1} X_a X_b                      (b > a)
     d_b d_a -> q       d_a d_b                     (b > a)
@@ -39,15 +39,13 @@ both letters or replace the inverted pair d_a X_a by a non-inverted pair
 X_k d_k).  Each rewrite therefore strictly decreases (m, s)
 lexicographically, and normalization reaches a fixpoint.  Confluence is
 exercised by test suites that normalize random words under different
-admissible strategies, and the default path is checked against the
-stepper.
+admissible strategies, and normalize is checked against the stepper.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .scalars import GaussRat, QScalar, Q, Q_INV, SparseTerms
 
@@ -172,13 +170,18 @@ def _insert(word, letter) -> list:
     return out
 
 
-def _normalize_by_insertion(terms) -> "NCPoly":
-    """Fold each word's letters into integer q-coefficients, one _insert
-    per (normal word, letter) pair met in this call."""
+def normalize(terms) -> "NCPoly":
+    """Rewrite every word of the input to canonical form.
+
+    terms may be an NCPoly or any mapping word -> coefficient.  Each
+    word's letters fold into integer q-coefficients, one _insert per
+    (normal word, letter) pair met in this call, and the terms come in
+    ascending word order.
+    """
     inserted: dict = {}
     ring = NCPoly()
     done: dict = {}
-    for word, coeff in terms.items():
+    for word, coeff in getattr(terms, "terms", terms).items():
         word = _checked_word(word)
         coeff = QScalar.coerce(coeff)
         if coeff.is_zero():
@@ -205,13 +208,19 @@ def _normalize_by_insertion(terms) -> "NCPoly":
     return ring._new({w: done[w] for w in sorted(done)})
 
 
-def _normalize_by_rewriting(terms, strategy, seed) -> "NCPoly":
-    """Apply one rewrite_at step at a time, at the position strategy picks."""
+def normalize_by_rewriting(terms, strategy, seed=None) -> "NCPoly":
+    """Canonical form by one rewrite_at step at a time, at the out-of-order
+    position strategy picks: "leftmost", "rightmost", or "random" with the
+    given seed.  Every strategy must agree with normalize, which the tests
+    check.
+    """
+    if strategy not in ("leftmost", "rightmost", "random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed) if strategy == "random" else None
     ring = NCPoly()  # its accumulate and trusted constructor
     done: dict = {}
     pending: dict = {}
-    for word, coeff in terms.items():
+    for word, coeff in getattr(terms, "terms", terms).items():
         ring._accumulate(pending, _checked_word(word), QScalar.coerce(coeff))
     while pending:
         word, coeff = pending.popitem()
@@ -223,30 +232,11 @@ def _normalize_by_rewriting(terms, strategy, seed) -> "NCPoly":
             pos = positions[0]
         elif strategy == "rightmost":
             pos = positions[-1]
-        elif strategy == "random":
-            pos = rng.choice(positions)
         else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+            pos = rng.choice(positions)
         for new_word, factor in rewrite_at(word, pos):
             ring._accumulate(pending, new_word, coeff * factor)
     return ring._new(done)
-
-
-def normalize(terms, strategy=None, seed=None) -> "NCPoly":
-    """Rewrite every word of the input to canonical form.
-
-    terms may be an NCPoly or any mapping word -> coefficient.  By
-    default the closed-form insertion kernel runs and the terms come in
-    ascending word order.  An explicit strategy runs the rewriting
-    stepper instead, choosing which out-of-order position is rewritten
-    next ("leftmost", "rightmost", or "random" with the given seed);
-    every path must agree on the result, which the tests check.
-    """
-    if isinstance(terms, NCPoly):
-        terms = terms.terms
-    if strategy is None:
-        return _normalize_by_insertion(terms)
-    return _normalize_by_rewriting(terms, strategy, seed)
 
 
 class NCPoly(SparseTerms):
@@ -281,6 +271,13 @@ class NCPoly(SparseTerms):
         parts = [f"({c!r})*{word_to_str(w)}" for w, c in sorted(self.terms.items())]
         return "NCPoly(" + " + ".join(parts) + ")"
 
+    def to_json(self) -> list:
+        """Canonical JSON form: sorted list of {word, coeff rows}."""
+        return [
+            {"word": word_to_str(w), "coeff": self.terms[w].coeff_rows()}
+            for w in sorted(self.terms)
+        ]
+
 
 def nc_mul(a: NCPoly, b: NCPoly) -> NCPoly:
     """Product in the algebra: concatenate, distribute, normalize."""
@@ -291,20 +288,11 @@ def nc_mul(a: NCPoly, b: NCPoly) -> NCPoly:
     return normalize(raw)
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    name: str
-    holds: bool
-    residual: NCPoly
-
-    def to_json(self):
-        return {**vars(self), "residual": poly_to_json(self.residual)}
-
-
-def check_relation(lhs: NCPoly, rhs: NCPoly, name="relation") -> RelationReport:
-    """Decide lhs = rhs by canonical forms; failed checks keep the residual."""
+def check_relation(lhs: NCPoly, rhs: NCPoly, name="relation") -> dict:
+    """Decide lhs = rhs by canonical forms, as the report {name, holds,
+    residual}; a failed check keeps its residual normal form."""
     residual = normalize(lhs - rhs)
-    return RelationReport(name=name, holds=residual.is_zero(), residual=residual)
+    return {"name": name, "holds": residual.is_zero(), "residual": residual}
 
 
 def raw_defining_relations():
@@ -383,8 +371,8 @@ def check_reduced_symplectic(partner_offset: int, alpha) -> list:
     against -q^-j alpha (q^-2 - 1) sum_{k<j} q^{k-j} y_k y_{partner_offset-k}
     for each j in 1..6 whose partner also lies in 1..6.
 
-    Returns one RelationReport per j.  Reports record pass or fail with the
-    full residual; callers decide what to make of them.
+    Returns one check_relation report per j, pass or fail with the full
+    residual; callers decide what to make of them.
     """
     alpha = QScalar.coerce(alpha)
     q_m2 = QScalar.from_q_power(-2)
@@ -421,10 +409,3 @@ def word_to_str(word) -> str:
         pos += run
     return " ".join(parts)
 
-
-def poly_to_json(p: NCPoly) -> list:
-    """Canonical JSON form: sorted list of {word, coeff rows}."""
-    return [
-        {"word": word_to_str(w), "coeff": p.terms[w].coeff_rows()}
-        for w in sorted(p.terms)
-    ]

@@ -4,6 +4,8 @@ Every run is driven by a RunConfig assembled from defaults, an optional
 key=value config file, and flag overrides, in that order.  Outputs land
 in the configured directory as JSON reports (byte-identical across
 reruns except for a single timestamp field) plus plot-ready CSV tables.
+Each check returns the dict its report section is written from; exact
+symbolic values in it become JSON only in the writer, via their to_json.
 Numeric tables always carry provenance columns (mode, theta, n_max) so
 results from the two first-order conventions can never be confused.
 
@@ -165,7 +167,10 @@ def assemble_config(args) -> RunConfig:
 
 
 def _json_default(obj):
-    """numpy scalars and arrays as plain JSON values, complex as [re, im]."""
+    """Symbolic values (NCPoly, CPoly3, DiffOp3) through their to_json,
+    numpy scalars and arrays as plain JSON values, complex as [re, im]."""
+    if hasattr(obj, "to_json"):
+        return obj.to_json()
     if isinstance(obj, complex):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, (np.ndarray, np.generic)):
@@ -239,26 +244,24 @@ def cmd_verify_algebra(config: RunConfig, args) -> dict:
         check_relation(lhs, rhs, name)
         for name, lhs, rhs in defining_relations()
     ]
-    symbolic_ok = all(r.holds for r in reports)
+    symbolic_ok = all(r["holds"] for r in reports)
     if getattr(args, "corrupt_relation", False):
         # negative control: doubling one side must break the relation
         name, lhs, rhs = defining_relations()[0]
         bad = check_relation(lhs, rhs.scale(2), name + " (corrupted control)")
         reports.append(bad)
-        symbolic_ok = symbolic_ok and bad.holds
+        symbolic_ok = symbolic_ok and bad["holds"]
     numeric = relation_residual_numeric(config.theta, config.degree)
-    numeric_ok = numeric.max_residual <= NUMERIC_RESIDUAL_LIMIT
+    numeric_ok = numeric["max_residual"] <= NUMERIC_RESIDUAL_LIMIT
     # the paper's identity fails under both pairings, so it is reported
     # and does not enter ok
     reduced = {
-        f"partner_{offset}": [
-            r.to_json() for r in check_reduced_symplectic(offset, 1)
-        ]
+        f"partner_{offset}": check_reduced_symplectic(offset, 1)
         for offset in (LITERAL_OFFSET, ALTERNATIVE_OFFSET)
     }
     return {
-        "relations": [r.to_json() for r in reports],
-        "numeric": numeric.to_json(),
+        "relations": reports,
+        "numeric": numeric,
         "numeric_threshold": NUMERIC_RESIDUAL_LIMIT,
         "reduced_symplectic": reduced,
         "ok": symbolic_ok and numeric_ok,
@@ -277,10 +280,11 @@ def cmd_expand_scan(config: RunConfig, args) -> dict:
                 vec = MonomialVec.basis(mono)
                 for mode in MODES:
                     res = expansion_order_scan(code, vec, thetas, mode)
-                    rows[block].append({**res.to_json(), "monomial": list(mono)})
+                    rows[block].append({**res, "monomial": list(mono)})
                     # the gate reads only the rederived interior slopes
                     if (block == "interior" and mode == "rederived"
-                            and res.slope is not None and not lo <= res.slope <= hi):
+                            and res["slope"] is not None
+                            and not lo <= res["slope"] <= hi):
                         gate_ok = False
     return {
         **rows,
@@ -292,15 +296,12 @@ def cmd_expand_scan(config: RunConfig, args) -> dict:
 def cmd_effective(config: RunConfig, args) -> dict:
     """emit the effective-Hamiltonian decomposition and discrepancy report"""
     effs = {mode: assemble_effective(mode) for mode in MODES}
-    comparison = compare_to_reference(effs["paper"])
-    shift_a = [
-        (effs["rederived"].a[j] - effs["paper"].a[j]).to_json() for j in range(3)
-    ]
-    shift_v_i = (effs["rederived"].v_i - effs["paper"].v_i).to_json()
+    paper, rederived = effs["paper"], effs["rederived"]
     return {
-        "modes": {mode: eff.to_json() for mode, eff in effs.items()},
-        "reference_comparison": comparison.to_json(),
-        "mode_shift": {"a": shift_a, "v_i": shift_v_i},
+        "modes": effs,
+        "reference_comparison": compare_to_reference(paper),
+        "mode_shift": {"a": [rederived["a"][j] - paper["a"][j] for j in range(3)],
+                       "v_i": rederived["v_i"] - paper["v_i"]},
         "ok": True,
     }
 
@@ -356,7 +357,7 @@ def cmd_mixing(config: RunConfig, args) -> dict:
     report = sparsity_pattern(h1, basis)
     couplings = mixing_amplitudes(h1, basis, (0, 0, 0))
     payload = {
-        "sparsity": report.to_json(),
+        "sparsity": report,
         "ground_couplings": {
             ",".join(map(str, state)): [value.real, value.imag]
             for state, value in sorted(couplings.items())
@@ -366,8 +367,8 @@ def cmd_mixing(config: RunConfig, args) -> dict:
     }
     if config.fmt == "csv":
         rows = (
-            [*offset, str(offset in report.inside_conjecture).lower()]
-            for offset in report.offsets
+            [*offset, str(offset in report["inside_conjecture"]).lower()]
+            for offset in report["offsets"]
         )
         payload["files"] = [_write_csv(
             config, "mixing.csv", ["dx", "dy", "dz", "in_conjectured_set"], rows)]

@@ -18,8 +18,6 @@ comparison report and the README record where.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import gen_code
 from .gaussian import CPoly3, DiffOp3
 from .realization import check_mode
@@ -150,45 +148,17 @@ def divergence(field) -> CPoly3:
     return out
 
 
-def _triple_json(fields):
-    return [p.to_json() for p in fields]
-
-
-@dataclass(frozen=True)
-class EffectiveHamiltonian:
-    """Decomposition of the state-symbol Hamiltonian.
-
-    a holds the vector potential components (theta included), v_r and
-    v_i the real and imaginary scalar potentials.  mismatch is whatever
-    survives subtracting the reassembled decomposition from the
-    operator; nonzero terms are reported, never dropped.
-    """
-
-    mode: str
-    a: tuple
-    v_r: CPoly3
-    v_i: CPoly3
-    mismatch: DiffOp3
-    operator: DiffOp3
-
-    def to_json(self):
-        return {
-            "mode": self.mode,
-            "a": _triple_json(self.a),
-            "v_r": self.v_r.to_json(),
-            "v_i": self.v_i.to_json(),
-            "mismatch": self.mismatch.to_json(),
-            "mismatch_zero": self.mismatch.is_zero(),
-        }
-
-
-def assemble_effective(mode: str) -> EffectiveHamiltonian:
-    """Extract (A, V_R, V_I) from the state-symbol Hamiltonian.
+def assemble_effective(mode: str) -> dict:
+    """Extract (A, V_R, V_I) from the state-symbol Hamiltonian, as the
+    report {mode, a, v_r, v_i, mismatch, mismatch_zero}.
 
     A_j is i times the first-derivative coefficient, matching the
-    p = +i d/dx kinetic expansion.  Adding back the kinetic term's own
+    p = +i d/dx kinetic expansion, so a holds the vector potential
+    components with theta included.  Adding back the kinetic term's own
     -(i/2) A' piece to the zero-derivative remainder leaves the scalar
-    potential, split into real and imaginary parts.
+    potential, split into the real v_r and the imaginary v_i.  mismatch
+    is whatever survives subtracting the reassembled decomposition from
+    the operator; a nonzero mismatch is reported, never dropped.
     """
     check_mode(mode)
     h = state_symbol_hamiltonian(mode)
@@ -204,71 +174,40 @@ def assemble_effective(mode: str) -> EffectiveHamiltonian:
     v_r, v_i = remainder.real_imag_split()
     reassembled = magnetic_kinetic(a_field) + DiffOp3.from_poly(v_r + v_i * I_UNIT)
     mismatch = h - reassembled
-    return EffectiveHamiltonian(mode, a_field, v_r, v_i, mismatch, h)
+    return {"mode": mode, "a": a_field, "v_r": v_r, "v_i": v_i,
+            "mismatch": mismatch, "mismatch_zero": mismatch.is_zero()}
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    """Slot-by-slot diff of a computed decomposition against the frozen
-    reference tables, with both readings of the compact magnetic-field
-    formula evaluated alongside."""
+def compare_to_reference(eff: dict) -> dict:
+    """Slot-by-slot diff of an assemble_effective report against the
+    frozen reference tables.
 
-    mode: str
-    a_diff: tuple
-    v_i_diff: CPoly3
-    b_computed: tuple
-    b_diff: tuple
-    div_b: CPoly3
-    eps_full: tuple
-    eps_cyclic: tuple
-    eps_full_diff: tuple
-    eps_cyclic_diff: tuple
-
-    def flagged_b_slots(self):
-        return [i for i, p in enumerate(self.b_diff) if not p.is_zero()]
-
-    def to_json(self):
-        return {
-            "mode": self.mode,
-            "a_diff": _triple_json(self.a_diff),
-            "a_matches": all(p.is_zero() for p in self.a_diff),
-            "v_i_diff": self.v_i_diff.to_json(),
-            "v_i_matches": self.v_i_diff.is_zero(),
-            "b_computed": _triple_json(self.b_computed),
-            "b_diff": _triple_json(self.b_diff),
-            "b_flagged_slots": self.flagged_b_slots(),
-            "div_b": self.div_b.to_json(),
-            "div_b_zero": self.div_b.is_zero(),
-            "epsilon_full_sum": _triple_json(self.eps_full),
-            "epsilon_cyclic": _triple_json(self.eps_cyclic),
-            "epsilon_full_diff": _triple_json(self.eps_full_diff),
-            "epsilon_cyclic_diff": _triple_json(self.eps_cyclic_diff),
-        }
-
-
-def compare_to_reference(eff: EffectiveHamiltonian) -> DiscrepancyReport:
-    """Diff a computed decomposition against the frozen tables.
-
-    The magnetic field is the curl of the computed vector potential.
-    Both epsilon readings of the compact formula are evaluated and
-    diffed against the componentwise table as well, since the table and
-    the formula disagree with each other.
+    The magnetic field b_computed is the curl of the computed vector
+    potential; b_flagged_slots lists the components whose diff is
+    nonzero.  Both epsilon readings of the compact formula are evaluated
+    and diffed against the componentwise table as well, since the table
+    and the formula disagree with each other.
     """
-    a_diff = tuple(eff.a[i] - REFERENCE_A[i] for i in range(3))
-    v_i_diff = eff.v_i - REFERENCE_V_I
-    b_computed = curl(eff.a)
+    a_diff = tuple(eff["a"][i] - REFERENCE_A[i] for i in range(3))
+    v_i_diff = eff["v_i"] - REFERENCE_V_I
+    b_computed = curl(eff["a"])
     b_diff = tuple(b_computed[i] - REFERENCE_B[i] for i in range(3))
+    div_b = divergence(b_computed)
     eps_full = epsilon_full_sum()
     eps_cyc = epsilon_cyclic()
-    return DiscrepancyReport(
-        mode=eff.mode,
-        a_diff=a_diff,
-        v_i_diff=v_i_diff,
-        b_computed=b_computed,
-        b_diff=b_diff,
-        div_b=divergence(b_computed),
-        eps_full=eps_full,
-        eps_cyclic=eps_cyc,
-        eps_full_diff=tuple(eps_full[i] - REFERENCE_B[i] for i in range(3)),
-        eps_cyclic_diff=tuple(eps_cyc[i] - REFERENCE_B[i] for i in range(3)),
-    )
+    return {
+        "mode": eff["mode"],
+        "a_diff": a_diff,
+        "a_matches": all(p.is_zero() for p in a_diff),
+        "v_i_diff": v_i_diff,
+        "v_i_matches": v_i_diff.is_zero(),
+        "b_computed": b_computed,
+        "b_diff": b_diff,
+        "b_flagged_slots": [i for i, p in enumerate(b_diff) if not p.is_zero()],
+        "div_b": div_b,
+        "div_b_zero": div_b.is_zero(),
+        "epsilon_full_sum": eps_full,
+        "epsilon_cyclic": eps_cyc,
+        "epsilon_full_diff": tuple(eps_full[i] - REFERENCE_B[i] for i in range(3)),
+        "epsilon_cyclic_diff": tuple(eps_cyc[i] - REFERENCE_B[i] for i in range(3)),
+    }

@@ -185,52 +185,15 @@ def build_h_eff(n_max: int, theta: float, mode: str) -> FockOperator:
     return FockOperator(matrix=matrix, n_max=n_max)
 
 
-@dataclass(frozen=True)
-class SparsityReport:
-    """Transition offsets of the first-order operator between interior
-    states, with magnitudes and the comparison against the conjectured
-    nearest-neighbor mixing set."""
+def sparsity_pattern(h1: sp.csr_array, basis: FockBasis) -> dict:
+    """Scan interior-to-interior couplings above COUPLING_TOL (tol) for
+    their transition offsets, with magnitudes and the comparison against
+    the conjectured nearest-neighbor mixing set.
 
-    n_max: int
-    tol: float
-    margin: int
-    offsets: tuple
-    max_magnitude: dict
-    inside_conjecture: tuple
-    outside_conjecture: tuple
-    weight_inside: float
-    weight_outside: float
-
-    @property
-    def outside_weight_fraction(self) -> float:
-        total = self.weight_inside + self.weight_outside
-        return self.weight_outside / total if total else 0.0
-
-    def to_json(self):
-        return {
-            "n_max": self.n_max,
-            "tol": self.tol,
-            "margin": self.margin,
-            "offsets": [list(o) for o in self.offsets],
-            "max_magnitude": {
-                ",".join(map(str, k)): v for k, v in self.max_magnitude.items()
-            },
-            "inside_conjecture": [list(o) for o in self.inside_conjecture],
-            "outside_conjecture": [list(o) for o in self.outside_conjecture],
-            "contained_in_conjecture": not self.outside_conjecture,
-            "weight_inside": self.weight_inside,
-            "weight_outside": self.weight_outside,
-            "outside_weight_fraction": self.outside_weight_fraction,
-        }
-
-
-def sparsity_pattern(h1: sp.csr_array, basis: FockBasis) -> SparsityReport:
-    """Scan interior-to-interior couplings above COUPLING_TOL for their
-    offset set.
-
-    Both bra and ket stay at least INTERIOR_MARGIN below the cutoff so
-    every offset the operator can produce is visible.  Weights are
-    summed squared magnitudes, split by membership in the conjectured
+    Both bra and ket stay at least INTERIOR_MARGIN (margin) below the
+    cutoff so every offset the operator can produce is visible.  offsets
+    are sorted, and max_magnitude is keyed by "dx,dy,dz" text.  Weights
+    are summed squared magnitudes, split by membership in the conjectured
     {-1,0,1}^3 offset set.
     """
     if basis.n_max - INTERIOR_MARGIN < 0:
@@ -258,19 +221,21 @@ def sparsity_pattern(h1: sp.csr_array, basis: FockBasis) -> SparsityReport:
         else:
             weight_outside += mag * mag
     ordered = tuple(sorted(offsets))
-    return SparsityReport(
-        n_max=basis.n_max,
-        tol=COUPLING_TOL,
-        margin=INTERIOR_MARGIN,
-        offsets=ordered,
-        max_magnitude={o: offsets[o] for o in ordered},
-        inside_conjecture=tuple(o for o in ordered if o in CONJECTURED_OFFSETS),
-        outside_conjecture=tuple(
-            o for o in ordered if o not in CONJECTURED_OFFSETS
-        ),
-        weight_inside=weight_inside,
-        weight_outside=weight_outside,
-    )
+    outside = tuple(o for o in ordered if o not in CONJECTURED_OFFSETS)
+    total = weight_inside + weight_outside
+    return {
+        "n_max": basis.n_max,
+        "tol": COUPLING_TOL,
+        "margin": INTERIOR_MARGIN,
+        "offsets": ordered,
+        "max_magnitude": {",".join(map(str, o)): offsets[o] for o in ordered},
+        "inside_conjecture": tuple(o for o in ordered if o in CONJECTURED_OFFSETS),
+        "outside_conjecture": outside,
+        "contained_in_conjecture": not outside,
+        "weight_inside": weight_inside,
+        "weight_outside": weight_outside,
+        "outside_weight_fraction": weight_outside / total if total else 0.0,
+    }
 
 
 def mixing_amplitudes(h1: sp.csr_array, basis: FockBasis, source) -> dict:
@@ -282,25 +247,3 @@ def mixing_amplitudes(h1: sp.csr_array, basis: FockBasis, source) -> dict:
         for state, el in zip(basis.occupations[targets].tolist(), column[targets])
     }
 
-
-def energy_shift(n, theta: float, mode: str, n_max: int = None) -> complex:
-    """First-order shift theta*<n|H1|n>, linear in theta by construction.
-
-    The state must sit at least the interior margin below the cutoff;
-    by default the cutoff is chosen minimally around the state.  The
-    diagonal element of each product term is the product of its 1-D
-    diagonal elements, so no 3-D matrix is built.
-    """
-    n = tuple(int(v) for v in n)
-    if n_max is None:
-        n_max = max(n) + INTERIOR_MARGIN
-    if any(v > n_max - INTERIOR_MARGIN for v in n) or min(n) < 0:
-        raise ValueError(
-            f"state {n} too close to cutoff {n_max} for an exact shift"
-        )
-    element = 0j
-    for coeff, axes in _h1_operator(mode).axis_terms():
-        d1, d2, d3 = (_axis_term_matrix(n_max, power, deriv)[nj, nj]
-                      for nj, (power, deriv) in zip(n, axes))
-        element += coeff * (d1 * (d2 * d3))
-    return theta * complex(element)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,21 +212,11 @@ def monomials_up_to(degree: int):
                 yield (n1, n2, n3)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    theta: float
-    degree_cutoff: int
-    max_residual: float
-    per_relation: dict
-
-    def to_json(self):
-        return {**vars(self), "per_relation": dict(sorted(self.per_relation.items()))}
-
-
-def relation_residual_numeric(theta: float, degree_cutoff: int) -> ResidualReport:
+def relation_residual_numeric(theta: float, degree_cutoff: int) -> dict:
     """Apply both sides of every defining relation to all monomials of
-    total degree <= degree_cutoff and record the worst coefficientwise
-    discrepancy.
+    total degree <= degree_cutoff and report the worst coefficientwise
+    discrepancy, per relation (per_relation) and over all (max_residual),
+    with theta and degree_cutoff.
     """
     if degree_cutoff < 2:
         raise ValueError("degree cutoff must be at least 2")
@@ -242,29 +231,19 @@ def relation_residual_numeric(theta: float, degree_cutoff: int) -> ResidualRepor
             lhs_v = _apply_side(lhs, vec, tables, memo)
             rhs_v = _apply_side(rhs, vec, tables, memo)
             per_relation[name] = max(per_relation[name], lhs_v.diff_max(rhs_v))
-    return ResidualReport(theta, degree_cutoff, max(per_relation.values()),
-                          per_relation)
+    return {"theta": theta, "degree_cutoff": degree_cutoff,
+            "max_residual": max(per_relation.values()), "per_relation": per_relation}
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    generator: str
-    mode: str
-    slope: float | None
-    exact_match: bool
-    points: tuple  # pairs (theta, residual)
-
-    def to_json(self):
-        return {**vars(self), "points": [[t, r] for t, r in self.points]}
-
-
-def expansion_order_scan(g, v: MonomialVec, theta_grid, mode: str) -> ScanResult:
-    """Least-squares slope of log residual vs log theta.
+def expansion_order_scan(g, v: MonomialVec, theta_grid, mode: str) -> dict:
+    """Least-squares slope of log residual vs log theta, as the report
+    {generator, mode, slope, exact_match, points}.
 
     The residual compares apply_exact against apply_first_order in the
-    requested mode.  Grid points where the residual vanishes identically
-    are excluded from the fit; if every point vanishes the result is
-    reported as an exact match with no slope.
+    requested mode; points holds the pairs [theta, residual].  Grid
+    points where the residual vanishes identically are excluded from the
+    fit; if every point vanishes the result is reported as an exact match
+    with no slope.
     """
     thetas = [float(t) for t in theta_grid]
     if len(thetas) < 2 or min(thetas) <= 0:
@@ -272,8 +251,9 @@ def expansion_order_scan(g, v: MonomialVec, theta_grid, mode: str) -> ScanResult
     if max(thetas) / min(thetas) < 100.0:
         raise ValueError("theta grid must span at least two decades")
     code = gen_code(g)
-    points = [(t, (apply_exact(code, v, t)
-                   - apply_first_order(code, v, t, mode)).norm()) for t in thetas]
+    points = [[t, (apply_exact(code, v, t)
+                   - apply_first_order(code, v, t, mode)).norm()] for t in thetas]
     fit = np.log([(t, r) for t, r in points if r > 0.0]).reshape(-1, 2)
     slope = float(np.polyfit(*fit.T, 1)[0]) if len(fit) else None
-    return ScanResult(GEN_NAMES[code], mode, slope, slope is None, tuple(points))
+    return {"generator": GEN_NAMES[code], "mode": mode, "slope": slope,
+            "exact_match": slope is None, "points": points}

@@ -255,15 +255,18 @@ class TestNormFlow:
         assert norm_flow_check(traj) <= 1e-10
         assert np.max(np.abs(traj.h_i)) <= 1e-12
 
-    def test_initial_rate_matches_generator_expectation(self):
-        # ground-state loss rate: 2 * theta * Im<000|H1|000> = -3 * theta
+    @pytest.mark.parametrize("mode", MODES)
+    def test_initial_rate_matches_generator_expectation(self, mode):
+        # ground-state loss rate: 2 * theta * Im<000|H1|000> = 2 * theta * D(0),
+        # -3 * theta in paper mode and -6 * theta in rederived mode
+        d0 = {"paper": -1.5, "rederived": -3.0}[mode]
         theta = 0.01
-        h = build_h_eff(6, theta, "paper")
+        h = build_h_eff(6, theta, mode)
         _, psi0 = ground(6)
         traj = propagate(h, psi0, T=0.05, dt=1e-3)
         rate = initial_norm_rate(traj)
         expected = 2.0 * (psi0.conj() @ (h.antihermitian_generator() @ psi0)).real
-        assert abs(expected - (-3.0 * theta)) <= 1e-12
+        assert abs(expected - 2.0 * theta * d0) <= 1e-12
         assert abs(rate - expected) <= 1e-6
 
     @pytest.mark.parametrize("mode", MODES)

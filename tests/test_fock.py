@@ -1,22 +1,20 @@
-import hashlib
+import json
 import math
-import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qweyl import fock
-from qweyl.cli import largest_sector
+from qweyl.cli import _json_default, largest_sector
 from qweyl.effective import hamiltonian_operator
 from qweyl.fock import (
     CONJECTURED_OFFSETS,
     FockBasis,
     FockOperator,
-    INTERIOR_MARGIN,
     _axis_term_matrix,
     build_h1_matrix,
     build_h_eff,
-    energy_shift,
     h0_diagonal,
     ladder_matrices,
     mixing_amplitudes,
@@ -200,11 +198,11 @@ def test_sparsity_offsets_even_and_axis_aligned():
         for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         for s in (-2, 2)
     }
-    assert set(rep.offsets) == singles | {(0, 0, 0)}
-    assert all(all(v % 2 == 0 for v in off) for off in rep.offsets)
-    assert rep.inside_conjecture == ((0, 0, 0),)
-    assert rep.outside_conjecture == tuple(sorted(singles))
-    assert 0.0 < rep.outside_weight_fraction < 1.0
+    assert set(rep["offsets"]) == singles | {(0, 0, 0)}
+    assert all(all(v % 2 == 0 for v in off) for off in rep["offsets"])
+    assert rep["inside_conjecture"] == ((0, 0, 0),)
+    assert rep["outside_conjecture"] == tuple(sorted(singles))
+    assert 0.0 < rep["outside_weight_fraction"] < 1.0
 
 
 def pairwise_scan(h1, basis, tol=1e-12, margin=4):
@@ -228,39 +226,40 @@ def test_sparsity_matches_pairwise_scan(n_max, mode):
     h1 = build_h1_matrix(n_max, mode)
     rep = sparsity_pattern(h1, FockBasis(n_max))
     offsets, weights = pairwise_scan(h1.toarray(), FockBasis(n_max))
-    assert rep.max_magnitude == dict(sorted(offsets.items()))
-    assert [rep.weight_inside, rep.weight_outside] == weights
+    assert rep["max_magnitude"] == {
+        ",".join(map(str, k)): v for k, v in sorted(offsets.items())}
+    assert [rep["weight_inside"], rep["weight_outside"]] == weights
 
 
 def test_sparsity_no_odd_offsets():
     # single-step and triple-step transfers are absent: the cubic terms
     # cancel pairwise, leaving only even ladder moves
     rep = sparsity_pattern(build_h1_matrix(6, "paper"), FockBasis(6))
-    assert (1, 0, 0) not in rep.offsets
-    assert (3, 0, 0) not in rep.offsets
-    assert (-1, 0, 0) not in rep.offsets
+    assert (1, 0, 0) not in rep["offsets"]
+    assert (3, 0, 0) not in rep["offsets"]
+    assert (-1, 0, 0) not in rep["offsets"]
 
 
 def test_sparsity_at_theta_zero():
     h = build_h_eff(6, 0.0, "paper")
     rep = sparsity_pattern(h.matrix, h.basis)
-    assert rep.offsets == ((0, 0, 0),)
-    assert rep.outside_weight_fraction == 0.0
+    assert rep["offsets"] == ((0, 0, 0),)
+    assert rep["outside_weight_fraction"] == 0.0
 
 
 def test_sparsity_cutoff_stable():
     rep6 = sparsity_pattern(build_h1_matrix(6, "paper"), FockBasis(6))
     rep8 = sparsity_pattern(build_h1_matrix(8, "paper"), FockBasis(8))
-    assert rep6.offsets == rep8.offsets
+    assert rep6["offsets"] == rep8["offsets"]
     with pytest.raises(ValueError):
         sparsity_pattern(build_h1_matrix(2, "paper"), FockBasis(2))
 
 
 def test_sparsity_report_json():
     rep = sparsity_pattern(build_h1_matrix(6, "paper"), FockBasis(6))
-    doc = rep.to_json()
+    doc = json.loads(json.dumps(rep, default=_json_default))
     assert doc["contained_in_conjecture"] is False
-    assert doc["outside_weight_fraction"] == rep.outside_weight_fraction
+    assert doc["outside_weight_fraction"] == rep["outside_weight_fraction"]
     assert [0, 0, 0] in doc["offsets"]
 
 
@@ -322,42 +321,55 @@ def test_mixing_amplitudes_from_ground_state():
             assert tuple(off) not in amps
 
 
-def test_energy_shift_values_and_linearity():
-    s1 = energy_shift((0, 0, 0), 0.01, "paper")
-    assert s1 == pytest.approx(-0.015j)
-    assert energy_shift((0, 0, 0), 0.02, "paper") == pytest.approx(2 * s1)
-    # the shift of the ground state is purely imaginary and nonzero
-    assert s1.real == pytest.approx(0.0, abs=1e-14)
-    assert s1.imag != 0.0
-    with pytest.raises(ValueError):
-        energy_shift((8, 0, 0), 0.01, "paper", n_max=10)
-    with pytest.raises(ValueError):
-        energy_shift((-1, 0, 0), 0.01, "paper")
+def closed_form_k(n_max, mode):
+    """K = D(N) + sum_j [a_j+^2 c_j(N) - c_j(N) a_j^2] on the truncated basis,
+    with c_j(N) = -(N_j + 2 sum_{k<j} N_k + j + 1/2)/2 (j = 1, 2, 3) and
+    D(N) = -(3/2 + 2 N_1 + N_2) in paper mode, -(3 + 3 N_1 + 2 N_2 + N_3)
+    in rederived mode."""
+    occ = FockBasis(n_max).occupations
+    n1, n2, n3 = occ.T
+    d = -(1.5 + 2 * n1 + n2) if mode == "paper" else -(3 + 3 * n1 + 2 * n2 + n3)
+    rows, cols, vals = [np.arange(len(occ))], [np.arange(len(occ))], [d]
+    for axis in range(3):
+        c = -0.5 * (occ[:, axis] + 2 * occ[:, :axis].sum(axis=1) + axis + 1.5)
+        stride = (n_max + 1) ** (2 - axis)
+        n = occ[:, axis]
+        up = np.flatnonzero(n + 2 <= n_max)  # a+^2 c(N): c at the ket
+        rows.append(up + 2 * stride)
+        cols.append(up)
+        vals.append(np.sqrt((n[up] + 1.0) * (n[up] + 2)) * c[up])
+        down = np.flatnonzero(n >= 2)  # -c(N) a^2: c at the bra
+        rows.append(down - 2 * stride)
+        cols.append(down)
+        vals.append(-np.sqrt(n[down] * (n[down] - 1.0)) * c[down - 2 * stride])
+    size = len(occ)
+    return sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(size, size))
 
 
-def test_energy_shift_mode_dependence():
-    p = energy_shift((0, 0, 0), 0.01, "paper")
-    r = energy_shift((0, 0, 0), 0.01, "rederived")
-    assert r == pytest.approx(-0.03j)
-    assert r != p
-    # the shift reads 1-D diagonal elements; the assembled H1 is the oracle
-    for mode in MODES:
-        for n_max in range(6, 11):
-            h1 = build_h1_matrix(n_max, mode)
-            basis = FockBasis(n_max)
-            m = n_max - INTERIOR_MARGIN
-            for n in ((m, 1, 0), (0, m, 1), (1, 0, m)):
-                i = basis.index(n)
-                shift = energy_shift(n, 1.0, mode, n_max=n_max)
-                assert abs(shift - h1[i, i]) <= 1e-13
+@pytest.mark.parametrize("n_max", [6, 10, 16])
+@pytest.mark.parametrize("mode", MODES)
+def test_h1_closed_form(mode, n_max):
+    # H1 = iK with K real: the diagonal is i*D(N), the first-order energy
+    # shifts, and each axis couples n to n +- 2 e_j only
+    h1 = build_h1_matrix(n_max, mode)
+    assert np.all(h1.data.real == 0.0)
+    bound = 1e-14 * abs(h1).max()
+    assert abs(closed_form_k(n_max, mode) - h1 / 1j).max() <= bound
 
 
-# sha256 of repr() of the 80 shifts below, each computed from a freshly
-# built operator: the one shared theta slice per mode must move no bit
-ENERGY_SHIFT_DIGEST = "427a1e9999bb7e1c42cc614643461a70c2020499ce8fb015cbbe039669c49de8"
+@pytest.mark.parametrize("n_max", [6, 10, 16])
+def test_h1_mode_difference_is_minus_i_h0(n_max):
+    paper, rederived = (build_h1_matrix(n_max, mode) for mode in MODES)
+    h0 = sp.diags_array(h0_diagonal(n_max))
+    bound = 1e-14 * max(abs(paper).max(), abs(rederived).max())
+    assert abs(rederived - paper + 1j * h0).max() <= bound
 
 
 def test_energy_shift_builds_the_operator_once_per_mode(monkeypatch):
+    # the first-order energy shifts, the diagonal of H1, at several
+    # cutoffs come from one theta slice per mode, and the shared slice
+    # builds the same bits as a fresh one
     calls = []
 
     def counted(mode):
@@ -366,12 +378,14 @@ def test_energy_shift_builds_the_operator_once_per_mode(monkeypatch):
 
     monkeypatch.setattr(fock, "hamiltonian_operator", counted)
     fock._h1_operator.cache_clear()
-    rng = random.Random(80)
-    states = [tuple(rng.randrange(5) for _ in range(3)) for _ in range(40)]
-    values = [energy_shift(n, 0.37, mode)
-              for mode in ("paper", "rederived") for n in states]
+    for mode in MODES:
+        fresh = hamiltonian_operator(mode).theta_slice(1)
+        for n_max in (4, 6, 8, 10):
+            h1 = build_h1_matrix(n_max, mode)
+            want = operator_matrix(fresh, n_max)
+            assert np.array_equal(h1.diagonal(), want.diagonal())
+            assert (h1 != want).nnz == 0
     assert sorted(calls) == ["paper", "rederived"]
-    assert hashlib.sha256(repr(values).encode()).hexdigest() == ENERGY_SHIFT_DIGEST
 
 
 @pytest.mark.parametrize("cached", [_axis_term_matrix, element_1d, hermite_prefactor])

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 import tracemalloc
@@ -15,8 +16,8 @@ from qweyl.algebra import (
     raw_defining_relations,
     x_code,
 )
-from qweyl.cli import SCAN_MONOMIALS
-from qweyl.effective import expansion_bracket
+from qweyl.cli import SCAN_MONOMIALS, _json_default
+from qweyl.effective import expansion_bracket, generator_operator
 from qweyl.fock import build_h_eff
 from qweyl.scalars import GaussRat, QScalar
 from qweyl.realization import (
@@ -36,6 +37,11 @@ from qweyl.realization import (
 )
 
 GRID = [10 ** (-4 + 3 * k / 12) for k in range(13)]  # 1e-4 .. 1e-1
+
+
+def dumped(report) -> str:
+    """A report's JSON text as the CLI writes it, bit for bit."""
+    return json.dumps(report, sort_keys=True, default=_json_default)
 
 
 def beta_oracle(n, theta, dps=50):
@@ -132,12 +138,12 @@ def test_apply_exact_is_linear():
 def test_relation_residuals_all_thetas():
     for theta in (0.001, 0.01, 0.1, 0.5):
         report = relation_residual_numeric(theta, 4)
-        assert report.max_residual <= 1e-12, (theta, report.per_relation)
+        assert report["max_residual"] <= 1e-12, (theta, report["per_relation"])
 
 
 def test_relation_residuals_classical_limit():
     report = relation_residual_numeric(0.0, 6)
-    assert report.max_residual <= 1e-14
+    assert report["max_residual"] <= 1e-14
 
 
 def test_relation_residual_rejects_small_cutoff():
@@ -214,6 +220,35 @@ def test_first_order_at_theta_zero_equals_exact():
             assert a.diff_max(b) == 0.0
 
 
+def symbol_on_monomial(op, n, theta) -> MonomialVec:
+    """A DiffOp3 applied to x^n with no Gaussian envelope, at theta: the
+    sum over its terms of coefficient times d^key x^n."""
+    out = {}
+    for key, poly in op.terms.items():
+        if any(k > m for k, m in zip(key, n)):
+            continue
+        scale = math.prod(math.perm(m, k) for m, k in zip(n, key))
+        for (a, b, c, t), coeff in poly.terms.items():
+            mono = (n[0] - key[0] + a, n[1] - key[1] + b, n[2] - key[2] + c)
+            out[mono] = out.get(mono, 0) + scale * complex(coeff) * theta ** t
+    return MonomialVec(out)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_symbolic_and_numeric_first_order_multipliers_agree(mode):
+    # the first-order multipliers are written twice: as the float factors
+    # of apply_first_order and as the symbolic expansion_bracket inside
+    # generator_operator; on bare monomials the two must act alike
+    theta = 0.013
+    for code in range(6):
+        op = generator_operator(code, mode)
+        for n in ((0, 0, 0), (1, 0, 0), (0, 1, 2), (2, 3, 1), (4, 0, 3), (3, 3, 3)):
+            want = apply_first_order(code, MonomialVec.basis(n), theta, mode)
+            got = symbol_on_monomial(op, n, theta)
+            assert set(got.terms) == set(want.terms), (code, n)
+            assert got.diff_max(want) <= 1e-15 * max(1.0, want.norm()), (code, n)
+
+
 def test_first_order_unknown_mode():
     with pytest.raises(ValueError):
         apply_first_order("X1", MonomialVec.basis((0, 0, 0)), 0.1, "exact")
@@ -236,23 +271,23 @@ def test_scan_rederived_slope_two():
     v = MonomialVec.basis((1, 1, 1))
     for g in ("X1", "d1"):
         res = expansion_order_scan(g, v, GRID, "rederived")
-        assert not res.exact_match
-        assert abs(res.slope - 2.0) < 0.1, (g, res.slope)
+        assert not res["exact_match"]
+        assert abs(res["slope"] - 2.0) < 0.1, (g, res["slope"])
 
 
 def test_scan_paper_slope_one_at_zero_exponent():
     res = expansion_order_scan("X1", MonomialVec.basis((0, 0, 0)), GRID, "paper")
-    assert abs(res.slope - 1.0) < 0.1
+    assert abs(res["slope"] - 1.0) < 0.1
 
 
 def test_scan_exact_match_paths():
     # d3 on (1,1,1) in rederived mode reproduces the exact action, so the
     # residual vanishes at every grid point
     res = expansion_order_scan("d3", MonomialVec.basis((1, 1, 1)), GRID, "rederived")
-    assert res.exact_match and res.slope is None
+    assert res["exact_match"] and res["slope"] is None
     # the zero vector trivially matches
     res = expansion_order_scan("X2", MonomialVec(), GRID, "paper")
-    assert res.exact_match
+    assert res["exact_match"]
 
 
 def test_scan_rejects_degenerate_grid():
@@ -265,7 +300,7 @@ def test_scan_rejects_degenerate_grid():
 
 def test_scan_result_serializes():
     res = expansion_order_scan("X1", MonomialVec.basis((2, 2, 2)), GRID, "rederived")
-    js = res.to_json()
+    js = json.loads(dumped(res))
     assert js["generator"] == "X1" and js["mode"] == "rederived"
     assert len(js["points"]) == len(GRID)
 
@@ -393,8 +428,8 @@ ORACLE_THETAS = (0.0, 1e-4, 0.01, 0.3, 2.0, math.pi)
 @pytest.mark.parametrize("degree", [2, 5, 8])
 @pytest.mark.parametrize("theta", ORACLE_THETAS)
 def test_relation_residual_matches_sparse_pass_oracle(theta, degree):
-    got = relation_residual_numeric(theta, degree).to_json()
-    assert repr(got) == repr(oracle_residual_json(theta, degree))
+    got = relation_residual_numeric(theta, degree)
+    assert dumped(got) == dumped(oracle_residual_json(theta, degree))
 
 
 def random_vec(rng):
@@ -474,7 +509,7 @@ def test_expand_scan_results_match_sparse_pass_oracle():
         v = MonomialVec.basis(mono)
         for code in range(6):
             for mode in MODES:
-                got = expansion_order_scan(code, v, thetas, mode).to_json()
-                assert repr(got) == repr(oracle_scan_json(code, v, thetas, mode))
+                got = expansion_order_scan(code, v, thetas, mode)
+                assert dumped(got) == dumped(oracle_scan_json(code, v, thetas, mode))
                 count += 1
     assert count == 72

@@ -38,6 +38,10 @@ def runs(config: str) -> list:
         for c in ("spectrum", "mixing"):
             out.append((f"{c}-n{n}", [c, "--theta", "0.01", "--nmax", str(n),
                                       "--format", "csv"]))
+    # the other first-order convention
+    for c in ("spectrum", "mixing"):
+        out.append((f"{c}-rederived-n8", [c, "--mode", "rederived", "--nmax", "8",
+                                          "--format", "csv"]))
     # the default JSON format, whose reports list no files
     for c in ("spectrum", "mixing"):
         out.append((f"{c}-json-n6", [c, "--nmax", "6"]))
