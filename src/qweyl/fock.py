@@ -1,14 +1,16 @@
 """Truncated oscillator-basis matrices for the effective Hamiltonian.
 
-The basis-independent first-order operator comes from the composed
-route in the effective module.  Every polynomial-coefficient term is
-assembled as a product of band matrices built above the cutoff and
-cropped afterwards, so all stored elements equal their infinite-basis
-values; truncation only limits which states exist, never corrupts an
-element.  The zeroth-order part is written directly as the exact
-diagonal n1+n2+n3+3/2.  Operators are held sparse; the first-order
-operator moves one quantum number by 0 or +-2, so it never joins two
-per-axis parity sectors, and dense work runs on one sector block.
+The zeroth-order part is the exact diagonal n1+n2+n3+3/2.  The
+first-order operator H1 is assembled from its closed form in ladder
+operators, H1 = iK with K real (see build_h1_matrix), so every stored
+element is its infinite-basis value; truncation only limits which
+states exist, never corrupts an element.  The reference it is checked
+against is the Kronecker route: operator_matrix(_h1_operator(mode), n)
+composes the symbolic operator of the effective module from per-axis
+band matrices built above the cutoff and cropped afterwards.
+Operators are held sparse; H1 moves one quantum number by 0 or +-2, so
+it never joins two per-axis parity sectors, and dense work runs on one
+sector block.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ class FockBasis:
 
 
 def ladder_matrices(n_max: int):
-    """Single-mode position and derivative matrices on n <= n_max.
+    """Single-mode position and derivative matrices on n <= n_max, the
+    factors of the Kronecker reference route.
 
     The position matrix is real symmetric with <n-1|x|n> = sqrt(n/2);
     the derivative matrix is real antisymmetric with the same
@@ -101,7 +104,8 @@ def ladder_matrices(n_max: int):
 
 @lru_cache(maxsize=128)
 def _axis_term_matrix(n_max: int, power: int, deriv: int):
-    """Cropped matrix of u^power d^deriv, exact on all stored elements.
+    """Cropped matrix of u^power d^deriv, exact on all stored elements;
+    one Kronecker factor of operator_matrix.
 
     Built at cutoff n_max + power + deriv so no intermediate state in
     the band product is lost, then cropped back.
@@ -119,7 +123,9 @@ def _axis_term_matrix(n_max: int, power: int, deriv: int):
 
 
 def operator_matrix(op: DiffOp3, n_max: int) -> sp.csr_array:
-    """Sparse matrix of a theta-free polynomial-coefficient operator."""
+    """Sparse matrix of a theta-free polynomial-coefficient operator, one
+    Kronecker product of axis matrices per term.  The reference route the
+    tests check build_h1_matrix against."""
     side = n_max + 1
     out = sp.csr_array((side ** 3, side ** 3), dtype=complex)
     for coeff, axes in op.axis_terms():
@@ -130,13 +136,45 @@ def operator_matrix(op: DiffOp3, n_max: int) -> sp.csr_array:
 
 @lru_cache(maxsize=2)
 def _h1_operator(mode: str) -> DiffOp3:
-    """The theta coefficient of hamiltonian_operator(mode), one per mode."""
+    """The theta coefficient of hamiltonian_operator(mode), one per mode:
+    the symbolic H1 of the Kronecker reference route."""
     return hamiltonian_operator(mode).theta_slice(1)
 
 
 def build_h1_matrix(n_max: int, mode: str) -> sp.csr_array:
-    """Matrix of the first-order operator (the theta coefficient)."""
-    return operator_matrix(_h1_operator(mode), n_max)
+    """Matrix of the first-order operator (the theta coefficient) from its
+    closed form H1 = iK, with K real:
+
+        K = D(N) + sum_j [a_j+^2 c_j(N) - c_j(N) a_j^2],
+        c_j(N) = -(N_j + 2 sum_{k<j} N_k + j + 1/2) / 2,
+        D(N) = -(3/2 + 2 N_1 + N_2) in paper mode,
+               -(3 + 3 N_1 + 2 N_2 + N_3) in rederived mode.
+
+    Each coupling <n+2e_j|K|n> = c_j(n) sqrt((n_j+1)(n_j+2)) is computed
+    once and stored with its exact negative at <n|K|n+2e_j>, so Re(H1)
+    is exactly 0 and the off-diagonal part exactly antisymmetric.
+    """
+    check_mode(mode)
+    occ = FockBasis(n_max).occupations
+    n1, n2, n3 = occ.T
+    if mode == "paper":
+        diagonal = -(1.5 + 2 * n1 + n2)
+    else:
+        diagonal = -(3.0 + 3 * n1 + 2 * n2 + n3)
+    diagonals, offsets = [diagonal], [0]
+    for axis in range(3):
+        n = occ[:, axis]
+        shift = 2 * (n_max + 1) ** (2 - axis)  # index step of n -> n + 2e_j
+        c = -0.5 * (n + 2 * occ[:, :axis].sum(axis=1) + axis + 1.5)
+        # zero where n + 2e_j lies above the cutoff; the CSR conversion
+        # drops those slots
+        up = np.where(n + 2 <= n_max, c * np.sqrt((n + 1.0) * (n + 2)), 0.0)
+        diagonals += [up[:-shift], -up[:-shift]]
+        offsets += [-shift, shift]
+    k = sp.diags_array(diagonals, offsets=offsets, format="csr")
+    data = np.zeros(k.nnz, dtype=complex)
+    data.imag = k.data
+    return sp.csr_array((data, k.indices, k.indptr), shape=k.shape)
 
 
 def h0_diagonal(n_max: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from qweyl.fock import (
     FockBasis,
     FockOperator,
     _axis_term_matrix,
+    _h1_operator,
     build_h1_matrix,
     build_h_eff,
     h0_diagonal,
@@ -103,7 +104,7 @@ def dense_operator_matrix(op, n_max):
 @pytest.mark.parametrize("n_max", [4, 6])
 @pytest.mark.parametrize("mode", MODES)
 def test_sparse_h1_equals_dense_build(n_max, mode):
-    h1 = build_h1_matrix(n_max, mode)
+    h1 = operator_matrix(_h1_operator(mode), n_max)
     dense = dense_operator_matrix(hamiltonian_operator(mode).theta_slice(1), n_max)
     assert np.array_equal(h1.toarray(), dense)
     assert h1.nnz == np.count_nonzero(dense)
@@ -161,9 +162,12 @@ def test_hermitian_split_is_exact():
     assert np.max(np.abs(recon.toarray() - h.matrix.toarray())) < 1e-15
 
 
-def test_ladder_route_agrees_with_quadrature():
-    op1 = hamiltonian_operator("paper").theta_slice(1)
-    h1 = build_h1_matrix(6, "paper")
+@pytest.mark.parametrize("mode", MODES)
+def test_ladder_route_agrees_with_quadrature(mode):
+    # Gauss-Hermite quadrature of the symbolic operator pins the closed
+    # form, independently of the Kronecker route
+    op1 = hamiltonian_operator(mode).theta_slice(1)
+    h1 = build_h1_matrix(6, mode)
     basis = FockBasis(6)
     for bra in states_up_to(3):
         for ket in states_up_to(3):
@@ -321,41 +325,37 @@ def test_mixing_amplitudes_from_ground_state():
             assert tuple(off) not in amps
 
 
-def closed_form_k(n_max, mode):
-    """K = D(N) + sum_j [a_j+^2 c_j(N) - c_j(N) a_j^2] on the truncated basis,
-    with c_j(N) = -(N_j + 2 sum_{k<j} N_k + j + 1/2)/2 (j = 1, 2, 3) and
-    D(N) = -(3/2 + 2 N_1 + N_2) in paper mode, -(3 + 3 N_1 + 2 N_2 + N_3)
-    in rederived mode."""
-    occ = FockBasis(n_max).occupations
-    n1, n2, n3 = occ.T
-    d = -(1.5 + 2 * n1 + n2) if mode == "paper" else -(3 + 3 * n1 + 2 * n2 + n3)
-    rows, cols, vals = [np.arange(len(occ))], [np.arange(len(occ))], [d]
-    for axis in range(3):
-        c = -0.5 * (occ[:, axis] + 2 * occ[:, :axis].sum(axis=1) + axis + 1.5)
-        stride = (n_max + 1) ** (2 - axis)
-        n = occ[:, axis]
-        up = np.flatnonzero(n + 2 <= n_max)  # a+^2 c(N): c at the ket
-        rows.append(up + 2 * stride)
-        cols.append(up)
-        vals.append(np.sqrt((n[up] + 1.0) * (n[up] + 2)) * c[up])
-        down = np.flatnonzero(n >= 2)  # -c(N) a^2: c at the bra
-        rows.append(down - 2 * stride)
-        cols.append(down)
-        vals.append(-np.sqrt(n[down] * (n[down] - 1.0)) * c[down - 2 * stride])
-    size = len(occ)
-    return sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(size, size))
-
-
 @pytest.mark.parametrize("n_max", [6, 10, 16])
 @pytest.mark.parametrize("mode", MODES)
 def test_h1_closed_form(mode, n_max):
     # H1 = iK with K real: the diagonal is i*D(N), the first-order energy
-    # shifts, and each axis couples n to n +- 2 e_j only
+    # shifts, and each axis couples n to n +- 2 e_j only.  The closed-form
+    # build against the Kronecker reference route
     h1 = build_h1_matrix(n_max, mode)
+    reference = operator_matrix(_h1_operator(mode), n_max)
+    assert np.all(reference.data.real == 0.0)
+    bound = 1e-14 * abs(reference).max()
+    assert abs(h1 - reference).max() <= bound
+    assert h1.nnz == reference.nnz
+
+
+@pytest.mark.parametrize("n_max", [6, 10, 16])
+@pytest.mark.parametrize("mode", MODES)
+def test_h1_is_exactly_imaginary_and_antisymmetric_off_diagonal(mode, n_max):
+    h1 = build_h1_matrix(n_max, mode)
+    assert h1.has_sorted_indices
     assert np.all(h1.data.real == 0.0)
-    bound = 1e-14 * abs(h1).max()
-    assert abs(closed_form_k(n_max, mode) - h1 / 1j).max() <= bound
+    sym = sp.csr_array(h1 + h1.T)
+    sym.setdiag(0)
+    sym.eliminate_zeros()
+    assert sym.nnz == 0
+    # so H_I = theta*D(n), exactly diagonal, and H_R carries every coupling
+    h = build_h_eff(n_max, 0.01, mode)
+    h_i = h.antihermitian_generator()
+    bras, kets = h_i.nonzero()
+    assert h_i.nnz == h.basis.dim
+    assert np.array_equal(bras, kets)
+    assert np.array_equal(h_i.diagonal(), 0.01 * h1.diagonal().imag)
 
 
 @pytest.mark.parametrize("n_max", [6, 10, 16])
@@ -367,9 +367,9 @@ def test_h1_mode_difference_is_minus_i_h0(n_max):
 
 
 def test_energy_shift_builds_the_operator_once_per_mode(monkeypatch):
-    # the first-order energy shifts, the diagonal of H1, at several
-    # cutoffs come from one theta slice per mode, and the shared slice
-    # builds the same bits as a fresh one
+    # the Kronecker reference at several cutoffs comes from one theta
+    # slice per mode, and the shared slice builds the same bits as a
+    # fresh one
     calls = []
 
     def counted(mode):
@@ -381,7 +381,7 @@ def test_energy_shift_builds_the_operator_once_per_mode(monkeypatch):
     for mode in MODES:
         fresh = hamiltonian_operator(mode).theta_slice(1)
         for n_max in (4, 6, 8, 10):
-            h1 = build_h1_matrix(n_max, mode)
+            h1 = operator_matrix(fock._h1_operator(mode), n_max)
             want = operator_matrix(fresh, n_max)
             assert np.array_equal(h1.diagonal(), want.diagonal())
             assert (h1 != want).nnz == 0

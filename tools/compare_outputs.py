@@ -5,15 +5,27 @@ Usage: python tools/compare_outputs.py <parent-rev>
 Exports <parent-rev> into a temporary directory with `git archive`, runs
 one fixed list of commands from both source trees with
 `PYTHONPATH=<tree>/src python -m qweyl`, and compares every report with
-its top-level `timestamp` line dropped, every CSV byte for byte, every
+its top-level `timestamp` value blanked, every CSV byte for byte, every
 `--help` text byte for byte, and every exit code.  Exits 0 when all of
-them match, 1 otherwise, naming each output that differs, and 2 when
-<parent-rev> cannot be exported.  The temporary directory is removed on
-the way out.
+them match, 1 otherwise, and 2 when <parent-rev> cannot be exported.
+The temporary directory is removed on the way out.
+
+Each differing output is named on one line.  A report or CSV whose
+structure matches on both sides (the same keys, lengths and non-numeric
+values) and whose numbers alone moved prints
+
+    moved: <name> abs <largest |a - b|> at <path>, rel <largest
+           |a - b| / max(|a|, |b|)> at <path>
+
+and every other difference prints `differs: <name>`.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import math
 import os
 import re
 import subprocess
@@ -27,7 +39,8 @@ COMMANDS = ("verify-algebra", "expand-scan", "effective", "spectrum", "mixing",
 # the config criterion 10 reruns
 CRITERION_10 = ("theta=0.01\nnmax=6\ndegree=3\nmode=paper\nT=1.0\ndt=0.01\n"
                 "alpha=0.5\nformat=csv\n")
-TIMESTAMP = re.compile(rb'^  "timestamp": .*\n', re.MULTILINE)
+# the value only, so that the report stays valid JSON
+TIMESTAMP = re.compile(rb'^(  "timestamp": )"[^"]*"', re.MULTILINE)
 
 
 def runs(config: str) -> list:
@@ -94,12 +107,79 @@ def collect(tree: Path, work: Path, config: str) -> dict:
         for path in sorted(out.iterdir()) if out.is_dir() else ():
             data = path.read_bytes()
             if path.suffix == ".json":
-                data = TIMESTAMP.sub(b"", data, count=1)
+                data = TIMESTAMP.sub(rb"\1null", data, count=1)
             outputs[f"{label}/{path.name}"] = data
     for argv in [[]] + [[c] for c in COMMANDS]:
         done = qweyl([*argv, "--help"])
         outputs[f"help {' '.join(argv)}".strip()] = done.stdout + done.stderr
     return outputs
+
+
+class StructureDiffers(Exception):
+    pass
+
+
+def _number(value):
+    """value as a float if it is a JSON number or a numeric CSV cell."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _numeric_pairs(a, b, path=""):
+    """(path, a, b) for every numeric leaf of two documents; raises
+    StructureDiffers where anything but a number differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            raise StructureDiffers(path)
+        for key in a:
+            yield from _numeric_pairs(a[key], b[key], f"{path}.{key}" if path else key)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise StructureDiffers(path)
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _numeric_pairs(x, y, f"{path}[{i}]")
+    elif a != b:
+        x, y = _number(a), _number(b)
+        if x is None or y is None:
+            raise StructureDiffers(path)
+        yield path, x, y
+
+
+def numeric_moves(name: str, before: bytes, after: bytes):
+    """(abs, abs path, rel, rel path) of the largest moves between two
+    reports or CSV tables that differ only in their numbers, else None."""
+    try:
+        if name.endswith(".json"):
+            a, b = json.loads(before), json.loads(after)
+        elif name.endswith(".csv"):
+            a, b = (list(csv.reader(io.StringIO(x.decode()))) for x in (before, after))
+        else:
+            return None
+    except ValueError:  # not JSON or not text on one side
+        return None
+    worst_abs = worst_rel = None
+    try:
+        for path, x, y in _numeric_pairs(a, b):
+            if math.isnan(x) and math.isnan(y):
+                continue
+            gap = abs(x - y)
+            if math.isfinite(gap):
+                rel = gap / max(abs(x), abs(y))
+            else:  # a non-finite value moved
+                gap = rel = math.inf
+            if worst_abs is None or gap > worst_abs[0]:
+                worst_abs = (gap, path)
+            if worst_rel is None or rel > worst_rel[0]:
+                worst_rel = (rel, path)
+    except StructureDiffers:
+        return None
+    if worst_abs is None:  # the bytes differ, but no number moved
+        return None
+    return (*worst_abs, *worst_rel)
 
 
 def main(argv=None) -> int:
@@ -129,7 +209,12 @@ def main(argv=None) -> int:
     differ = sorted(k for k in before.keys() | after.keys()
                     if before.get(k) != after.get(k))
     for key in differ:
-        print(f"differs: {key}")
+        moves = (numeric_moves(key, before[key], after[key])
+                 if key in before and key in after else None)
+        if moves is None:
+            print(f"differs: {key}")
+        else:
+            print("moved: {} abs {:.2g} at {}, rel {:.2g} at {}".format(key, *moves))
     print(f"{len(before.keys() | after.keys())} outputs compared, "
           f"{len(differ)} differ")
     return 1 if differ else 0
