@@ -395,7 +395,11 @@ def cmd_evolve(config: RunConfig, args) -> dict:
         ok = True
         for alpha in alphas:
             h = decay_operator(config.n_max, alpha)
-            traj = propagate(h, psi0, config.t_final, config.dt)
+            try:
+                traj = propagate(h, psi0, config.t_final, config.dt)
+            except ValueError as exc:
+                # a huge alpha*dt underflows the step propagator
+                raise ConfigError(str(exc)) from None
             exact = np.exp(-2.0 * alpha * traj.times)
             deviation = float(np.max(np.abs(traj.norms - exact)))
             # an edge abort leaves the law checked on too few points
@@ -410,7 +414,8 @@ def cmd_evolve(config: RunConfig, args) -> dict:
         h = build_h_eff(config.n_max, config.theta, config.mode)
         traj = propagate(h, psi0, config.t_final, config.dt, track=tracked)
     except (ValueError, RuntimeError) as exc:
-        # a huge theta overflows the operator or its step propagator
+        # a huge theta overflows the operator, or its step propagator
+        # over- or underflows
         raise ConfigError(str(exc)) from None
     # an edge abort can leave too few points for the difference stencils
     flow = rate = None

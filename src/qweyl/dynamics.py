@@ -3,9 +3,10 @@
 Solves i dpsi/dt = H psi without renormalizing: the squared norm P(t)
 is the observable, and its flow obeys dP/dt = 2<H_I> with H_I the
 Hermitian generator of the anti-Hermitian part.  The states the initial
-one reaches are stepped by one dense step propagator, or with
-expm_multiply on the sparse block when there are more than
-KRYLOV_THRESHOLD of them.  Probability pumped
+one reaches are stepped by a dense propagator over dt, built from their
+sparse block by expm, and by its BLOCK-th power, BLOCK grid points per
+matrix product; or with expm_multiply on the sparse block when there are
+more than KRYLOV_THRESHOLD of them.  Probability pumped
 into the cutoff edge is an artifact of truncation, so evolution stops
 with a warning as soon as any edge state (some n_j > n_max - 2, so its
 same-parity neighbour along axis j is cut off) holds more than a
@@ -20,22 +21,33 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 
 from .fock import FockOperator, h0_diagonal
 
 EDGE_OCCUPATION_LIMIT = 1e-6
 # Reach sets with more states than this step each window with
-# expm_multiply instead of a dense step propagator: on a 2-vCPU VM,
-# 5,000 steps of the even sector took 2.7 s dense against 3.6 s Krylov
-# at 1,000 states, and 5.5 s against 3.5 s at 1,331.
+# expm_multiply instead of the dense propagators: on a 2-vCPU VM,
+# 5,000 steps of the even sector took 1.4 s dense against 2.6 s Krylov
+# at 1,000 states, and 2.8 s against 2.9 s at 1,331.
 KRYLOV_THRESHOLD = 1000
-# The Krylov cost grows with dt*|H| where the dense step's does not, so
-# a larger one is refused instead of stepped for hours; past 709, the log
-# of the largest double, a single step can already overflow.
+# The Krylov cost grows with dt*|H| where the dense step's grows with its
+# logarithm, so a larger one is refused instead of stepped for hours; past
+# 709, the log of the largest double, a single step can already overflow.
 KRYLOV_STEP_LIMIT = 700.0
+# A net occupation change no larger than this is round-off: gain_loss_map
+# lists the state as neither gaining nor losing.
+GAIN_LOSS_FLOOR = 1e-12
 # Most grid points one window holds; the windows double up to it.
 WINDOW_CAP = 512
+# Grid points the dense path fills per matrix product: each row past the
+# first BLOCK of a window is the BLOCK-step propagator applied to the row
+# BLOCK points earlier in the same window.
+BLOCK = 32
+# expm halves a block whose 1-norm is above this before expm_multiply and
+# squares the result back.  Each squaring doubles the rounding error of a
+# near-unitary step: at this bound a 1-norm of 400 takes 7 squarings and
+# stays within 7e-14 of scipy.linalg.expm.
+EXPM_NORM_BOUND = 4.0
 
 
 @dataclass(frozen=True)
@@ -80,12 +92,42 @@ def step_count(T: float, dt: float) -> int:
 
 def held_bytes(dim: int, n_steps: int, tracked: int = 0) -> int:
     """Lower bound on what propagate holds for a dim-state reach set over
-    n_steps steps with tracked track states: the dense block at or below
-    KRYLOV_THRESHOLD states and one window of states, all complex, and
-    per grid point the time, P, <H_I> and each tracked occupation."""
-    dense = dim * dim if dim <= KRYLOV_THRESHOLD else 0
+    n_steps steps with tracked track states: the dense propagators u and
+    u^BLOCK at or below KRYLOV_THRESHOLD states and one window of states,
+    all complex, and per grid point the time, P, <H_I> and each tracked
+    occupation."""
+    dense = 2 * dim * dim if dim <= KRYLOV_THRESHOLD else 0
     points = n_steps + 1
     return 16 * (dense + min(points, WINDOW_CAP) * dim) + 8 * (3 + tracked) * points
+
+
+def expm(a) -> np.ndarray:
+    """Dense exponential of the sparse square block a.
+
+    Runs expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2),
+    2011) on the identity, so it forms only sparse-dense products.  A
+    block whose 1-norm exceeds EXPM_NORM_BOUND is halved first and the
+    result squared back, so the cost grows with log2 of the norm.  A
+    non-finite block is refused, and so is a result that underflows to
+    zero: every point stepped by it would be exactly zero.
+    """
+    norm = float(abs(a).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise ValueError("dt*H is not finite; shrink dt")
+    halvings = 0
+    if norm > EXPM_NORM_BOUND:
+        halvings = math.ceil(math.log2(norm / EXPM_NORM_BOUND))
+    # imported here: at module level it costs every command RSS
+    from scipy.sparse.linalg import expm_multiply
+
+    u = expm_multiply(a * 0.5 ** halvings, np.eye(a.shape[0], dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(halvings):
+            u = u @ u
+    if not u.any():
+        # an exponential is invertible: a zero one is float underflow
+        raise ValueError("the step propagator underflows to zero; shrink dt")
+    return u
 
 
 def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajectory:
@@ -93,9 +135,14 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
 
     Only the states psi0 reaches through the nonzeros of H (keep) are
     evolved; every other amplitude stays exactly zero.  A reach set of at
-    most KRYLOV_THRESHOLD states is stepped by its dense step propagator,
-    computed once by scaling and squaring and reapplied; a larger one
-    fills each window with expm_multiply on the sparse block.
+    most KRYLOV_THRESHOLD states has its dense step propagator u built
+    once by expm.  Each window's first BLOCK rows are stepped from the
+    last point by u; each later row is u^BLOCK, formed once by squaring,
+    applied to the row BLOCK points earlier, a whole BLOCK of rows per
+    matrix product.  Every window restarts the BLOCK interleaved chains
+    from its own first rows, so no point is more than
+    WINDOW_CAP/BLOCK - 1 long steps from them.  A larger reach set fills
+    each window with expm_multiply on the sparse block.
 
     The grid is stepped in windows of 1, 2, 4, ... points, at most
     WINDOW_CAP each, and each window is checked as a whole, so a stop at
@@ -120,8 +167,8 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
         reach = grown
     keep = np.flatnonzero(reach)
 
+    matrix = h.matrix[keep][:, keep]
     if len(keep) > KRYLOV_THRESHOLD:
-        matrix = h.matrix[keep][:, keep]
         scale = dt * abs(matrix).sum(axis=1).max()
         if scale > KRYLOV_STEP_LIMIT:
             raise ValueError(
@@ -139,11 +186,22 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
                 num=len(window) + 1, endpoint=True,
             )[1:]
     else:
-        u = expm(-1j * dt * h.block(keep))
+        u = expm(-1j * dt * matrix)
+        u_block = None
 
         def advance(last, window):
-            for i in range(len(window)):
+            nonlocal u_block
+            for i in range(min(len(window), BLOCK)):
                 window[i] = u @ (window[i - 1] if i else last)
+            if len(window) > BLOCK and u_block is None:
+                # squaring u is expm's own halve-and-square step, without
+                # the sparse products and norm estimates of a second call
+                u_block = np.linalg.matrix_power(u, BLOCK)
+            # BLOCK rows per product: row k is u_block @ row k - BLOCK
+            for k in range(BLOCK, len(window), BLOCK):
+                rows = window[k:k + BLOCK]
+                np.matmul(window[k - BLOCK:k - BLOCK + len(rows)], u_block.T,
+                          out=rows)
 
     edge = (h.basis.occupations[keep] > h.n_max - 2).any(axis=1)
     # psi is zero off keep, so the keep block of H_I gives <psi|H_I|psi>
@@ -236,13 +294,14 @@ def decay_operator(n_max: int, alpha: float) -> FockOperator:
 
 def gain_loss_map(traj: Trajectory, states) -> dict:
     """Net occupation change over the trajectory of states, each tracked
-    by propagate, and the sorted states that gained and lost, as JSON."""
+    by propagate, and the sorted states that gained and lost more than
+    GAIN_LOSS_FLOOR, as JSON."""
     net = {}
     for state in states:
         occ = traj.occupation(state)
         net[tuple(int(v) for v in state)] = float(occ[-1] - occ[0])
     return {
         "net_change": {",".join(map(str, s)): d for s, d in net.items()},
-        "gaining": [list(s) for s in sorted(net) if net[s] > 0],
-        "losing": [list(s) for s in sorted(net) if net[s] < 0],
+        "gaining": [list(s) for s in sorted(net) if net[s] > GAIN_LOSS_FLOOR],
+        "losing": [list(s) for s in sorted(net) if net[s] < -GAIN_LOSS_FLOOR],
     }

@@ -4,6 +4,7 @@ exit codes, per-command payloads, and rerun determinism."""
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -147,7 +148,8 @@ class TestExitCodes:
         undecodable.write_bytes(b"\xff\xfe")
         assert main(["effective", "--config", str(undecodable),
                      "--out", str(tmp_path)]) == 2
-        # a theta that overflows the operator, or only its step propagator
+        # a theta that overflows the operator, or only underflows its step
+        # propagator
         assert main(["spectrum", "--nmax", "4", "--theta", "1e308",
                      "--out", str(tmp_path)]) == 2
         for theta in ("1e308", "1e300"):
@@ -157,6 +159,22 @@ class TestExitCodes:
         assert len(err) == 14 and all(line.startswith("error: ") for line in err)
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("args, message", [
+        (["--theta", "1e308"], "theta=1e+308 overflows the operator"),
+        # one step's decay underflows the step propagator to zero
+        (["--theta", "1e300"], "the step propagator underflows to zero; shrink dt"),
+        (["--decay-oracle", "--alpha", "1e7"],
+         "the step propagator underflows to zero; shrink dt"),
+    ])
+    def test_unrepresentable_step_is_two_without_warnings(self, args, message,
+                                                          tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", "--nmax", "2", *args, "--T", "0.2",
+                         "--dt", "0.1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not list(tmp_path.iterdir())
+
     def test_oversized_cutoff_estimate(self):
         # arithmetic only: 7 sparse entries per column at 16 + 8 bytes, plus
         # what the command holds.  spectrum: the largest parity sector
@@ -164,19 +182,20 @@ class TestExitCodes:
         assert largest_sector(6) == 64 and largest_sector(30) == 4_096
         assert run_bytes(6, 16 * 64 ** 2) == 7 * 343 * 24 + 64 ** 2 * 16 == 123_160
         assert run_bytes(30, 16 * 4_096 ** 2) == 273_440_344
-        # evolve: the dense block up to the Krylov threshold, then one
-        # window of states, never more points than the run has, and per
-        # point the time, P, <H_I> and each tracked occupation
+        # evolve: the two dense propagators (u and u^BLOCK) up to the
+        # Krylov threshold, then one window of states, never more points
+        # than the run has, and per point the time, P, <H_I> and each
+        # tracked occupation
         assert 64 <= KRYLOV_THRESHOLD < 4_096 and 11 < WINDOW_CAP < 5_001
-        assert held_bytes(64, 10) == 16 * (64 ** 2 + 11 * 64) + 8 * 3 * 11
+        assert held_bytes(64, 10) == 16 * (2 * 64 ** 2 + 11 * 64) + 8 * 3 * 11
         assert held_bytes(64, 5_000) == (
-            16 * (64 ** 2 + WINDOW_CAP * 64) + 8 * 3 * 5_001)
+            16 * (2 * 64 ** 2 + WINDOW_CAP * 64) + 8 * 3 * 5_001)
         assert held_bytes(4_096, 5_000, 4) == (
             16 * WINDOW_CAP * 4_096 + 8 * 7 * 5_001)
         # a decay run at n_max=30 evolves one amplitude: about 4.9 MiB,
         # where (steps + 1) even-sector states made it 573 MiB
         assert run_bytes(30, held_bytes(1, 5_000)) == (
-            7 * 29_791 * 24 + 16 * (1 + WINDOW_CAP) + 8 * 3 * 5_001)
+            7 * 29_791 * 24 + 16 * (2 + WINDOW_CAP) + 8 * 3 * 5_001)
 
     def test_mixing_is_charged_its_interior_scan(self, tmp_path, monkeypatch):
         # 7 entries per interior column at 48 bytes: (30 - 4 + 1)^3 = 19,683
@@ -199,14 +218,18 @@ class TestExitCodes:
                                           monkeypatch, capsys):
         # 100,001 points of one evolved amplitude: propagate's series and
         # the CSV table (or the decay law and its deviations) dwarf the
-        # 4 MiB available, which the operator and one window fit into
+        # 4 MiB available, which the operator, the two 1x1 propagators and
+        # one window fit into
         monkeypatch.setattr(cli, "available_memory", lambda: 4 * 2 ** 20)
         assert main([*argv, "--nmax", "4", "--T", "10", "--dt", "1e-4",
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: nmax=4 needs at least ")
-        need = float(err[0].split("needs at least ")[1].split(" MiB")[0])
-        assert need >= 2 * 8 * series * 100_001 / 2 ** 20
+        need = err[0].split("needs at least ")[1].split(" MiB")[0]
+        charged = run_bytes(4, held_bytes(1, 100_000, series - 3)
+                            + 8 * series * 100_001)
+        assert need == f"{charged / 2 ** 20:.1f}"
+        assert float(need) >= 2 * 8 * series * 100_001 / 2 ** 20
         assert not list(tmp_path.iterdir())
 
     def test_evolve_too_many_points_is_two(self, tmp_path, capsys):

@@ -11,15 +11,19 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from qweyl import dynamics
 from qweyl.dynamics import (
+    BLOCK,
     EDGE_OCCUPATION_LIMIT,
+    EXPM_NORM_BOUND,
     KRYLOV_THRESHOLD,
     WINDOW_CAP,
     decay_operator,
+    expm as block_expm,
     gain_loss_map,
     initial_norm_rate,
     norm_flow_check,
@@ -51,7 +55,7 @@ def reference_propagate(h, psi0, T, dt, method="matrix-exponential"):
     """
     parity = h.basis.parity
     keep = np.flatnonzero(np.isin(parity, parity[psi0 != 0]))
-    matrix = h.block(keep)
+    matrix = h.matrix[keep][:, keep]
     if method == "fourth-order-explicit":
         def step(v):
             k1 = -1j * (matrix @ v)
@@ -60,7 +64,8 @@ def reference_propagate(h, psi0, T, dt, method="matrix-exponential"):
             k4 = -1j * (matrix @ (v + dt * k3))
             return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     else:
-        u = expm(-1j * dt * matrix)
+        # the step propagate takes, built the same way
+        u = block_expm(-1j * dt * matrix)
 
         def step(v):
             return u @ v
@@ -117,14 +122,17 @@ class CountingPropagator:
 
 @pytest.fixture
 def step_spy(monkeypatch):
-    """Counting wrappers around every propagator dynamics.expm returns."""
+    """Counting wrappers around every propagator dynamics.expm returns,
+    with every point stepped by the dt propagator (BLOCK at the window
+    cap), so the count is the number of steps."""
     spies = []
 
     def counting_expm(a):
-        spies.append(CountingPropagator(expm(a)))
+        spies.append(CountingPropagator(block_expm(a)))
         return spies[-1]
 
     monkeypatch.setattr(dynamics, "expm", counting_expm)
+    monkeypatch.setattr(dynamics, "BLOCK", WINDOW_CAP)
     return spies
 
 
@@ -352,6 +360,17 @@ class TestTransfer:
         # no state gains or loses more than 1e-12
         assert all(abs(d) <= 1e-12 for d in net.values())
 
+    def test_gain_loss_map_lists_nothing_when_undeformed(self):
+        # 100,000 steps of the ground state at theta = 0 leave a net
+        # change of round-off size, which is neither a gain nor a loss
+        h = build_h_eff(4, 0.0, "paper")
+        _, psi0 = ground(4)
+        tracked = [(0, 0, 0), (2, 0, 0)]
+        traj = propagate(h, psi0, T=10.0, dt=1e-4, track=tracked)
+        gmap = gain_loss_map(traj, tracked)
+        assert 0 < abs(gmap["net_change"]["0,0,0"]) <= 1e-12
+        assert gmap["gaining"] == [] and gmap["losing"] == []
+
     def test_untracked_occupation_is_a_key_error(self):
         h = build_h_eff(3, 0.01, "paper")
         _, psi0 = ground(3)
@@ -409,6 +428,12 @@ class TestGuardRails:
 
 class TestAbortSemantics:
     """The windowed checks stop where checking every step stops."""
+
+    @pytest.fixture(autouse=True)
+    def one_chain_per_window(self, monkeypatch):
+        # every point one dt step from the last, as the reference loop
+        # steps, so the streams match bit for bit
+        monkeypatch.setattr(dynamics, "BLOCK", WINDOW_CAP)
 
     @pytest.mark.parametrize("n_max, theta, mode, dt", [
         (3, 0.5, "paper", 1e-2),
@@ -478,6 +503,75 @@ class TestAbortSemantics:
         assert str(raised.value) == str(expected.value)
         assert "at t = 8;" in str(raised.value)
         assert step_spy[0].calls <= 2 * 8
+
+
+class TestBlockSteps:
+    """The dense path fills BLOCK rows per matrix product with u^BLOCK;
+    every point stays on the exact exponential."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_points_match_dense_exponential(self, mode):
+        # the evolve defaults; each point is the final state of a run that
+        # ends there, on both sides of the BLOCK and window boundaries
+        dt = 1e-3
+        h = build_h_eff(10, 0.01, mode)
+        _, psi0 = ground(10)
+        keep = np.flatnonzero(h.basis.parity == 0)
+        dense = h.block(keep)
+        assert BLOCK == 32 and WINDOW_CAP == 512
+        for k in (1, 31, 32, 33, 63, 64, 95, 511, 512, 1023, 5000):
+            traj = propagate(h, psi0, T=k * dt, dt=dt)
+            assert len(traj.times) == k + 1 and not traj.edge_aborted
+            assert np.array_equal(traj.keep, keep)
+            exact = expm(-1j * (k * dt) * dense) @ psi0[keep]
+            rel = np.linalg.norm(traj.states[0] - exact) / np.linalg.norm(exact)
+            assert rel <= 1e-12, (k, rel)
+
+    def test_expm_matches_dense_expm(self, monkeypatch):
+        # dt*|H|_1 from 0.04 to 400 on the evolve defaults' even block, and
+        # the overflow test's 100i; expm_multiply never sees a block whose
+        # 1-norm is above EXPM_NORM_BOUND
+        seen = []
+        original = scipy.sparse.linalg.expm_multiply
+
+        def spy(a, b, **kwargs):
+            seen.append(abs(a).sum(axis=0).max())
+            return original(a, b, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", spy)
+        h = build_h_eff(10, 0.01, "paper")
+        block = h.matrix[h.basis.parity == 0][:, h.basis.parity == 0]
+        norm = abs(block).sum(axis=0).max()
+        blocks = [-1j * (scale / norm) * block for scale in (0.04, 0.4, 4, 40, 400)]
+        blocks.append(-1j * sp.diags_array(np.full(8, 100.0j), format="csr"))
+        for a in blocks:
+            exact = expm(a.toarray())
+            error = np.max(np.abs(block_expm(a) - exact)) / np.max(np.abs(exact))
+            assert error <= 1e-13, (abs(a).sum(axis=0).max(), error)
+        assert len(seen) == len(blocks) and max(seen) <= EXPM_NORM_BOUND
+        # the 400 block is halved down to the bound, not below half of it
+        assert seen[4] > EXPM_NORM_BOUND / 2
+
+    def test_expm_refuses_what_a_double_cannot_hold(self):
+        with pytest.raises(ValueError, match="dt\\*H is not finite"):
+            block_expm(sp.diags_array([np.inf, 1.0], format="csr"))
+        # e^-1e4 is below the smallest double
+        with pytest.raises(ValueError, match="underflows to zero"):
+            block_expm(sp.diags_array([-1e4, -1e4], format="csr"))
+
+    def test_undeformed_norm_flow_stays_flat(self):
+        # theta = 0: P is 1 and dP/dt is 0, so the centred difference over
+        # 2 dt = 2e-8 reads how far apart neighbouring points' norms have
+        # rounded.  Neighbours sit on different chains, and each window
+        # restarts every chain from its first rows, so after 300,000 steps
+        # they are a few ulps apart (1.1e-7 here, 4.4e-8 with one chain).
+        # Chains carried across windows take about 9,400 long steps each
+        # and drift 7.6e-7 apart.
+        h = build_h_eff(4, 0.0, "paper")
+        _, psi0 = ground(4)
+        traj = propagate(h, psi0, T=3e-3, dt=1e-8)
+        assert len(traj.times) == 300_001 and not traj.edge_aborted
+        assert norm_flow_check(traj) <= 3e-7
 
 
 class TestReachableSet:

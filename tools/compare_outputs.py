@@ -69,6 +69,10 @@ def runs(config: str) -> list:
     # 1,331 even-sector states: above dynamics.KRYLOV_THRESHOLD, so this
     # run steps with expm_multiply
     out.append(("evolve-krylov-n20", ["evolve", "--nmax", "20", "--T", "0.05"]))
+    # dt*|H| above dynamics.EXPM_NORM_BOUND, so the step propagator is
+    # built by halving and squaring
+    out.append(("evolve-large-step", ["evolve", "--nmax", "6", "--dt", "0.5",
+                                      "--T", "50"]))
     # a 100,001-row CSV through the streamed rows, with a one-amplitude
     # reach set, and the decay oracle at the largest routine cutoff
     out.append(("evolve-theta0-long", ["evolve", "--theta", "0", "--nmax", "4",
