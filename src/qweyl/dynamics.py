@@ -2,11 +2,14 @@
 
 Solves i dpsi/dt = H psi without renormalizing: the squared norm P(t)
 is the observable, and its flow obeys dP/dt = 2<H_I> with H_I the
-Hermitian generator of the anti-Hermitian part.  The states the initial
-one reaches are stepped by a dense propagator over dt, built from their
-sparse block by expm, and by its BLOCK-th power, BLOCK grid points per
-matrix product; or with expm_multiply on the sparse block when there are
-more than KRYLOV_THRESHOLD of them.  Probability pumped
+Hermitian generator of the anti-Hermitian part, which FockOperator
+checks is diagonal, so P, <H_I> and the occupations all come from the
+squared amplitudes |psi_n|^2.  The states the initial one reaches are
+stepped by a dense propagator over dt, built from their sparse block by
+expm, and by its BLOCK-th power, BLOCK grid points per matrix product;
+or with expm_multiply on the sparse block when there are more than
+KRYLOV_THRESHOLD of them.  expm_multiply runs under a fixed seed of
+numpy's global random state, which it restores.  Probability pumped
 into the cutoff edge is an artifact of truncation, so evolution stops
 with a warning as soon as any edge state (some n_j > n_max - 2, so its
 same-parity neighbour along axis j is cut off) holds more than a
@@ -101,6 +104,22 @@ def held_bytes(dim: int, n_steps: int, tracked: int = 0) -> int:
     return 16 * (dense + min(points, WINDOW_CAP) * dim) + 8 * (3 + tracked) * points
 
 
+def _expm_multiply(a, b, **kwargs):
+    """scipy's expm_multiply with numpy's global random state seeded
+    and restored around it.  Its norm estimates (onenormest) draw from
+    that state, so a fixed seed makes the result independent of earlier
+    draws and leaves the caller's stream where it was."""
+    # imported here: at module level it costs every command RSS
+    from scipy.sparse.linalg import expm_multiply
+
+    saved = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return expm_multiply(a, b, **kwargs)
+    finally:
+        np.random.set_state(saved)
+
+
 def expm(a) -> np.ndarray:
     """Dense exponential of the sparse square block a.
 
@@ -117,10 +136,7 @@ def expm(a) -> np.ndarray:
     halvings = 0
     if norm > EXPM_NORM_BOUND:
         halvings = math.ceil(math.log2(norm / EXPM_NORM_BOUND))
-    # imported here: at module level it costs every command RSS
-    from scipy.sparse.linalg import expm_multiply
-
-    u = expm_multiply(a * 0.5 ** halvings, np.eye(a.shape[0], dtype=complex))
+    u = _expm_multiply(a * 0.5 ** halvings, np.eye(a.shape[0], dtype=complex))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(halvings):
             u = u @ u
@@ -137,18 +153,24 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     evolved; every other amplitude stays exactly zero.  A reach set of at
     most KRYLOV_THRESHOLD states has its dense step propagator u built
     once by expm.  Each window's first BLOCK rows are stepped from the
-    last point by u; each later row is u^BLOCK, formed once by squaring,
-    applied to the row BLOCK points earlier, a whole BLOCK of rows per
-    matrix product.  Every window restarts the BLOCK interleaved chains
-    from its own first rows, so no point is more than
-    WINDOW_CAP/BLOCK - 1 long steps from them.  A larger reach set fills
-    each window with expm_multiply on the sparse block.
+    last point by u; each later row is u^BLOCK applied to the row BLOCK
+    points earlier, a whole BLOCK of rows per matrix product.  u^BLOCK is
+    formed once by squaring, at the first window of at least 2*BLOCK
+    rows; a shorter window before it is stepped by u alone.  Every
+    window restarts the BLOCK interleaved chains from its own first rows,
+    so no point is more than WINDOW_CAP/BLOCK - 1 long steps from them.
+    A larger reach set fills each window with expm_multiply on the
+    sparse block.
 
     The grid is stepped in windows of 1, 2, 4, ... points, at most
     WINDOW_CAP each, and each window is checked as a whole, so a stop at
-    point k has computed at most max(2k+1, k+WINDOW_CAP) points.  P(t),
-    <H_I>(t) and the occupations of the track states are taken from each
-    window before it is dropped; only they and the final state are kept.
+    point k has computed at most max(2k+1, k+WINDOW_CAP) points.  The
+    squared amplitudes of each window are formed once, and the edge
+    check, P(t), <H_I>(t) = sum_n |psi_n|^2 H_I[n] and the occupations of
+    the track states are read from them before the window is dropped;
+    only those series and the final state are kept.  H_I is read from
+    h.h_i_diagonal before any step, so an operator whose anti-Hermitian
+    part is not diagonal raises ValueError there.
     """
     T = float(T)
     dt = float(dt)
@@ -166,6 +188,7 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     while not np.array_equal(grown := reach | (pattern @ reach), reach):
         reach = grown
     keep = np.flatnonzero(reach)
+    h_i_keep = h.h_i_diagonal[keep]
 
     matrix = h.matrix[keep][:, keep]
     if len(keep) > KRYLOV_THRESHOLD:
@@ -175,13 +198,10 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
                 f"dt*|H| = {scale:.3g} exceeds the Krylov step margin "
                 f"{KRYLOV_STEP_LIMIT}; shrink dt"
             )
-        # imported here: at module level it costs every command RSS
-        from scipy.sparse.linalg import expm_multiply
-
         minus_ih = -1j * matrix
 
         def advance(last, window):
-            window[:] = expm_multiply(
+            window[:] = _expm_multiply(
                 minus_ih, last, start=0.0, stop=len(window) * dt,
                 num=len(window) + 1, endpoint=True,
             )[1:]
@@ -191,21 +211,21 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
 
         def advance(last, window):
             nonlocal u_block
-            for i in range(min(len(window), BLOCK)):
-                window[i] = u @ (window[i - 1] if i else last)
-            if len(window) > BLOCK and u_block is None:
+            if u_block is None and len(window) >= 2 * BLOCK:
                 # squaring u is expm's own halve-and-square step, without
                 # the sparse products and norm estimates of a second call
                 u_block = np.linalg.matrix_power(u, BLOCK)
+            # until u_block exists, a shorter window is one chain of u
+            chained = BLOCK if u_block is not None else len(window)
+            for i in range(min(len(window), chained)):
+                window[i] = u @ (window[i - 1] if i else last)
             # BLOCK rows per product: row k is u_block @ row k - BLOCK
-            for k in range(BLOCK, len(window), BLOCK):
+            for k in range(chained, len(window), BLOCK):
                 rows = window[k:k + BLOCK]
                 np.matmul(window[k - BLOCK:k - BLOCK + len(rows)], u_block.T,
                           out=rows)
 
     edge = (h.basis.occupations[keep] > h.n_max - 2).any(axis=1)
-    # psi is zero off keep, so the keep block of H_I gives <psi|H_I|psi>
-    generator = h.antihermitian_generator()[keep][:, keep]
     column = np.full(h.matrix.shape[0], -1)
     column[keep] = np.arange(len(keep))
     columns = column[tracked_index]
@@ -224,8 +244,9 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
                 advance(last, window)
             else:
                 window[0] = last
+            weights = np.abs(window) ** 2
             bad = ~np.isfinite(window).all(axis=1)
-            occ = np.max(np.abs(window[:, edge]) ** 2, axis=1, initial=0.0)
+            occ = np.max(weights[:, edge], axis=1, initial=0.0)
             hits = np.flatnonzero(bad | (occ > EDGE_OCCUPATION_LIMIT))
             if hits.size:
                 i = hits[0]
@@ -242,11 +263,11 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
                     RuntimeWarning,
                 )
                 end, aborted = k + 1, True
-                window = window[:i + 1]
+                window, weights = window[:i + 1], weights[:i + 1]
             rows = slice(start, start + len(window))
-            norms[rows] = np.sum(np.abs(window) ** 2, axis=1)
-            h_i[rows] = np.vecdot(window, window @ generator.T).real
-            occupations[rows, inside] = np.abs(window[:, columns[inside]]) ** 2
+            norms[rows] = np.sum(weights, axis=1)
+            h_i[rows] = np.sum(weights * h_i_keep, axis=1)
+            occupations[rows, inside] = weights[:, columns[inside]]
             last = window[-1].copy()
             start = stop
 

@@ -38,6 +38,12 @@ def ground(n_max):
     return basis, basis.vector((0, 0, 0))
 
 
+def antihermitian_part(h):
+    """H_I = (H - H^dagger)/2i as a sparse matrix, formed from h.matrix
+    alone, independently of FockOperator.h_i_diagonal."""
+    return (h.matrix - h.matrix.conj().T) / 2j
+
+
 def quiet_propagate(*args, **kwargs):
     """propagate with its edge-abort RuntimeWarning silenced."""
     with warnings.catch_warnings():
@@ -97,11 +103,16 @@ TRACKED = ((0, 0, 0), (2, 0, 0))
 
 def assert_streams_match(traj, h, states):
     """The streamed series and final state of traj equal, bit for bit,
-    the ones computed row by row from the reference loop's states."""
-    generator = h.antihermitian_generator()[traj.keep][:, traj.keep]
+    the ones computed row by row from the reference loop's states; <H_I>
+    is also held to round-off of the full expectation <psi|H_I|psi>."""
+    keep = traj.keep
+    weights = np.abs(states) ** 2
     assert np.array_equal(traj.times, np.arange(len(states)) * traj.dt)
-    assert np.array_equal(traj.norms, np.sum(np.abs(states) ** 2, axis=1))
-    assert np.array_equal(traj.h_i, np.vecdot(states, states @ generator.T).real)
+    assert np.array_equal(traj.norms, np.sum(weights, axis=1))
+    assert np.array_equal(traj.h_i, np.sum(weights * h.h_i_diagonal[keep], axis=1))
+    generator = antihermitian_part(h)[keep][:, keep]
+    full = np.vecdot(states, states @ generator.T).real
+    assert np.max(np.abs(traj.h_i - full)) <= 1e-14 * np.max(np.abs(full))
     assert np.array_equal(traj.states, states[-1:])
     for state in TRACKED:
         column = np.searchsorted(traj.keep, h.basis.index(state))
@@ -151,8 +162,9 @@ class TestClosedFormOracles:
     def test_decay_operator_structure(self):
         h = decay_operator(2, 0.7)
         basis = FockBasis(2)
-        gen = h.antihermitian_generator()
+        gen = antihermitian_part(h)
         assert np.array_equal(gen.toarray(), -0.7 * np.eye(basis.dim))
+        assert np.array_equal(h.h_i_diagonal, np.full(basis.dim, -0.7))
         herm = (h.matrix + h.matrix.conj().T) / 2
         expected = np.diag([sum(basis.state(i)) + 1.5 for i in range(basis.dim)])
         assert np.array_equal(herm.toarray(), expected)
@@ -201,7 +213,7 @@ def rk4_series(h, psi0, T, dt):
     keep, states, message = reference_propagate(h, psi0, T, dt,
                                                 "fourth-order-explicit")
     assert message is None
-    generator = h.antihermitian_generator()[keep][:, keep]
+    generator = antihermitian_part(h)[keep][:, keep]
     norms = np.sum(np.abs(states) ** 2, axis=1)
     h_i = np.vecdot(states, states @ generator.T).real
     return keep, norms, h_i, states[-1]
@@ -273,7 +285,7 @@ class TestNormFlow:
         _, psi0 = ground(6)
         traj = propagate(h, psi0, T=0.05, dt=1e-3)
         rate = initial_norm_rate(traj)
-        expected = 2.0 * (psi0.conj() @ (h.antihermitian_generator() @ psi0)).real
+        expected = 2.0 * (psi0.conj() @ (antihermitian_part(h) @ psi0)).real
         assert abs(expected - 2.0 * theta * d0) <= 1e-12
         assert abs(rate - expected) <= 1e-6
 
@@ -419,6 +431,18 @@ class TestGuardRails:
             with pytest.raises(RuntimeError, match="non-finite"):
                 propagate(grow, psi0, T=2.0, dt=1.0)
 
+    def test_non_diagonal_h_i_is_refused_before_any_step(self, step_spy):
+        # +i in both slots of a pair inside one parity sector: the
+        # anti-Hermitian part couples (0,0,0) and (2,0,0)
+        basis = FockBasis(4)
+        matrix = build_h_eff(4, 0.0, "paper").matrix.tolil()
+        ground, raised = basis.index((0, 0, 0)), basis.index((2, 0, 0))
+        matrix[raised, ground] = matrix[ground, raised] = 1j
+        h = FockOperator(matrix=matrix.tocsr(), n_max=4)
+        with pytest.raises(ValueError, match="not diagonal"):
+            propagate(h, basis.vector((0, 0, 0)), T=0.1, dt=1e-3)
+        assert step_spy == []
+
     def test_no_renormalization(self):
         h = decay_operator(2, 1.0)
         basis = FockBasis(2)
@@ -527,6 +551,32 @@ class TestBlockSteps:
             rel = np.linalg.norm(traj.states[0] - exact) / np.linalg.norm(exact)
             assert rel <= 1e-12, (k, rel)
 
+    def test_block_power_waits_for_a_long_window(self, monkeypatch):
+        # u^BLOCK is formed at the first window of at least 2*BLOCK rows:
+        # 101 points end on a 38-row window and form none, 128 points
+        # reach a 64-row window and form one
+        powers = []
+        original = np.linalg.matrix_power
+
+        def spy(a, n):
+            powers.append(n)
+            return original(a, n)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", spy)
+        dt = 1e-3
+        h = build_h_eff(10, 0.01, "paper")
+        _, psi0 = ground(10)
+        keep = np.flatnonzero(h.basis.parity == 0)
+        dense = h.block(keep)
+        for points, formed in ((101, []), (128, [BLOCK])):
+            powers.clear()
+            traj = propagate(h, psi0, T=(points - 1) * dt, dt=dt)
+            assert len(traj.times) == points and not traj.edge_aborted
+            assert powers == formed
+            exact = expm(-1j * ((points - 1) * dt) * dense) @ psi0[keep]
+            rel = np.linalg.norm(traj.states[0] - exact) / np.linalg.norm(exact)
+            assert rel <= 1e-12, (points, rel)
+
     def test_expm_matches_dense_expm(self, monkeypatch):
         # dt*|H|_1 from 0.04 to 400 on the evolve defaults' even block, and
         # the overflow test's 100i; expm_multiply never sees a block whose
@@ -572,6 +622,44 @@ class TestBlockSteps:
         traj = propagate(h, psi0, T=3e-3, dt=1e-8)
         assert len(traj.times) == 300_001 and not traj.edge_aborted
         assert norm_flow_check(traj) <= 3e-7
+
+
+class TestGlobalRandomState:
+    """expm_multiply's norm estimates draw from numpy's global random
+    state; dynamics seeds it around each call and restores it."""
+
+    @staticmethod
+    def next_draw(seed, run):
+        np.random.seed(seed)
+        run()
+        return np.random.random()
+
+    def test_caller_stream_is_untouched(self, monkeypatch):
+        # dt 0.1 on the evolve defaults' even block is past the norm at
+        # which expm_multiply estimates powers of its argument
+        h = build_h_eff(10, 0.01, "paper")
+        _, psi0 = ground(10)
+        block = h.matrix[h.basis.parity == 0][:, h.basis.parity == 0]
+        undisturbed = self.next_draw(5, lambda: None)
+        assert self.next_draw(5, lambda: block_expm(-1j * 0.1 * block)) == undisturbed
+        # the Krylov step on the same block, 101 points of dt 0.1
+        monkeypatch.setattr(dynamics, "KRYLOV_THRESHOLD", 0)
+        runs = []
+
+        def krylov():
+            runs.append(propagate(h, psi0, T=10.0, dt=0.1))
+
+        assert self.next_draw(5, krylov) == undisturbed
+        assert len(runs[0].times) == 101 and not runs[0].edge_aborted
+
+    def test_step_propagator_independent_of_prior_seed(self):
+        h = build_h_eff(10, 0.01, "paper")
+        block = h.matrix[h.basis.parity == 0][:, h.basis.parity == 0]
+        steps = []
+        for seed in (0, 1, 12345):
+            np.random.seed(seed)
+            steps.append(block_expm(-1j * 0.1 * block))
+        assert all(np.array_equal(steps[0], u) for u in steps[1:])
 
 
 class TestReachableSet:
@@ -647,7 +735,7 @@ class TestSectors:
         off = np.ones(basis.dim, dtype=bool)
         off[traj.keep] = False
         assert np.max(np.abs(full[:, off])) <= 1e-12
-        gen = h.antihermitian_generator().toarray()
+        gen = antihermitian_part(h).toarray()
         h_i = np.sum(full.conj() * (full @ gen.T), axis=1).real
         assert np.max(np.abs(traj.h_i - h_i)) <= 1e-12
 

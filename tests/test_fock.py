@@ -152,10 +152,16 @@ def test_frozen_interior_elements():
     assert h1[basis.index((1, 1, 1)), basis.index((0, 0, 0))] == 0
 
 
+def antihermitian_part(h):
+    """H_I = (H - H^dagger)/2i as a sparse matrix, formed from h.matrix
+    alone, independently of FockOperator.h_i_diagonal."""
+    return (h.matrix - h.matrix.conj().T) / 2j
+
+
 def test_hermitian_split_is_exact():
     h = build_h_eff(4, 0.01, "paper")
     h_r = (h.matrix + h.matrix.conj().T) / 2
-    h_i = h.antihermitian_generator()
+    h_i = antihermitian_part(h)
     assert np.array_equal(h_r.toarray(), h_r.conj().T.toarray())
     assert np.array_equal(h_i.toarray(), h_i.conj().T.toarray())
     recon = h_r + 1j * h_i
@@ -351,11 +357,43 @@ def test_h1_is_exactly_imaginary_and_antisymmetric_off_diagonal(mode, n_max):
     assert sym.nnz == 0
     # so H_I = theta*D(n), exactly diagonal, and H_R carries every coupling
     h = build_h_eff(n_max, 0.01, mode)
-    h_i = h.antihermitian_generator()
+    h_i = antihermitian_part(h)
     bras, kets = h_i.nonzero()
     assert h_i.nnz == h.basis.dim
     assert np.array_equal(bras, kets)
     assert np.array_equal(h_i.diagonal(), 0.01 * h1.diagonal().imag)
+
+
+def pair_operator(n_max, up, down):
+    """The theta = 0 operator with up at <2,0,0|H|0,0,0> and down at
+    <0,0,0|H|2,0,0>, a pair inside one parity sector."""
+    basis = FockBasis(n_max)
+    matrix = build_h_eff(n_max, 0.0, "paper").matrix.tolil()
+    ground, raised = basis.index((0, 0, 0)), basis.index((2, 0, 0))
+    matrix[raised, ground] = up
+    matrix[ground, raised] = down
+    return FockOperator(matrix=matrix.tocsr(), n_max=n_max)
+
+
+def test_h_i_diagonal_refuses_an_off_diagonal_antihermitian_part():
+    # +i in both slots is anti-Hermitian: H_I would join the two states
+    h = pair_operator(4, 1j, 1j)
+    with pytest.raises(ValueError, match="not diagonal"):
+        h.h_i_diagonal
+    # +i and -i are a Hermitian pair, which H_R carries
+    h = pair_operator(4, 1j, -1j)
+    assert np.array_equal(h.h_i_diagonal, np.zeros(h.basis.dim))
+
+
+@pytest.mark.parametrize("n_max", [6, 16])
+@pytest.mark.parametrize("mode", MODES)
+def test_h_i_diagonal_is_theta_d(mode, n_max):
+    # H1 = iK with K's diagonal D(N), so H_I = theta D(N) exactly
+    theta = 0.01
+    n1, n2, n3 = FockBasis(n_max).occupations.T
+    d = {"paper": -(1.5 + 2 * n1 + n2),
+         "rederived": -(3.0 + 3 * n1 + 2 * n2 + n3)}[mode]
+    assert np.array_equal(build_h_eff(n_max, theta, mode).h_i_diagonal, theta * d)
 
 
 @pytest.mark.parametrize("n_max", [6, 10, 16])
