@@ -265,12 +265,6 @@ class NCPoly(SparseTerms):
             raise ValueError(f"generator code {code} out of range")
         return NCPoly({(code,): 1})
 
-    def __repr__(self):
-        if not self.terms:
-            return "NCPoly(0)"
-        parts = [f"({c!r})*{word_to_str(w)}" for w, c in sorted(self.terms.items())]
-        return "NCPoly(" + " + ".join(parts) + ")"
-
     def to_json(self) -> list:
         """Canonical JSON form: sorted list of {word, coeff rows}."""
         return [

@@ -245,12 +245,6 @@ def cmd_verify_algebra(config: RunConfig, args) -> dict:
         for name, lhs, rhs in defining_relations()
     ]
     symbolic_ok = all(r["holds"] for r in reports)
-    if getattr(args, "corrupt_relation", False):
-        # negative control: doubling one side must break the relation
-        name, lhs, rhs = defining_relations()[0]
-        bad = check_relation(lhs, rhs.scale(2), name + " (corrupted control)")
-        reports.append(bad)
-        symbolic_ok = symbolic_ok and bad["holds"]
     numeric = relation_residual_numeric(config.theta, config.degree)
     numeric_ok = numeric["max_residual"] <= NUMERIC_RESIDUAL_LIMIT
     # the paper's identity fails under both pairings, so it is reported
@@ -451,7 +445,6 @@ _COMMANDS = {
 
 # command-only on/off flags: command -> (flag, help)
 _SWITCHES = {
-    "verify-algebra": ("--corrupt-relation", argparse.SUPPRESS),
     "evolve": ("--decay-oracle", "check the constant-sink closed-form decay law instead"),
 }
 

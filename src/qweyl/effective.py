@@ -4,7 +4,8 @@ Two assembly routes are implemented and deliberately kept separate:
 
 - generator_operator / hamiltonian_operator compose the expanded
   generators as honest differential operators via the Leibniz rule,
-  third derivatives and all.  The matrix layer consumes this route.
+  third derivatives and all.  The matrix layer builds H1 from its closed
+  form; this route feeds its Kronecker and quadrature references.
 
 - assemble_effective replaces each generator by the
   multiplication-plus-derivative symbol read off its ground-state

@@ -205,12 +205,14 @@ class FockOperator:
 
     @cached_property
     def h_i_diagonal(self) -> np.ndarray:
-        """Diagonal of H_I in the exact split H = H_R + i H_I; the first
-        read raises ValueError if (H - H^dagger)/2i is not diagonal."""
+        """Read-only diagonal of H_I in the exact split H = H_R + i H_I; the
+        first read raises ValueError if (H - H^dagger)/2i is not diagonal."""
         bras, kets = (self.matrix - self.matrix.conj().T).nonzero()
         if np.any(bras != kets):
             raise ValueError("the anti-Hermitian part of H is not diagonal")
-        return self.matrix.diagonal().imag
+        diagonal = self.matrix.diagonal().imag
+        diagonal.flags.writeable = False
+        return diagonal
 
 
 def build_h_eff(n_max: int, theta: float, mode: str) -> FockOperator:

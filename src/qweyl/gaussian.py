@@ -29,8 +29,6 @@ from .scalars import GaussRat, SparseTerms, exponent_key
 
 Key = tuple  # (a, b, c, t): exponents of x, y, z and the theta power
 
-AXES = ("x", "y", "z")
-
 
 class CPoly3(SparseTerms):
     """Polynomial in x, y, z, theta with GaussRat coefficients."""
@@ -114,41 +112,6 @@ class CPoly3(SparseTerms):
             f"({a},{b},{c})": sorted(rows, key=lambda r: r[2])
             for (a, b, c), rows in sorted(grouped.items())
         }
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        order = sorted(self.terms, key=lambda k: (k[3], sum(k[:3]), k[:3]))
-        for key in order:
-            coeff = self.terms[key]
-            factors = []
-            if key[3] == 1:
-                factors.append("theta")
-            elif key[3] > 1:
-                factors.append(f"theta^{key[3]}")
-            for axis in range(3):
-                if key[axis] == 1:
-                    factors.append(AXES[axis])
-                elif key[axis] > 1:
-                    factors.append(f"{AXES[axis]}^{key[axis]}")
-            if coeff.im == 0:
-                cs = str(coeff.re)
-            elif coeff.re == 0:
-                cs = f"{coeff.im}i"
-            else:
-                sign = "+" if coeff.im > 0 else "-"
-                cs = f"({coeff.re}{sign}{abs(coeff.im)}i)"
-            if factors and cs == "1":
-                parts.append("*".join(factors))
-            elif factors and cs == "-1":
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append("*".join([cs] + factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
 
 
 def _add_keys(k1, k2) -> tuple:
@@ -255,21 +218,6 @@ class DiffOp3(SparseTerms):
             f"d({k[0]},{k[1]},{k[2]})": p.to_json()
             for k, p in sorted(self.terms.items())
         }
-
-    def __repr__(self):
-        if not self.terms:
-            return "DiffOp3(0)"
-        parts = []
-        for key in sorted(self.terms):
-            ds = []
-            for axis in range(3):
-                if key[axis] == 1:
-                    ds.append(f"d{AXES[axis]}")
-                elif key[axis] > 1:
-                    ds.append(f"d{AXES[axis]}^{key[axis]}")
-            dstr = "*".join(ds) if ds else "1"
-            parts.append(f"[{self.terms[key]!r}] {dstr}")
-        return "DiffOp3(" + " + ".join(parts) + ")"
 
 
 def _double_factorial(n: int) -> int:

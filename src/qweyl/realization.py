@@ -101,9 +101,6 @@ class MonomialVec(SparseTerms):
         diffs = (abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) for k in keys)
         return max(diffs, default=0.0)
 
-    def __repr__(self):
-        return f"MonomialVec({self.terms!r})"
-
 
 class _Table(dict):
     """f(key, theta) at one theta, computed on the first lookup of key."""

