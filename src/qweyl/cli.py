@@ -232,8 +232,12 @@ def _ensure_fits(n_max: int, held: int) -> None:
     need = run_bytes(n_max, held)
     free = available_memory()
     if need > free:
+        try:
+            need_mib = f"{need / 2**20:.1f}"
+        except OverflowError:  # more MiB than a double holds
+            need_mib = "inf"
         raise ConfigError(
-            f"nmax={n_max} needs at least {need / 2**20:.1f} MiB, "
+            f"nmax={n_max} needs at least {need_mib} MiB, "
             f"{free / 2**20:.1f} MiB available"
         )
 
@@ -372,7 +376,7 @@ def cmd_mixing(config: RunConfig, args) -> dict:
 def cmd_evolve(config: RunConfig, args) -> dict:
     """propagate the ground state and check norm-flow identities"""
     n_steps = step_count(config.t_final, config.dt)
-    decay = getattr(args, "decay_oracle", False)
+    decay = args.decay_oracle
     tracked = [] if decay else [s for s in TRACKED_STATES if max(s) <= config.n_max]
     # H is diagonal under the decay oracle and at theta = 0, so the ground
     # state evolves alone; otherwise it reaches its even sector
@@ -443,12 +447,6 @@ _COMMANDS = {
     "evolve": cmd_evolve,
 }
 
-# command-only on/off flags: command -> (flag, help)
-_SWITCHES = {
-    "evolve": ("--decay-oracle", "check the constant-sink closed-form decay law instead"),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qweyl",
@@ -460,9 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="key=value config file; flags override it")
         for key, field, kind in _CONFIG_TABLE:
             sp.add_argument(f"--{key}", type=kind, choices=_CHOICES.get(key), dest=field)
-        if name in _SWITCHES:
-            flag, text = _SWITCHES[name]
-            sp.add_argument(flag, action="store_true", help=text)
+        if name == "evolve":
+            sp.add_argument("--decay-oracle", action="store_true",
+                            help="check the constant-sink closed-form decay law instead")
     return parser
 
 

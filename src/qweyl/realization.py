@@ -156,11 +156,6 @@ def _act(letters, v: MonomialVec, theta, tables=None, shift=0) -> dict:
     return out
 
 
-def apply_exact(g, v: MonomialVec, theta: float) -> MonomialVec:
-    """Exact action of one generator, extended linearly over v."""
-    return v._new(_act((gen_code(g),), v, theta, _tables(theta)))
-
-
 def apply_first_order(g, v: MonomialVec, theta: float, mode: str) -> MonomialVec:
     """First-order action, diagonal multiplier then shift: the beta correction
     (1/2)i*theta*(M_j + 1) in mode "paper" or (1/2)i*theta*M_j in "rederived",
@@ -236,11 +231,11 @@ def expansion_order_scan(g, v: MonomialVec, theta_grid, mode: str) -> dict:
     """Least-squares slope of log residual vs log theta, as the report
     {generator, mode, slope, exact_match, points}.
 
-    The residual compares apply_exact against apply_first_order in the
-    requested mode; points holds the pairs [theta, residual].  Grid
-    points where the residual vanishes identically are excluded from the
-    fit; if every point vanishes the result is reported as an exact match
-    with no slope.
+    The residual compares the exact action, apply_word on the one-letter
+    word, against apply_first_order in the requested mode; points holds
+    the pairs [theta, residual].  Grid points where the residual vanishes
+    identically are excluded from the fit; if every point vanishes the
+    result is reported as an exact match with no slope.
     """
     thetas = [float(t) for t in theta_grid]
     if len(thetas) < 2 or min(thetas) <= 0:
@@ -248,7 +243,7 @@ def expansion_order_scan(g, v: MonomialVec, theta_grid, mode: str) -> dict:
     if max(thetas) / min(thetas) < 100.0:
         raise ValueError("theta grid must span at least two decades")
     code = gen_code(g)
-    points = [[t, (apply_exact(code, v, t)
+    points = [[t, (apply_word((code,), v, t)
                    - apply_first_order(code, v, t, mode)).norm()] for t in thetas]
     fit = np.log([(t, r) for t, r in points if r > 0.0]).reshape(-1, 2)
     slope = float(np.polyfit(*fit.T, 1)[0]) if len(fit) else None

@@ -1,7 +1,7 @@
 """Exact scalar arithmetic for the symbolic layer.
 
 - GaussRat: a complex number a + b*i with both parts exact rationals,
-  each held as a Python int unless a division made it fractional.
+  each held as a Python int while it is integral.
 - SparseTerms: the immutable, zero-dropping term map that QScalar here
   and CPoly3, DiffOp3, NCPoly and MonomialVec elsewhere are built on.
 - QScalar: a Laurent polynomial in a formal unit-modulus symbol q, with
@@ -29,7 +29,8 @@ def _as_part(x):
 
 class GaussRat:
     """Gaussian rational re + im*i; each part is an int when integral and
-    a Fraction otherwise, so only a division makes a part fractional."""
+    a Fraction otherwise.  A part turns fractional by a division or by
+    arithmetic with a fractional operand, such as a product with HALF."""
 
     __slots__ = ("re", "im")
 
@@ -215,13 +216,16 @@ class SparseTerms:
         other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            self._accumulate(terms, key, -coeff)
+        return self._new(terms)
 
     def __rsub__(self, other):
         other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def scale(self, factor):
         """Every coefficient times one ring element."""

@@ -36,7 +36,7 @@ from qweyl.effective import (
     hamiltonian_operator,
 )
 from qweyl.fock import FockBasis, build_h1_matrix, build_h_eff, h0_diagonal, sparsity_pattern
-from qweyl.gaussian import CPoly3, R_SQUARED
+from qweyl.gaussian import CPoly3
 from qweyl.quadrature import element_3d
 from qweyl.realization import (
     MonomialVec,
@@ -49,6 +49,8 @@ from qweyl.reference import (
     REFERENCE_V_I,
 )
 from qweyl.effective import first_order_action
+
+from oracles import R_SQUARED
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
 DISCREPANCY_POINTER = "see README, section 'Known discrepancies'"

@@ -258,6 +258,17 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: nmax=6 needs")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum"], ["mixing"], ["evolve"], ["evolve", "--decay-oracle"],
+    ])
+    def test_refuses_a_need_beyond_a_float(self, argv, tmp_path, capsys):
+        # 10^120 states per axis: the bytes needed exceed a double's range
+        n_max = str(10 ** 120)
+        assert main([*argv, "--nmax", n_max, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: nmax={n_max} needs")
+        assert not list(tmp_path.iterdir())
+
     def test_corrupt_relation_is_one(self, tmp_path, monkeypatch, capsys):
         # negative control: doubling one side must break the relation
         relations = cli.defining_relations()

@@ -303,6 +303,36 @@ class TestNormFlow:
         orders = np.log2(np.array(deviations[:-1]) / deviations[1:])
         assert np.all((1.9 <= orders) & (orders <= 2.1)), orders
 
+    @staticmethod
+    def assert_norm_within_h_i_bounds(h, traj):
+        # dP/dt = 2<H_I> with H_I diagonal, so P(t) lies between
+        # exp(2 min(H_I) t) and exp(2 max(H_I) t) over the reach set, for
+        # either sign of theta
+        h_i = h.h_i_diagonal[traj.keep]
+        assert not traj.edge_aborted
+        assert np.all(traj.norms >= np.exp(2.0 * h_i.min() * traj.times) * (1 - 1e-12))
+        assert np.all(traj.norms <= np.exp(2.0 * h_i.max() * traj.times) * (1 + 1e-12))
+
+    @pytest.mark.parametrize("theta", [0.01, -0.01])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_norm_within_h_i_bounds_dense(self, mode, theta):
+        h = build_h_eff(10, theta, mode)
+        _, psi0 = ground(10)
+        traj = propagate(h, psi0, T=1.0, dt=1e-3)
+        assert len(traj.keep) <= KRYLOV_THRESHOLD
+        self.assert_norm_within_h_i_bounds(h, traj)
+
+    @pytest.mark.parametrize("theta", [0.01, -0.01])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_norm_within_h_i_bounds_krylov(self, mode, theta):
+        # a reach set too large for a dense propagator: the bounds are
+        # its oracle, with no dense run to compare against
+        h = build_h_eff(20, theta, mode)
+        _, psi0 = ground(20)
+        traj = propagate(h, psi0, T=0.2, dt=1e-3)
+        assert len(traj.keep) > KRYLOV_THRESHOLD
+        self.assert_norm_within_h_i_bounds(h, traj)
+
     def test_short_trajectories_rejected(self):
         h = build_h_eff(2, 0.0, "paper")
         _, psi0 = ground(2)

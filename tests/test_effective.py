@@ -17,12 +17,7 @@ from qweyl.effective import (
     magnetic_kinetic,
     state_symbol_hamiltonian,
 )
-from qweyl.gaussian import (
-    CPoly3,
-    DiffOp3,
-    R_SQUARED,
-    gaussian_expectation,
-)
+from qweyl.gaussian import CPoly3, DiffOp3
 from qweyl.reference import (
     REFERENCE_A,
     REFERENCE_DRIFT_A,
@@ -33,6 +28,8 @@ from qweyl.reference import (
     epsilon_full_sum,
 )
 from qweyl.scalars import GaussRat
+
+from oracles import R_SQUARED, gaussian_expectation
 
 HALF = Fraction(1, 2)
 I = GaussRat(0, 1)

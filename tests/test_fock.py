@@ -22,9 +22,11 @@ from qweyl.fock import (
     operator_matrix,
     sparsity_pattern,
 )
-from qweyl.gaussian import CPoly3, gaussian_expectation
+from qweyl.gaussian import CPoly3
 from qweyl.quadrature import element_1d, element_3d, hermite_prefactor
 from qweyl.realization import MODES
+
+from oracles import gaussian_expectation
 
 
 def states_up_to(total: int):
@@ -362,6 +364,24 @@ def test_h1_is_exactly_imaginary_and_antisymmetric_off_diagonal(mode, n_max):
     assert h_i.nnz == h.basis.dim
     assert np.array_equal(bras, kets)
     assert np.array_equal(h_i.diagonal(), 0.01 * h1.diagonal().imag)
+
+
+@pytest.mark.parametrize("n_max", [8, 12, 16])
+@pytest.mark.parametrize("mode", MODES)
+def test_gauge_makes_h_complex_symmetric_with_real_couplings(mode, n_max):
+    # S = diag(i^floor(N/2)) turns each coupling i*theta*A (A real
+    # antisymmetric, N -> N +- 2) real and symmetric: G = S H S^-1 =
+    # H0 + theta*(B + iD) with B real symmetric; S^-1 = conj(S), and
+    # multiplying by a power of i is exact
+    h = build_h_eff(n_max, 0.01, mode)
+    quarter = h.basis.occupations.sum(axis=1) // 2 % 4
+    s = np.array([1, 1j, -1, -1j])[quarter]
+    g = sp.csr_array(sp.diags_array(s) @ h.matrix @ sp.diags_array(s.conj()))
+    assert abs(g - g.T).max() == 0.0
+    off = g.copy()
+    off.setdiag(0)
+    assert np.all(off.data.imag == 0.0)
+    assert np.array_equal(g.diagonal(), h.matrix.diagonal())
 
 
 def pair_operator(n_max, up, down):

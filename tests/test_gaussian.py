@@ -3,13 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qweyl.gaussian import (
-    CPoly3,
-    DiffOp3,
-    R_SQUARED,
-    gaussian_expectation,
-)
+from qweyl.gaussian import CPoly3, DiffOp3
 from qweyl.scalars import GaussRat
+
+from oracles import R_SQUARED, gaussian_expectation
 
 X = CPoly3.variable(0)
 Y = CPoly3.variable(1)

@@ -24,7 +24,6 @@ from qweyl.realization import (
     MODES,
     PRUNE_TOL,
     MonomialVec,
-    apply_exact,
     apply_first_order,
     apply_poly,
     apply_word,
@@ -37,6 +36,11 @@ from qweyl.realization import (
 )
 
 GRID = [10 ** (-4 + 3 * k / 12) for k in range(13)]  # 1e-4 .. 1e-1
+
+
+def apply_exact(g, v, theta):
+    """Exact action of one generator: apply_word on the one-letter word."""
+    return apply_word((g,), v, theta)
 
 
 def dumped(report) -> str:

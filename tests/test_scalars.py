@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from qweyl.algebra import NCPoly, nc_mul
 from qweyl.gaussian import CPoly3, DiffOp3
-from qweyl.realization import PRUNE_TOL, MonomialVec, apply_exact
+from qweyl.realization import PRUNE_TOL, MonomialVec, apply_word
 from qweyl.scalars import GaussRat, QScalar, Q, Q_INV, I_UNIT, SparseTerms
 
 
@@ -223,7 +223,7 @@ SPECS = {
             st.tuples(*[st.integers(0, 1)] * 3), unit_complex, max_size=4
         ).map(MonomialVec),
         factor=unit_complex,
-        product=lambda a, b, g: apply_exact(g, a, 0.3),
+        product=lambda a, b, g: apply_word((g,), a, 0.3),
         zero=lambda r, c: not abs(c) > PRUNE_TOL,
         rebuild=lambda r: MonomialVec(dict(r.terms)),
     ),
