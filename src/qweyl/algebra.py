@@ -11,8 +11,9 @@ encoded as integers 0..5 in that order.  The defining relations are
 A word is in canonical (normal) form when all X's precede all d's and each
 group has non-decreasing index, which with this encoding is exactly the
 non-decreasing words over 0..5.  By Bergman's diamond lemma every word
-has exactly one normal form, however it is reached, so normalize and
-normalize_by_rewriting must agree term for term.
+has exactly one normal form, however it is reached, so normalize must
+agree term for term with the one-swap rewriting stepper that the tests
+keep as its oracle (tests/oracles.py).
 
 normalize folds a word's letters left to right into a map
 (normal word, q-power) -> int.  Multiplying a normal word by one letter
@@ -21,30 +22,10 @@ place, picking up one power of q or q^{-1} per letter it passes, and an
 X_a that meets copies of d_a also yields the diagonal rule's shorter and
 X_k d_k words, summed over the copies.  Each output word's q-coefficient
 becomes one QScalar, times the input coefficient.
-
-normalize_by_rewriting, the stepper, rewrites one adjacent out-of-order
-pair at a time, oriented left-to-right:
-
-    X_b X_a -> q^{-1} X_a X_b                      (b > a)
-    d_b d_a -> q       d_a d_b                     (b > a)
-    d_a X_b -> q       X_b d_a                     (a != b)
-    d_a X_a -> 1 + q^2 X_a d_a + (q^2-1) sum_{k>a} X_k d_k
-
-Termination: order words by (m, s) where m counts derivative-before-
-coordinate letter pairs and s counts same-type index inversions.  The two
-swap rules leave m fixed and drop s by one; the mixed rules drop m by one
-(letters outside the rewritten pair contribute identically before and
-after, including for the diagonal rule, whose output words either drop
-both letters or replace the inverted pair d_a X_a by a non-inverted pair
-X_k d_k).  Each rewrite therefore strictly decreases (m, s)
-lexicographically, and normalization reaches a fixpoint.  Confluence is
-exercised by test suites that normalize random words under different
-admissible strategies, and normalize is checked against the stepper.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left, bisect_right
 
 from .scalars import GaussRat, QScalar, Q, Q_INV, SparseTerms
@@ -55,12 +36,6 @@ GEN_NAMES = ("X1", "X2", "X3", "d1", "d2", "d3")
 Word = tuple  # tuple of int generator codes; () is the identity
 
 _ONE = QScalar.one()
-_Q_SQ = QScalar.from_q_power(2)
-_Q_SQ_MINUS_ONE = _Q_SQ - _ONE
-
-
-class NoRewriteApplicable(Exception):
-    """Raised when a word is already in canonical form."""
 
 
 def gen_code(g) -> int:
@@ -100,37 +75,6 @@ def _checked_word(word) -> Word:
 
 def is_normal(word) -> bool:
     return all(word[p] <= word[p + 1] for p in range(len(word) - 1))
-
-
-def rewrite_at(word, pos):
-    """Apply the defining relation at adjacent position pos.
-
-    Returns a list of (word, QScalar factor) pairs whose sum, times the
-    original coefficient, equals the original word.
-    """
-    a, b = word[pos], word[pos + 1]
-    if a <= b:
-        raise NoRewriteApplicable(f"pair {GEN_NAMES[a]} {GEN_NAMES[b]} is in order")
-    head, tail = word[:pos], word[pos + 2:]
-    swapped = head + (b, a) + tail
-    if a < 3:
-        # X_b X_a with b > a
-        return [(swapped, Q_INV)]
-    if b >= 3:
-        # d_b d_a with b > a
-        return [(swapped, Q)]
-    i, j = a - 3, b  # derivative index, coordinate index (0-based)
-    if i != j:
-        return [(swapped, Q)]
-    # diagonal pair d_i X_i
-    out = [(head + tail, _ONE), (swapped, _Q_SQ)]
-    for k in range(i + 1, 3):
-        out.append((head + (k, k + 3) + tail, _Q_SQ_MINUS_ONE))
-    return out
-
-
-def _rewrite_positions(word):
-    return [p for p in range(len(word) - 1) if word[p] > word[p + 1]]
 
 
 def _insert(word, letter) -> list:
@@ -206,37 +150,6 @@ def normalize(terms) -> "NCPoly":
             if powers:
                 ring._accumulate(done, w, _ONE._new(powers) * coeff)
     return ring._new({w: done[w] for w in sorted(done)})
-
-
-def normalize_by_rewriting(terms, strategy, seed=None) -> "NCPoly":
-    """Canonical form by one rewrite_at step at a time, at the out-of-order
-    position strategy picks: "leftmost", "rightmost", or "random" with the
-    given seed.  Every strategy must agree with normalize, which the tests
-    check.
-    """
-    if strategy not in ("leftmost", "rightmost", "random"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    rng = random.Random(seed) if strategy == "random" else None
-    ring = NCPoly()  # its accumulate and trusted constructor
-    done: dict = {}
-    pending: dict = {}
-    for word, coeff in getattr(terms, "terms", terms).items():
-        ring._accumulate(pending, _checked_word(word), QScalar.coerce(coeff))
-    while pending:
-        word, coeff = pending.popitem()
-        positions = _rewrite_positions(word)
-        if not positions:
-            ring._accumulate(done, word, coeff)
-            continue
-        if strategy == "leftmost":
-            pos = positions[0]
-        elif strategy == "rightmost":
-            pos = positions[-1]
-        else:
-            pos = rng.choice(positions)
-        for new_word, factor in rewrite_at(word, pos):
-            ring._accumulate(pending, new_word, coeff * factor)
-    return ring._new(done)
 
 
 class NCPoly(SparseTerms):

@@ -167,14 +167,10 @@ def assemble_config(args) -> RunConfig:
 
 
 def _json_default(obj):
-    """Symbolic values (NCPoly, CPoly3, DiffOp3) through their to_json,
-    numpy scalars and arrays as plain JSON values, complex as [re, im]."""
+    """Symbolic values (NCPoly, CPoly3, DiffOp3) through their to_json;
+    the reports hold every number as a plain float or an [re, im] list."""
     if hasattr(obj, "to_json"):
         return obj.to_json()
-    if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 

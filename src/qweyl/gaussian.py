@@ -82,8 +82,9 @@ class CPoly3(SparseTerms):
             terms[tuple(new)] = coeff * key[axis]
         return self._new(terms)
 
-    def truncate_theta(self, max_degree: int = 1) -> "CPoly3":
-        return self._new({k: c for k, c in self.terms.items() if k[3] <= max_degree})
+    def truncate_theta(self) -> "CPoly3":
+        """Drop theta^2 and higher: the calculus is first order in theta."""
+        return self._new({k: c for k, c in self.terms.items() if k[3] <= 1})
 
     def theta_slice(self, degree: int) -> "CPoly3":
         """Coefficient of theta^degree, with the theta factor removed."""
@@ -133,7 +134,7 @@ class DiffOp3(SparseTerms):
 
     @staticmethod
     def _coerce(poly):
-        return CPoly3.coerce(poly).truncate_theta(1)
+        return CPoly3.coerce(poly).truncate_theta()
 
     @staticmethod
     def identity() -> "DiffOp3":
@@ -186,7 +187,7 @@ class DiffOp3(SparseTerms):
                     # chain rule through the envelope
                     g = g.derivative(axis) - CPoly3.variable(axis) * g
             total = total + poly * g
-        return total.truncate_theta(1)
+        return total.truncate_theta()
 
     def theta_slice(self, degree: int) -> "DiffOp3":
         """Operator made of the theta^degree parts, theta factor removed."""

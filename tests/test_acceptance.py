@@ -21,7 +21,6 @@ from qweyl.algebra import (
     QScalar,
     check_relation,
     defining_relations,
-    normalize_by_rewriting,
 )
 from qweyl.cli import main as cli_main
 from qweyl.dynamics import (
@@ -50,7 +49,7 @@ from qweyl.reference import (
 )
 from qweyl.effective import first_order_action
 
-from oracles import R_SQUARED
+from oracles import R_SQUARED, normalize_by_rewriting
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
 DISCREPANCY_POINTER = "see README, section 'Known discrepancies'"

@@ -384,6 +384,37 @@ def test_gauge_makes_h_complex_symmetric_with_real_couplings(mode, n_max):
     assert np.array_equal(g.diagonal(), h.matrix.diagonal())
 
 
+def even_ground(n_max, theta, mode):
+    """The even-sector eigenvalue of H nearest the unperturbed 3/2."""
+    h = build_h_eff(n_max, theta, mode)
+    lam = np.linalg.eigvals(h.block(np.flatnonzero(h.basis.parity == 0)))
+    return lam[np.argmin(abs(lam - 1.5))]
+
+
+@pytest.mark.parametrize("mode, d0", [("paper", -1.5), ("rederived", -3.0)])
+def test_ground_state_shift_through_second_order(mode, d0):
+    # lambda = 3/2 + i*theta*D(0) + theta^2*mu + O(theta^3), with
+    # mu = -sum_j <0|H1|2e_j><2e_j|H1|0>/2 = -sum_j c_j(0)^2 = -83/16 from
+    # the three states one level spacing (2) above; each remainder falls
+    # by 2^order per halving of theta
+    h1 = build_h1_matrix(4, mode)
+    basis = FockBasis(4)
+    ground = basis.index((0, 0, 0))
+    raised = [basis.index(s) for s in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
+    mu = -sum(h1[ground, k] * h1[k, ground] for k in raised) / 2
+    assert mu == -83 / 16
+    thetas = (0.02, 0.01, 0.005)
+    lams = [even_ground(8, t, mode) for t in thetas]
+    for t, lam in zip(thetas, lams):
+        assert abs(lam - even_ground(10, t, mode)) <= 2e-11
+    first = [abs(lam - 1.5 - 1j * t * d0) for t, lam in zip(thetas, lams)]
+    second = [abs(lam - 1.5 - 1j * t * d0 - t * t * mu) for t, lam in zip(thetas, lams)]
+    for coarse, fine in zip(first, first[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
+    for coarse, fine in zip(second, second[1:]):
+        assert 7.0 <= coarse / fine <= 9.5
+
+
 def pair_operator(n_max, up, down):
     """The theta = 0 operator with up at <2,0,0|H|0,0,0> and down at
     <0,0,0|H|2,0,0>, a pair inside one parity sector."""

@@ -43,7 +43,7 @@ def test_cpoly_derivative():
 
 def test_cpoly_theta_bookkeeping():
     p = X + TH * Y + TH * TH * Z
-    assert p.truncate_theta(1) == X + TH * Y
+    assert p.truncate_theta() == X + TH * Y
     assert p.theta_slice(0) == X
     assert p.theta_slice(1) == Y
     assert p.theta_slice(2) == Z

@@ -58,6 +58,13 @@ def runs(config: str) -> list:
     # the default JSON format, whose reports list no files
     for c in ("spectrum", "mixing"):
         out.append((f"{c}-json-n6", [c, "--nmax", "6"]))
+    # theta < 0, where the norm grows; the "=" form, since argparse takes
+    # a negative value such as -1e-2 after a space for an option
+    for c in ("spectrum", "mixing"):
+        out.append((f"{c}-negative-theta-n8", [c, "--theta=-0.01", "--nmax", "8",
+                                               "--format", "csv"]))
+    out.append(("evolve-negative-theta", ["evolve", "--theta=-0.01", "--nmax", "6",
+                                          "--T", "1", "--dt", "0.01"]))
     for n in (4, 8):
         out.append((f"spectrum-theta0-n{n}", ["spectrum", "--theta", "0",
                                               "--nmax", str(n), "--format", "csv"]))
