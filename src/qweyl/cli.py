@@ -17,7 +17,7 @@ overflows the operator or its step propagator.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import os
 import sys
@@ -303,13 +303,22 @@ def cmd_effective(config: RunConfig, args) -> dict:
 def _write_csv(config: RunConfig, name: str, header, rows) -> str:
     """Write a timestamp-free table into the output directory and return
     its name.  The provenance columns mode, theta, n_max close the header
-    and every row; floats are written as their repr."""
-    provenance = [config.mode, repr(float(config.theta)), str(config.n_max)]
-    with open(os.path.join(config.out, name), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*header, "mode", "theta", "n_max"])
+    and every row.  The bytes are csv.writer's: each field is its str (a
+    float's is its repr), and lines end in CRLF.  No field needs quoting,
+    as each is a number, true/false, a mode name or theta's repr; a None
+    field, which csv.writer would write empty, raises ValueError.  Rows
+    are streamed, so no whole-table string is held."""
+    tail = f",{config.mode},{float(config.theta)!r},{config.n_max}\r\n"
+
+    def lines():
+        yield ",".join([*header, "mode", "theta", "n_max"]) + "\r\n"
         for row in rows:
-            writer.writerow([*row, *provenance])
+            if None in row:
+                raise ValueError(f"{name}: a table field is None")
+            yield ",".join(map(str, row)) + tail
+
+    with open(os.path.join(config.out, name), "w", newline="") as fh:
+        fh.writelines(lines())
     return name
 
 
@@ -443,6 +452,10 @@ _COMMANDS = {
     "evolve": cmd_evolve,
 }
 
+
+# built once per process; main looks each command up in _COMMANDS when it
+# dispatches, so a wrapper put there after the build still runs
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qweyl",
@@ -460,9 +473,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_FLOAT_FLAGS = frozenset(f"--{key}" for key, _, kind in _CONFIG_TABLE if kind is float)
+
+
+def _join_negative_values(argv) -> list:
+    """Write a float flag followed by a negative number as one
+    "--flag=value" token: argparse takes only plain negative decimals
+    after a space as values, and reads "--theta -1e-2" as two options."""
+    out = []
+    for token in argv:
+        if (out and _names_float_flag(out[-1]) and token.startswith("-")
+                and _is_float(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def _names_float_flag(token: str) -> bool:
+    # argparse also reads a prefix of a flag as the flag ("--thet")
+    return len(token) > 2 and any(flag.startswith(token) for flag in _FLOAT_FLAGS)
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_negative_values(argv))
     try:
         config = assemble_config(args)
         try:

@@ -1,6 +1,9 @@
 """Command-line front end tests: config round-trip, flag precedence,
-exit codes, per-command payloads, and rerun determinism."""
+exit codes, per-command payloads, the table and report writers against
+csv.writer and json.dump, and rerun determinism."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -9,8 +12,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qweyl import cli
+from qweyl.algebra import defining_relations
 from qweyl.cli import (
     ConfigError,
     RunConfig,
@@ -119,6 +124,53 @@ class TestConfig:
         assert report["provenance"] == {
             "mode": "rederived", "theta": 0.25, "n_max": 4,
         }
+
+    def test_negative_exponent_form_value_after_a_space(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for theta in ("--theta", "--thet"):
+            assert main(["spectrum", theta, "-1e-2", "--nmax", "4",
+                         "--out", str(out)]) == 0
+            assert read_report(out, "spectrum")["provenance"]["theta"] == -0.01
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--alpha", "alpha must be nonnegative"),
+        ("--T", "T and dt must be positive"),
+        ("--dt", "T and dt must be positive"),
+    ])
+    def test_negative_value_reaches_validation(self, flag, message, tmp_path,
+                                               capsys):
+        argv = ["evolve", "--decay-oracle", flag, "-1e-2", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, joined", [
+        (["--theta", "-1e-2"], ["--theta=-1e-2"]),
+        (["--T", "-inf", "--dt", "-1"], ["--T=-inf", "--dt=-1"]),
+        # a prefix argparse reads as the flag
+        (["--thet", "-1e-2"], ["--thet=-1e-2"]),
+        # not a float flag, not a number, or already joined
+        (["--nmax", "-1"], ["--nmax", "-1"]),
+        (["--out", "-1e-2"], ["--out", "-1e-2"]),
+        (["--theta", "--nmax", "4"], ["--theta", "--nmax", "4"]),
+        (["--theta=-1e-2", "-2"], ["--theta=-1e-2", "-2"]),
+        (["--", "-1e-2"], ["--", "-1e-2"]),
+    ])
+    def test_join_negative_values(self, argv, joined):
+        assert cli._join_negative_values(argv) == joined
+
+    def test_parser_is_built_once_and_survives_a_failed_parse(
+            self, tmp_path, monkeypatch, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--theta"])
+        assert exc.value.code == 2
+        # a command wrapped after the build is the one main dispatches to
+        calls = []
+        command = cli._COMMANDS["spectrum"]
+        monkeypatch.setitem(cli._COMMANDS, "spectrum",
+                            lambda *a: calls.append(a) or command(*a))
+        assert main(["spectrum", "--nmax", "4", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
 
 class TestExitCodes:
@@ -498,6 +550,103 @@ class TestCommands:
         assert rc == 1
         report = read_report(out, "evolve")
         assert not any(row["ok"] for row in report["decay_table"])
+
+
+def csv_writer_bytes(config, header, rows) -> bytes:
+    """What csv.writer writes for a table with its provenance columns."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([*header, "mode", "theta", "n_max"])
+    for row in rows:
+        writer.writerow([*row, config.mode, repr(float(config.theta)),
+                         str(config.n_max)])
+    return buf.getvalue().encode()
+
+
+class TestWriters:
+    CONFIG = RunConfig(theta=-1e-05, n_max=7, mode="rederived")
+    EDGE_ROWS = [
+        [1e-05, 1e16, -0.0, 5e-324],
+        [float("nan"), float("inf"), -float("inf"), 0.1 + 0.2],
+        [np.float64(1e-05), np.float64(0.1) + 0.2, np.float64(-0.0), 1.5],
+        [0, -3, np.int64(7), 10**20],
+        [2, 0, -2, "true"],
+        [-2, 2, 0, "false"],
+    ]
+
+    def write(self, tmp_path, rows, header=("a", "b", "c", "d")):
+        config = replace(self.CONFIG, out=str(tmp_path))
+        name = cli._write_csv(config, "table.csv", header, iter(rows))
+        return (tmp_path / name).read_bytes(), config
+
+    def test_csv_matches_csv_writer_on_edge_values(self, tmp_path):
+        data, config = self.write(tmp_path, self.EDGE_ROWS)
+        assert data == csv_writer_bytes(config, ("a", "b", "c", "d"), self.EDGE_ROWS)
+
+    @given(st.lists(st.lists(st.one_of(st.floats(), st.integers(), st.booleans()),
+                             min_size=4, max_size=4), max_size=20))
+    def test_csv_matches_csv_writer(self, tmp_path_factory, rows):
+        data, config = self.write(tmp_path_factory.mktemp("t"), rows)
+        assert data == csv_writer_bytes(config, ("a", "b", "c", "d"), rows)
+
+    def test_csv_refuses_a_none_field(self, tmp_path):
+        # csv.writer would write it as an empty field
+        with pytest.raises(ValueError, match="None"):
+            self.write(tmp_path, [[1.0, None, 2.0, 3.0]])
+
+    def test_report_matches_json_dump(self, tmp_path):
+        config = replace(self.CONFIG, out=str(tmp_path))
+        name, lhs, rhs = defining_relations()[0]
+        payload = {
+            **cli.cmd_effective(config, None),  # CPoly3 and DiffOp3 values
+            "relation": {"name": name, "lhs": lhs, "rhs": rhs},  # NCPoly values
+            "edge": [1e-05, -0.0, 5e-324, 1e16, None, True],
+        }
+        path = cli.write_report(config, "effective", payload)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        expected = {
+            "command": "effective",
+            "provenance": {"mode": "rederived", "theta": -1e-05, "n_max": 7},
+            "timestamp": json.loads(data)["timestamp"],
+            **payload,
+        }
+        buf = io.StringIO()
+        json.dump(expected, buf, indent=2, sort_keys=True, default=cli._json_default)
+        buf.write("\n")
+        assert data == buf.getvalue().encode()
+
+    # every CSV the CLI writes, trajectory.csv from a full run and from an
+    # edge-abort run
+    @pytest.mark.parametrize("argv, name, aborted", [
+        (["spectrum", "--nmax", "4", "--theta", "-1e-2", "--format", "csv"],
+         "spectrum.csv", None),
+        (["mixing", "--nmax", "6", "--mode", "rederived", "--format", "csv"],
+         "mixing.csv", None),
+        (["evolve", "--nmax", "4", "--T", "0.1", "--dt", "0.01"],
+         "trajectory.csv", False),
+        (["evolve", "--nmax", "2", "--theta", "0.5", "--T", "1", "--dt", "0.1"],
+         "trajectory.csv", True),
+    ])
+    def test_every_table_parses_to_header_width(self, argv, name, aborted,
+                                                 tmp_path, capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the edge abort
+            main([*argv, "--out", str(out)])
+        report = read_report(out, argv[0])
+        assert report["files"] == [name]
+        assert report.get("edge_aborted") is aborted
+        provenance = report["provenance"]
+        triple = [provenance["mode"], repr(float(provenance["theta"])),
+                  str(provenance["n_max"])]
+        with open(out / name, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header[-3:] == ["mode", "theta", "n_max"]
+        assert rows
+        for row in rows:
+            assert len(row) == len(header)
+            assert row[-3:] == triple
 
 
 class TestDeterminism:

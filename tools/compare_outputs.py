@@ -58,8 +58,9 @@ def runs(config: str) -> list:
     # the default JSON format, whose reports list no files
     for c in ("spectrum", "mixing"):
         out.append((f"{c}-json-n6", [c, "--nmax", "6"]))
-    # theta < 0, where the norm grows; the "=" form, since argparse takes
-    # a negative value such as -1e-2 after a space for an option
+    # theta < 0, where the norm grows; in the "=" form, which every revision
+    # reads: a revision whose cli.main does not join a flag to a following
+    # negative number takes an exponent-form -1e-2 after a space for an option
     for c in ("spectrum", "mixing"):
         out.append((f"{c}-negative-theta-n8", [c, "--theta=-0.01", "--nmax", "8",
                                                "--format", "csv"]))
