@@ -169,10 +169,6 @@ class NCPoly(SparseTerms):
         return word
 
     @staticmethod
-    def one() -> "NCPoly":
-        return NCPoly({(): 1})
-
-    @staticmethod
     def generator(code: int) -> "NCPoly":
         if not 0 <= code < N_GEN:
             raise ValueError(f"generator code {code} out of range")

@@ -324,8 +324,6 @@ def _write_csv(config: RunConfig, name: str, header, rows) -> str:
 
 def cmd_spectrum(config: RunConfig, args) -> dict:
     """diagonalize the truncated Hamiltonian"""
-    if config.n_max < 4:
-        raise ConfigError("spectrum runs need nmax >= 4")
     # the largest parity-sector block as dense complex values
     _ensure_fits(config.n_max, 16 * largest_sector(config.n_max) ** 2)
     try:

@@ -65,11 +65,6 @@ class FockBasis:
         side = self.n_max + 1
         return (n1 * side + n2) * side + n3
 
-    def state(self, index: int) -> tuple:
-        if not 0 <= index < self.dim:
-            raise ValueError(f"index {index} outside dimension {self.dim}")
-        return tuple(self.occupations[index].tolist())
-
     def states(self):
         return map(tuple, self.occupations.tolist())
 
@@ -245,14 +240,10 @@ def sparsity_pattern(h1: sp.csr_array, basis: FockBasis) -> dict:
         raise ValueError("cutoff too small for the interior margin")
     occ = basis.occupations
     interior = np.flatnonzero((occ <= basis.n_max - INTERIOR_MARGIN).all(axis=1))
-    # indexed [ket, bra] in sorted CSR, so the nonzeros come ket-major and
-    # the weights are summed in the order of a scan over kets, then bras
-    block = sp.csr_array(h1[interior][:, interior].T)
-    block.sort_indices()
-    block = block.tocoo()
+    block = h1[interior][:, interior].tocoo()
     mags = np.abs(block.data)
     keep = ~(mags <= COUPLING_TOL)
-    kets, bras = interior[block.row[keep]], interior[block.col[keep]]
+    bras, kets = interior[block.row[keep]], interior[block.col[keep]]
     offsets = {}
     weight_inside = 0.0
     weight_outside = 0.0

@@ -27,11 +27,10 @@ from math import comb
 
 from .scalars import GaussRat, SparseTerms, exponent_key
 
-Key = tuple  # (a, b, c, t): exponents of x, y, z and the theta power
-
 
 class CPoly3(SparseTerms):
-    """Polynomial in x, y, z, theta with GaussRat coefficients."""
+    """Polynomial in x, y, z, theta with GaussRat coefficients, keyed by
+    (a, b, c, t): the exponents of x, y, z and the theta power."""
 
     __slots__ = ()
     _scalars = (int, Fraction, GaussRat)
@@ -60,10 +59,6 @@ class CPoly3(SparseTerms):
     @staticmethod
     def theta() -> "CPoly3":
         return CPoly3({(0, 0, 0, 1): 1})
-
-    @staticmethod
-    def monomial(a, b, c, t=0, coeff=1) -> "CPoly3":
-        return CPoly3({(a, b, c, t): coeff})
 
     def __mul__(self, other):
         return self._convolve(other, _add_keys)

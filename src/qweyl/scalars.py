@@ -29,8 +29,8 @@ def _as_part(x):
 
 class GaussRat:
     """Gaussian rational re + im*i; each part is an int when integral and
-    a Fraction otherwise.  A part turns fractional by a division or by
-    arithmetic with a fractional operand, such as a product with HALF."""
+    a Fraction otherwise.  A part turns fractional only by arithmetic
+    with a fractional operand, such as a product with HALF."""
 
     __slots__ = ("re", "im")
 
@@ -71,16 +71,6 @@ class GaussRat:
 
     def __neg__(self):
         return GaussRat(-self.re, -self.im)
-
-    def __truediv__(self, other):
-        other = GaussRat.coerce(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero GaussRat")
-        return GaussRat(
-            Fraction(self.re * other.re + self.im * other.im, d),
-            Fraction(self.im * other.re - self.re * other.im, d),
-        )
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0

@@ -137,5 +137,5 @@ def gaussian_expectation(poly: CPoly3) -> CPoly3:
         moment = Fraction(1)
         for e in (a, b, c):
             moment *= Fraction(_double_factorial(e - 1), 2 ** (e // 2))
-        total = total + CPoly3.monomial(0, 0, 0, t, coeff * moment)
+        total = total + CPoly3({(0, 0, 0, t): coeff * moment})
     return total

@@ -208,7 +208,7 @@ def test_criterion_06_magnetic_field_and_conventions():
     xy_match = rep["b_diff"][0].is_zero() and rep["b_diff"][1].is_zero()
     div_zero = rep["div_b"].is_zero()
     z_flagged = rep["b_flagged_slots"] == [2]
-    z_oracle = rep["b_computed"][2] == CPoly3.monomial(1, 1, 0, 1, Fraction(-2))
+    z_oracle = rep["b_computed"][2] == CPoly3({(1, 1, 0, 1): Fraction(-2)})
     full_sum_vanishes = all(p.is_zero() for p in rep["epsilon_full_sum"])
     cyclic_pattern = [p.is_zero() for p in rep["epsilon_cyclic_diff"]] == [False, True, False]
     ok = (xy_match and div_zero and z_flagged and z_oracle

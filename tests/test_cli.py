@@ -4,6 +4,7 @@ csv.writer and json.dump, and rerun determinism."""
 
 import csv
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -183,7 +184,7 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_config_error_is_two(self, tmp_path, capsys):
-        assert main(["spectrum", "--nmax", "2", "--out", str(tmp_path)]) == 2
+        assert main(["spectrum", "--nmax", "0", "--out", str(tmp_path)]) == 2
         assert main(["evolve", "--dt", "-1", "--out", str(tmp_path)]) == 2
         assert main(["mixing", "--nmax", "4", "--out", str(tmp_path)]) == 2
         assert main(["evolve", "--T", "1", "--dt", "0.3", "--out", str(tmp_path)]) == 2
@@ -439,6 +440,28 @@ class TestCommands:
         trace = complex(h.matrix.diagonal().sum())
         for eigs in (sectors, dense):
             assert abs(eigs.sum() - trace) <= 1e-12 * np.abs(eigs).sum()
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["paper", "rederived"])
+    def test_spectrum_below_the_interior_margin(self, n_max, mode, tmp_path,
+                                                capsys):
+        # spectrum needs no interior states: its trace is the closed form
+        # sum(N + 3/2) + i theta sum(D(n)), D the diagonal of K in H1 = iK
+        out = tmp_path / "out"
+        rc = main(["spectrum", "--nmax", str(n_max), "--theta", "0.01",
+                   "--mode", mode, "--out", str(out)])
+        assert rc == 0
+        report = read_report(out, "spectrum")
+        assert report["dimension"] == (n_max + 1) ** 3
+        trace = 0j
+        for n1, n2, n3 in itertools.product(range(n_max + 1), repeat=3):
+            if mode == "paper":
+                d = -(1.5 + 2 * n1 + n2)
+            else:
+                d = -(3 + 3 * n1 + 2 * n2 + n3)
+            trace += n1 + n2 + n3 + 1.5 + 0.01j * d
+        total = sum(complex(re, im) for re, im in report["eigenvalues"])
+        assert abs(total - trace) <= 1e-12 * abs(trace)
 
     def test_mixing_report(self, tmp_path, capsys):
         out = tmp_path / "out"

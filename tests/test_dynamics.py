@@ -166,7 +166,7 @@ class TestClosedFormOracles:
         assert np.array_equal(gen.toarray(), -0.7 * np.eye(basis.dim))
         assert np.array_equal(h.h_i_diagonal, np.full(basis.dim, -0.7))
         herm = (h.matrix + h.matrix.conj().T) / 2
-        expected = np.diag([sum(basis.state(i)) + 1.5 for i in range(basis.dim)])
+        expected = np.diag([sum(state) + 1.5 for state in basis.states()])
         assert np.array_equal(herm.toarray(), expected)
 
     def test_unitarity_in_undeformed_limit(self):
@@ -376,6 +376,42 @@ class TestTransfer:
             assert np.max(traj.occupation(target)) <= 1e-10
         # directly coupled states do populate
         assert traj.occupation((2, 0, 0))[-1] > 1e-9
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_damped_first_order_occupation_law(self, mode):
+        # From |000>, first-order perturbation theory with the damping
+        # kept: |2e_j> holds |a_j(t)|^2 with
+        #   a_j = theta sqrt(2) c_j(0) (e^{r_j t} - 1) / r_j e^{theta D(0) t},
+        #   r_j = 2i + theta (D(2e_j) - D(0)),
+        # c_j(0) = -(j + 1/2)/2 and D the diagonal of K in H1 = iK.  The next
+        # correction is third order in theta (no two-hop path ends on
+        # |2e_j>), so the relative deviation falls about 4x per halving;
+        # dropping the damping difference from r_j leaves it first order.
+        def damping(n1, n2, n3):
+            if mode == "paper":
+                return -(1.5 + 2 * n1 + n2)
+            return -(3 + 3 * n1 + 2 * n2 + n3)
+
+        targets = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+        errors = []
+        for theta in (0.01, 0.005, 0.0025):
+            h = build_h_eff(12, theta, mode)
+            _, psi0 = ground(12)
+            traj = propagate(h, psi0, T=5.0, dt=1e-3, track=targets)
+            t = traj.times
+            assert not traj.edge_aborted
+            deviation = prediction = 0.0
+            for j, target in enumerate(targets, start=1):
+                c = -(j + 0.5) / 2
+                r = 2j + theta * (damping(*target) - damping(0, 0, 0))
+                a = (theta * np.sqrt(2) * c * np.expm1(r * t) / r
+                     * np.exp(theta * damping(0, 0, 0) * t))
+                law = np.abs(a) ** 2
+                deviation = max(deviation, np.max(np.abs(traj.occupation(target) - law)))
+                prediction = max(prediction, np.max(law))
+            errors.append(deviation / prediction)
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.0 <= coarse / fine <= 4.5
 
     def test_gain_loss_map_ground_state(self):
         h = build_h_eff(6, 0.01, "paper")

@@ -96,9 +96,7 @@ def test_assembly_imaginary_part_closed_form():
     eff = assemble_effective("paper")
     assert eff["v_i"] == -(TH * R_SQUARED * (R_SQUARED - 1)) * HALF
     # the sign matters downstream: probability initially drains
-    assert gaussian_expectation(eff["v_i"]) == CPoly3.monomial(
-        0, 0, 0, 1, Fraction(-9, 8)
-    )
+    assert gaussian_expectation(eff["v_i"]) == CPoly3({(0, 0, 0, 1): Fraction(-9, 8)})
 
 
 def test_assembly_imaginary_part_differs_from_reference_table():
@@ -212,22 +210,20 @@ def test_composed_route_ground_state_action():
     acted = hamiltonian_operator("paper").apply(CPoly3.one())
     e_poly = (
         CPoly3.const(Fraction(9, 4))
-        - CPoly3.monomial(2, 0, 0, 0, Fraction(3, 2))
-        - CPoly3.monomial(0, 2, 0, 0, Fraction(5, 2))
-        - CPoly3.monomial(0, 0, 2, 0, Fraction(7, 2))
+        - CPoly3({(2, 0, 0, 0): Fraction(3, 2)})
+        - CPoly3({(0, 2, 0, 0): Fraction(5, 2)})
+        - CPoly3({(0, 0, 2, 0): Fraction(7, 2)})
     )
     assert acted == CPoly3.const(Fraction(3, 2)) + TH * e_poly * I
 
 
 def test_composed_route_ground_energy():
-    want = CPoly3.const(Fraction(3, 2)) + CPoly3.monomial(
-        0, 0, 0, 1, GaussRat(0, Fraction(-3, 2))
+    want = CPoly3.const(Fraction(3, 2)) + CPoly3(
+        {(0, 0, 0, 1): GaussRat(0, Fraction(-3, 2))}
     )
     acted = hamiltonian_operator("paper").apply(CPoly3.one())
     assert gaussian_expectation(acted) == want
-    want_red = CPoly3.const(Fraction(3, 2)) + CPoly3.monomial(
-        0, 0, 0, 1, GaussRat(0, -3)
-    )
+    want_red = CPoly3.const(Fraction(3, 2)) + CPoly3({(0, 0, 0, 1): GaussRat(0, -3)})
     acted = hamiltonian_operator("rederived").apply(CPoly3.one())
     assert gaussian_expectation(acted) == want_red
 

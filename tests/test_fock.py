@@ -42,15 +42,15 @@ def states_up_to(total: int):
 def test_basis_roundtrip():
     basis = FockBasis(4)
     assert basis.dim == 125
-    for i in range(basis.dim):
-        assert basis.index(basis.state(i)) == i
+    for i, state in enumerate(basis.states()):
+        assert basis.index(state) == i
     assert basis.index((0, 0, 0)) == 0
-    assert basis.state(basis.dim - 1) == (4, 4, 4)
+    assert tuple(basis.occupations[basis.dim - 1]) == (4, 4, 4)
     assert basis.occupations.tolist() == [list(s) for s in basis.states()]
     with pytest.raises(ValueError):
         basis.index((5, 0, 0))
     with pytest.raises(ValueError):
-        basis.state(basis.dim)
+        basis.index((0, -1, 0))
     with pytest.raises(ValueError):
         FockBasis(0)
 
@@ -234,13 +234,24 @@ def pairwise_scan(h1, basis, tol=1e-12, margin=4):
 
 @pytest.mark.parametrize("n_max, mode", [(6, "paper"), (8, "rederived")])
 def test_sparsity_matches_pairwise_scan(n_max, mode):
-    # same magnitudes, and weights summed in the same order, so equal bits
+    # the scan walks bras, then kets; |H1| is symmetric, so that sums the
+    # same magnitudes in the same order as this scan over kets, then bras,
+    # and the weights agree to the bit
     h1 = build_h1_matrix(n_max, mode)
     rep = sparsity_pattern(h1, FockBasis(n_max))
     offsets, weights = pairwise_scan(h1.toarray(), FockBasis(n_max))
     assert rep["max_magnitude"] == {
         ",".join(map(str, k)): v for k, v in sorted(offsets.items())}
     assert [rep["weight_inside"], rep["weight_outside"]] == weights
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_h1_magnitudes_are_symmetric(mode):
+    # the premise of the scan's summation order: every coupling is stored
+    # with its exact negative
+    for n_max in range(6, 17):
+        a = abs(build_h1_matrix(n_max, mode))
+        assert (a != a.T).nnz == 0
 
 
 def test_sparsity_no_odd_offsets():

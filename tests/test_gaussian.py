@@ -50,16 +50,14 @@ def test_cpoly_theta_bookkeeping():
 
 
 def test_cpoly_real_imag_split():
-    p = CPoly3.monomial(1, 0, 0, 0, GaussRat(2, 3)) + CPoly3.monomial(
-        0, 1, 0, 0, GaussRat(0, 1)
-    )
+    p = CPoly3({(1, 0, 0, 0): GaussRat(2, 3), (0, 1, 0, 0): GaussRat(0, 1)})
     re, im = p.real_imag_split()
     assert re == 2 * X
     assert im == 3 * X + Y
 
 
 def test_cpoly_to_json_canonical():
-    p = TH * X + CPoly3.monomial(1, 0, 0, 0, Fraction(-1, 2))
+    p = TH * X + CPoly3({(1, 0, 0, 0): Fraction(-1, 2)})
     assert p.to_json() == {"(1,0,0)": [[-0.5, 0.0, 0], [1.0, 0.0, 1]]}
 
 
@@ -146,9 +144,7 @@ def test_gaussian_moments_odd_vanish():
 
 def test_gaussian_expectation_keeps_theta_formal():
     p = TH * X * X + Z * Z
-    want = CPoly3.monomial(0, 0, 0, 1, Fraction(1, 2)) + CPoly3.const(
-        Fraction(1, 2)
-    )
+    want = CPoly3({(0, 0, 0, 1): Fraction(1, 2)}) + CPoly3.const(Fraction(1, 2))
     assert gaussian_expectation(p) == want
 
 

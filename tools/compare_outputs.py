@@ -58,6 +58,11 @@ def runs(config: str) -> list:
     # the default JSON format, whose reports list no files
     for c in ("spectrum", "mixing"):
         out.append((f"{c}-json-n6", [c, "--nmax", "6"]))
+    # the sparsity scan at its edges: the smallest cutoff with an interior
+    # (8 states), and a cutoff past the benchmark's
+    out.append(("mixing-n5", ["mixing", "--nmax", "5", "--format", "csv"]))
+    out.append(("mixing-rederived-n16", ["mixing", "--mode", "rederived",
+                                         "--nmax", "16", "--format", "csv"]))
     # theta < 0, where the norm grows; in the "=" form, which every revision
     # reads: a revision whose cli.main does not join a flag to a following
     # negative number takes an exponent-form -1e-2 after a space for an option
