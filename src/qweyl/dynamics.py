@@ -291,8 +291,10 @@ def norm_flow_check(traj: Trajectory) -> float:
     """
     if len(traj.times) < 3:
         raise ValueError("need at least three time points")
-    dp = (traj.norms[2:] - traj.norms[:-2]) / (2.0 * traj.dt)
-    return float(np.max(np.abs(dp - 2.0 * traj.h_i[1:-1])))
+    dev = traj.norms[2:] - traj.norms[:-2]
+    dev /= 2.0 * traj.dt
+    dev -= 2.0 * traj.h_i[1:-1]
+    return float(np.max(np.abs(dev, out=dev)))
 
 
 def initial_norm_rate(traj: Trajectory) -> float:
@@ -313,14 +315,11 @@ def decay_operator(n_max: int, alpha: float) -> FockOperator:
     return FockOperator(matrix=sp.diags_array(diag, format="csr"), n_max=n_max)
 
 
-def gain_loss_map(traj: Trajectory, states) -> dict:
-    """Net occupation change over the trajectory of states, each tracked
-    by propagate, and the sorted states that gained and lost more than
-    GAIN_LOSS_FLOOR, as JSON."""
-    net = {}
-    for state in states:
-        occ = traj.occupation(state)
-        net[tuple(int(v) for v in state)] = float(occ[-1] - occ[0])
+def gain_loss_map(traj: Trajectory) -> dict:
+    """Net occupation change over the trajectory of each state it tracks,
+    and the sorted states that gained and lost more than GAIN_LOSS_FLOOR,
+    as JSON."""
+    net = {s: float(occ[-1] - occ[0]) for s, occ in traj.tracked.items()}
     return {
         "net_change": {",".join(map(str, s)): d for s, d in net.items()},
         "gaining": [list(s) for s in sorted(net) if net[s] > GAIN_LOSS_FLOOR],

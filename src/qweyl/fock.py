@@ -216,12 +216,12 @@ def build_h_eff(n_max: int, theta: float, mode: str) -> FockOperator:
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    matrix = sp.diags_array(h0_diagonal(n_max).astype(complex), format="csr")
-    if theta != 0.0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            matrix = matrix + theta * build_h1_matrix(n_max, mode)
-        if not np.all(np.isfinite(matrix.data)):
-            raise ValueError(f"theta={theta!r} overflows the operator")
+    h0 = sp.diags_array(h0_diagonal(n_max).astype(complex), format="csr")
+    # the sparse sum stores no zero, so at theta = 0 it is H0 alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = h0 + theta * build_h1_matrix(n_max, mode)
+    if not np.all(np.isfinite(matrix.data)):
+        raise ValueError(f"theta={theta!r} overflows the operator")
     return FockOperator(matrix=matrix, n_max=n_max)
 
 
@@ -247,7 +247,8 @@ def sparsity_pattern(h1: sp.csr_array, basis: FockBasis) -> dict:
     offsets = {}
     weight_inside = 0.0
     weight_outside = 0.0
-    deltas = map(tuple, (occ[bras] - occ[kets]).tolist())
+    # one flat list per axis: a 3-item list per coupling would cost 80 bytes
+    deltas = zip(*(occ[bras] - occ[kets]).T.tolist())
     for delta, mag in zip(deltas, mags[keep].tolist()):
         prev = offsets.get(delta, 0.0)
         if mag > prev:

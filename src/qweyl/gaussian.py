@@ -43,12 +43,8 @@ class CPoly3(SparseTerms):
     # ------------------------------------------------------- constructors
 
     @staticmethod
-    def const(coeff) -> "CPoly3":
-        return CPoly3({(0, 0, 0, 0): coeff})
-
-    @staticmethod
     def one() -> "CPoly3":
-        return CPoly3.const(1)
+        return CPoly3.coerce(1)
 
     @staticmethod
     def variable(axis: int) -> "CPoly3":

@@ -53,13 +53,6 @@ class GaussRat:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = GaussRat.coerce(other)
-        return GaussRat(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return GaussRat.coerce(other) - self
-
     def __mul__(self, other):
         other = GaussRat.coerce(other)
         return GaussRat(
@@ -210,12 +203,6 @@ class SparseTerms:
         for key, coeff in other.terms.items():
             self._accumulate(terms, key, -coeff)
         return self._new(terms)
-
-    def __rsub__(self, other):
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def scale(self, factor):
         """Every coefficient times one ring element."""

@@ -294,7 +294,7 @@ def test_default_path_matches_stepper_on_relations():
     for name, lhs, rhs in raw_defining_relations():
         difference = dict(lhs)
         for word, c in rhs.items():
-            difference[word] = difference.get(word, 0) - c
+            difference[word] = difference.get(word, 0) + (-c)
         for raw in (lhs, rhs, difference):
             assert normalize(raw) == stepper(raw), name
         assert normalize(difference).is_zero(), name

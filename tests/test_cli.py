@@ -8,6 +8,7 @@ import itertools
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -29,7 +30,7 @@ from qweyl.cli import (
     validate_config,
 )
 from qweyl.dynamics import KRYLOV_THRESHOLD, WINDOW_CAP, held_bytes
-from qweyl.fock import build_h_eff
+from qweyl.fock import FockBasis, build_h1_matrix, build_h_eff, sparsity_pattern
 
 
 def read_report(out_dir, command):
@@ -251,12 +252,25 @@ class TestExitCodes:
             7 * 29_791 * 24 + 16 * (2 + WINDOW_CAP) + 8 * 3 * 5_001)
 
     def test_mixing_is_charged_its_interior_scan(self, tmp_path, monkeypatch):
-        # 7 entries per interior column at 48 bytes: (30 - 4 + 1)^3 = 19,683
+        # 7 entries per interior column at 120 bytes: (30 - 4 + 1)^3 = 19,683
         # interior states, not a dense 4,096-state sector block (256 MiB)
-        assert interior_scan_bytes(30) == 7 * 19_683 * 48 == 6_613_488
+        assert interior_scan_bytes(30) == 7 * 19_683 * 120 == 16_533_720
         need = run_bytes(30, interior_scan_bytes(30))
         monkeypatch.setattr(cli, "available_memory", lambda: need + 1)
         assert main(["mixing", "--nmax", "30", "--out", str(tmp_path)]) == 0
+
+    def test_interior_scan_holds_no_more_than_its_charge(self):
+        # as cmd_mixing runs it: on a new basis, whose occupation table
+        # the scan builds
+        h1 = build_h1_matrix(16, "paper")
+        basis = FockBasis(16)
+        tracemalloc.start()
+        try:
+            sparsity_pattern(h1, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak <= interior_scan_bytes(16)
 
     def test_decay_run_is_charged_one_amplitude(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "available_memory", lambda: 32 * 2 ** 20)

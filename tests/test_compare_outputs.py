@@ -47,3 +47,10 @@ def test_blanked_timestamp_keeps_the_report_json():
     data = report(timestamp="2026-01-01T00:00:00+00:00")
     blanked = compare_outputs.TIMESTAMP.sub(rb"\1null", data, count=1)
     assert json.loads(blanked)["timestamp"] is None
+
+
+def test_runs_reach_the_default_out_and_a_negative_value_after_a_space():
+    runs = dict(compare_outputs.runs("c.cfg"))
+    assert runs[compare_outputs.QWEYL_OUT_RUN][0] == "spectrum"
+    assert any(argv[i:i + 2] == ["--theta", "-1e-2"]
+               for argv in runs.values() for i in range(len(argv)))

@@ -418,7 +418,7 @@ class TestTransfer:
         _, psi0 = ground(6)
         tracked = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 0, 0)]
         traj = propagate(h, psi0, T=0.1, dt=1e-3, track=tracked)
-        gmap = gain_loss_map(traj, tracked)
+        gmap = gain_loss_map(traj)
         net = gmap["net_change"]
         assert net["0,0,0"] < 0.0
         for target in ("2,0,0", "0,2,0", "0,0,2"):
@@ -427,12 +427,23 @@ class TestTransfer:
         assert [0, 0, 0] in gmap["losing"]
         assert [2, 0, 0] in gmap["gaining"]
 
+    def test_gain_loss_map_lists_the_tracked_states_in_order(self):
+        h = build_h_eff(4, 0.01, "paper")
+        _, psi0 = ground(4)
+        tracked = [(0, 0, 2), (1, 0, 0), (0, 0, 0), (2, 0, 0)]
+        traj = propagate(h, psi0, T=0.05, dt=1e-2, track=tracked)
+        assert list(gain_loss_map(traj)["net_change"]) == ["0,0,2", "1,0,0",
+                                                           "0,0,0", "2,0,0"]
+        untracked = propagate(h, psi0, T=0.05, dt=1e-2)
+        assert gain_loss_map(untracked) == {"net_change": {}, "gaining": [],
+                                            "losing": []}
+
     def test_gain_loss_map_flat_when_undeformed(self):
         h = build_h_eff(3, 0.0, "paper")
         _, psi0 = ground(3)
         tracked = [(0, 0, 0), (2, 0, 0)]
         traj = propagate(h, psi0, T=1.0, dt=1e-2, track=tracked)
-        gmap = gain_loss_map(traj, tracked)
+        gmap = gain_loss_map(traj)
         net = gmap["net_change"]
         assert net["0,0,0"] == pytest.approx(0.0, abs=1e-12)
         # no state gains or loses more than 1e-12
@@ -445,7 +456,7 @@ class TestTransfer:
         _, psi0 = ground(4)
         tracked = [(0, 0, 0), (2, 0, 0)]
         traj = propagate(h, psi0, T=10.0, dt=1e-4, track=tracked)
-        gmap = gain_loss_map(traj, tracked)
+        gmap = gain_loss_map(traj)
         assert 0 < abs(gmap["net_change"]["0,0,0"]) <= 1e-12
         assert gmap["gaining"] == [] and gmap["losing"] == []
 

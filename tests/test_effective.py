@@ -209,21 +209,21 @@ def test_composed_route_ground_state_action():
     # (3/2 + i theta E) with a fixed quadratic E
     acted = hamiltonian_operator("paper").apply(CPoly3.one())
     e_poly = (
-        CPoly3.const(Fraction(9, 4))
+        CPoly3.coerce(Fraction(9, 4))
         - CPoly3({(2, 0, 0, 0): Fraction(3, 2)})
         - CPoly3({(0, 2, 0, 0): Fraction(5, 2)})
         - CPoly3({(0, 0, 2, 0): Fraction(7, 2)})
     )
-    assert acted == CPoly3.const(Fraction(3, 2)) + TH * e_poly * I
+    assert acted == CPoly3.coerce(Fraction(3, 2)) + TH * e_poly * I
 
 
 def test_composed_route_ground_energy():
-    want = CPoly3.const(Fraction(3, 2)) + CPoly3(
+    want = CPoly3.coerce(Fraction(3, 2)) + CPoly3(
         {(0, 0, 0, 1): GaussRat(0, Fraction(-3, 2))}
     )
     acted = hamiltonian_operator("paper").apply(CPoly3.one())
     assert gaussian_expectation(acted) == want
-    want_red = CPoly3.const(Fraction(3, 2)) + CPoly3({(0, 0, 0, 1): GaussRat(0, -3)})
+    want_red = CPoly3.coerce(Fraction(3, 2)) + CPoly3({(0, 0, 0, 1): GaussRat(0, -3)})
     acted = hamiltonian_operator("rederived").apply(CPoly3.one())
     assert gaussian_expectation(acted) == want_red
 

@@ -85,6 +85,20 @@ def test_h_eff_at_theta_zero_is_exactly_diagonal():
     assert h.matrix[basis.index(n), basis.index(n)] == 4.5
 
 
+@pytest.mark.parametrize("n_max", [1, 4, 8])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("theta", [0.0, -0.0])
+def test_h_eff_at_theta_zero_stores_only_the_h0_diagonal(n_max, mode, theta):
+    # H0 + theta*H1 is formed at every theta; at theta = +-0 the sparse sum
+    # stores none of the zero couplings and leaves H0's bytes as they are
+    want = sp.diags_array(h0_diagonal(n_max).astype(complex), format="csr")
+    got = build_h_eff(n_max, theta, mode).matrix
+    assert got.shape == want.shape
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+
 def test_h0_through_ladder_route_is_diagonal():
     # composing the theta^0 operator from band products must agree with
     # the exact diagonal to rounding
@@ -121,11 +135,16 @@ def test_operator_matrix_rejects_theta_terms():
         element_3d(op, (0, 0, 0), (0, 0, 0))
 
 
-def test_build_h_eff_validation():
-    with pytest.raises(ValueError):
-        build_h_eff(4, 0.01, "classical")
-    with pytest.raises(ValueError):
-        build_h_eff(4, float("nan"), "paper")
+def test_build_h_eff_validation(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("H1 was built before the arguments were checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fock, "build_h1_matrix", unbuilt)
+        with pytest.raises(ValueError):
+            build_h_eff(4, 0.01, "classical")
+        with pytest.raises(ValueError):
+            build_h_eff(4, float("nan"), "paper")
     with pytest.raises(ValueError, match="overflows"):
         build_h_eff(4, 1e308, "paper")
 

@@ -4,9 +4,10 @@ Usage: python tools/compare_outputs.py <parent-rev>
 
 Exports <parent-rev> into a temporary directory with `git archive`, runs
 one fixed list of commands from both source trees with
-`PYTHONPATH=<tree>/src python -m qweyl`, and compares every report with
-its top-level `timestamp` value blanked, every CSV byte for byte, every
-`--help` text byte for byte, and every exit code.  Exits 0 when all of
+`PYTHONPATH=<tree>/src python -m qweyl`, each into its own output
+directory (named by `--out`, or for one run by `QWEYL_OUT`), and compares
+every report with its top-level `timestamp` value blanked, every CSV byte
+for byte, every `--help` text byte for byte, and every exit code.  Exits 0 when all of
 them match, 1 otherwise, and 2 when <parent-rev> cannot be exported.
 The temporary directory is removed on the way out.
 
@@ -39,6 +40,8 @@ COMMANDS = ("verify-algebra", "expand-scan", "effective", "spectrum", "mixing",
 # the config criterion 10 reruns
 CRITERION_10 = ("theta=0.01\nnmax=6\ndegree=3\nmode=paper\nT=1.0\ndt=0.01\n"
                 "alpha=0.5\nformat=csv\n")
+# the one run given its output directory by QWEYL_OUT instead of --out
+QWEYL_OUT_RUN = "qweyl-out-env"
 # the value only, so that the report stays valid JSON
 TIMESTAMP = re.compile(rb'^(  "timestamp": )"[^"]*"', re.MULTILINE)
 
@@ -71,6 +74,11 @@ def runs(config: str) -> list:
                                                "--format", "csv"]))
     out.append(("evolve-negative-theta", ["evolve", "--theta=-0.01", "--nmax", "6",
                                           "--T", "1", "--dt", "0.01"]))
+    # and after a space, which cli.main joins into the "=" form
+    out.append(("spectrum-negative-theta-space", ["spectrum", "--theta", "-1e-2",
+                                                  "--nmax", "6", "--format", "csv"]))
+    # no --out: the run writes into the QWEYL_OUT directory
+    out.append((QWEYL_OUT_RUN, ["spectrum", "--nmax", "4", "--format", "csv"]))
     for n in (4, 8):
         out.append((f"spectrum-theta0-n{n}", ["spectrum", "--theta", "0",
                                               "--nmax", str(n), "--format", "csv"]))
@@ -112,13 +120,17 @@ def collect(tree: Path, work: Path, config: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), COLUMNS="80")
     outputs = {}
 
-    def qweyl(argv):
-        return subprocess.run([sys.executable, "-m", "qweyl", *argv], env=env,
-                              cwd=work, capture_output=True)
+    def qweyl(argv, **extra_env):
+        return subprocess.run([sys.executable, "-m", "qweyl", *argv],
+                              env={**env, **extra_env}, cwd=work,
+                              capture_output=True)
 
     for label, argv in runs(config):
         out = work / label
-        done = qweyl([*argv, "--out", str(out)])
+        if label == QWEYL_OUT_RUN:
+            done = qweyl(argv, QWEYL_OUT=str(out))
+        else:
+            done = qweyl([*argv, "--out", str(out)])
         outputs[f"{label}/exit"] = str(done.returncode).encode()
         for path in sorted(out.iterdir()) if out.is_dir() else ():
             data = path.read_bytes()
