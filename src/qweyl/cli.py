@@ -44,8 +44,10 @@ from .dynamics import (
 )
 from .effective import assemble_effective, compare_to_reference
 from .fock import (
+    EVEN,
     FockBasis,
     INTERIOR_MARGIN,
+    SECTORS,
     build_h1_matrix,
     build_h_eff,
     mixing_amplitudes,
@@ -204,11 +206,6 @@ def available_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def largest_sector(n_max: int) -> int:
-    """States in the largest per-axis parity sector, the even one."""
-    return (n_max // 2 + 1) ** 3
-
-
 def interior_scan_bytes(n_max: int) -> int:
     """What the sparsity scan holds beside the operator: at most 7
     entries per interior column, 120 bytes each.  On a new basis its
@@ -217,15 +214,15 @@ def interior_scan_bytes(n_max: int) -> int:
     return 7 * interior * 120
 
 
-def run_bytes(n_max: int, held: int) -> int:
-    """Lower bound on a run: the sparse operator (at most 7 entries per
-    column, each a complex value and an index) plus the held bytes of
-    what the command builds from it."""
-    return 7 * (n_max + 1) ** 3 * (16 + 8) + held
+def run_bytes(dim: int, held: int) -> int:
+    """Lower bound on a run: the sparse operator over dim states (at most
+    7 entries per column, each a complex value and an index, not the
+    build's temporaries) plus the held bytes of what is built from it."""
+    return 7 * dim * (16 + 8) + held
 
 
-def _ensure_fits(n_max: int, held: int) -> None:
-    need = run_bytes(n_max, held)
+def _ensure_fits(basis: FockBasis, held: int) -> None:
+    need = run_bytes(basis.dim, held)
     free = available_memory()
     if need > free:
         try:
@@ -233,7 +230,7 @@ def _ensure_fits(n_max: int, held: int) -> None:
         except OverflowError:  # more MiB than a double holds
             need_mib = "inf"
         raise ConfigError(
-            f"nmax={n_max} needs at least {need_mib} MiB, "
+            f"nmax={basis.n_max} needs at least {need_mib} MiB, "
             f"{free / 2**20:.1f} MiB available"
         )
 
@@ -324,17 +321,20 @@ def _write_csv(config: RunConfig, name: str, header, rows) -> str:
 
 def cmd_spectrum(config: RunConfig, args) -> dict:
     """diagonalize the truncated Hamiltonian"""
-    # the largest parity-sector block as dense complex values
-    _ensure_fits(config.n_max, 16 * largest_sector(config.n_max) ** 2)
-    try:
-        h = build_h_eff(config.n_max, config.theta, config.mode)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    blocks = (h.block(np.flatnonzero(h.basis.parity == s)) for s in range(8))
-    eigs = np.sort_complex(np.concatenate([np.linalg.eigvals(b) for b in blocks]))
+    # one parity sector at a time as dense complex values, the even one largest
+    even = FockBasis(config.n_max, EVEN)
+    _ensure_fits(even, 16 * even.dim ** 2)
+    eigs = []
+    for sector in SECTORS:
+        try:
+            h = build_h_eff(config.n_max, config.theta, config.mode, sector)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        eigs.append(np.linalg.eigvals(h.matrix.toarray()))
+    eigs = np.sort_complex(np.concatenate(eigs))
     eigenvalues = [[v.real, v.imag] for v in eigs.tolist()]
     payload = {
-        "dimension": int(h.matrix.shape[0]),
+        "dimension": len(eigenvalues),
         "eigenvalues": eigenvalues,
         "ground": eigenvalues[0],
         "files": [],
@@ -352,9 +352,9 @@ def cmd_mixing(config: RunConfig, args) -> dict:
         raise ConfigError(
             f"mixing runs need nmax > {INTERIOR_MARGIN} so the scan has interior states"
         )
-    _ensure_fits(config.n_max, interior_scan_bytes(config.n_max))
-    h1 = build_h1_matrix(config.n_max, config.mode)
     basis = FockBasis(config.n_max)
+    _ensure_fits(basis, interior_scan_bytes(config.n_max))
+    h1 = build_h1_matrix(config.n_max, config.mode)
     report = sparsity_pattern(h1, basis)
     couplings = mixing_amplitudes(h1, basis, (0, 0, 0))
     payload = {
@@ -381,21 +381,22 @@ def cmd_evolve(config: RunConfig, args) -> dict:
     n_steps = step_count(config.t_final, config.dt)
     decay = args.decay_oracle
     tracked = [] if decay else [s for s in TRACKED_STATES if max(s) <= config.n_max]
-    # H is diagonal under the decay oracle and at theta = 0, so the ground
-    # state evolves alone; otherwise it reaches its even sector
-    evolved = 1 if decay or config.theta == 0 else largest_sector(config.n_max)
+    # H is built on the even sector; it is diagonal under the decay oracle
+    # and at theta = 0, where the ground state evolves alone
+    even = FockBasis(config.n_max, EVEN)
+    evolved = 1 if decay or config.theta == 0 else even.dim
     # beyond what propagate holds, its series are held once more per
     # point: as the CSV table, or as the decay law, the deviation from it
     # and the deviation's magnitude
     series = 8 * (3 + len(tracked)) * (n_steps + 1)
-    _ensure_fits(config.n_max, held_bytes(evolved, n_steps, len(tracked)) + series)
-    psi0 = FockBasis(config.n_max).vector((0, 0, 0))
+    _ensure_fits(even, held_bytes(evolved, n_steps, len(tracked)) + series)
+    psi0 = even.vector((0, 0, 0))
     if decay:
         alphas = sorted({0.1, 0.5, 1.0, config.alpha})
         rows = []
         ok = True
         for alpha in alphas:
-            h = decay_operator(config.n_max, alpha)
+            h = decay_operator(config.n_max, alpha, EVEN)
             try:
                 traj = propagate(h, psi0, config.t_final, config.dt)
             except ValueError as exc:
@@ -412,7 +413,7 @@ def cmd_evolve(config: RunConfig, args) -> dict:
     if n_steps < 2:
         raise ConfigError("the norm-flow check needs T >= 2*dt")
     try:
-        h = build_h_eff(config.n_max, config.theta, config.mode)
+        h = build_h_eff(config.n_max, config.theta, config.mode, EVEN)
         traj = propagate(h, psi0, config.t_final, config.dt, track=tracked)
     except (ValueError, RuntimeError) as exc:
         # a huge theta overflows the operator, or its step propagator

@@ -1,4 +1,4 @@
-"""Non-Hermitian time evolution over the truncated basis.
+"""Non-Hermitian time evolution over a truncated basis or parity sector.
 
 Solves i dpsi/dt = H psi without renormalizing: the squared norm P(t)
 is the observable, and its flow obeys dP/dt = 2<H_I> with H_I the
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockOperator, h0_diagonal
+from .fock import FockBasis, FockOperator, h0_diagonal
 
 EDGE_OCCUPATION_LIMIT = 1e-6
 # Reach sets with more states than this step each window with
@@ -55,11 +55,12 @@ EXPM_NORM_BOUND = 4.0
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid evolution record.  keep lists the basis indices the
-    initial state reaches through the nonzeros of H; every other
-    amplitude is exactly zero.  norms is P(t) and h_i is <H_I>(t) on the
-    grid, tracked maps each state passed as track to its occupation on
-    the grid, and states holds only the final point, one row over keep."""
+    """Uniform-grid evolution record.  keep lists the indices into h.basis
+    (the box, or the sector H is built on) that the initial state reaches
+    through the nonzeros of H; every other amplitude is exactly zero.
+    norms is P(t) and h_i is <H_I>(t) on the grid, tracked maps each
+    state passed as track to its occupation on the grid, and states holds
+    only the final point, one row over keep."""
 
     times: np.ndarray
     keep: np.ndarray
@@ -69,14 +70,6 @@ class Trajectory:
     tracked: dict
     dt: float
     edge_aborted: bool = False
-
-    def occupation(self, state) -> np.ndarray:
-        state = tuple(int(v) for v in state)
-        if state not in self.tracked:
-            raise KeyError(
-                f"state {state} was not tracked; pass it to propagate(track=...)"
-            )
-        return self.tracked[state]
 
 
 def step_count(T: float, dt: float) -> int:
@@ -149,8 +142,9 @@ def expm(a) -> np.ndarray:
 def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajectory:
     """Evolve psi0 under i dpsi/dt = H psi on a uniform grid.
 
-    Only the states psi0 reaches through the nonzeros of H (keep) are
-    evolved; every other amplitude stays exactly zero.  A reach set of at
+    Only the states of h.basis that psi0 reaches through the nonzeros of
+    H (keep) are evolved; every other amplitude stays exactly zero.  In a
+    sector that is all of it, unless H is diagonal.  A reach set of at
     most KRYLOV_THRESHOLD states has its dense step propagator u built
     once by expm.  Each window's first BLOCK rows are stepped from the
     last point by u; each later row is u^BLOCK applied to the row BLOCK
@@ -225,7 +219,7 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
                 np.matmul(window[k - BLOCK:k - BLOCK + len(rows)], u_block.T,
                           out=rows)
 
-    edge = (h.basis.occupations[keep] > h.n_max - 2).any(axis=1)
+    edge = (h.basis.occupations[keep] > h.basis.n_max - 2).any(axis=1)
     column = np.full(h.matrix.shape[0], -1)
     column[keep] = np.arange(len(keep))
     columns = column[tracked_index]
@@ -305,14 +299,16 @@ def initial_norm_rate(traj: Trajectory) -> float:
     return float((-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * traj.dt))
 
 
-def decay_operator(n_max: int, alpha: float) -> FockOperator:
-    """Constant-sink case: the diagonal oscillator minus i*alpha.
+def decay_operator(n_max: int, alpha: float, sector=None) -> FockOperator:
+    """Constant-sink case: the diagonal oscillator minus i*alpha, over
+    FockBasis(n_max, sector).
 
     Its squared norm obeys P(t) = exp(-2*alpha*t) exactly, which makes
     it the closed-form oracle for the integrator.
     """
-    diag = h0_diagonal(n_max).astype(complex) - 1j * float(alpha)
-    return FockOperator(matrix=sp.diags_array(diag, format="csr"), n_max=n_max)
+    diag = h0_diagonal(n_max, sector).astype(complex) - 1j * float(alpha)
+    return FockOperator(matrix=sp.diags_array(diag, format="csr"),
+                        basis=FockBasis(n_max, sector))
 
 
 def gain_loss_map(traj: Trajectory) -> dict:

@@ -8,9 +8,9 @@ states exist, never corrupts an element.  The reference it is checked
 against is the Kronecker route: operator_matrix(_h1_operator(mode), n)
 composes the symbolic operator of the effective module from per-axis
 band matrices built above the cutoff and cropped afterwards.
-Operators are held sparse; H1 moves one quantum number by 0 or +-2, so
-it never joins two per-axis parity sectors, and dense work runs on one
-sector block.
+Operators are held sparse, over the whole box or over one per-axis
+parity sector of it: H1 moves one quantum number by 0 or +-2, so it
+never joins two sectors, and each sector is built on its own lattice.
 """
 
 from __future__ import annotations
@@ -31,39 +31,47 @@ COUPLING_TOL = 1e-12
 INTERIOR_MARGIN = 4  # highest per-axis degree of any first-order term
 
 CONJECTURED_OFFSETS = frozenset(iter_product((-1, 0, 1), repeat=3))
+# the per-axis parity sectors (n1 % 2, n2 % 2, n3 % 2); EVEN holds |000>
+SECTORS = tuple(iter_product((0, 1), repeat=3))
+EVEN = SECTORS[0]
 
 
 class FockBasis:
-    """Ordered product basis |n1,n2,n3> with each n_j <= n_max."""
+    """Ordered product basis |n1,n2,n3> with each n_j <= n_max; with a
+    sector (p1, p2, p3), only its lattice n_j = p_j + 2 m_j, in the same
+    lexicographic order."""
 
-    def __init__(self, n_max: int):
+    def __init__(self, n_max: int, sector=None):
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
         self.n_max = n_max
-        self.dim = (n_max + 1) ** 3
+        self.sector = None if sector is None else tuple(sector)
+        if self.sector not in (None, *SECTORS):
+            raise ValueError(f"sector {sector} is not one of {SECTORS}")
+        # lowest occupation along each axis, and the step between occupations
+        self.first, self.step = ((0, 0, 0), 1) if sector is None else (self.sector, 2)
+        self.shape = tuple((n_max - p) // self.step + 1 for p in self.first)
+        self.dim = math.prod(self.shape)
 
     @cached_property
     def occupations(self) -> np.ndarray:
         """Read-only (dim, 3) integer table of the states in index order."""
-        table = np.indices((self.n_max + 1,) * 3).reshape(3, -1).T
+        table = np.indices(self.shape).reshape(3, -1).T
+        table *= self.step
+        table += self.first
         table.flags.writeable = False
         return table
 
-    @cached_property
-    def parity(self) -> np.ndarray:
-        """Per-axis parity sector of each state, (n1%2, n2%2, n3%2) read
-        as a 3-bit label in 0..7."""
-        labels = (self.occupations % 2) @ (4, 2, 1)
-        labels.flags.writeable = False
-        return labels
-
     def index(self, state) -> int:
-        n1, n2, n3 = state
-        for n in (n1, n2, n3):
+        i = 0
+        for n, p, side in zip(state, self.first, self.shape, strict=True):
             if not 0 <= n <= self.n_max:
                 raise ValueError(f"state {state} outside cutoff {self.n_max}")
-        side = self.n_max + 1
-        return (n1 * side + n2) * side + n3
+            m, off = divmod(n - p, self.step)
+            if off:
+                raise ValueError(f"state {state} is not in parity sector {self.sector}")
+            i = i * side + m
+        return i
 
     def states(self):
         return map(tuple, self.occupations.tolist())
@@ -136,9 +144,9 @@ def _h1_operator(mode: str) -> DiffOp3:
     return hamiltonian_operator(mode).theta_slice(1)
 
 
-def build_h1_matrix(n_max: int, mode: str) -> sp.csr_array:
-    """Matrix of the first-order operator (the theta coefficient) from its
-    closed form H1 = iK, with K real:
+def build_h1_matrix(n_max: int, mode: str, sector=None) -> sp.csr_array:
+    """Matrix of the first-order operator (the theta coefficient) over
+    FockBasis(n_max, sector), from its closed form H1 = iK, with K real:
 
         K = D(N) + sum_j [a_j+^2 c_j(N) - c_j(N) a_j^2],
         c_j(N) = -(N_j + 2 sum_{k<j} N_k + j + 1/2) / 2,
@@ -147,19 +155,27 @@ def build_h1_matrix(n_max: int, mode: str) -> sp.csr_array:
 
     Each coupling <n+2e_j|K|n> = c_j(n) sqrt((n_j+1)(n_j+2)) is computed
     once and stored with its exact negative at <n|K|n+2e_j>, so Re(H1)
-    is exactly 0 and the off-diagonal part exactly antisymmetric.
+    is exactly 0 and the off-diagonal part exactly antisymmetric.  A
+    sector build holds, bit for bit, the full build's block of its states.
     """
     check_mode(mode)
-    occ = FockBasis(n_max).occupations
+    basis = FockBasis(n_max, sector)
+    occ = basis.occupations
     n1, n2, n3 = occ.T
     if mode == "paper":
         diagonal = -(1.5 + 2 * n1 + n2)
     else:
         diagonal = -(3.0 + 3 * n1 + 2 * n2 + n3)
     diagonals, offsets = [diagonal], [0]
+    stride = basis.dim
     for axis in range(3):
+        stride //= basis.shape[axis]
+        # an axis with no n_j + 2 inside the cutoff has no coupling, and
+        # its shift could repeat another axis's offset
+        if basis.first[axis] + 2 > n_max:
+            continue
         n = occ[:, axis]
-        shift = 2 * (n_max + 1) ** (2 - axis)  # index step of n -> n + 2e_j
+        shift = 2 // basis.step * stride  # index step of n -> n + 2e_j
         c = -0.5 * (n + 2 * occ[:, :axis].sum(axis=1) + axis + 1.5)
         # zero where n + 2e_j lies above the cutoff; the CSR conversion
         # drops those slots
@@ -172,31 +188,17 @@ def build_h1_matrix(n_max: int, mode: str) -> sp.csr_array:
     return sp.csr_array((data, k.indices, k.indptr), shape=k.shape)
 
 
-def h0_diagonal(n_max: int) -> np.ndarray:
-    return FockBasis(n_max).occupations.sum(axis=1) + 1.5
+def h0_diagonal(n_max: int, sector=None) -> np.ndarray:
+    return FockBasis(n_max, sector).occupations.sum(axis=1) + 1.5
 
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Sparse (CSR, sorted indices) operator over the truncated basis with
-    its cutoff.  No stored nonzero may join two parity sectors."""
+    """Sparse (CSR, sorted indices) operator over its basis: the truncated
+    box, or one parity sector of it."""
 
     matrix: sp.csr_array
-    n_max: int
-
-    def __post_init__(self):
-        parity = self.basis.parity
-        bras, kets = self.matrix.nonzero()
-        if np.any(parity[bras] != parity[kets]):
-            raise ValueError("operator couples two parity sectors")
-
-    @cached_property
-    def basis(self) -> FockBasis:
-        return FockBasis(self.n_max)
-
-    def block(self, indices) -> np.ndarray:
-        """Dense submatrix on the given basis indices."""
-        return self.matrix[indices][:, indices].toarray()
+    basis: FockBasis
 
     @cached_property
     def h_i_diagonal(self) -> np.ndarray:
@@ -210,19 +212,19 @@ class FockOperator:
         return diagonal
 
 
-def build_h_eff(n_max: int, theta: float, mode: str) -> FockOperator:
-    """Effective Hamiltonian H0 + theta*H1 over the truncated basis."""
+def build_h_eff(n_max: int, theta: float, mode: str, sector=None) -> FockOperator:
+    """Effective Hamiltonian H0 + theta*H1 over FockBasis(n_max, sector)."""
     check_mode(mode)
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    h0 = sp.diags_array(h0_diagonal(n_max).astype(complex), format="csr")
+    h0 = sp.diags_array(h0_diagonal(n_max, sector).astype(complex), format="csr")
     # the sparse sum stores no zero, so at theta = 0 it is H0 alone
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = h0 + theta * build_h1_matrix(n_max, mode)
+        matrix = h0 + theta * build_h1_matrix(n_max, mode, sector)
     if not np.all(np.isfinite(matrix.data)):
         raise ValueError(f"theta={theta!r} overflows the operator")
-    return FockOperator(matrix=matrix, n_max=n_max)
+    return FockOperator(matrix=matrix, basis=FockBasis(n_max, sector))
 
 
 def sparsity_pattern(h1: sp.csr_array, basis: FockBasis) -> dict:

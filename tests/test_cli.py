@@ -23,14 +23,13 @@ from qweyl.cli import (
     RunConfig,
     default_out,
     interior_scan_bytes,
-    largest_sector,
     load_config,
     main,
     run_bytes,
     validate_config,
 )
 from qweyl.dynamics import KRYLOV_THRESHOLD, WINDOW_CAP, held_bytes
-from qweyl.fock import FockBasis, build_h1_matrix, build_h_eff, sparsity_pattern
+from qweyl.fock import EVEN, FockBasis, build_h1_matrix, build_h_eff, sparsity_pattern
 
 
 def read_report(out_dir, command):
@@ -230,12 +229,14 @@ class TestExitCodes:
         assert not list(tmp_path.iterdir())
 
     def test_oversized_cutoff_estimate(self):
-        # arithmetic only: 7 sparse entries per column at 16 + 8 bytes, plus
-        # what the command holds.  spectrum: the largest parity sector
-        # ((n_max//2 + 1)^3 states) as a dense complex block
-        assert largest_sector(6) == 64 and largest_sector(30) == 4_096
-        assert run_bytes(6, 16 * 64 ** 2) == 7 * 343 * 24 + 64 ** 2 * 16 == 123_160
-        assert run_bytes(30, 16 * 4_096 ** 2) == 273_440_344
+        # arithmetic only: 7 sparse entries per column of the operator the
+        # command builds at 16 + 8 bytes, plus what it holds.  spectrum
+        # builds one parity sector at a time and is charged the largest,
+        # the even one ((n_max//2 + 1)^3 states), as its sparse operator
+        # and as a dense complex block
+        assert FockBasis(6, EVEN).dim == 64 and FockBasis(30, EVEN).dim == 4_096
+        assert run_bytes(64, 16 * 64 ** 2) == 7 * 64 * 24 + 64 ** 2 * 16 == 76_288
+        assert run_bytes(4_096, 16 * 4_096 ** 2) == 269_123_584
         # evolve: the two dense propagators (u and u^BLOCK) up to the
         # Krylov threshold, then one window of states, never more points
         # than the run has, and per point the time, P, <H_I> and each
@@ -246,16 +247,18 @@ class TestExitCodes:
             16 * (2 * 64 ** 2 + WINDOW_CAP * 64) + 8 * 3 * 5_001)
         assert held_bytes(4_096, 5_000, 4) == (
             16 * WINDOW_CAP * 4_096 + 8 * 7 * 5_001)
-        # a decay run at n_max=30 evolves one amplitude: about 4.9 MiB,
-        # where (steps + 1) even-sector states made it 573 MiB
-        assert run_bytes(30, held_bytes(1, 5_000)) == (
-            7 * 29_791 * 24 + 16 * (2 + WINDOW_CAP) + 8 * 3 * 5_001)
+        # evolve builds the even sector too; a decay run at n_max=30 evolves
+        # one amplitude of it: about 0.8 MiB, where (steps + 1) even-sector
+        # states made it 573 MiB
+        assert run_bytes(4_096, held_bytes(1, 5_000)) == (
+            7 * 4_096 * 24 + 16 * (2 + WINDOW_CAP) + 8 * 3 * 5_001)
 
     def test_mixing_is_charged_its_interior_scan(self, tmp_path, monkeypatch):
         # 7 entries per interior column at 120 bytes: (30 - 4 + 1)^3 = 19,683
         # interior states, not a dense 4,096-state sector block (256 MiB)
         assert interior_scan_bytes(30) == 7 * 19_683 * 120 == 16_533_720
-        need = run_bytes(30, interior_scan_bytes(30))
+        # mixing builds H1 over the whole box of 31^3 states
+        need = run_bytes(31 ** 3, interior_scan_bytes(30))
         monkeypatch.setattr(cli, "available_memory", lambda: need + 1)
         assert main(["mixing", "--nmax", "30", "--out", str(tmp_path)]) == 0
 
@@ -293,7 +296,7 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: nmax=4 needs at least ")
         need = err[0].split("needs at least ")[1].split(" MiB")[0]
-        charged = run_bytes(4, held_bytes(1, 100_000, series - 3)
+        charged = run_bytes(FockBasis(4, EVEN).dim, held_bytes(1, 100_000, series - 3)
                             + 8 * series * 100_001)
         assert need == f"{charged / 2 ** 20:.1f}"
         assert float(need) >= 2 * 8 * series * 100_001 / 2 ** 20
@@ -318,8 +321,9 @@ class TestExitCodes:
         ["spectrum"], ["mixing"], ["evolve"], ["evolve", "--decay-oracle"],
     ])
     def test_refuses_what_cannot_fit(self, argv, tmp_path, monkeypatch, capsys):
-        # the sparse operator alone: every command holds more than that
-        monkeypatch.setattr(cli, "available_memory", lambda: run_bytes(6, 0))
+        # the box's sparse operator alone: every command holds more than that
+        monkeypatch.setattr(cli, "available_memory",
+                            lambda: run_bytes(FockBasis(6).dim, 0))
         assert main([*argv, "--nmax", "6", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: nmax=6 needs")

@@ -29,13 +29,19 @@ from qweyl.dynamics import (
     norm_flow_check,
     propagate,
 )
-from qweyl.fock import FockBasis, FockOperator, build_h1_matrix, build_h_eff
+from qweyl.fock import EVEN, FockBasis, FockOperator, build_h1_matrix, build_h_eff
 from qweyl.realization import MODES
 
 
 def ground(n_max):
     basis = FockBasis(n_max)
     return basis, basis.vector((0, 0, 0))
+
+
+def parity_labels(basis):
+    """The parity sector of each state, (n1%2, n2%2, n3%2) read as a 3-bit
+    label in 0..7, from the occupation table alone."""
+    return (basis.occupations % 2) @ (4, 2, 1)
 
 
 def antihermitian_part(h):
@@ -59,7 +65,7 @@ def reference_propagate(h, psi0, T, dt, method="matrix-exponential"):
     EDGE_OCCUPATION_LIMIT stops the run.  Returns (keep, states,
     warning text or None).
     """
-    parity = h.basis.parity
+    parity = parity_labels(h.basis)
     keep = np.flatnonzero(np.isin(parity, parity[psi0 != 0]))
     matrix = h.matrix[keep][:, keep]
     if method == "fourth-order-explicit":
@@ -75,7 +81,7 @@ def reference_propagate(h, psi0, T, dt, method="matrix-exponential"):
 
         def step(v):
             return u @ v
-    edge = (h.basis.occupations[keep] > h.n_max - 2).any(axis=1)
+    edge = (h.basis.occupations[keep] > h.basis.n_max - 2).any(axis=1)
     n_steps = int(round(T / dt))
     states = [psi0[keep]]
     for k in range(n_steps + 1):
@@ -116,7 +122,7 @@ def assert_streams_match(traj, h, states):
     assert np.array_equal(traj.states, states[-1:])
     for state in TRACKED:
         column = np.searchsorted(traj.keep, h.basis.index(state))
-        assert np.array_equal(traj.occupation(state), np.abs(states[:, column]) ** 2)
+        assert np.array_equal(traj.tracked[state], np.abs(states[:, column]) ** 2)
 
 
 class CountingPropagator:
@@ -183,7 +189,7 @@ class TestClosedFormOracles:
         tracked = ((0, 0, 0), (1, 1, 0), (2, 0, 0))
         traj = propagate(h, psi0, T=2.0, dt=1e-2, track=tracked)
         for state in tracked:
-            occ = traj.occupation(state)
+            occ = traj.tracked[state]
             assert np.max(np.abs(occ - occ[0])) <= 1e-12
         # the final state still acquires relative phase
         assert traj.states.shape == (1, len(traj.keep))
@@ -201,7 +207,7 @@ class TestClosedFormOracles:
         psi0 = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
         psi0[(basis.occupations > n_max - 2).any(axis=1)] = 1e-4
         psi0 /= np.linalg.norm(psi0)
-        assert len(np.unique(basis.parity[psi0 != 0])) == 8
+        assert len(np.unique(parity_labels(basis)[psi0 != 0])) == 8
         traj = propagate(h, psi0, T=10.0, dt=1e-3)
         assert not traj.edge_aborted
         assert np.array_equal(traj.keep, np.arange(basis.dim))
@@ -246,6 +252,13 @@ class TestIntegrators:
             propagate(h, np.full(basis.dim, np.nan), T=1.0, dt=0.1)
         with pytest.raises(ValueError, match="dimension"):
             propagate(h, np.ones(3, dtype=complex), T=1.0, dt=0.1)
+        # a tracked state must be a state of the operator's basis
+        with pytest.raises(ValueError, match="outside cutoff"):
+            propagate(h, psi0, T=1.0, dt=0.1, track=[(4, 0, 0)])
+        even = build_h_eff(2, 0.0, "paper", EVEN)
+        with pytest.raises(ValueError, match="not in parity sector"):
+            propagate(even, even.basis.vector((0, 0, 0)), T=1.0, dt=0.1,
+                      track=[(1, 0, 0)])
 
     def test_time_grid_uniform(self):
         h = build_h_eff(2, 0.0, "paper")
@@ -356,7 +369,7 @@ class TestTransfer:
         col = basis.index((1, 0, 0))
         t = traj.times[-1]
         for target in targets:
-            occ = traj.occupation(target)[-1]
+            occ = traj.tracked[target][-1]
             predicted = (theta * abs(m1[basis.index(target), col]) * t) ** 2
             assert occ == pytest.approx(predicted, rel=5e-3)
 
@@ -370,12 +383,12 @@ class TestTransfer:
                          track=forbidden + far + ((2, 0, 0),))
         # parity-forbidden states never populate
         for target in forbidden:
-            assert np.max(traj.occupation(target)) == 0.0
+            assert np.max(traj.tracked[target]) == 0.0
         # even states two hops away stay below the direct-coupling scale
         for target in far:
-            assert np.max(traj.occupation(target)) <= 1e-10
+            assert np.max(traj.tracked[target]) <= 1e-10
         # directly coupled states do populate
-        assert traj.occupation((2, 0, 0))[-1] > 1e-9
+        assert traj.tracked[(2, 0, 0)][-1] > 1e-9
 
     @pytest.mark.parametrize("mode", MODES)
     def test_damped_first_order_occupation_law(self, mode):
@@ -407,7 +420,7 @@ class TestTransfer:
                 a = (theta * np.sqrt(2) * c * np.expm1(r * t) / r
                      * np.exp(theta * damping(0, 0, 0) * t))
                 law = np.abs(a) ** 2
-                deviation = max(deviation, np.max(np.abs(traj.occupation(target) - law)))
+                deviation = max(deviation, np.max(np.abs(traj.tracked[target] - law)))
                 prediction = max(prediction, np.max(law))
             errors.append(deviation / prediction)
         for coarse, fine in zip(errors, errors[1:]):
@@ -460,16 +473,6 @@ class TestTransfer:
         assert 0 < abs(gmap["net_change"]["0,0,0"]) <= 1e-12
         assert gmap["gaining"] == [] and gmap["losing"] == []
 
-    def test_untracked_occupation_is_a_key_error(self):
-        h = build_h_eff(3, 0.01, "paper")
-        _, psi0 = ground(3)
-        traj = propagate(h, psi0, T=0.01, dt=1e-3, track=[(0, 0, 0)])
-        assert len(traj.occupation((0, 0, 0))) == len(traj.times)
-        with pytest.raises(KeyError, match=r"\(2, 0, 0\) was not tracked"):
-            traj.occupation((2, 0, 0))
-        with pytest.raises(ValueError, match="outside cutoff"):
-            propagate(h, psi0, T=0.01, dt=1e-3, track=[(4, 0, 0)])
-
 
 class TestGuardRails:
     def test_edge_abort_flags_and_truncates(self):
@@ -482,9 +485,9 @@ class TestGuardRails:
         assert traj.edge_aborted
         assert len(traj.times) < 1001
         assert len(traj.norms) == len(traj.h_i) == len(traj.times)
-        assert all(len(traj.occupation(s)) == len(traj.times) for s in edge_states)
+        assert all(len(traj.tracked[s]) == len(traj.times) for s in edge_states)
         assert traj.states.shape == (1, len(traj.keep))
-        edge_final = max(traj.occupation(s)[-1] for s in edge_states)
+        edge_final = max(traj.tracked[s][-1] for s in edge_states)
         assert edge_final > EDGE_OCCUPATION_LIMIT
 
     def test_edge_abort_on_initial_state(self):
@@ -500,7 +503,7 @@ class TestGuardRails:
         basis = FockBasis(2)
         grow = FockOperator(
             matrix=sp.diags_array(np.full(basis.dim, 1000.0j), format="csr"),
-            n_max=2,
+            basis=basis,
         )
         psi0 = basis.vector((0, 0, 0))
         with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
@@ -515,7 +518,7 @@ class TestGuardRails:
         matrix = build_h_eff(4, 0.0, "paper").matrix.tolil()
         ground, raised = basis.index((0, 0, 0)), basis.index((2, 0, 0))
         matrix[raised, ground] = matrix[ground, raised] = 1j
-        h = FockOperator(matrix=matrix.tocsr(), n_max=4)
+        h = FockOperator(matrix=matrix.tocsr(), basis=basis)
         with pytest.raises(ValueError, match="not diagonal"):
             propagate(h, basis.vector((0, 0, 0)), T=0.1, dt=1e-3)
         assert step_spy == []
@@ -592,7 +595,7 @@ class TestAbortSemantics:
         basis = FockBasis(2)
         grow = FockOperator(
             matrix=sp.diags_array(np.full(basis.dim, 100.0j), format="csr"),
-            n_max=2,
+            basis=basis,
         )
         psi0 = basis.vector((0, 0, 0))
         with pytest.raises(RuntimeError) as expected:
@@ -615,16 +618,15 @@ class TestBlockSteps:
         # the evolve defaults; each point is the final state of a run that
         # ends there, on both sides of the BLOCK and window boundaries
         dt = 1e-3
-        h = build_h_eff(10, 0.01, mode)
-        _, psi0 = ground(10)
-        keep = np.flatnonzero(h.basis.parity == 0)
-        dense = h.block(keep)
+        h = build_h_eff(10, 0.01, mode, EVEN)
+        psi0 = h.basis.vector((0, 0, 0))
+        dense = h.matrix.toarray()
         assert BLOCK == 32 and WINDOW_CAP == 512
         for k in (1, 31, 32, 33, 63, 64, 95, 511, 512, 1023, 5000):
             traj = propagate(h, psi0, T=k * dt, dt=dt)
             assert len(traj.times) == k + 1 and not traj.edge_aborted
-            assert np.array_equal(traj.keep, keep)
-            exact = expm(-1j * (k * dt) * dense) @ psi0[keep]
+            assert np.array_equal(traj.keep, np.arange(h.basis.dim))
+            exact = expm(-1j * (k * dt) * dense) @ psi0
             rel = np.linalg.norm(traj.states[0] - exact) / np.linalg.norm(exact)
             assert rel <= 1e-12, (k, rel)
 
@@ -641,16 +643,15 @@ class TestBlockSteps:
 
         monkeypatch.setattr(np.linalg, "matrix_power", spy)
         dt = 1e-3
-        h = build_h_eff(10, 0.01, "paper")
-        _, psi0 = ground(10)
-        keep = np.flatnonzero(h.basis.parity == 0)
-        dense = h.block(keep)
+        h = build_h_eff(10, 0.01, "paper", EVEN)
+        psi0 = h.basis.vector((0, 0, 0))
+        dense = h.matrix.toarray()
         for points, formed in ((101, []), (128, [BLOCK])):
             powers.clear()
             traj = propagate(h, psi0, T=(points - 1) * dt, dt=dt)
             assert len(traj.times) == points and not traj.edge_aborted
             assert powers == formed
-            exact = expm(-1j * ((points - 1) * dt) * dense) @ psi0[keep]
+            exact = expm(-1j * ((points - 1) * dt) * dense) @ psi0
             rel = np.linalg.norm(traj.states[0] - exact) / np.linalg.norm(exact)
             assert rel <= 1e-12, (points, rel)
 
@@ -666,8 +667,7 @@ class TestBlockSteps:
             return original(a, b, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", spy)
-        h = build_h_eff(10, 0.01, "paper")
-        block = h.matrix[h.basis.parity == 0][:, h.basis.parity == 0]
+        block = build_h_eff(10, 0.01, "paper", EVEN).matrix
         norm = abs(block).sum(axis=0).max()
         blocks = [-1j * (scale / norm) * block for scale in (0.04, 0.4, 4, 40, 400)]
         blocks.append(-1j * sp.diags_array(np.full(8, 100.0j), format="csr"))
@@ -714,9 +714,9 @@ class TestGlobalRandomState:
     def test_caller_stream_is_untouched(self, monkeypatch):
         # dt 0.1 on the evolve defaults' even block is past the norm at
         # which expm_multiply estimates powers of its argument
-        h = build_h_eff(10, 0.01, "paper")
-        _, psi0 = ground(10)
-        block = h.matrix[h.basis.parity == 0][:, h.basis.parity == 0]
+        h = build_h_eff(10, 0.01, "paper", EVEN)
+        psi0 = h.basis.vector((0, 0, 0))
+        block = h.matrix
         undisturbed = self.next_draw(5, lambda: None)
         assert self.next_draw(5, lambda: block_expm(-1j * 0.1 * block)) == undisturbed
         # the Krylov step on the same block, 101 points of dt 0.1
@@ -730,8 +730,7 @@ class TestGlobalRandomState:
         assert len(runs[0].times) == 101 and not runs[0].edge_aborted
 
     def test_step_propagator_independent_of_prior_seed(self):
-        h = build_h_eff(10, 0.01, "paper")
-        block = h.matrix[h.basis.parity == 0][:, h.basis.parity == 0]
+        block = build_h_eff(10, 0.01, "paper", EVEN).matrix
         steps = []
         for seed in (0, 1, 12345):
             np.random.seed(seed)
@@ -747,10 +746,16 @@ class TestReachableSet:
     )
     @settings(max_examples=25)
     def test_ground_state_reaches_its_parity_sector(self, n_max, mode, theta):
+        # in the box, keep holds the even sector's states in its order; on
+        # the even sector's own build, every state
+        even = FockBasis(n_max, EVEN)
         h = build_h_eff(n_max, theta, mode)
         _, psi0 = ground(n_max)
         traj = quiet_propagate(h, psi0, T=1e-5, dt=1e-5)
-        assert np.array_equal(traj.keep, np.flatnonzero(h.basis.parity == 0))
+        assert np.array_equal(h.basis.occupations[traj.keep], even.occupations)
+        h = build_h_eff(n_max, theta, mode, EVEN)
+        traj = quiet_propagate(h, even.vector((0, 0, 0)), T=1e-5, dt=1e-5)
+        assert np.array_equal(traj.keep, np.arange(even.dim))
 
     @given(n_max=st.integers(2, 12), mode=st.sampled_from(MODES), data=st.data())
     @settings(max_examples=25)
@@ -784,7 +789,8 @@ class TestReachableSet:
         off[traj.keep] = False
         assert np.all(oracle[off] == 0)
         if kind == "deformed":
-            assert np.array_equal(traj.keep, np.flatnonzero(np.isin(basis.parity, (0, 6))))
+            kept = np.isin(parity_labels(basis), (0, 6))
+            assert np.array_equal(traj.keep, np.flatnonzero(kept))
         else:
             assert np.array_equal(traj.keep, [basis.index((0, 0, 0)), basis.index((1, 1, 0))])
 
@@ -803,8 +809,9 @@ class TestSectors:
         for _ in range(200):
             full.append(u @ full[-1])
         full = np.array(full)
-        kept = [basis.parity[basis.index(k)] for k in kets]
-        assert np.array_equal(traj.keep, np.flatnonzero(np.isin(basis.parity, kept)))
+        parity = parity_labels(basis)
+        kept = [parity[basis.index(k)] for k in kets]
+        assert np.array_equal(traj.keep, np.flatnonzero(np.isin(parity, kept)))
         assert np.max(np.abs(traj.states[0] - full[-1, traj.keep])) <= 1e-12
         norms = np.sum(np.abs(full) ** 2, axis=1)
         assert np.max(np.abs(traj.norms - norms)) <= 1e-12
@@ -815,6 +822,34 @@ class TestSectors:
         gen = antihermitian_part(h).toarray()
         h_i = np.sum(full.conj() * (full @ gen.T), axis=1).real
         assert np.max(np.abs(traj.h_i - h_i)) <= 1e-12
+
+
+    @pytest.mark.parametrize("n_max, theta, mode, T", [
+        (6, 0.01, "paper", 1.0),
+        (6, 0.05, "rederived", 1.0),  # stops at the edge
+        (6, 0.0, "paper", 1.0),
+        (20, 0.01, "paper", 0.01),  # above KRYLOV_THRESHOLD
+        (6, "decay", "paper", 1.0),
+    ])
+    def test_even_sector_run_is_the_box_run(self, n_max, theta, mode, T):
+        # the even sector's build is the box build's block, so the ground
+        # state steps through the same numbers on either, bit for bit
+        def build(sector):
+            if theta == "decay":
+                return decay_operator(n_max, 0.5, sector)
+            return build_h_eff(n_max, theta, mode, sector)
+
+        runs = [quiet_propagate(h, h.basis.vector((0, 0, 0)), T=T, dt=1e-3,
+                                track=TRACKED)
+                for h in (build(None), build(EVEN))]
+        box, even = runs
+        assert np.array_equal(FockBasis(n_max).occupations[box.keep],
+                              FockBasis(n_max, EVEN).occupations[even.keep])
+        for name in ("times", "norms", "h_i", "states"):
+            assert np.array_equal(getattr(box, name), getattr(even, name)), name
+        for state in TRACKED:
+            assert np.array_equal(box.tracked[state], even.tracked[state])
+        assert box.edge_aborted == even.edge_aborted == (theta == 0.05)
 
 
 class TestStreaming:
@@ -858,7 +893,7 @@ class TestKrylovStep:
         assert np.max(np.abs(natural.h_i - other.h_i)) <= 1e-10
         assert np.max(np.abs(natural.states - other.states)) <= 1e-10
         for s in tracked:
-            assert np.max(np.abs(natural.occupation(s) - other.occupation(s))) <= 1e-10
+            assert np.max(np.abs(natural.tracked[s] - other.tracked[s])) <= 1e-10
         if not krylov:
             # the RK4 loop at a tenth of the step, read on the common grid
             # points

@@ -6,10 +6,12 @@ import pytest
 import scipy.sparse as sp
 
 from qweyl import fock
-from qweyl.cli import _json_default, largest_sector
+from qweyl.cli import _json_default, run_bytes
 from qweyl.effective import hamiltonian_operator
 from qweyl.fock import (
     CONJECTURED_OFFSETS,
+    EVEN,
+    SECTORS,
     FockBasis,
     FockOperator,
     _axis_term_matrix,
@@ -53,6 +55,55 @@ def test_basis_roundtrip():
         basis.index((0, -1, 0))
     with pytest.raises(ValueError):
         FockBasis(0)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 5])
+def test_sector_basis_roundtrip(n_max):
+    # each sector is the lattice n_j = p_j + 2 m_j in lexicographic order,
+    # and indexes only its own states
+    full = FockBasis(n_max)
+    for sector in SECTORS:
+        basis = FockBasis(n_max, sector)
+        mine = (full.occupations % 2 == sector).all(axis=1)
+        assert np.array_equal(basis.occupations, full.occupations[mine])
+        for i, state in enumerate(basis.states()):
+            assert basis.index(state) == i
+            assert np.array_equal(basis.vector(state), full.vector(state)[mine])
+    even = FockBasis(n_max, EVEN)
+    with pytest.raises(ValueError, match=r"\(1, 0, 0\) is not in parity sector"):
+        even.index((1, 0, 0))
+    with pytest.raises(ValueError, match=f"outside cutoff {n_max}"):
+        even.index((n_max + 2, 0, 0))
+    with pytest.raises(ValueError, match="parity sector"):
+        FockBasis(n_max, (0, 1, 1)).vector((0, 0, 0))
+    for sector in ((2, 0, 0), (0, 1), (0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="is not one of"):
+            FockBasis(n_max, sector)
+
+
+@pytest.mark.parametrize("n_max", range(1, 13))
+def test_sector_builds_are_the_full_builds_blocks(n_max):
+    # parity conservation as a checked invariant: each of the eight sector
+    # builds stores, bit for bit, the full build's block of its states, and
+    # the eight cover the box
+    occ = FockBasis(n_max).occupations
+    blocks = [np.flatnonzero((occ % 2 == sector).all(axis=1)) for sector in SECTORS]
+    assert sum(FockBasis(n_max, s).dim for s in SECTORS) == (n_max + 1) ** 3
+    assert sorted(np.concatenate(blocks).tolist()) == list(range((n_max + 1) ** 3))
+    for mode in MODES:
+        builds = [(build_h1_matrix(n_max, mode),
+                   lambda s: build_h1_matrix(n_max, mode, s))]
+        builds += [(build_h_eff(n_max, theta, mode).matrix,
+                    lambda s, t=theta: build_h_eff(n_max, t, mode, s).matrix)
+                   for theta in (0.0, 0.01, -0.01, 0.3)]
+        for full, sector_build in builds:
+            for sector, block in zip(SECTORS, blocks):
+                want, got = full[block][:, block], sector_build(sector)
+                assert got.shape == want.shape
+                for part in ("indptr", "indices", "data"):
+                    a, b = getattr(got, part), getattr(want, part)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+                        mode, sector, part)
 
 
 def test_ladder_matrix_elements():
@@ -324,26 +375,22 @@ def test_parity_sectors_conserved(n_max, mode):
             parities.add(((a + dx) % 2, (b + dy) % 2, (c + dz) % 2))
     assert parities == {(0, 0, 0)}
     # every stored coupling stays in one sector, by one of the 7 offsets
-    basis = FockBasis(n_max)
+    occ = FockBasis(n_max).occupations
     bras, kets = build_h1_matrix(n_max, mode).nonzero()
-    assert np.array_equal(basis.parity[bras], basis.parity[kets])
-    deltas = set(map(tuple, (basis.occupations[bras] - basis.occupations[kets]).tolist()))
+    assert np.array_equal(occ[bras] % 2, occ[kets] % 2)
+    deltas = set(map(tuple, (occ[bras] - occ[kets]).tolist()))
     assert deltas <= SECTOR_OFFSETS
-    # the operator type refuses a matrix that joins two sectors
-    matrix = build_h_eff(n_max, 0.0, mode).matrix.tolil()
-    matrix[basis.index((0, 0, 0)), basis.index((1, 0, 0))] = 0.5
-    with pytest.raises(ValueError, match="parity sectors"):
-        FockOperator(matrix=matrix.tocsr(), n_max=n_max)
 
 
 def test_largest_sector_matches_run_bytes():
-    # the memory bounds size spectrum and mixing by the largest parity
-    # sector and evolve by the even one the ground state reaches; both
-    # are largest_sector(n_max) = (n_max//2 + 1)^3 states
+    # spectrum and evolve are charged the operator of the even sector, the
+    # one the ground state lies in and the largest: (n_max//2 + 1)^3 states
     for n_max in range(1, 15):
-        sizes = np.bincount(FockBasis(n_max).parity)
-        assert sizes.max() == sizes[0] == (n_max // 2 + 1) ** 3
-        assert largest_sector(n_max) == sizes[0]
+        sizes = [FockBasis(n_max, sector).dim for sector in SECTORS]
+        assert max(sizes) == sizes[0] == (n_max // 2 + 1) ** 3
+        assert FockBasis(n_max, EVEN).dim == sizes[0]
+        nnz = build_h_eff(n_max, 0.01, "paper", EVEN).matrix.nnz
+        assert run_bytes(sizes[0], 0) == 7 * sizes[0] * 24 >= nnz * 24
 
 
 def test_mixing_amplitudes_from_ground_state():
@@ -416,8 +463,7 @@ def test_gauge_makes_h_complex_symmetric_with_real_couplings(mode, n_max):
 
 def even_ground(n_max, theta, mode):
     """The even-sector eigenvalue of H nearest the unperturbed 3/2."""
-    h = build_h_eff(n_max, theta, mode)
-    lam = np.linalg.eigvals(h.block(np.flatnonzero(h.basis.parity == 0)))
+    lam = np.linalg.eigvals(build_h_eff(n_max, theta, mode, EVEN).matrix.toarray())
     return lam[np.argmin(abs(lam - 1.5))]
 
 
@@ -453,7 +499,7 @@ def pair_operator(n_max, up, down):
     ground, raised = basis.index((0, 0, 0)), basis.index((2, 0, 0))
     matrix[raised, ground] = up
     matrix[ground, raised] = down
-    return FockOperator(matrix=matrix.tocsr(), n_max=n_max)
+    return FockOperator(matrix=matrix.tocsr(), basis=basis)
 
 
 def test_h_i_diagonal_refuses_an_off_diagonal_antihermitian_part():

@@ -87,6 +87,14 @@ def runs(config: str) -> list:
                                       "0.001"]))
     out.append(("evolve-edge-abort-odd-nmax", ["evolve", "--theta", "0.5", "--nmax",
                                                "3", "--T", "1", "--dt", "0.01"]))
+    # the smallest cutoffs, where odd sectors have a single layer along an
+    # axis (every axis at nmax=1); at nmax=1 evolve aborts at t = 0 on the edge
+    for n in (1, 2):
+        out.append((f"spectrum-n{n}", ["spectrum", "--nmax", str(n),
+                                       "--format", "csv"]))
+        out.append((f"evolve-n{n}", ["evolve", "--nmax", str(n)]))
+        out.append((f"evolve-decay-n{n}", ["evolve", "--decay-oracle",
+                                           "--nmax", str(n)]))
     # 1,331 even-sector states: above dynamics.KRYLOV_THRESHOLD, so this
     # run steps with expm_multiply
     out.append(("evolve-krylov-n20", ["evolve", "--nmax", "20", "--T", "0.05"]))
