@@ -10,8 +10,9 @@ Numeric tables always carry provenance columns (mode, theta, n_max) so
 results from the two first-order conventions can never be confused.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
-including a cutoff that cannot fit in available memory and a theta that
-overflows the operator or its step propagator.
+including a cutoff that cannot fit in available memory, a theta that
+overflows the operator or its step propagator, and a dt too large for
+one Krylov step.
 """
 
 from __future__ import annotations
@@ -417,7 +418,7 @@ def cmd_evolve(config: RunConfig, args) -> dict:
         traj = propagate(h, psi0, config.t_final, config.dt, track=tracked)
     except (ValueError, RuntimeError) as exc:
         # a huge theta overflows the operator, or its step propagator
-        # over- or underflows
+        # over- or underflows; a huge dt needs too large a Krylov basis
         raise ConfigError(str(exc)) from None
     # an edge abort can leave too few points for the difference stencils
     flow = rate = None

@@ -5,15 +5,16 @@ is the observable, and its flow obeys dP/dt = 2<H_I> with H_I the
 Hermitian generator of the anti-Hermitian part, which FockOperator
 checks is diagonal, so P, <H_I> and the occupations all come from the
 squared amplitudes |psi_n|^2.  The states the initial one reaches are
-stepped by a dense propagator over dt, built from their sparse block by
-expm, and by its BLOCK-th power, BLOCK grid points per matrix product;
-or with expm_multiply on the sparse block when there are more than
-KRYLOV_THRESHOLD of them.  expm_multiply runs under a fixed seed of
-numpy's global random state, which it restores.  Probability pumped
-into the cutoff edge is an artifact of truncation, so evolution stops
-with a warning as soon as any edge state (some n_j > n_max - 2, so its
-same-parity neighbour along axis j is cut off) holds more than a
-threshold occupation; non-finite amplitudes abort outright.
+stepped by one Krylov method (Saad, SIAM J. Numer. Anal. 29(1), 1992;
+Hochbruck & Lubich, SIAM J. Numer. Anal. 34(5), 1997): an Arnoldi
+basis of their sparse block, grown from the state before a run of grid
+points, reduces -i dt H to a small Hessenberg matrix; expm exponentiates
+that, its powers step the run as short vectors, and one product with the
+basis turns them all into states.  Probability pumped into the cutoff
+edge is an artifact of truncation, so evolution stops with a warning as
+soon as any edge state (some n_j > n_max - 2, so its same-parity
+neighbour along axis j is cut off) holds more than a threshold
+occupation; non-finite amplitudes abort outright.
 """
 
 from __future__ import annotations
@@ -28,29 +29,25 @@ import scipy.sparse as sp
 from .fock import FockBasis, FockOperator, h0_diagonal
 
 EDGE_OCCUPATION_LIMIT = 1e-6
-# Reach sets with more states than this step each window with
-# expm_multiply instead of the dense propagators: on a 2-vCPU VM,
-# 5,000 steps of the even sector took 1.4 s dense against 2.6 s Krylov
-# at 1,000 states, and 2.8 s against 2.9 s at 1,331.
-KRYLOV_THRESHOLD = 1000
-# The Krylov cost grows with dt*|H| where the dense step's grows with its
-# logarithm, so a larger one is refused instead of stepped for hours; past
-# 709, the log of the largest double, a single step can already overflow.
-KRYLOV_STEP_LIMIT = 700.0
 # A net occupation change no larger than this is round-off: gain_loss_map
 # lists the state as neither gaining nor losing.
 GAIN_LOSS_FLOOR = 1e-12
 # Most grid points one window holds; the windows double up to it.
 WINDOW_CAP = 512
-# Grid points the dense path fills per matrix product: each row past the
-# first BLOCK of a window is the BLOCK-step propagator applied to the row
-# BLOCK points earlier in the same window.
-BLOCK = 32
-# expm halves a block whose 1-norm is above this before expm_multiply and
-# squares the result back.  Each squaring doubles the rounding error of a
-# near-unitary step: at this bound a 1-norm of 400 takes 7 squarings and
-# stays within 7e-14 of scipy.linalg.expm.
-EXPM_NORM_BOUND = 4.0
+# Krylov dimensions tried in turn on each basis; the last is the largest
+# basis ever held.
+KRYLOV_SIZES = (8, 16, 30)
+# Saad's estimate of a run's error, relative to the norm of the state the
+# run starts from, must not exceed this.
+KRYLOV_TOL = 1e-14
+# expm's degree-13 diagonal Pade approximant: the largest 1-norm at which
+# it stays within double rounding (Higham, SIAM J. Matrix Anal. Appl.
+# 26(4), 2005, Table 2.3), and its coefficients b_0 .. b_13.
+_PADE_BOUND = 5.371920351148152
+_PADE_COEFFS = (64764752532480000, 32382376266240000, 7771770303897600,
+                1187353796428800, 129060195264000, 10559470521600,
+                670442572800, 33522128640, 1323241920, 40840800, 960960,
+                16380, 182, 1)
 
 
 @dataclass(frozen=True)
@@ -88,55 +85,176 @@ def step_count(T: float, dt: float) -> int:
 
 def held_bytes(dim: int, n_steps: int, tracked: int = 0) -> int:
     """Lower bound on what propagate holds for a dim-state reach set over
-    n_steps steps with tracked track states: the dense propagators u and
-    u^BLOCK at or below KRYLOV_THRESHOLD states and one window of states,
-    all complex, and per grid point the time, P, <H_I> and each tracked
-    occupation."""
-    dense = 2 * dim * dim if dim <= KRYLOV_THRESHOLD else 0
+    n_steps steps with tracked track states: the Krylov basis (at most
+    KRYLOV_SIZES[-1] + 1 vectors) and one window of states, all complex,
+    and per grid point the time, P, <H_I> and each tracked occupation."""
     points = n_steps + 1
-    return 16 * (dense + min(points, WINDOW_CAP) * dim) + 8 * (3 + tracked) * points
-
-
-def _expm_multiply(a, b, **kwargs):
-    """scipy's expm_multiply with numpy's global random state seeded
-    and restored around it.  Its norm estimates (onenormest) draw from
-    that state, so a fixed seed makes the result independent of earlier
-    draws and leaves the caller's stream where it was."""
-    # imported here: at module level it costs every command RSS
-    from scipy.sparse.linalg import expm_multiply
-
-    saved = np.random.get_state()
-    np.random.seed(0)
-    try:
-        return expm_multiply(a, b, **kwargs)
-    finally:
-        np.random.set_state(saved)
+    rows = min(KRYLOV_SIZES[-1], dim) + 1 + min(points, WINDOW_CAP)
+    return 16 * rows * dim + 8 * (3 + tracked) * points
 
 
 def expm(a) -> np.ndarray:
-    """Dense exponential of the sparse square block a.
+    """Exponential of the small dense square matrix a.
 
-    Runs expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2),
-    2011) on the identity, so it forms only sparse-dense products.  A
-    block whose 1-norm exceeds EXPM_NORM_BOUND is halved first and the
-    result squared back, so the cost grows with log2 of the norm.  A
-    non-finite block is refused, and so is a result that underflows to
-    zero: every point stepped by it would be exactly zero.
+    Scaling and squaring (Higham 2005): the degree-13 diagonal Pade
+    approximant r(a / 2^s), squared s times, with s the fewest halvings
+    that bring the 1-norm within _PADE_BOUND; a 1x1 matrix is its scalar
+    exponential.  No eigenvectors are formed, which for the non-normal
+    Hessenberg blocks of propagate could be ill-conditioned.  A
+    non-finite a is refused, and so is a result that underflows to zero:
+    every point stepped by it would be exactly zero.
     """
-    norm = float(abs(a).sum(axis=0).max())
+    a = np.asarray(a, dtype=complex)
+    norm = float(np.abs(a).sum(axis=0).max())
     if not math.isfinite(norm):
         raise ValueError("dt*H is not finite; shrink dt")
-    halvings = 0
-    if norm > EXPM_NORM_BOUND:
-        halvings = math.ceil(math.log2(norm / EXPM_NORM_BOUND))
-    u = _expm_multiply(a * 0.5 ** halvings, np.eye(a.shape[0], dtype=complex))
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(halvings):
-            u = u @ u
+        if a.shape == (1, 1):
+            u = np.exp(a)
+        else:
+            u = _pade(a, norm)
     if not u.any():
         # an exponential is invertible: a zero one is float underflow
         raise ValueError("the step propagator underflows to zero; shrink dt")
     return u
+
+
+def _pade(a, norm):
+    """expm past its 1x1 case: p(a)/p(-a) for the Pade numerator p, its
+    even and odd powers summed apart, on a scaled into the bound."""
+    b = _PADE_COEFFS
+    squarings = max(0, math.ceil(math.log2(norm / _PADE_BOUND)))
+    a = a * 0.5 ** squarings
+    even = [np.eye(len(a), dtype=complex), a @ a]
+    while len(even) < 7:
+        even.append(even[-1] @ even[1])
+    odd = a @ sum(b[2 * k + 1] * power for k, power in enumerate(even))
+    rest = sum(b[2 * k] * power for k, power in enumerate(even))
+    # (rest + odd) / (rest - odd) as the identity plus a small correction,
+    # so the correction's rounding is relative to its own size
+    u = np.linalg.solve(rest - odd, 2 * odd)
+    u[np.diag_indices_from(u)] += 1.0
+    for _ in range(squarings):
+        u = u @ u
+    return u
+
+
+def _arnoldi_step(a, basis, hess, j):
+    """Column j of the Hessenberg matrix and basis row j + 1: a @ basis[j]
+    orthogonalized against basis[:j + 1] by classical Gram-Schmidt, run
+    twice so the basis stays orthonormal to working precision.  A zero
+    remainder (the basis spans an invariant subspace) leaves row j + 1."""
+    w = a @ basis[j]
+    prior = basis[:j + 1]
+    # <v, w> as the conjugate of prior @ conj(w), with no conjugated copy
+    # of the basis
+    first = (prior @ w.conj()).conj()
+    w -= first @ prior
+    second = (prior @ w.conj()).conj()
+    w -= second @ prior
+    hess[:j + 1, j] = first + second
+    hess[j + 1, j] = norm = np.linalg.norm(w)
+    if norm:
+        basis[j + 1] = w / norm
+
+
+def _powers(f, count):
+    """Rows k = 0 .. count-1 hold column 0 of f^(k+1): each doubling of
+    the rows applies f^n, formed by squaring, to the n rows before it."""
+    rows = np.empty((count, len(f)), dtype=complex)
+    rows[0] = f[:, 0]
+    done, power = 1, f
+    while done < count:
+        block = rows[done:2 * done]
+        np.matmul(rows[:len(block)], power.T, out=block)
+        done += len(block)
+        if done < count:
+            power = power @ power
+    return rows
+
+
+def _krylov_stepper(matrix, dt):
+    """The advance(last, window) that propagate calls: it fills row k of
+    window with exp(-i (k+1) dt H) last for the sparse block H = matrix.
+
+    A run of points gets one Arnoldi basis V_m, grown from the state
+    before it, and the Hessenberg H_m of -i dt H on it.  Row k of the run
+    is beta V_m^T F^(k+1) e_1, with beta the norm of that state and
+    F = expm(H_m), so the whole run is one product with V_m.  m is the
+    first of KRYLOV_SIZES (up to the reach set's size) at which Saad's
+    estimate h_(m+1,m) |e_m^T F^(k+1) e_1| stays within KRYLOV_TOL at
+    every point.  Past the largest the run is cut to the longest
+    halving of it that meets the estimate, and a single step that
+    cannot is refused.  Later runs start from the last m and run
+    length chosen.  A basis that spans the reach set, or an invariant
+    subspace of it, is exact.  On an invariant line (m = 1) each point
+    is its own scalar exponential, so no rounding compounds.
+    """
+    dim = matrix.shape[0]
+    norm = dt * float(abs(matrix).sum(axis=0).max())
+    # the basis is grown on -i dt H over a power of two at its 1-norm, so
+    # no vector norm overflows; the Hessenberg matrix is scaled back
+    # exactly, and expm refuses it if dt*H is not finite
+    shift = max(0, math.frexp(norm)[1])
+    scale = np.ldexp(1.0, shift)
+    a = matrix * (-1j * math.ldexp(dt, -shift))
+    sizes = sorted({min(m, dim) for m in KRYLOV_SIZES})
+    basis = np.empty((sizes[-1] + 1, dim), dtype=complex)
+    hess = np.zeros((sizes[-1] + 1, sizes[-1]), dtype=complex)
+    span, first = WINDOW_CAP, 0
+
+    def advance(last, window):
+        nonlocal span, first
+        done = 0
+        while done < len(window):
+            start = window[done - 1] if done else last
+            count = min(span, len(window) - done)
+            peak = np.abs(start).max()
+            if not peak:
+                # underflowed to zero, and zero it stays
+                window[done:] = 0.0
+                return
+            # the norm of start / peak, whose squares cannot overflow
+            beta = peak * np.linalg.norm(start / peak)
+            basis[0] = start / beta
+            built = 0
+            for index in range(first, len(sizes)):
+                m = sizes[index]
+                # a zero remainder stops the basis short: it is exact
+                while built < m and (not built or hess[built, built - 1]):
+                    _arnoldi_step(a, basis, hess, built)
+                    built += 1
+                m = built
+                h_m = hess[:m, :m] * scale
+                f = expm(h_m)
+                if m == 1:
+                    e = np.exp(np.arange(1.0, count + 1) * h_m[0, 0])[:, np.newaxis]
+                else:
+                    e = _powers(f, count)
+                # exact, or overflowing, where the window check stops it
+                if m == dim or not hess[m, m - 1] or not np.isfinite(e).all():
+                    break
+                error = np.maximum.accumulate(
+                    abs(hess[m, m - 1]) * scale * np.abs(e[:, m - 1]))
+                if error[-1] <= KRYLOV_TOL:
+                    break
+            else:
+                while count and error[count - 1] > KRYLOV_TOL:
+                    count //= 2
+                if not count:
+                    raise ValueError(
+                        f"one step of dt = {dt:g} needs a Krylov basis of more "
+                        f"than {m} vectors (error estimate {error[0]:.3g} "
+                        f"against {KRYLOV_TOL:g}); shrink dt"
+                    )
+                span = count
+            first = index
+            rows = window[done:done + count]
+            np.matmul(e[:count], basis[:m], out=rows)
+            rows *= beta
+            done += count
+
+    return advance
 
 
 def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajectory:
@@ -144,17 +262,10 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
 
     Only the states of h.basis that psi0 reaches through the nonzeros of
     H (keep) are evolved; every other amplitude stays exactly zero.  In a
-    sector that is all of it, unless H is diagonal.  A reach set of at
-    most KRYLOV_THRESHOLD states has its dense step propagator u built
-    once by expm.  Each window's first BLOCK rows are stepped from the
-    last point by u; each later row is u^BLOCK applied to the row BLOCK
-    points earlier, a whole BLOCK of rows per matrix product.  u^BLOCK is
-    formed once by squaring, at the first window of at least 2*BLOCK
-    rows; a shorter window before it is stepped by u alone.  Every
-    window restarts the BLOCK interleaved chains from its own first rows,
-    so no point is more than WINDOW_CAP/BLOCK - 1 long steps from them.
-    A larger reach set fills each window with expm_multiply on the
-    sparse block.
+    sector that is all of it, unless H is diagonal.  Their sparse block
+    is stepped by the Krylov method of _krylov_stepper: one Arnoldi basis
+    per run of grid points, a run being a window or, where Saad's
+    estimate asks, a halving of it.
 
     The grid is stepped in windows of 1, 2, 4, ... points, at most
     WINDOW_CAP each, and each window is checked as a whole, so a stop at
@@ -164,7 +275,9 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     the track states are read from them before the window is dropped;
     only those series and the final state are kept.  H_I is read from
     h.h_i_diagonal before any step, so an operator whose anti-Hermitian
-    part is not diagonal raises ValueError there.
+    part is not diagonal raises ValueError there.  A step the largest
+    Krylov basis cannot take, a non-finite dt*H and a step that
+    underflows to zero raise ValueError.
     """
     T = float(T)
     dt = float(dt)
@@ -184,41 +297,6 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     keep = np.flatnonzero(reach)
     h_i_keep = h.h_i_diagonal[keep]
 
-    matrix = h.matrix[keep][:, keep]
-    if len(keep) > KRYLOV_THRESHOLD:
-        scale = dt * abs(matrix).sum(axis=1).max()
-        if scale > KRYLOV_STEP_LIMIT:
-            raise ValueError(
-                f"dt*|H| = {scale:.3g} exceeds the Krylov step margin "
-                f"{KRYLOV_STEP_LIMIT}; shrink dt"
-            )
-        minus_ih = -1j * matrix
-
-        def advance(last, window):
-            window[:] = _expm_multiply(
-                minus_ih, last, start=0.0, stop=len(window) * dt,
-                num=len(window) + 1, endpoint=True,
-            )[1:]
-    else:
-        u = expm(-1j * dt * matrix)
-        u_block = None
-
-        def advance(last, window):
-            nonlocal u_block
-            if u_block is None and len(window) >= 2 * BLOCK:
-                # squaring u is expm's own halve-and-square step, without
-                # the sparse products and norm estimates of a second call
-                u_block = np.linalg.matrix_power(u, BLOCK)
-            # until u_block exists, a shorter window is one chain of u
-            chained = BLOCK if u_block is not None else len(window)
-            for i in range(min(len(window), chained)):
-                window[i] = u @ (window[i - 1] if i else last)
-            # BLOCK rows per product: row k is u_block @ row k - BLOCK
-            for k in range(chained, len(window), BLOCK):
-                rows = window[k:k + BLOCK]
-                np.matmul(window[k - BLOCK:k - BLOCK + len(rows)], u_block.T,
-                          out=rows)
-
     edge = (h.basis.occupations[keep] > h.basis.n_max - 2).any(axis=1)
     column = np.full(h.matrix.shape[0], -1)
     column[keep] = np.arange(len(keep))
@@ -231,6 +309,7 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     last = psi0[keep]
     start, end, aborted = 0, n_steps + 1, False
     with np.errstate(over="ignore", invalid="ignore"):
+        advance = _krylov_stepper(h.matrix[keep][:, keep], dt)
         while start < end:
             stop = min(2 * start + 1, start + WINDOW_CAP, end)
             window = buffer[:stop - start]

@@ -28,7 +28,7 @@ from qweyl.cli import (
     run_bytes,
     validate_config,
 )
-from qweyl.dynamics import KRYLOV_THRESHOLD, WINDOW_CAP, held_bytes
+from qweyl.dynamics import KRYLOV_SIZES, WINDOW_CAP, held_bytes
 from qweyl.fock import EVEN, FockBasis, build_h1_matrix, build_h_eff, sparsity_pattern
 
 
@@ -237,19 +237,19 @@ class TestExitCodes:
         assert FockBasis(6, EVEN).dim == 64 and FockBasis(30, EVEN).dim == 4_096
         assert run_bytes(64, 16 * 64 ** 2) == 7 * 64 * 24 + 64 ** 2 * 16 == 76_288
         assert run_bytes(4_096, 16 * 4_096 ** 2) == 269_123_584
-        # evolve: the two dense propagators (u and u^BLOCK) up to the
-        # Krylov threshold, then one window of states, never more points
-        # than the run has, and per point the time, P, <H_I> and each
-        # tracked occupation
-        assert 64 <= KRYLOV_THRESHOLD < 4_096 and 11 < WINDOW_CAP < 5_001
-        assert held_bytes(64, 10) == 16 * (2 * 64 ** 2 + 11 * 64) + 8 * 3 * 11
+        # evolve: the Krylov basis (one more vector than its largest size,
+        # never more than the reach set's states), one window of states,
+        # never more points than the run has, and per point the time, P,
+        # <H_I> and each tracked occupation
+        assert KRYLOV_SIZES[-1] == 30 and 11 < WINDOW_CAP < 5_001
+        assert held_bytes(64, 10) == 16 * (31 * 64 + 11 * 64) + 8 * 3 * 11
         assert held_bytes(64, 5_000) == (
-            16 * (2 * 64 ** 2 + WINDOW_CAP * 64) + 8 * 3 * 5_001)
+            16 * (31 * 64 + WINDOW_CAP * 64) + 8 * 3 * 5_001)
         assert held_bytes(4_096, 5_000, 4) == (
-            16 * WINDOW_CAP * 4_096 + 8 * 7 * 5_001)
+            16 * (31 + WINDOW_CAP) * 4_096 + 8 * 7 * 5_001)
         # evolve builds the even sector too; a decay run at n_max=30 evolves
-        # one amplitude of it: about 0.8 MiB, where (steps + 1) even-sector
-        # states made it 573 MiB
+        # one amplitude of it, on a two-vector basis: about 0.8 MiB, where
+        # (steps + 1) even-sector states made it 573 MiB
         assert run_bytes(4_096, held_bytes(1, 5_000)) == (
             7 * 4_096 * 24 + 16 * (2 + WINDOW_CAP) + 8 * 3 * 5_001)
 
@@ -288,8 +288,8 @@ class TestExitCodes:
                                           monkeypatch, capsys):
         # 100,001 points of one evolved amplitude: propagate's series and
         # the CSV table (or the decay law and its deviations) dwarf the
-        # 4 MiB available, which the operator, the two 1x1 propagators and
-        # one window fit into
+        # 4 MiB available, which the operator, the two-vector basis and one
+        # window fit into
         monkeypatch.setattr(cli, "available_memory", lambda: 4 * 2 ** 20)
         assert main([*argv, "--nmax", "4", "--T", "10", "--dt", "1e-4",
                      "--out", str(tmp_path)]) == 2

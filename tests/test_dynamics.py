@@ -1,7 +1,8 @@
 """Evolution tests: closed-form decay oracle, unitarity in the
 undeformed limit, integrator cross-validation, the norm-flow identity
-dP/dt = 2<H_I> and its dt^2 order, the reachable set, and the
-truncation guard rails against a step-by-step reference loop."""
+dP/dt = 2<H_I> and its dt^2 order, the reachable set, the truncation
+guard rails against a step-by-step reference loop, and the Krylov steps
+against scipy's dense expm and expm_multiply."""
 
 import subprocess
 import sys
@@ -11,16 +12,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
-from qweyl import dynamics
+from qweyl import cli, dynamics
 from qweyl.dynamics import (
-    BLOCK,
     EDGE_OCCUPATION_LIMIT,
-    EXPM_NORM_BOUND,
-    KRYLOV_THRESHOLD,
     WINDOW_CAP,
     decay_operator,
     expm as block_expm,
@@ -76,8 +74,8 @@ def reference_propagate(h, psi0, T, dt, method="matrix-exponential"):
             k4 = -1j * (matrix @ (v + dt * k3))
             return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     else:
-        # the step propagate takes, built the same way
-        u = block_expm(-1j * dt * matrix)
+        # the exact step, from scipy's dense expm
+        u = expm(-1j * dt * matrix.toarray())
 
         def step(v):
             return u @ v
@@ -108,49 +106,46 @@ TRACKED = ((0, 0, 0), (2, 0, 0))
 
 
 def assert_streams_match(traj, h, states):
-    """The streamed series and final state of traj equal, bit for bit,
-    the ones computed row by row from the reference loop's states; <H_I>
-    is also held to round-off of the full expectation <psi|H_I|psi>."""
+    """The streamed series and final state of traj hold, to 1e-12, the
+    ones computed row by row from the reference loop's states, which
+    carry their own stepping round-off; <H_I> is also held to round-off of
+    the full expectation <psi|H_I|psi>, and the times are the grid's, bit
+    for bit."""
     keep = traj.keep
     weights = np.abs(states) ** 2
     assert np.array_equal(traj.times, np.arange(len(states)) * traj.dt)
-    assert np.array_equal(traj.norms, np.sum(weights, axis=1))
-    assert np.array_equal(traj.h_i, np.sum(weights * h.h_i_diagonal[keep], axis=1))
+    assert np.max(np.abs(traj.norms - np.sum(weights, axis=1))) <= 1e-12
+    h_i = np.sum(weights * h.h_i_diagonal[keep], axis=1)
+    assert np.max(np.abs(traj.h_i - h_i)) <= 1e-12
     generator = antihermitian_part(h)[keep][:, keep]
     full = np.vecdot(states, states @ generator.T).real
-    assert np.max(np.abs(traj.h_i - full)) <= 1e-14 * np.max(np.abs(full))
-    assert np.array_equal(traj.states, states[-1:])
+    assert np.max(np.abs(h_i - full)) <= 1e-14 * np.max(np.abs(full))
+    assert np.max(np.abs(traj.states - states[-1:])) <= 1e-12
     for state in TRACKED:
         column = np.searchsorted(traj.keep, h.basis.index(state))
-        assert np.array_equal(traj.tracked[state], np.abs(states[:, column]) ** 2)
-
-
-class CountingPropagator:
-    """Wraps a step propagator and counts the steps taken with it."""
-
-    def __init__(self, u):
-        self.u = u
-        self.calls = 0
-
-    def __matmul__(self, v):
-        self.calls += 1
-        return self.u @ v
+        occupation = np.abs(states[:, column]) ** 2
+        assert np.max(np.abs(traj.tracked[state] - occupation)) <= 1e-12
 
 
 @pytest.fixture
-def step_spy(monkeypatch):
-    """Counting wrappers around every propagator dynamics.expm returns,
-    with every point stepped by the dt propagator (BLOCK at the window
-    cap), so the count is the number of steps."""
-    spies = []
+def point_spy(monkeypatch):
+    """One count per propagate call that gets as far as stepping: the
+    grid points its Krylov stepper was asked to fill."""
+    counts = []
+    stepper = dynamics._krylov_stepper
 
-    def counting_expm(a):
-        spies.append(CountingPropagator(block_expm(a)))
-        return spies[-1]
+    def counting_stepper(matrix, dt):
+        advance = stepper(matrix, dt)
+        counts.append(0)
 
-    monkeypatch.setattr(dynamics, "expm", counting_expm)
-    monkeypatch.setattr(dynamics, "BLOCK", WINDOW_CAP)
-    return spies
+        def counted(last, window):
+            counts[-1] += len(window)
+            advance(last, window)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_krylov_stepper", counting_stepper)
+    return counts
 
 
 class TestClosedFormOracles:
@@ -329,21 +324,22 @@ class TestNormFlow:
     @pytest.mark.parametrize("theta", [0.01, -0.01])
     @pytest.mark.parametrize("mode", MODES)
     def test_norm_within_h_i_bounds_dense(self, mode, theta):
+        # a reach set small enough for a dense oracle (216 states)
         h = build_h_eff(10, theta, mode)
         _, psi0 = ground(10)
         traj = propagate(h, psi0, T=1.0, dt=1e-3)
-        assert len(traj.keep) <= KRYLOV_THRESHOLD
+        assert len(traj.keep) == 216
         self.assert_norm_within_h_i_bounds(h, traj)
 
     @pytest.mark.parametrize("theta", [0.01, -0.01])
     @pytest.mark.parametrize("mode", MODES)
     def test_norm_within_h_i_bounds_krylov(self, mode, theta):
-        # a reach set too large for a dense propagator: the bounds are
-        # its oracle, with no dense run to compare against
+        # a reach set of 1,331 states, past what a dense propagator would
+        # hold: the bounds are its oracle, with no dense run to compare
         h = build_h_eff(20, theta, mode)
         _, psi0 = ground(20)
         traj = propagate(h, psi0, T=0.2, dt=1e-3)
-        assert len(traj.keep) > KRYLOV_THRESHOLD
+        assert len(traj.keep) == 1331
         self.assert_norm_within_h_i_bounds(h, traj)
 
     def test_short_trajectories_rejected(self):
@@ -511,7 +507,7 @@ class TestGuardRails:
             with pytest.raises(RuntimeError, match="non-finite"):
                 propagate(grow, psi0, T=2.0, dt=1.0)
 
-    def test_non_diagonal_h_i_is_refused_before_any_step(self, step_spy):
+    def test_non_diagonal_h_i_is_refused_before_any_step(self, point_spy):
         # +i in both slots of a pair inside one parity sector: the
         # anti-Hermitian part couples (0,0,0) and (2,0,0)
         basis = FockBasis(4)
@@ -521,7 +517,7 @@ class TestGuardRails:
         h = FockOperator(matrix=matrix.tocsr(), basis=basis)
         with pytest.raises(ValueError, match="not diagonal"):
             propagate(h, basis.vector((0, 0, 0)), T=0.1, dt=1e-3)
-        assert step_spy == []
+        assert point_spy == []
 
     def test_no_renormalization(self):
         h = decay_operator(2, 1.0)
@@ -533,11 +529,22 @@ class TestGuardRails:
 class TestAbortSemantics:
     """The windowed checks stop where checking every step stops."""
 
-    @pytest.fixture(autouse=True)
-    def one_chain_per_window(self, monkeypatch):
-        # every point one dt step from the last, as the reference loop
-        # steps, so the streams match bit for bit
-        monkeypatch.setattr(dynamics, "BLOCK", WINDOW_CAP)
+    @staticmethod
+    def check_abort(n_max, theta, mode, dt, T):
+        # the reference loop steps with scipy's dense expm; the RK4 loop
+        # stops at the same point
+        h = build_h_eff(n_max, theta, mode)
+        _, psi0 = ground(n_max)
+        keep, states, message = reference_propagate(h, psi0, T, dt)
+        assert message is not None
+        with pytest.warns(RuntimeWarning) as record:
+            traj = propagate(h, psi0, T=T, dt=dt, track=TRACKED)
+        assert [str(w.message) for w in record] == [message]
+        assert traj.edge_aborted
+        assert np.array_equal(traj.keep, keep)
+        assert_streams_match(traj, h, states)
+        _, rk4, _ = reference_propagate(h, psi0, T, dt, "fourth-order-explicit")
+        assert len(rk4) == len(traj.times)
 
     @pytest.mark.parametrize("n_max, theta, mode, dt", [
         (3, 0.5, "paper", 1e-2),
@@ -545,37 +552,32 @@ class TestAbortSemantics:
         (6, 0.05, "rederived", 1e-3),
     ])
     def test_edge_abort_matches_reference(self, n_max, theta, mode, dt):
-        h = build_h_eff(n_max, theta, mode)
-        _, psi0 = ground(n_max)
-        keep, states, message = reference_propagate(h, psi0, 1.0, dt)
-        assert message is not None
-        with pytest.warns(RuntimeWarning) as record:
-            traj = propagate(h, psi0, T=1.0, dt=dt, track=TRACKED)
-        assert [str(w.message) for w in record] == [message]
-        assert traj.edge_aborted
-        assert np.array_equal(traj.keep, keep)
-        assert_streams_match(traj, h, states)
+        self.check_abort(n_max, theta, mode, dt, 1.0)
 
-    def test_edge_abort_computes_at_most_twice_the_stop(self, step_spy):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_edge_abort_at_n_max_10_matches_reference(self, mode):
+        # the whole 216-state even sector reached, stopping near t = 1.1
+        self.check_abort(10, 0.05, mode, 1e-3, 2.0)
+
+    def test_edge_abort_computes_at_most_twice_the_stop(self, point_spy):
         h = build_h_eff(6, 0.05, "rederived")
         _, psi0 = ground(6)
         traj = quiet_propagate(h, psi0, T=1.0, dt=1e-3)
         k = len(traj.times) - 1
         assert traj.edge_aborted and 0 < k < 1000
-        # point 0 is psi0 and every later point is one step, so at most
-        # 2k+1 points means at most 2k steps
-        assert k <= step_spy[0].calls <= 2 * k
+        # point 0 is psi0, so at most 2k+1 points means at most 2k stepped
+        assert k <= point_spy[0] <= 2 * k
 
-    def test_complete_run_steps_once_per_point(self, step_spy):
+    def test_complete_run_steps_once_per_point(self, point_spy):
         h = build_h_eff(4, 0.01, "paper")
         _, psi0 = ground(4)
         traj = propagate(h, psi0, T=0.1, dt=1e-3)
         assert not traj.edge_aborted
-        assert step_spy[0].calls == 100
+        assert point_spy == [100]
 
-    def test_capped_windows_match_reference(self, step_spy, monkeypatch):
-        # windows stop doubling at the cap, so a stop at point k has taken
-        # at most max(2k, k + cap - 1) steps
+    def test_capped_windows_match_reference(self, point_spy, monkeypatch):
+        # windows stop doubling at the cap, so a stop at point k has stepped
+        # at most max(2k, k + cap - 1) points
         cap = 16
         monkeypatch.setattr(dynamics, "WINDOW_CAP", cap)
         h = build_h_eff(6, 0.05, "rederived")
@@ -587,9 +589,9 @@ class TestAbortSemantics:
         assert_streams_match(traj, h, states)
         k = len(traj.times) - 1
         assert k > 2 * cap
-        assert k <= step_spy[0].calls <= k + cap - 1
+        assert k <= point_spy[0] <= k + cap - 1
 
-    def test_overflow_matches_reference(self, step_spy):
+    def test_overflow_matches_reference(self, point_spy):
         # i dpsi/dt = 100i psi grows by e^100 per unit time and passes the
         # largest double near t = 7.1: at the eighth unit step
         basis = FockBasis(2)
@@ -606,136 +608,140 @@ class TestAbortSemantics:
                 propagate(grow, psi0, T=20.0, dt=1.0)
         assert str(raised.value) == str(expected.value)
         assert "at t = 8;" in str(raised.value)
-        assert step_spy[0].calls <= 2 * 8
+        assert point_spy[0] <= 2 * 8
 
 
 class TestBlockSteps:
-    """The dense path fills BLOCK rows per matrix product with u^BLOCK;
-    every point stays on the exact exponential."""
+    """Krylov steps of the reach set's sparse block against scipy's dense
+    exponential of the whole block."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_points_match_dense_exponential(self, mode):
-        # the evolve defaults; each point is the final state of a run that
-        # ends there, on both sides of the BLOCK and window boundaries
+        # the evolve defaults at theta = +-0.01: each point is the final
+        # state of a run that ends there, at t = 1, 3, 5 and on both sides
+        # of the first window boundaries
         dt = 1e-3
-        h = build_h_eff(10, 0.01, mode, EVEN)
-        psi0 = h.basis.vector((0, 0, 0))
-        dense = h.matrix.toarray()
-        assert BLOCK == 32 and WINDOW_CAP == 512
-        for k in (1, 31, 32, 33, 63, 64, 95, 511, 512, 1023, 5000):
-            traj = propagate(h, psi0, T=k * dt, dt=dt)
-            assert len(traj.times) == k + 1 and not traj.edge_aborted
-            assert np.array_equal(traj.keep, np.arange(h.basis.dim))
-            exact = expm(-1j * (k * dt) * dense) @ psi0
-            rel = np.linalg.norm(traj.states[0] - exact) / np.linalg.norm(exact)
-            assert rel <= 1e-12, (k, rel)
+        for theta in (0.01, -0.01):
+            h = build_h_eff(10, theta, mode, EVEN)
+            psi0 = h.basis.vector((0, 0, 0))
+            dense = h.matrix.toarray()
+            for k in (1, 2, 3, 511, 512, 513, 1000, 3000, 5000):
+                traj = propagate(h, psi0, T=k * dt, dt=dt)
+                assert len(traj.times) == k + 1 and not traj.edge_aborted
+                assert np.array_equal(traj.keep, np.arange(h.basis.dim))
+                exact = expm(-1j * (k * dt) * dense) @ psi0
+                error = np.max(np.abs(traj.states[0] - exact))
+                assert error <= 2e-13, (theta, k, error)
+                # P moves by about 2|psi| times the state's error
+                p = np.vdot(exact, exact).real
+                assert abs(traj.norms[-1] - p) <= 2 * np.sqrt(p) * 2e-13
 
-    def test_block_power_waits_for_a_long_window(self, monkeypatch):
-        # u^BLOCK is formed at the first window of at least 2*BLOCK rows:
-        # 101 points end on a 38-row window and form none, 128 points
-        # reach a 64-row window and form one
-        powers = []
-        original = np.linalg.matrix_power
+    @staticmethod
+    def hessenberg_blocks():
+        """The blocks propagate exponentiates on the evolve defaults' even
+        sector and on the large-step run, where windows split."""
+        blocks = []
+        original = dynamics.expm
 
-        def spy(a, n):
-            powers.append(n)
-            return original(a, n)
+        def spy(a):
+            blocks.append(np.array(a))
+            return original(a)
 
-        monkeypatch.setattr(np.linalg, "matrix_power", spy)
-        dt = 1e-3
-        h = build_h_eff(10, 0.01, "paper", EVEN)
-        psi0 = h.basis.vector((0, 0, 0))
-        dense = h.matrix.toarray()
-        for points, formed in ((101, []), (128, [BLOCK])):
-            powers.clear()
-            traj = propagate(h, psi0, T=(points - 1) * dt, dt=dt)
-            assert len(traj.times) == points and not traj.edge_aborted
-            assert powers == formed
-            exact = expm(-1j * ((points - 1) * dt) * dense) @ psi0
-            rel = np.linalg.norm(traj.states[0] - exact) / np.linalg.norm(exact)
-            assert rel <= 1e-12, (points, rel)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "expm", spy)
+            for n_max, dt, T in ((10, 1e-3, 2.0), (6, 0.5, 20.0)):
+                h = build_h_eff(n_max, 0.01, "paper", EVEN)
+                propagate(h, h.basis.vector((0, 0, 0)), T=T, dt=dt)
+        return blocks
 
-    def test_expm_matches_dense_expm(self, monkeypatch):
-        # dt*|H|_1 from 0.04 to 400 on the evolve defaults' even block, and
-        # the overflow test's 100i; expm_multiply never sees a block whose
-        # 1-norm is above EXPM_NORM_BOUND
-        seen = []
-        original = scipy.sparse.linalg.expm_multiply
-
-        def spy(a, b, **kwargs):
-            seen.append(abs(a).sum(axis=0).max())
-            return original(a, b, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", spy)
-        block = build_h_eff(10, 0.01, "paper", EVEN).matrix
-        norm = abs(block).sum(axis=0).max()
-        blocks = [-1j * (scale / norm) * block for scale in (0.04, 0.4, 4, 40, 400)]
-        blocks.append(-1j * sp.diags_array(np.full(8, 100.0j), format="csr"))
+    def test_expm_matches_dense_expm(self):
+        # projected Hessenberg blocks, then random complex blocks with
+        # 1-norms from 1e-3 to 400 (7 squarings), and the overflow test's
+        # 1x1 step
+        blocks = self.hessenberg_blocks()
+        assert {len(a) for a in blocks} >= {8, 16, 30}
+        rng = np.random.default_rng(3)
+        for norm in (1e-3, 0.1, 0.5, 1.5, 4.0, 40.0, 400.0):
+            for size in (2, 8, 30):
+                # -i times a Hermitian matrix plus a small damping, as -i H
+                g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+                a = -1j * (g + g.conj().T) - 0.01 * np.diag(rng.random(size))
+                blocks.append(a * (norm / np.abs(a).sum(axis=0).max()))
+        blocks.append(np.array([[100.0 + 0j]]))
         for a in blocks:
-            exact = expm(a.toarray())
+            exact = expm(a)
             error = np.max(np.abs(block_expm(a) - exact)) / np.max(np.abs(exact))
-            assert error <= 1e-13, (abs(a).sum(axis=0).max(), error)
-        assert len(seen) == len(blocks) and max(seen) <= EXPM_NORM_BOUND
-        # the 400 block is halved down to the bound, not below half of it
-        assert seen[4] > EXPM_NORM_BOUND / 2
+            assert error <= 1e-13, (len(a), np.abs(a).sum(axis=0).max(), error)
 
     def test_expm_refuses_what_a_double_cannot_hold(self):
         with pytest.raises(ValueError, match="dt\\*H is not finite"):
-            block_expm(sp.diags_array([np.inf, 1.0], format="csr"))
+            block_expm(np.diag([np.inf, 1.0]))
         # e^-1e4 is below the smallest double
-        with pytest.raises(ValueError, match="underflows to zero"):
-            block_expm(sp.diags_array([-1e4, -1e4], format="csr"))
+        for a in (np.diag([-1e4, -1e4]), np.array([[-1e4]])):
+            with pytest.raises(ValueError, match="underflows to zero"):
+                block_expm(a)
 
     def test_undeformed_norm_flow_stays_flat(self):
         # theta = 0: P is 1 and dP/dt is 0, so the centred difference over
         # 2 dt = 2e-8 reads how far apart neighbouring points' norms have
-        # rounded.  Neighbours sit on different chains, and each window
-        # restarts every chain from its first rows, so after 300,000 steps
-        # they are a few ulps apart (1.1e-7 here, 4.4e-8 with one chain).
-        # Chains carried across windows take about 9,400 long steps each
-        # and drift 7.6e-7 apart.
+        # rounded.  The ground state alone is evolved, on an invariant
+        # line, where each point is its own scalar exponential, so after
+        # 300,000 steps neighbours are still a few ulps apart.
         h = build_h_eff(4, 0.0, "paper")
         _, psi0 = ground(4)
         traj = propagate(h, psi0, T=3e-3, dt=1e-8)
         assert len(traj.times) == 300_001 and not traj.edge_aborted
         assert norm_flow_check(traj) <= 3e-7
 
+    def test_estimate_halves_a_window(self, monkeypatch):
+        # dt = 0.5 on the n_max = 6 even sector (compare_outputs'
+        # evolve-large-step): a 30-vector basis misses the tolerance over
+        # the 8-point window, so it and every later window (16, 32 and 38
+        # points) are stepped in runs of 4, and the points still match the
+        # dense exponential
+        runs = []
+        powers = dynamics._powers
+
+        def spy(f, count):
+            runs.append(count)
+            return powers(f, count)
+
+        monkeypatch.setattr(dynamics, "_powers", spy)
+        h = build_h_eff(6, 0.01, "paper", EVEN)
+        psi0 = h.basis.vector((0, 0, 0))
+        traj = propagate(h, psi0, T=50.0, dt=0.5)
+        assert len(traj.times) == 101 and not traj.edge_aborted
+        assert max(runs) == 8 and max(runs[runs.index(8) + 1:]) == 4
+        exact = expm(-50j * h.matrix.toarray()) @ psi0
+        assert np.max(np.abs(traj.states[0] - exact)) <= 1e-12
+        _, states, message = reference_propagate(h, psi0, 50.0, 0.5)
+        assert message is None
+        assert np.max(np.abs(traj.norms - np.sum(np.abs(states) ** 2, axis=1))) <= 1e-12
+
 
 class TestGlobalRandomState:
-    """expm_multiply's norm estimates draw from numpy's global random
-    state; dynamics seeds it around each call and restores it."""
+    """The Krylov steps draw nothing from numpy's global random state."""
 
-    @staticmethod
-    def next_draw(seed, run):
-        np.random.seed(seed)
-        run()
-        return np.random.random()
-
-    def test_caller_stream_is_untouched(self, monkeypatch):
-        # dt 0.1 on the evolve defaults' even block is past the norm at
-        # which expm_multiply estimates powers of its argument
-        h = build_h_eff(10, 0.01, "paper", EVEN)
-        psi0 = h.basis.vector((0, 0, 0))
-        block = h.matrix
-        undisturbed = self.next_draw(5, lambda: None)
-        assert self.next_draw(5, lambda: block_expm(-1j * 0.1 * block)) == undisturbed
-        # the Krylov step on the same block, 101 points of dt 0.1
-        monkeypatch.setattr(dynamics, "KRYLOV_THRESHOLD", 0)
-        runs = []
-
-        def krylov():
-            runs.append(propagate(h, psi0, T=10.0, dt=0.1))
-
-        assert self.next_draw(5, krylov) == undisturbed
-        assert len(runs[0].times) == 101 and not runs[0].edge_aborted
+    def test_caller_stream_is_untouched(self):
+        # no seed is set: whatever state the caller left is still there
+        before = np.random.get_state()
+        for n_max, dt in ((10, 0.1), (20, 1e-3)):
+            h = build_h_eff(n_max, 0.01, "paper", EVEN)
+            traj = propagate(h, h.basis.vector((0, 0, 0)), T=100 * dt, dt=dt)
+            assert len(traj.times) == 101 and not traj.edge_aborted
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        assert np.array_equal(before[1], after[1])
 
     def test_step_propagator_independent_of_prior_seed(self):
-        block = build_h_eff(10, 0.01, "paper", EVEN).matrix
-        steps = []
+        h = build_h_eff(10, 0.01, "paper", EVEN)
+        runs = []
         for seed in (0, 1, 12345):
             np.random.seed(seed)
-            steps.append(block_expm(-1j * 0.1 * block))
-        assert all(np.array_equal(steps[0], u) for u in steps[1:])
+            runs.append(propagate(h, h.basis.vector((0, 0, 0)), T=10.0, dt=0.1))
+        for run in runs[1:]:
+            assert np.array_equal(run.states, runs[0].states)
+            assert np.array_equal(run.norms, runs[0].norms)
 
 
 class TestReachableSet:
@@ -828,7 +834,7 @@ class TestSectors:
         (6, 0.01, "paper", 1.0),
         (6, 0.05, "rederived", 1.0),  # stops at the edge
         (6, 0.0, "paper", 1.0),
-        (20, 0.01, "paper", 0.01),  # above KRYLOV_THRESHOLD
+        (20, 0.01, "paper", 0.01),  # 1,331 states
         (6, "decay", "paper", 1.0),
     ])
     def test_even_sector_run_is_the_box_run(self, n_max, theta, mode, T):
@@ -874,47 +880,49 @@ class TestStreaming:
 
 
 class TestKrylovStep:
-    @pytest.mark.parametrize("n_max", [10, 20])
-    def test_krylov_matches_dense(self, n_max, monkeypatch):
-        # n_max 10 (216 states) steps with the dense propagator and
-        # n_max 20 (1,331 states) with expm_multiply; each is also run
-        # the other way by moving the threshold
-        h = build_h_eff(n_max, 0.05, "paper")
-        _, psi0 = ground(n_max)
-        tracked = ((0, 0, 0), (2, 0, 0))
-        natural = propagate(h, psi0, T=0.1, dt=1e-3, track=tracked)
-        krylov = len(natural.keep) > KRYLOV_THRESHOLD
-        assert krylov == (n_max == 20)
-        monkeypatch.setattr(dynamics, "KRYLOV_THRESHOLD",
-                            10 ** 9 if krylov else 0)
-        other = propagate(h, psi0, T=0.1, dt=1e-3, track=tracked)
-        assert not natural.edge_aborted and not other.edge_aborted
-        assert np.max(np.abs(natural.norms - other.norms)) <= 1e-10
-        assert np.max(np.abs(natural.h_i - other.h_i)) <= 1e-10
-        assert np.max(np.abs(natural.states - other.states)) <= 1e-10
-        for s in tracked:
-            assert np.max(np.abs(natural.tracked[s] - other.tracked[s])) <= 1e-10
-        if not krylov:
-            # the RK4 loop at a tenth of the step, read on the common grid
-            # points
-            _, norms, h_i, final = rk4_series(h, psi0, 0.1, 1e-4)
-            for traj in (natural, other):
-                assert np.max(np.abs(norms[::10] - traj.norms)) <= 1e-10
-                assert np.max(np.abs(h_i[::10] - traj.h_i)) <= 1e-10
-                assert np.max(np.abs(final - traj.states[0])) <= 1e-10
+    @pytest.mark.parametrize("n_max", [20, 30])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_expm_multiply(self, n_max, mode):
+        # scipy's expm_multiply on the sparse sector, once per checked t:
+        # 1,331 and 4,096 states, past what a dense oracle would hold
+        h = build_h_eff(n_max, 0.01, mode, EVEN)
+        psi0 = h.basis.vector((0, 0, 0))
+        traj = propagate(h, psi0, T=0.5, dt=1e-3, track=TRACKED)
+        assert not traj.edge_aborted
+        for k in (1, 100, 250, 500):
+            exact = expm_multiply(-1j * (k * 1e-3) * h.matrix, psi0)
+            assert abs(traj.norms[k] - np.vdot(exact, exact).real) <= 1e-13, k
+            for state in TRACKED:
+                occupation = abs(exact[h.basis.index(state)]) ** 2
+                assert abs(traj.tracked[state][k] - occupation) <= 1e-13
+        assert np.max(np.abs(traj.states[0] - exact)) <= 1e-12
 
-    def test_krylov_step_margin(self, step_spy):
-        # the Krylov cost grows with dt*|H|, so a huge one is refused
-        # instead of stepped; no dense propagator is formed either way
-        h = build_h_eff(20, 1e6, "paper")
-        _, psi0 = ground(20)
-        with pytest.raises(ValueError, match="Krylov step margin"):
-            propagate(h, psi0, T=0.01, dt=1e-3)
-        assert step_spy == []
+    def test_krylov_step_margin(self, point_spy):
+        # one step of dt = 1 at n_max 20 needs more than the largest basis:
+        # refused, where a smaller dt runs
+        h = build_h_eff(20, 0.01, "paper", EVEN)
+        psi0 = h.basis.vector((0, 0, 0))
+        with pytest.raises(ValueError, match="needs a Krylov basis of more than 30"):
+            propagate(h, psi0, T=2.0, dt=1.0)
+        assert point_spy == [2]
+        assert not propagate(h, psi0, T=2.0, dt=0.1).edge_aborted
 
-    def test_sparse_solver_is_imported_lazily(self):
-        code = ("import sys, qweyl.cli; "
-                "print('scipy.sparse.linalg' in sys.modules)")
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, check=True)
-        assert done.stdout.strip() == "False"
+    def test_krylov_step_margin_is_a_config_error(self, tmp_path, capsys):
+        assert cli.main(["evolve", "--nmax", "20", "--dt", "1", "--T", "2",
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("; shrink dt")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [[], ["--theta", "0"], ["--decay-oracle"]])
+    def test_evolve_imports_no_scipy_linalg(self, flags, tmp_path):
+        # neither scipy.linalg nor scipy.sparse.linalg is loaded by a run
+        code = ("import runpy, sys; sys.argv = ['qweyl', *sys.argv[1:]]\n"
+                "try:\n    runpy.run_module('qweyl', run_name='__main__')\n"
+                "except SystemExit as done:\n    assert done.code == 0, done.code\n"
+                "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg')"
+                " if m in sys.modules))")
+        done = subprocess.run(
+            [sys.executable, "-c", code, "evolve", *flags, "--out", str(tmp_path)],
+            capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[]"

@@ -28,7 +28,7 @@ from qweyl.gaussian import CPoly3
 from qweyl.quadrature import element_1d, element_3d, hermite_prefactor
 from qweyl.realization import MODES
 
-from oracles import gaussian_expectation
+from oracles import gaussian_expectation, h_eff_by_sparse_sum
 
 
 def states_up_to(total: int):
@@ -104,6 +104,24 @@ def test_sector_builds_are_the_full_builds_blocks(n_max):
                     a, b = getattr(got, part), getattr(want, part)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
                         mode, sector, part)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 6, 12])
+@pytest.mark.parametrize("mode", MODES)
+def test_one_pass_build_is_the_sparse_sum(n_max, mode):
+    # build_h_eff adds H0 into H1's diagonal in one pass; its bytes are the
+    # sparse sum's, over the box and every sector, at theta = +-0, where no
+    # coupling is stored, at +-1e-320, where every product underflows, and
+    # at the values the sector test uses
+    for theta in (0.0, -0.0, 0.01, -0.01, 0.3, 1e-320, -1e-320):
+        for sector in (None, *SECTORS):
+            got = build_h_eff(n_max, theta, mode, sector).matrix
+            want = h_eff_by_sparse_sum(n_max, theta, mode, sector)
+            assert got.shape == want.shape
+            for part in ("indptr", "indices", "data"):
+                a, b = getattr(got, part), getattr(want, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+                    theta, sector, part)
 
 
 def test_ladder_matrix_elements():

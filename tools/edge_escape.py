@@ -13,7 +13,7 @@ more, it fits the growth of t_edge between successive stopping cutoffs,
 taken per unit of n_max at their midpoint, to a power law
 c * n_max^(-p) by least squares in log-log, and prints c and p.  The runs go one at a time;
 on a 2-vCPU VM the longest, a run at n_max = 40 that does not stop, took
-52 s and peaked near 350 MB.
+15 s and peaked near 260 MB, and the whole table about 5 minutes.
 """
 
 from __future__ import annotations
