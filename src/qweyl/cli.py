@@ -216,10 +216,13 @@ def interior_scan_bytes(n_max: int) -> int:
 
 
 def run_bytes(dim: int, held: int) -> int:
-    """Lower bound on a run: the sparse operator over dim states (at most
-    7 entries per column, each a complex value and an index, not the
-    build's temporaries) plus the held bytes of what is built from it."""
-    return 7 * dim * (16 + 8) + held
+    """Lower bound on a run: the build of the sparse operator over dim
+    states, at 7 entries per column of 56 bytes each, plus the held bytes
+    of what is built from it.  The build's tracemalloc peak, the kept
+    operator included, is at most 344 bytes per column for the even
+    sector's build_h_eff (n_max 8 to 60) and 282 for the box's
+    build_h1_matrix (n_max 16 to 40)."""
+    return 7 * dim * 56 + held
 
 
 def _ensure_fits(basis: FockBasis, held: int) -> None:

@@ -213,32 +213,18 @@ class FockOperator:
 
 
 def build_h_eff(n_max: int, theta: float, mode: str, sector=None) -> FockOperator:
-    """Effective Hamiltonian H0 + theta*H1 over FockBasis(n_max, sector),
-    in one pass over the entries of H1: H0 is added into H1's diagonal,
-    which is stored in every row, and a coupling whose theta*value is 0
-    (theta = 0, or an underflow) is not stored.  The bytes are those of
-    the sparse sum H0 + theta*H1."""
+    """Effective Hamiltonian H0 + theta*H1 over FockBasis(n_max, sector), as
+    a sparse sum: it stores no zero (at theta = 0, only H0's diagonal), and
+    a -0.0 product on the diagonal as +0.0."""
     check_mode(mode)
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    h1 = build_h1_matrix(n_max, mode, sector)
-    dim, indices, indptr = h1.shape[0], h1.indices, h1.indptr
-    with np.errstate(over="ignore"):
-        values = theta * h1.data.imag
-    del h1  # its complex values are read; free them before the new ones
-    rows = np.repeat(np.arange(dim, dtype=indices.dtype), np.diff(indptr))
-    diagonal = indices == rows
-    kept = diagonal | (values != 0)
-    data = np.zeros(np.count_nonzero(kept), dtype=complex)
-    data.real[diagonal[kept]] = h0_diagonal(n_max, sector)
-    # adding 0.0 stores a -0.0 product as the sum's +0.0
-    data.imag = values[kept] + 0.0
-    if not np.all(np.isfinite(data)):
+    h0 = sp.diags_array(h0_diagonal(n_max, sector).astype(complex), format="csr")
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = h0 + theta * build_h1_matrix(n_max, mode, sector)
+    if not np.all(np.isfinite(matrix.data)):
         raise ValueError(f"theta={theta!r} overflows the operator")
-    counts = np.zeros_like(indptr)
-    np.cumsum(np.bincount(rows[kept], minlength=dim), out=counts[1:])
-    matrix = sp.csr_array((data, indices[kept], counts), shape=(dim, dim))
     return FockOperator(matrix=matrix, basis=FockBasis(n_max, sector))
 
 

@@ -30,19 +30,12 @@ The Gaussian moments hold the closed-form expectations of polynomials
 under the squared ground state exp(-r^2), with R_SQUARED the polynomial
 r^2, so a test can read off an expectation such as the ground-state
 energy 3/2 - (3/2)i*theta exactly.
-
-h_eff_by_sparse_sum is the sparse sum H0 + theta*H1 that fock.build_h_eff
-assembles in one pass over H1's entries, with the same bytes.
 """
 
 import random
 from fractions import Fraction
 
-import numpy as np
-import scipy.sparse as sp
-
 from qweyl.algebra import _ONE, GEN_NAMES, NCPoly, _checked_word
-from qweyl.fock import build_h1_matrix, h0_diagonal
 from qweyl.gaussian import CPoly3
 from qweyl.scalars import Q, Q_INV, QScalar
 
@@ -147,10 +140,3 @@ def gaussian_expectation(poly: CPoly3) -> CPoly3:
         total = total + CPoly3({(0, 0, 0, t): coeff * moment})
     return total
 
-
-def h_eff_by_sparse_sum(n_max, theta, mode, sector=None):
-    """H0 + theta*H1 as the sparse sum of a diagonal H0 and the scaled H1:
-    the expression whose bytes fock.build_h_eff reproduces in one pass."""
-    h0 = sp.diags_array(h0_diagonal(n_max, sector).astype(complex), format="csr")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return h0 + theta * build_h1_matrix(n_max, mode, sector)

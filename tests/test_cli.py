@@ -229,14 +229,14 @@ class TestExitCodes:
         assert not list(tmp_path.iterdir())
 
     def test_oversized_cutoff_estimate(self):
-        # arithmetic only: 7 sparse entries per column of the operator the
-        # command builds at 16 + 8 bytes, plus what it holds.  spectrum
+        # arithmetic only: the build of the operator the command builds at
+        # 7 entries per column of 56 bytes, plus what it holds.  spectrum
         # builds one parity sector at a time and is charged the largest,
-        # the even one ((n_max//2 + 1)^3 states), as its sparse operator
-        # and as a dense complex block
+        # the even one ((n_max//2 + 1)^3 states), as its sparse build and
+        # as a dense complex block
         assert FockBasis(6, EVEN).dim == 64 and FockBasis(30, EVEN).dim == 4_096
-        assert run_bytes(64, 16 * 64 ** 2) == 7 * 64 * 24 + 64 ** 2 * 16 == 76_288
-        assert run_bytes(4_096, 16 * 4_096 ** 2) == 269_123_584
+        assert run_bytes(64, 16 * 64 ** 2) == 7 * 64 * 56 + 64 ** 2 * 16 == 90_624
+        assert run_bytes(4_096, 16 * 4_096 ** 2) == 270_041_088
         # evolve: the Krylov basis (one more vector than its largest size,
         # never more than the reach set's states), one window of states,
         # never more points than the run has, and per point the time, P,
@@ -248,10 +248,10 @@ class TestExitCodes:
         assert held_bytes(4_096, 5_000, 4) == (
             16 * (31 + WINDOW_CAP) * 4_096 + 8 * 7 * 5_001)
         # evolve builds the even sector too; a decay run at n_max=30 evolves
-        # one amplitude of it, on a two-vector basis: about 0.8 MiB, where
+        # one amplitude of it, on a two-vector basis: about 1.7 MiB, where
         # (steps + 1) even-sector states made it 573 MiB
         assert run_bytes(4_096, held_bytes(1, 5_000)) == (
-            7 * 4_096 * 24 + 16 * (2 + WINDOW_CAP) + 8 * 3 * 5_001)
+            7 * 4_096 * 56 + 16 * (2 + WINDOW_CAP) + 8 * 3 * 5_001)
 
     def test_mixing_is_charged_its_interior_scan(self, tmp_path, monkeypatch):
         # 7 entries per interior column at 120 bytes: (30 - 4 + 1)^3 = 19,683
@@ -261,6 +261,23 @@ class TestExitCodes:
         need = run_bytes(31 ** 3, interior_scan_bytes(30))
         monkeypatch.setattr(cli, "available_memory", lambda: need + 1)
         assert main(["mixing", "--nmax", "30", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("n_max", [16, 30])
+    def test_build_peaks_within_its_charge(self, n_max):
+        # the builds the commands are charged for, temporaries and kept
+        # operator together: the even sector's H_eff (spectrum, evolve;
+        # theta = 0 peaks highest) and the box's H1 (mixing)
+        builds = [(EVEN, lambda t=theta: build_h_eff(n_max, t, "paper", EVEN))
+                  for theta in (0.0, 0.01)]
+        builds.append((None, lambda: build_h1_matrix(n_max, "paper")))
+        for sector, build in builds:
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 0 < peak <= run_bytes(FockBasis(n_max, sector).dim, 0), sector
 
     def test_interior_scan_holds_no_more_than_its_charge(self):
         # as cmd_mixing runs it: on a new basis, whose occupation table
@@ -321,9 +338,10 @@ class TestExitCodes:
         ["spectrum"], ["mixing"], ["evolve"], ["evolve", "--decay-oracle"],
     ])
     def test_refuses_what_cannot_fit(self, argv, tmp_path, monkeypatch, capsys):
-        # the box's sparse operator alone: every command holds more than that
+        # the even sector's build alone: every command builds at least
+        # that, and holds more
         monkeypatch.setattr(cli, "available_memory",
-                            lambda: run_bytes(FockBasis(6).dim, 0))
+                            lambda: run_bytes(FockBasis(6, EVEN).dim, 0))
         assert main([*argv, "--nmax", "6", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: nmax=6 needs")

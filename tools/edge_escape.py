@@ -11,9 +11,11 @@ there; a run that reaches T_MAX without stopping shows `>T_MAX` and P at
 T_MAX.  Then, for each theta and mode that stopped at three cutoffs or
 more, it fits the growth of t_edge between successive stopping cutoffs,
 taken per unit of n_max at their midpoint, to a power law
-c * n_max^(-p) by least squares in log-log, and prints c and p.  The runs go one at a time;
-on a 2-vCPU VM the longest, a run at n_max = 40 that does not stop, took
-15 s and peaked near 260 MB, and the whole table about 5 minutes.
+c * n_max^(-p) by least squares in log-log, and prints c and p.  Each run
+builds and evolves the even parity sector, which holds the ground state,
+as `evolve` does.  The runs go one at a time; on a 2-vCPU VM the longest,
+a run at n_max = 40 that does not stop, took 15 s and peaked near 210 MB,
+and the whole table about 2.5 minutes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qweyl.dynamics import propagate  # noqa: E402
-from qweyl.fock import FockBasis, build_h_eff  # noqa: E402
+from qweyl.fock import EVEN, FockBasis, build_h_eff  # noqa: E402
 from qweyl.realization import MODES  # noqa: E402
 
 THETAS = (0.05, 0.1)
@@ -38,10 +40,10 @@ CUTOFFS = tuple(range(8, 41, 2))
 
 def edge_escape(n_max: int, theta: float, mode: str):
     """(stopped, last time, P there) for the ground state."""
-    h = build_h_eff(n_max, theta, mode)
+    h = build_h_eff(n_max, theta, mode, EVEN)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        traj = propagate(h, FockBasis(n_max).vector((0, 0, 0)), T_MAX, DT)
+        traj = propagate(h, FockBasis(n_max, EVEN).vector((0, 0, 0)), T_MAX, DT)
     return traj.edge_aborted, float(traj.times[-1]), float(traj.norms[-1])
 
 
@@ -79,7 +81,7 @@ def main(argv=None) -> int:
         fit = "no fit"
         if len(stops) >= 3:
             c, p = power_law(*zip(*stops))
-            fit = f"dt_edge/dn_max = {c:.3g} * n_max^-{p:.3f}"
+            fit = f"dt_edge/dn_max = {c:.3g} * n_max^{-p:.3f}"
         print(f"θ={theta} {mode}: stopped at {len(stops)} of {len(cutoffs)} "
               f"cutoffs; {fit}")
     return 0
