@@ -325,9 +325,10 @@ def _write_csv(config: RunConfig, name: str, header, rows) -> str:
 
 def cmd_spectrum(config: RunConfig, args) -> dict:
     """diagonalize the truncated Hamiltonian"""
-    # one parity sector at a time as dense complex values, the even one largest
+    # a sector at a time as a dense complex block, the even one largest, its
+    # LAPACK copy, and 512 complex values a column for LAPACK and BLAS buffers
     even = FockBasis(config.n_max, EVEN)
-    _ensure_fits(even, 16 * even.dim ** 2)
+    _ensure_fits(even, 16 * even.dim * (2 * even.dim + 512))
     eigs = []
     for sector in SECTORS:
         try:

@@ -32,7 +32,7 @@ EDGE_OCCUPATION_LIMIT = 1e-6
 # A net occupation change no larger than this is round-off: gain_loss_map
 # lists the state as neither gaining nor losing.
 GAIN_LOSS_FLOOR = 1e-12
-# Most grid points one window holds; the windows double up to it.
+# Most grid points one run holds; the windows offered double up to it.
 WINDOW_CAP = 512
 # Krylov dimensions tried in turn on each basis; the last is the largest
 # basis ever held.
@@ -84,12 +84,13 @@ def step_count(T: float, dt: float) -> int:
 
 
 def held_bytes(dim: int, n_steps: int, tracked: int = 0) -> int:
-    """Lower bound on what propagate holds for a dim-state reach set over
-    n_steps steps with tracked track states: the Krylov basis (at most
-    KRYLOV_SIZES[-1] + 1 vectors) and one window of states, all complex,
-    and per grid point the time, P, <H_I> and each tracked occupation."""
+    """What propagate holds for a dim-state reach set over n_steps steps
+    with tracked track states: the Krylov basis (at most
+    KRYLOV_SIZES[-1] + 1 vectors) and a window of states, all complex,
+    its squared amplitudes and one temporary as reals, and per grid
+    point the time, P, <H_I> and each tracked occupation."""
     points = n_steps + 1
-    rows = min(KRYLOV_SIZES[-1], dim) + 1 + min(points, WINDOW_CAP)
+    rows = min(KRYLOV_SIZES[-1], dim) + 1 + 2 * min(points, WINDOW_CAP)
     return 16 * rows * dim + 8 * (3 + tracked) * points
 
 
@@ -174,21 +175,22 @@ def _powers(f, count):
 
 
 def _krylov_stepper(matrix, dt):
-    """The advance(last, window) that propagate calls: it fills row k of
-    window with exp(-i (k+1) dt H) last for the sparse block H = matrix.
+    """The advance(last, window) that propagate calls: it fills a run,
+    a prefix of window whose row k is exp(-i (k+1) dt H) last for the
+    sparse block H = matrix, and returns the run's length.
 
-    A run of points gets one Arnoldi basis V_m, grown from the state
-    before it, and the Hessenberg H_m of -i dt H on it.  Row k of the run
-    is beta V_m^T F^(k+1) e_1, with beta the norm of that state and
-    F = expm(H_m), so the whole run is one product with V_m.  m is the
-    first of KRYLOV_SIZES (up to the reach set's size) at which Saad's
-    estimate h_(m+1,m) |e_m^T F^(k+1) e_1| stays within KRYLOV_TOL at
-    every point.  Past the largest the run is cut to the longest
-    halving of it that meets the estimate, and a single step that
-    cannot is refused.  Later runs start from the last m and run
-    length chosen.  A basis that spans the reach set, or an invariant
-    subspace of it, is exact.  On an invariant line (m = 1) each point
-    is its own scalar exponential, so no rounding compounds.
+    The run gets one Arnoldi basis V_m, grown from last, and the
+    Hessenberg H_m of -i dt H on it.  Row k of the run is
+    beta V_m^T F^(k+1) e_1, with beta the norm of last and F = expm(H_m),
+    so the whole run is one product with V_m.  m is the first of
+    KRYLOV_SIZES (up to the reach set's size) at which Saad's estimate
+    h_(m+1,m) |e_m^T F^(k+1) e_1| stays within KRYLOV_TOL at every point.
+    Past the largest the run is cut to the longest halving of it that
+    meets the estimate, and a single step that cannot is refused.  Later
+    runs start from the last m, no longer than the last run cut.  A basis
+    that spans the reach set, or an invariant subspace of it, is exact.
+    On an invariant line (m = 1) each point is its own scalar
+    exponential, so no rounding compounds.  A zero last fills the window.
     """
     dim = matrix.shape[0]
     norm = dt * float(abs(matrix).sum(axis=0).max())
@@ -205,54 +207,51 @@ def _krylov_stepper(matrix, dt):
 
     def advance(last, window):
         nonlocal span, first
-        done = 0
-        while done < len(window):
-            start = window[done - 1] if done else last
-            count = min(span, len(window) - done)
-            peak = np.abs(start).max()
-            if not peak:
-                # underflowed to zero, and zero it stays
-                window[done:] = 0.0
-                return
-            # the norm of start / peak, whose squares cannot overflow
-            beta = peak * np.linalg.norm(start / peak)
-            basis[0] = start / beta
-            built = 0
-            for index in range(first, len(sizes)):
-                m = sizes[index]
-                # a zero remainder stops the basis short: it is exact
-                while built < m and (not built or hess[built, built - 1]):
-                    _arnoldi_step(a, basis, hess, built)
-                    built += 1
-                m = built
-                h_m = hess[:m, :m] * scale
-                f = expm(h_m)
-                if m == 1:
-                    e = np.exp(np.arange(1.0, count + 1) * h_m[0, 0])[:, np.newaxis]
-                else:
-                    e = _powers(f, count)
-                # exact, or overflowing, where the window check stops it
-                if m == dim or not hess[m, m - 1] or not np.isfinite(e).all():
-                    break
-                error = np.maximum.accumulate(
-                    abs(hess[m, m - 1]) * scale * np.abs(e[:, m - 1]))
-                if error[-1] <= KRYLOV_TOL:
-                    break
+        count = min(span, len(window))
+        peak = np.abs(last).max()
+        if not peak:
+            # underflowed to zero, and zero it stays
+            window[:] = 0.0
+            return len(window)
+        # the norm of last / peak, whose squares cannot overflow
+        beta = peak * np.linalg.norm(last / peak)
+        basis[0] = last / beta
+        built = 0
+        for index in range(first, len(sizes)):
+            m = sizes[index]
+            # a zero remainder stops the basis short: it is exact
+            while built < m and (not built or hess[built, built - 1]):
+                _arnoldi_step(a, basis, hess, built)
+                built += 1
+            m = built
+            h_m = hess[:m, :m] * scale
+            f = expm(h_m)
+            if m == 1:
+                e = np.exp(np.arange(1.0, count + 1) * h_m[0, 0])[:, np.newaxis]
             else:
-                while count and error[count - 1] > KRYLOV_TOL:
-                    count //= 2
-                if not count:
-                    raise ValueError(
-                        f"one step of dt = {dt:g} needs a Krylov basis of more "
-                        f"than {m} vectors (error estimate {error[0]:.3g} "
-                        f"against {KRYLOV_TOL:g}); shrink dt"
-                    )
-                span = count
-            first = index
-            rows = window[done:done + count]
-            np.matmul(e[:count], basis[:m], out=rows)
-            rows *= beta
-            done += count
+                e = _powers(f, count)
+            # exact, or overflowing, where propagate's check stops it
+            if m == dim or not hess[m, m - 1] or not np.isfinite(e).all():
+                break
+            error = np.maximum.accumulate(
+                abs(hess[m, m - 1]) * scale * np.abs(e[:, m - 1]))
+            if error[-1] <= KRYLOV_TOL:
+                break
+        else:
+            while count and error[count - 1] > KRYLOV_TOL:
+                count //= 2
+            if not count:
+                raise ValueError(
+                    f"one step of dt = {dt:g} needs a Krylov basis of more "
+                    f"than {m} vectors (error estimate {error[0]:.3g} "
+                    f"against {KRYLOV_TOL:g}); shrink dt"
+                )
+            span = count
+        first = index
+        rows = window[:count]
+        np.matmul(e[:count], basis[:m], out=rows)
+        rows *= beta
+        return count
 
     return advance
 
@@ -262,22 +261,19 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
 
     Only the states of h.basis that psi0 reaches through the nonzeros of
     H (keep) are evolved; every other amplitude stays exactly zero.  In a
-    sector that is all of it, unless H is diagonal.  Their sparse block
-    is stepped by the Krylov method of _krylov_stepper: one Arnoldi basis
-    per run of grid points, a run being a window or, where Saad's
-    estimate asks, a halving of it.
-
-    The grid is stepped in windows of 1, 2, 4, ... points, at most
-    WINDOW_CAP each, and each window is checked as a whole, so a stop at
-    point k has computed at most max(2k+1, k+WINDOW_CAP) points.  The
-    squared amplitudes of each window are formed once, and the edge
-    check, P(t), <H_I>(t) = sum_n |psi_n|^2 H_I[n] and the occupations of
-    the track states are read from them before the window is dropped;
-    only those series and the final state are kept.  H_I is read from
-    h.h_i_diagonal before any step, so an operator whose anti-Hermitian
-    part is not diagonal raises ValueError there.  A step the largest
-    Krylov basis cannot take, a non-finite dt*H and a step that
-    underflows to zero raise ValueError.
+    sector that is all of it, unless H is diagonal.  From grid point s,
+    _krylov_stepper is offered a window of min(s + 1, WINDOW_CAP) points
+    (fewer at the end of the grid) and fills a run of it from one Arnoldi
+    basis.  Each run is checked as soon as it is stepped, so a stop at
+    point k computes at most the run that holds the stop: no more than
+    min(2k+1, k+WINDOW_CAP) points.  The squared amplitudes of each run
+    are formed once, and the edge check, P(t),
+    <H_I>(t) = sum_n |psi_n|^2 H_I[n] and the occupations of the track
+    states are read from them; only those series and the final state
+    are kept.  H_I is read from h.h_i_diagonal before any step, so an
+    operator whose anti-Hermitian part is not diagonal raises ValueError
+    there.  A step the largest Krylov basis cannot take, a non-finite
+    dt*H and a step that underflows to zero raise ValueError.
     """
     T = float(T)
     dt = float(dt)
@@ -306,18 +302,19 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     h_i = np.empty(n_steps + 1)
     occupations = np.zeros((n_steps + 1, len(track)))
     buffer = np.empty((min(n_steps + 1, WINDOW_CAP), len(keep)), dtype=complex)
+    squares = np.empty(buffer.shape)
     last = psi0[keep]
     start, end, aborted = 0, n_steps + 1, False
     with np.errstate(over="ignore", invalid="ignore"):
         advance = _krylov_stepper(h.matrix[keep][:, keep], dt)
         while start < end:
-            stop = min(2 * start + 1, start + WINDOW_CAP, end)
-            window = buffer[:stop - start]
+            window = buffer[:min(start + 1, WINDOW_CAP, end - start)]
             if start:
-                advance(last, window)
+                window = window[:advance(last, window)]
             else:
                 window[0] = last
-            weights = np.abs(window) ** 2
+            weights = np.abs(window, out=squares[:len(window)])
+            weights **= 2
             bad = ~np.isfinite(window).all(axis=1)
             occ = np.max(weights[:, edge], axis=1, initial=0.0)
             hits = np.flatnonzero(bad | (occ > EDGE_OCCUPATION_LIMIT))
@@ -339,10 +336,11 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
                 window, weights = window[:i + 1], weights[:i + 1]
             rows = slice(start, start + len(window))
             norms[rows] = np.sum(weights, axis=1)
-            h_i[rows] = np.sum(weights * h_i_keep, axis=1)
             occupations[rows, inside] = weights[:, columns[inside]]
+            weights *= h_i_keep
+            h_i[rows] = np.sum(weights, axis=1)
             last = window[-1].copy()
-            start = stop
+            start += len(window)
 
     return Trajectory(
         times=np.arange(end) * dt,

@@ -6,6 +6,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -228,30 +229,42 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not list(tmp_path.iterdir())
 
-    def test_oversized_cutoff_estimate(self):
+    def test_oversized_cutoff_estimate(self, tmp_path, monkeypatch, capsys):
         # arithmetic only: the build of the operator the command builds at
         # 7 entries per column of 56 bytes, plus what it holds.  spectrum
         # builds one parity sector at a time and is charged the largest,
-        # the even one ((n_max//2 + 1)^3 states), as its sparse build and
-        # as a dense complex block
+        # the even one ((n_max//2 + 1)^3 states), as its sparse build, as a
+        # dense complex block and LAPACK's copy of it, and as 512 complex
+        # values per column for LAPACK's workspace and BLAS's buffers
         assert FockBasis(6, EVEN).dim == 64 and FockBasis(30, EVEN).dim == 4_096
-        assert run_bytes(64, 16 * 64 ** 2) == 7 * 64 * 56 + 64 ** 2 * 16 == 90_624
-        assert run_bytes(4_096, 16 * 4_096 ** 2) == 270_041_088
+        assert run_bytes(64, 16 * 64 * (2 * 64 + 512)) == 680_448 == (
+            7 * 64 * 56 + 16 * 64 * 640)
+        assert run_bytes(4_096, 16 * 4_096 * (2 * 4_096 + 512)) == 572_030_976
         # evolve: the Krylov basis (one more vector than its largest size,
         # never more than the reach set's states), one window of states,
-        # never more points than the run has, and per point the time, P,
-        # <H_I> and each tracked occupation
+        # never more points than the run has, and beside it its squared
+        # amplitudes and one temporary of their size (as reals, together
+        # a second window), and per point the time, P, <H_I> and each
+        # tracked occupation
         assert KRYLOV_SIZES[-1] == 30 and 11 < WINDOW_CAP < 5_001
-        assert held_bytes(64, 10) == 16 * (31 * 64 + 11 * 64) + 8 * 3 * 11
+        assert held_bytes(64, 10) == 16 * (31 * 64 + 2 * 11 * 64) + 8 * 3 * 11
         assert held_bytes(64, 5_000) == (
-            16 * (31 * 64 + WINDOW_CAP * 64) + 8 * 3 * 5_001)
+            16 * (31 * 64 + 2 * WINDOW_CAP * 64) + 8 * 3 * 5_001)
         assert held_bytes(4_096, 5_000, 4) == (
-            16 * (31 + WINDOW_CAP) * 4_096 + 8 * 7 * 5_001)
+            16 * (31 + 2 * WINDOW_CAP) * 4_096 + 8 * 7 * 5_001)
         # evolve builds the even sector too; a decay run at n_max=30 evolves
-        # one amplitude of it, on a two-vector basis: about 1.7 MiB, where
+        # one amplitude of it, on a two-vector basis: about 1.8 MiB, where
         # (steps + 1) even-sector states made it 573 MiB
         assert run_bytes(4_096, held_bytes(1, 5_000)) == (
-            7 * 4_096 * 56 + 16 * (2 + WINDOW_CAP) + 8 * 3 * 5_001)
+            7 * 4_096 * 56 + 16 * (2 + 2 * WINDOW_CAP) + 8 * 3 * 5_001)
+        # the commands charge these at n_max 30 (evolve's series twice)
+        monkeypatch.setattr(cli, "available_memory", lambda: 0)
+        for argv, need in ((["spectrum"], 572_030_976),
+                           (["evolve"], 1_605_632 + held_bytes(4_096, 5_000, 4)
+                            + 8 * 7 * 5_001)):
+            assert main([*argv, "--nmax", "30", "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert f"needs at least {need / 2 ** 20:.1f} MiB" in err
 
     def test_mixing_is_charged_its_interior_scan(self, tmp_path, monkeypatch):
         # 7 entries per interior column at 120 bytes: (30 - 4 + 1)^3 = 19,683
@@ -297,6 +310,38 @@ class TestExitCodes:
         assert main(["spectrum", "--nmax", "30", "--out", str(tmp_path)]) == 2
         assert main(["evolve", "--decay-oracle", "--nmax", "30", "--T", "0.01",
                      "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the resident sizes from /proc/self/status")
+    @pytest.mark.parametrize("command", ["spectrum", "evolve"])
+    def test_run_grows_no_more_than_its_charge(self, command, tmp_path):
+        # a fresh process at n_max 20, the smallest cutoff at which the
+        # charge outgrows the few MiB of fixed costs (caches, LAPACK's
+        # setup): its peak RSS after main (VmHWM, which unlike ru_maxrss
+        # does not carry over the parent's peak), less its RSS before
+        # (VmRSS), is at most what _ensure_fits charged
+        code = (
+            "import sys\n"
+            "from qweyl import cli\n"
+            "def kib(field):\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        line = next(l for l in fh if l.startswith(field + ':'))\n"
+            "    return int(line.split()[1]) * 1024\n"
+            "charges, fits = [], cli._ensure_fits\n"
+            "def charge(basis, held):\n"
+            "    charges.append(cli.run_bytes(basis.dim, held))\n"
+            "    fits(basis, held)\n"
+            "cli._ensure_fits = charge\n"
+            "before = kib('VmRSS')\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(kib('VmHWM') - before, *charges)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, command, "--nmax", "20",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, check=True)
+        growth, charged = map(int, done.stdout.split()[-2:])
+        assert 0 < growth <= charged, (growth / 2 ** 20, charged / 2 ** 20)
 
     @pytest.mark.parametrize("argv, series", [
         (["evolve", "--theta", "0"], 7), (["evolve", "--decay-oracle"], 3),

@@ -129,23 +129,31 @@ def assert_streams_match(traj, h, states):
 
 @pytest.fixture
 def point_spy(monkeypatch):
-    """One count per propagate call that gets as far as stepping: the
-    grid points its Krylov stepper was asked to fill."""
-    counts = []
+    """One list per propagate call that gets as far as stepping, of an
+    (offered, filled) pair per call of its Krylov stepper: the grid points
+    the window offered and the run filled, None where the stepper raised."""
+    calls = []
     stepper = dynamics._krylov_stepper
 
     def counting_stepper(matrix, dt):
         advance = stepper(matrix, dt)
-        counts.append(0)
+        calls.append([])
 
         def counted(last, window):
-            counts[-1] += len(window)
-            advance(last, window)
+            calls[-1].append((len(window), None))
+            filled = advance(last, window)
+            calls[-1][-1] = (len(window), filled)
+            return filled
 
         return counted
 
     monkeypatch.setattr(dynamics, "_krylov_stepper", counting_stepper)
-    return counts
+    return calls
+
+
+def stepped(pairs):
+    """The grid points one propagate call's stepper filled."""
+    return sum(filled for _, filled in pairs)
 
 
 class TestClosedFormOracles:
@@ -554,6 +562,20 @@ class TestAbortSemantics:
     def test_edge_abort_matches_reference(self, n_max, theta, mode, dt):
         self.check_abort(n_max, theta, mode, dt, 1.0)
 
+    def test_edge_abort_stops_with_the_run_that_holds_it(self, point_spy):
+        # dt = 0.25 on the n_max 8 even sector: Saad's estimate halves the
+        # 4-point window at t = 0.75 to a run of 2, which holds the stop at
+        # t = 1, so the window's other 2 points are never stepped
+        h = build_h_eff(8, 0.05, "paper", EVEN)
+        psi0 = h.basis.vector((0, 0, 0))
+        _, states, message = reference_propagate(h, psi0, 50.0, 0.25)
+        with pytest.warns(RuntimeWarning) as record:
+            traj = propagate(h, psi0, T=50.0, dt=0.25, track=TRACKED)
+        assert [str(w.message) for w in record] == [message]
+        assert traj.edge_aborted and len(traj.times) == 5
+        assert_streams_match(traj, h, states)
+        assert point_spy == [[(2, 2), (4, 2)]]
+
     @pytest.mark.parametrize("mode", MODES)
     def test_edge_abort_at_n_max_10_matches_reference(self, mode):
         # the whole 216-state even sector reached, stopping near t = 1.1
@@ -566,14 +588,15 @@ class TestAbortSemantics:
         k = len(traj.times) - 1
         assert traj.edge_aborted and 0 < k < 1000
         # point 0 is psi0, so at most 2k+1 points means at most 2k stepped
-        assert k <= point_spy[0] <= 2 * k
+        assert k <= stepped(point_spy[0]) <= 2 * k
 
     def test_complete_run_steps_once_per_point(self, point_spy):
         h = build_h_eff(4, 0.01, "paper")
         _, psi0 = ground(4)
         traj = propagate(h, psi0, T=0.1, dt=1e-3)
         assert not traj.edge_aborted
-        assert point_spy == [100]
+        # every window offered comes back full: points 1..100 once each
+        assert point_spy == [[(n, n) for n in (2, 4, 8, 16, 32, 38)]]
 
     def test_capped_windows_match_reference(self, point_spy, monkeypatch):
         # windows stop doubling at the cap, so a stop at point k has stepped
@@ -589,7 +612,7 @@ class TestAbortSemantics:
         assert_streams_match(traj, h, states)
         k = len(traj.times) - 1
         assert k > 2 * cap
-        assert k <= point_spy[0] <= k + cap - 1
+        assert k <= stepped(point_spy[0]) <= k + cap - 1
 
     def test_overflow_matches_reference(self, point_spy):
         # i dpsi/dt = 100i psi grows by e^100 per unit time and passes the
@@ -608,7 +631,7 @@ class TestAbortSemantics:
                 propagate(grow, psi0, T=20.0, dt=1.0)
         assert str(raised.value) == str(expected.value)
         assert "at t = 8;" in str(raised.value)
-        assert point_spy[0] <= 2 * 8
+        assert stepped(point_spy[0]) <= 2 * 8
 
 
 class TestBlockSteps:
@@ -696,9 +719,8 @@ class TestBlockSteps:
     def test_estimate_halves_a_window(self, monkeypatch):
         # dt = 0.5 on the n_max = 6 even sector (compare_outputs'
         # evolve-large-step): a 30-vector basis misses the tolerance over
-        # the 8-point window, so it and every later window (16, 32 and 38
-        # points) are stepped in runs of 4, and the points still match the
-        # dense exponential
+        # the 8-point window, so its run and every later one holds 4
+        # points, and the points still match the dense exponential
         runs = []
         powers = dynamics._powers
 
@@ -904,7 +926,8 @@ class TestKrylovStep:
         psi0 = h.basis.vector((0, 0, 0))
         with pytest.raises(ValueError, match="needs a Krylov basis of more than 30"):
             propagate(h, psi0, T=2.0, dt=1.0)
-        assert point_spy == [2]
+        # the 2 points offered are halved to 1, and the next 1 is refused
+        assert point_spy == [[(2, 1), (1, None)]]
         assert not propagate(h, psi0, T=2.0, dt=0.1).edge_aborted
 
     def test_krylov_step_margin_is_a_config_error(self, tmp_path, capsys):

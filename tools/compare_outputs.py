@@ -98,10 +98,15 @@ def runs(config: str) -> list:
     # a 1,331-state even sector, whose windows of up to 32 points are
     # stepped on 8-vector Krylov bases
     out.append(("evolve-krylov-n20", ["evolve", "--nmax", "20", "--T", "0.05"]))
-    # a dt at which windows split: past 4 points even a 30-vector basis
-    # misses Saad's estimate, so each later window is stepped in runs of 4
+    # a dt at which Saad's estimate halves the runs: past 4 points even a
+    # 30-vector basis misses it, so every later run holds 4 points
     out.append(("evolve-large-step", ["evolve", "--nmax", "6", "--dt", "0.5",
                                       "--T", "50"]))
+    # an edge abort inside a window that Saad's estimate halves: the
+    # 2-point run at t = 0.75 and 1 holds the stop at t = 1 (5 points)
+    out.append(("evolve-abort-in-halved-window", ["evolve", "--nmax", "8",
+                                                  "--theta", "0.05", "--dt",
+                                                  "0.25", "--T", "50"]))
     # a 100,001-row CSV through the streamed rows, with a one-amplitude
     # reach set, and the decay oracle at the largest routine cutoff
     out.append(("evolve-theta0-long", ["evolve", "--theta", "0", "--nmax", "4",
