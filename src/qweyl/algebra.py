@@ -20,13 +20,18 @@ normalize folds a word's letters left to right into a map
 on the right has a closed form (_insert): the letter takes its sorted
 place, picking up one power of q or q^{-1} per letter it passes, and an
 X_a that meets copies of d_a also yields the diagonal rule's shorter and
-X_k d_k words, summed over the copies.  Each output word's q-coefficient
-becomes one QScalar, times the input coefficient.
+X_k d_k words, summed over the copies.  That product depends on the
+pair alone, so _insert is one memo for the whole process, shared by
+every normalize call; its keys are tuples of plain ints, which is why
+every word is checked into that form first.  Each output word's
+q-coefficient becomes one QScalar, times the input coefficient.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 
 from .scalars import GaussRat, QScalar, Q, Q_INV, SparseTerms
 
@@ -66,8 +71,13 @@ def d_code(i: int) -> int:
 
 
 def _checked_word(word) -> Word:
-    """word as a tuple, refused with ValueError unless every code is in 0..5."""
-    word = tuple(word)
+    """word as a tuple of plain ints, refused with ValueError unless every
+    code is an integer (operator.index) in 0..5."""
+    try:
+        word = tuple(map(operator.index, word))
+    except TypeError:
+        raise ValueError(
+            f"word {tuple(word)} has a generator code that is not an integer") from None
     if word and not 0 <= min(word) <= max(word) < N_GEN:
         raise ValueError(f"word {word} has a generator code outside 0..5")
     return word
@@ -77,9 +87,11 @@ def is_normal(word) -> bool:
     return all(word[p] <= word[p + 1] for p in range(len(word) - 1))
 
 
-def _insert(word, letter) -> list:
+@lru_cache(maxsize=None)
+def _insert(word, letter) -> tuple:
     """Normal form of a normal word times one letter, as
-    [(normal word, q-power, +1 or -1)] with no (word, q-power) repeated.
+    ((normal word, q-power, +1 or -1), ...) with no (word, q-power)
+    repeated; memoized for the process, so the value is all tuples.
 
     d_b passes each larger derivative at q.  X_a passes each derivative
     d_c (c != a) at q and each larger coordinate at q^-1.  Each of the
@@ -94,7 +106,7 @@ def _insert(word, letter) -> list:
     at = bisect_right(word, letter)
     placed = word[:at] + (letter,) + word[at:]
     if letter >= 3:
-        return [(placed, len(word) - at, 1)]
+        return ((placed, len(word) - at, 1),)
     first_d = bisect_left(word, 3, at)
     lo = bisect_left(word, letter + 3, first_d)
     hi = bisect_right(word, letter + 3, lo)
@@ -111,18 +123,17 @@ def _insert(word, letter) -> list:
             power = h + (dk - first_d) - (first_d - xk)
             out.append((grown, power + 2 * m, 1))
             out.append((grown, power, -1))
-    return out
+    return tuple(out)
 
 
 def normalize(terms) -> "NCPoly":
     """Rewrite every word of the input to canonical form.
 
     terms may be an NCPoly or any mapping word -> coefficient.  Each
-    word's letters fold into integer q-coefficients, one _insert per
-    (normal word, letter) pair met in this call, and the terms come in
-    ascending word order.
+    word's letters fold into integer q-coefficients through the _insert
+    memo, which computes each (normal word, letter) pair once per
+    process, and the terms come in ascending word order.
     """
-    inserted: dict = {}
     ring = NCPoly()
     done: dict = {}
     for word, coeff in getattr(terms, "terms", terms).items():
@@ -134,10 +145,7 @@ def normalize(terms) -> "NCPoly":
         for letter in word:
             grown: dict = {}
             for w, powers in state.items():
-                out = inserted.get((w, letter))
-                if out is None:
-                    out = inserted[w, letter] = _insert(w, letter)
-                for w2, dp, sign in out:
+                for w2, dp, sign in _insert(w, letter):
                     into = grown.get(w2)
                     if into is None:
                         into = grown[w2] = {}
@@ -145,10 +153,12 @@ def normalize(terms) -> "NCPoly":
                         p += dp
                         into[p] = into.get(p, 0) + sign * c
             state = grown
+        unit = coeff == _ONE
         for w in sorted(state):
-            powers = {p: GaussRat(c) for p, c in sorted(state[w].items()) if c}
+            powers = {p: GaussRat._int(c) for p, c in sorted(state[w].items()) if c}
             if powers:
-                ring._accumulate(done, w, _ONE._new(powers) * coeff)
+                scalar = _ONE._new(powers)
+                ring._accumulate(done, w, scalar if unit else scalar * coeff)
     return ring._new({w: done[w] for w in sorted(done)})
 
 

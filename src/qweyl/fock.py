@@ -225,6 +225,10 @@ def build_h_eff(n_max: int, theta: float, mode: str, sector=None) -> FockOperato
         matrix = h0 + theta * build_h1_matrix(n_max, mode, sector)
     if not np.all(np.isfinite(matrix.data)):
         raise ValueError(f"theta={theta!r} overflows the operator")
+    # the sum leaves data and indices as views of buffers sized for
+    # nnz(H0) + nnz(H1), which prune() keeps; hold compact copies
+    matrix.data = matrix.data.copy()
+    matrix.indices = matrix.indices.copy()
     return FockOperator(matrix=matrix, basis=FockBasis(n_max, sector))
 
 

@@ -41,6 +41,14 @@ class GaussRat:
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
+    @classmethod
+    def _int(cls, re: int) -> "GaussRat":
+        """re + 0i for a plain int re, unchecked, as SparseTerms._new."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "re", re)
+        object.__setattr__(out, "im", 0)
+        return out
+
     @staticmethod
     def coerce(x) -> "GaussRat":
         if isinstance(x, GaussRat):

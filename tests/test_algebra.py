@@ -1,7 +1,10 @@
 import hashlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qweyl.scalars import GaussRat, QScalar, Q, Q_INV
@@ -9,6 +12,7 @@ from qweyl.algebra import (
     ALTERNATIVE_OFFSET,
     LITERAL_OFFSET,
     NCPoly,
+    _insert,
     check_reduced_symplectic,
     check_relation,
     d_code,
@@ -111,6 +115,30 @@ def test_malformed_generator_codes_rejected(word):
             run({word: 1})
     with pytest.raises(ValueError, match="generator code outside 0..5"):
         NCPoly({tuple(sorted(word)): 1})
+
+
+@pytest.mark.parametrize("word", [(3.0, 0.5), (3.0, 0), ("3", 0), (None,)])
+def test_non_integer_generator_codes_rejected(word):
+    # a code must be an integer, not merely equal to one
+    for run in (normalize, lambda t: normalize_by_rewriting(t, "leftmost")):
+        with pytest.raises(ValueError, match="not an integer"):
+            run({word: 1})
+
+
+def test_integer_codes_become_plain_ints():
+    # bools and numpy integers name generators by their int values, and
+    # only plain ints reach the output and the shared _insert memo, from
+    # which a later call with plain codes reads
+    def code_types(poly):
+        return {type(c) for w in poly.terms for c in w}
+
+    _insert.cache_clear()
+    got = normalize({(np.int64(3), np.int64(0)): 1})
+    want = normalize({(3, 0): 1})
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert code_types(got) == code_types(want) == {int}
+    assert code_types(normalize({(True, np.int64(3), False): 1})) == {int}
+    assert code_types(NCPoly({(np.int64(0), True): 1})) == {int}
 
 
 @pytest.mark.parametrize("word", [(0,), (3, 0)])
@@ -350,6 +378,84 @@ def test_default_path_makes_no_rewrite_steps(monkeypatch):
     # the counter sees the stepper, so an empty count is not vacuous
     stepper({(d_code(1), x_code(1)): 1})
     assert len(calls) == 1
+
+
+# ------------------------------------------------------------ the memo
+#
+# _insert is shared by every normalize call in the process, so what an
+# earlier call left in it must not change a later result.
+
+def seeded_words(seed, count):
+    rng = random.Random(seed)
+    return [tuple(rng.choices(range(6), k=rng.randint(4, 10))) for _ in range(count)]
+
+
+def met_pairs(words):
+    """The (normal word, letter) pairs normalize meets on these words,
+    each reached word kept whether or not its coefficients cancel."""
+    pairs = set()
+    for word in words:
+        state = {()}
+        for letter in word:
+            pairs.update((w, letter) for w in state)
+            state = {w2 for w in state for w2, _, _ in _insert(w, letter)}
+    return pairs
+
+
+def forms(polys):
+    return [[(w, list(q.terms.items())) for w, q in p.terms.items()] for p in polys]
+
+
+def test_memo_order_does_not_change_normal_forms():
+    words = seeded_words(31, 300)
+    _insert.cache_clear()
+    cold = [normalize({w: 1}) for w in words]
+    assert _insert.cache_info().hits > 0
+    _insert.cache_clear()
+    for w in seeded_words(32, 300):
+        normalize({w: 1})
+    warm = [normalize({w: 1}) for w in reversed(words)][::-1]
+    # terms, word order and each QScalar's q-power order
+    assert forms(warm) == forms(cold)
+    for word, nf in zip(words, warm):
+        assert nf == stepper({word: 1}), word
+    pairs = met_pairs(words + seeded_words(32, 300))
+    assert _insert.cache_info().currsize == len(pairs)
+    for pair in pairs:
+        out = _insert(*pair)
+        assert type(out) is tuple and all(type(t) is tuple for t in out), pair
+        assert all(type(t[0]) is tuple for t in out), pair
+
+
+#: tracemalloc bytes a memo entry may hold: its key, its tuple of output
+#: tuples and their new words, and its share of the memo's dict; 408 were
+#: measured over the 1,000 words below
+MEMO_ENTRY_BYTES = 512
+
+
+def test_memo_footprint_per_entry():
+    # in a fresh process, where freed tuples of an earlier test cannot be
+    # reused from CPython's free lists past tracemalloc: the memo is what
+    # normalize keeps between calls, so what it holds after 1,000 seeded
+    # words, per entry, bounds what it adds to a run's peak
+    code = (
+        "import random, tracemalloc\n"
+        "from qweyl.algebra import _insert, normalize\n"
+        "rng = random.Random(1)\n"
+        "words = [tuple(rng.choices(range(6), k=rng.randint(4, 10)))\n"
+        "         for _ in range(1000)]\n"
+        "tracemalloc.start()\n"
+        "for word in words:\n"
+        "    normalize({word: 1})\n"
+        "held = tracemalloc.get_traced_memory()[0]\n"
+        "tracemalloc.stop()\n"
+        "print(held, _insert.cache_info().currsize)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    held, entries = map(int, done.stdout.split())
+    assert entries == len(met_pairs(seeded_words(1, 1000)))
+    assert 0 < held <= MEMO_ENTRY_BYTES * entries, held / entries
 
 
 # ------------------------------------------------------- symplectic checks

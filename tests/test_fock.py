@@ -125,6 +125,9 @@ def test_h_eff_is_the_dense_sum(n_max, mode):
                                   want.view(np.uint64)), (theta, sector)
             assert got.data.tobytes() == want[stored.row, stored.col].tobytes()
             assert got.nnz == np.count_nonzero(want), (theta, sector)
+            # and keeps no buffer larger than what it stores
+            for part in (got.data, got.indices, got.indptr):
+                assert part.base is None or part.base.nbytes == part.nbytes
 
 
 def test_ladder_matrix_elements():
