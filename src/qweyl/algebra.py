@@ -44,20 +44,19 @@ _ONE = QScalar.one()
 
 
 def gen_code(g) -> int:
-    """Resolve a generator given as code 0..5 or name "X1".."d3"."""
+    """Resolve a generator given as name "X1".."d3" or as a code, which
+    _checked_word reads, refusing it with ValueError as normalize does."""
     if isinstance(g, str):
         try:
             return GEN_NAMES.index(g)
         except ValueError:
             raise ValueError(f"unknown generator name {g!r}") from None
-    g = int(g)
-    if not 0 <= g < N_GEN:
-        raise ValueError(f"generator code {g} out of range 0..5")
-    return g
+    return _checked_word((g,))[0]
 
 
 def x_code(i: int) -> int:
     """Generator code of X_i, i in 1..3."""
+    i = operator.index(i)
     if not 1 <= i <= 3:
         raise ValueError(f"coordinate index {i} out of range 1..3")
     return i - 1
@@ -65,6 +64,7 @@ def x_code(i: int) -> int:
 
 def d_code(i: int) -> int:
     """Generator code of d_i, i in 1..3."""
+    i = operator.index(i)
     if not 1 <= i <= 3:
         raise ValueError(f"derivative index {i} out of range 1..3")
     return i + 2
@@ -72,7 +72,7 @@ def d_code(i: int) -> int:
 
 def _checked_word(word) -> Word:
     """word as a tuple of plain ints, refused with ValueError unless every
-    code is an integer (operator.index) in 0..5."""
+    code is an integer (operator.index) in 0..5; gen_code reads by it too."""
     try:
         word = tuple(map(operator.index, word))
     except TypeError:
@@ -180,8 +180,6 @@ class NCPoly(SparseTerms):
 
     @staticmethod
     def generator(code: int) -> "NCPoly":
-        if not 0 <= code < N_GEN:
-            raise ValueError(f"generator code {code} out of range")
         return NCPoly({(code,): 1})
 
     def to_json(self) -> list:

@@ -20,6 +20,7 @@ occupation; non-finite amplitudes abort outright.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -283,7 +284,7 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
         raise ValueError("psi0 dimension does not match the operator")
     if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-6:
         raise ValueError("psi0 must be unit-normalized")
-    track = [tuple(int(v) for v in s) for s in track]
+    track = [tuple(map(operator.index, s)) for s in track]
     tracked_index = [h.basis.index(s) for s in track]
     # grow the support of psi0 along the nonzeros of H until it is closed
     pattern = h.matrix != 0

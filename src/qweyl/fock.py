@@ -16,6 +16,7 @@ never joins two sectors, and each sector is built on its own lattice.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
@@ -42,10 +43,11 @@ class FockBasis:
     lexicographic order."""
 
     def __init__(self, n_max: int, sector=None):
+        n_max = operator.index(n_max)
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
         self.n_max = n_max
-        self.sector = None if sector is None else tuple(sector)
+        self.sector = None if sector is None else tuple(map(operator.index, sector))
         if self.sector not in (None, *SECTORS):
             raise ValueError(f"sector {sector} is not one of {SECTORS}")
         # lowest occupation along each axis, and the step between occupations
@@ -64,7 +66,8 @@ class FockBasis:
 
     def index(self, state) -> int:
         i = 0
-        for n, p, side in zip(state, self.first, self.shape, strict=True):
+        for n, p, side in zip(map(operator.index, state), self.first, self.shape,
+                              strict=True):
             if not 0 <= n <= self.n_max:
                 raise ValueError(f"state {state} outside cutoff {self.n_max}")
             m, off = divmod(n - p, self.step)
@@ -226,10 +229,8 @@ def build_h_eff(n_max: int, theta: float, mode: str, sector=None) -> FockOperato
     if not np.all(np.isfinite(matrix.data)):
         raise ValueError(f"theta={theta!r} overflows the operator")
     # the sum leaves data and indices as views of buffers sized for
-    # nnz(H0) + nnz(H1), which prune() keeps; hold compact copies
-    matrix.data = matrix.data.copy()
-    matrix.indices = matrix.indices.copy()
-    return FockOperator(matrix=matrix, basis=FockBasis(n_max, sector))
+    # nnz(H0) + nnz(H1), which prune() keeps; hold a compact copy
+    return FockOperator(matrix=matrix.copy(), basis=FockBasis(n_max, sector))
 
 
 def sparsity_pattern(h1: sp.csr_array, basis: FockBasis) -> dict:

@@ -207,10 +207,7 @@ class SparseTerms:
         other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            self._accumulate(terms, key, -coeff)
-        return self._new(terms)
+        return self + (-other)
 
     def scale(self, factor):
         """Every coefficient times one ring element."""
@@ -232,7 +229,7 @@ class SparseTerms:
 
 def exponent_key(key, length: int) -> tuple:
     """key as a tuple of length nonnegative ints."""
-    key = tuple(int(v) for v in key)
+    key = tuple(map(operator.index, key))
     if len(key) != length or min(key) < 0:
         raise ValueError(f"expected {length} nonnegative integers, got {key}")
     return key
@@ -249,7 +246,7 @@ class QScalar(SparseTerms):
     __slots__ = ()
     _scalars = (int, Fraction, GaussRat)
     _unit_key = 0
-    _key = staticmethod(int)
+    _key = staticmethod(operator.index)
     _coerce = staticmethod(GaussRat.coerce)
 
     @staticmethod

@@ -17,6 +17,7 @@ from qweyl.algebra import (
     check_relation,
     d_code,
     defining_relations,
+    gen_code,
     is_normal,
     nc_mul,
     normalize,
@@ -25,6 +26,7 @@ from qweyl.algebra import (
     x_code,
     y_generator,
 )
+from qweyl.realization import MonomialVec, apply_word
 
 import oracles
 from oracles import NoRewriteApplicable, normalize_by_rewriting, rewrite_at
@@ -106,21 +108,32 @@ def test_normalize_recovers_unit():
     assert normalize(raw) == NCPoly({(): 1})
 
 
+# every reader of generator codes: normalize, its one-swap oracle, and the
+# numeric word path, code by code (gen_code) and as a word (apply_word)
+CODE_READERS = (
+    normalize,
+    lambda t: normalize_by_rewriting(t, "leftmost"),
+    lambda t: [gen_code(g) for w in t for g in w],
+    lambda t: [apply_word(w, MonomialVec.basis((0, 0, 0)), 0.01) for w in t],
+)
+
+
 @pytest.mark.parametrize("word", [(7, 0), (-1, 0), (0, 3, 6)])
 def test_malformed_generator_codes_rejected(word):
-    # codes outside 0..5 name no generator on either path, whether the
+    # codes outside 0..5 name no generator on any path, whether the
     # word is out of order or already sorted
-    for run in (normalize, lambda t: normalize_by_rewriting(t, "leftmost")):
+    for run in CODE_READERS:
         with pytest.raises(ValueError, match=r"word \(.*\) has a generator code"):
             run({word: 1})
     with pytest.raises(ValueError, match="generator code outside 0..5"):
         NCPoly({tuple(sorted(word)): 1})
 
 
-@pytest.mark.parametrize("word", [(3.0, 0.5), (3.0, 0), ("3", 0), (None,)])
+@pytest.mark.parametrize("word", [(3.0, 0.5), (3.0, 0), ("3", 0), (None,), (3.7, 0)])
 def test_non_integer_generator_codes_rejected(word):
-    # a code must be an integer, not merely equal to one
-    for run in (normalize, lambda t: normalize_by_rewriting(t, "leftmost")):
+    # a code must be an integer, not merely equal to one; the word path
+    # reads a string as a generator name, and "3" names none
+    for run in CODE_READERS[:2] if "3" in word else CODE_READERS:
         with pytest.raises(ValueError, match="not an integer"):
             run({word: 1})
 

@@ -6,7 +6,9 @@ import pytest
 import scipy.sparse as sp
 
 from qweyl import fock
+from qweyl.algebra import d_code, x_code
 from qweyl.cli import _json_default, run_bytes
+from qweyl.dynamics import propagate
 from qweyl.effective import hamiltonian_operator
 from qweyl.fock import (
     CONJECTURED_OFFSETS,
@@ -24,9 +26,10 @@ from qweyl.fock import (
     operator_matrix,
     sparsity_pattern,
 )
-from qweyl.gaussian import CPoly3
+from qweyl.gaussian import CPoly3, DiffOp3
 from qweyl.quadrature import element_1d, element_3d, hermite_prefactor
-from qweyl.realization import MODES
+from qweyl.realization import MODES, MonomialVec
+from qweyl.scalars import QScalar
 
 from oracles import gaussian_expectation
 
@@ -79,6 +82,39 @@ def test_sector_basis_roundtrip(n_max):
     for sector in ((2, 0, 0), (0, 1), (0, 0, 0, 0)):
         with pytest.raises(ValueError, match="is not one of"):
             FockBasis(n_max, sector)
+
+
+def _tracked(v):
+    h = build_h_eff(4, 0.01, "paper")
+    traj = propagate(h, h.basis.vector((0, 0, 0)), 0.01, 1e-3, track=[(v, 0, 0)])
+    return [(s, occ.tobytes()) for s, occ in traj.tracked.items()]
+
+
+# every integer input outside the word path, each as a function of one
+# integer v whose repr shows the types the input was read into
+INTEGER_READERS = {
+    "QScalar": lambda v: QScalar({v: 1}),
+    "CPoly3": lambda v: CPoly3({(v, 0, 0, 0): 1}),
+    "DiffOp3": lambda v: DiffOp3({(0, v, 0): 1}),
+    "MonomialVec": lambda v: MonomialVec.basis((0, 0, v)),
+    "FockBasis n_max": lambda v: (lambda b: (b.n_max, b.shape, b.dim))(FockBasis(v)),
+    "FockBasis sector": lambda v: FockBasis(4, (v - 1, 0, 0)).first,
+    "FockBasis.index": lambda v: FockBasis(4).index((0, v, 0)),
+    "x_code, d_code": lambda v: (x_code(v), d_code(v)),
+    "propagate track": _tracked,
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_READERS)
+def test_integer_inputs_are_read_by_index(name):
+    # an integer, not merely a number equal to one, whatever the layer;
+    # numpy ints and bools read as the ints they equal, to the repr
+    read = INTEGER_READERS[name]
+    assert repr(read(np.int64(2))) == repr(read(2))
+    assert repr(read(True)) == repr(read(1))
+    for v in (2.0, 2.9):
+        with pytest.raises(TypeError):
+            read(v)
 
 
 @pytest.mark.parametrize("n_max", range(1, 13))
