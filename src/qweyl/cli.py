@@ -67,6 +67,10 @@ NORM_FLOW_LIMIT = 1e-6
 SLOPE_WINDOW = (1.9, 2.1)
 SCAN_MONOMIALS = ((2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3, 3))
 TRACKED_STATES = ((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2))
+# What a command's first run grows by whatever it holds: the state scipy's
+# sparse routines, BLAS and LAPACK build on first use.  In fresh
+# processes it was 1.6 to 2.9 MiB of peak RSS, for every command.
+FIXED_BYTES = 4 * 2 ** 20
 
 
 class ConfigError(Exception):
@@ -216,13 +220,13 @@ def interior_scan_bytes(n_max: int) -> int:
 
 
 def run_bytes(dim: int, held: int) -> int:
-    """Lower bound on a run: the build of the sparse operator over dim
-    states, at 7 entries per column of 56 bytes each, plus the held bytes
-    of what is built from it.  The build's tracemalloc peak, the kept
-    operator included, is at most 344 bytes per column for the even
-    sector's build_h_eff (n_max 8 to 60) and 282 for the box's
-    build_h1_matrix (n_max 16 to 40)."""
-    return 7 * dim * 56 + held
+    """Lower bound on a run: FIXED_BYTES, the build of the sparse
+    operator over dim states, at 7 entries per column of 56 bytes each,
+    plus the held bytes of what is built from it.  The build's
+    tracemalloc peak, the kept operator included, is at most 344 bytes
+    per column for the even sector's build_h_eff (n_max 8 to 60) and 282
+    for the box's build_h1_matrix (n_max 16 to 40)."""
+    return FIXED_BYTES + 7 * dim * 56 + held
 
 
 def _ensure_fits(basis: FockBasis, held: int) -> None:
@@ -390,11 +394,14 @@ def cmd_evolve(config: RunConfig, args) -> dict:
     # and at theta = 0, where the ground state evolves alone
     even = FockBasis(config.n_max, EVEN)
     evolved = 1 if decay or config.theta == 0 else even.dim
+    # the evolved states on the edge (some n_j > n_max - 2); the ground
+    # state alone is one only below n_max 2
+    edge = int(config.n_max < 2) if evolved == 1 else even.dim - (config.n_max // 2) ** 3
     # beyond what propagate holds, its series are held once more per
     # point: as the CSV table, or as the decay law, the deviation from it
     # and the deviation's magnitude
     series = 8 * (3 + len(tracked)) * (n_steps + 1)
-    _ensure_fits(even, held_bytes(evolved, n_steps, len(tracked)) + series)
+    _ensure_fits(even, held_bytes(evolved, n_steps, len(tracked), edge) + series)
     psi0 = even.vector((0, 0, 0))
     if decay:
         alphas = sorted({0.1, 0.5, 1.0, config.alpha})

@@ -3,18 +3,21 @@
 Solves i dpsi/dt = H psi without renormalizing: the squared norm P(t)
 is the observable, and its flow obeys dP/dt = 2<H_I> with H_I the
 Hermitian generator of the anti-Hermitian part, which FockOperator
-checks is diagonal, so P, <H_I> and the occupations all come from the
-squared amplitudes |psi_n|^2.  The states the initial one reaches are
-stepped by one Krylov method (Saad, SIAM J. Numer. Anal. 29(1), 1992;
-Hochbruck & Lubich, SIAM J. Numer. Anal. 34(5), 1997): an Arnoldi
-basis of their sparse block, grown from the state before a run of grid
-points, reduces -i dt H to a small Hessenberg matrix; expm exponentiates
-that, its powers step the run as short vectors, and one product with the
-basis turns them all into states.  Probability pumped into the cutoff
-edge is an artifact of truncation, so evolution stops with a warning as
-soon as any edge state (some n_j > n_max - 2, so its same-parity
-neighbour along axis j is cut off) holds more than a threshold
-occupation; non-finite amplitudes abort outright.
+checks is diagonal, so P, <H_I> and the occupations are all weighted
+sums of the squared amplitudes |psi_n|^2.  The states the initial one
+reaches are stepped by one Krylov method (Saad, SIAM J. Numer. Anal.
+29(1), 1992; Hochbruck & Lubich, SIAM J. Numer. Anal. 34(5), 1997): an
+Arnoldi basis V_m of their sparse block, grown from the state before a
+run of grid points, reduces -i dt H to a small Hessenberg matrix; expm
+exponentiates that, and its powers step the run as short vectors e_k,
+psi_k = beta V_m^T e_k.  So every weighted sum of |psi_n|^2 is a small
+quadratic form in e_k, and no state of a run but its last is formed.
+Probability pumped into the cutoff edge is an artifact of truncation, so
+evolution stops with a warning as soon as any edge state (some
+n_j > n_max - 2, so its same-parity neighbour along axis j is cut off)
+holds more than a threshold occupation; the edge amplitudes are formed
+only for a run whose summed edge weight does not clear it.  Non-finite
+amplitudes abort outright.
 """
 
 from __future__ import annotations
@@ -35,6 +38,12 @@ EDGE_OCCUPATION_LIMIT = 1e-6
 GAIN_LOSS_FLOOR = 1e-12
 # Most grid points one run holds; the windows offered double up to it.
 WINDOW_CAP = 512
+# Basis columns summed into a run's quadratic forms at a time.
+FORM_CHUNK = 4096
+# A point whose amplitude bound beta |e_k| |V_m|_F is at most this has
+# finite amplitudes: every partial sum of e_k^T V_m is at most
+# |e_k| |V_m|_F, so forming it cannot pass the largest double.
+_FINITE_BOUND = 1e300
 # Krylov dimensions tried in turn on each basis; the last is the largest
 # basis ever held.
 KRYLOV_SIZES = (8, 16, 30)
@@ -84,15 +93,22 @@ def step_count(T: float, dt: float) -> int:
     return n_steps
 
 
-def held_bytes(dim: int, n_steps: int, tracked: int = 0) -> int:
-    """What propagate holds for a dim-state reach set over n_steps steps
-    with tracked track states: the Krylov basis (at most
-    KRYLOV_SIZES[-1] + 1 vectors) and a window of states, all complex,
-    its squared amplitudes and one temporary as reals, and per grid
-    point the time, P, <H_I> and each tracked occupation."""
+def held_bytes(dim: int, n_steps: int, tracked: int = 0, edge: int = 0) -> int:
+    """What propagate holds for a dim-state reach set, edge of them on
+    the edge, over n_steps steps with tracked track states, complex unless
+    said: the Krylov basis (at most KRYLOV_SIZES[-1] + 1 vectors) and the
+    state formed from it; one chunk of the basis's columns weighed three
+    ways for the forms, and the forms' products with each point of a run,
+    twice; the edge columns of the basis, and one run of edge rows with
+    their squares as reals; and per grid point, as reals, the time, P,
+    <H_I> and each tracked occupation."""
     points = n_steps + 1
-    rows = min(KRYLOV_SIZES[-1], dim) + 1 + 2 * min(points, WINDOW_CAP)
-    return 16 * rows * dim + 8 * (3 + tracked) * points
+    vectors = min(KRYLOV_SIZES[-1], dim) + 1
+    run = min(points, WINDOW_CAP)
+    return (16 * ((vectors + 1) * dim
+                  + 3 * vectors * (min(dim, FORM_CHUNK) + 2 * run)
+                  + vectors * edge)
+            + 24 * run * edge + 8 * (3 + tracked) * points)
 
 
 def expm(a) -> np.ndarray:
@@ -176,22 +192,24 @@ def _powers(f, count):
 
 
 def _krylov_stepper(matrix, dt):
-    """The advance(last, window) that propagate calls: it fills a run,
-    a prefix of window whose row k is exp(-i (k+1) dt H) last for the
-    sparse block H = matrix, and returns the run's length.
+    """The advance(last, offered) that propagate calls: it steps a run of
+    at most offered grid points from last under the sparse block
+    H = matrix and returns it as (e, v, beta), the state at point k of
+    the run, exp(-i (k+1) dt H) last, being beta e[k] @ v.
 
-    The run gets one Arnoldi basis V_m, grown from last, and the
-    Hessenberg H_m of -i dt H on it.  Row k of the run is
-    beta V_m^T F^(k+1) e_1, with beta the norm of last and F = expm(H_m),
-    so the whole run is one product with V_m.  m is the first of
-    KRYLOV_SIZES (up to the reach set's size) at which Saad's estimate
-    h_(m+1,m) |e_m^T F^(k+1) e_1| stays within KRYLOV_TOL at every point.
-    Past the largest the run is cut to the longest halving of it that
-    meets the estimate, and a single step that cannot is refused.  Later
-    runs start from the last m, no longer than the last run cut.  A basis
-    that spans the reach set, or an invariant subspace of it, is exact.
-    On an invariant line (m = 1) each point is its own scalar
-    exponential, so no rounding compounds.  A zero last fills the window.
+    The run gets one Arnoldi basis V_m (the rows of v), grown from last,
+    and the Hessenberg H_m of -i dt H on it.  Row k of e is F^(k+1) e_1,
+    with beta the norm of last and F = expm(H_m), so no state of the run
+    is formed here.  m is the first of KRYLOV_SIZES (up to the reach
+    set's size) at which Saad's estimate h_(m+1,m) |e_m^T F^(k+1) e_1|
+    stays within KRYLOV_TOL at every point.  Past the largest the run is
+    cut to the longest halving of it that meets the estimate, and a
+    single step that cannot is refused.  Later runs start from the last
+    m, no longer than the last run cut.  A basis that spans the reach
+    set, or an invariant subspace of it, is exact.  On an invariant line
+    (m = 1) each point is its own scalar exponential, so no rounding
+    compounds.  A zero last stays zero at every point offered.  v is a
+    view of the stepper's basis, which its next call overwrites.
     """
     dim = matrix.shape[0]
     norm = dt * float(abs(matrix).sum(axis=0).max())
@@ -206,14 +224,14 @@ def _krylov_stepper(matrix, dt):
     hess = np.zeros((sizes[-1] + 1, sizes[-1]), dtype=complex)
     span, first = WINDOW_CAP, 0
 
-    def advance(last, window):
+    def advance(last, offered):
         nonlocal span, first
-        count = min(span, len(window))
+        count = min(span, offered)
         peak = np.abs(last).max()
         if not peak:
             # underflowed to zero, and zero it stays
-            window[:] = 0.0
-            return len(window)
+            basis[0] = 0.0
+            return np.ones((offered, 1), dtype=complex), basis[:1], 1.0
         # the norm of last / peak, whose squares cannot overflow
         beta = peak * np.linalg.norm(last / peak)
         basis[0] = last / beta
@@ -249,12 +267,50 @@ def _krylov_stepper(matrix, dt):
                 )
             span = count
         first = index
-        rows = window[:count]
-        np.matmul(e[:count], basis[:m], out=rows)
-        rows *= beta
-        return count
+        return e[:count], basis[:m], beta
 
     return advance
+
+
+def _forms(v, weights):
+    """[G | W_1 | W_2 ...] for the rows v of a run's basis: G = v v^H and
+    W_j = v diag(weights[j]) v^H, each m x m.  They are summed over
+    FORM_CHUNK columns of v at a time, so no weighted copy of v is held
+    whole."""
+    m, dim = v.shape
+    forms = np.zeros((m, m * (1 + len(weights))), dtype=complex)
+    stack = np.empty((forms.shape[1], min(dim, FORM_CHUNK)), dtype=complex)
+    for lo in range(0, dim, FORM_CHUNK):
+        part = v[:, lo:lo + FORM_CHUNK]
+        chunk = stack[:, :part.shape[1]]
+        np.conjugate(part, out=chunk[:m])
+        for j, weight in enumerate(weights, start=1):
+            np.multiply(chunk[:m], weight[lo:lo + FORM_CHUNK],
+                        out=chunk[j * m:(j + 1) * m])
+        forms += part @ chunk.T
+    return forms
+
+
+def _run_series(e, v, beta, weights):
+    """At each point beta e[k] @ v of a run: the quadratic forms
+    beta^2 e[k]^T W conj(e[k]) of G and of each weighted W, and a bound on
+    every amplitude, beta |e[k]| |v|_F."""
+    forms = _forms(v, weights)
+    m = len(v)
+    products = (e @ forms).reshape(len(e), -1, m)
+    sums = np.vecdot(e[:, np.newaxis], products).real.T * beta * beta
+    bound = np.sqrt(np.vecdot(e, e).real * np.trace(forms[:, :m]).real) * beta
+    return (*sums, bound)
+
+
+def _edge_occupations(e, v, beta, edge):
+    """The largest occupation among the edge states (the columns edge of
+    the basis rows v) at each point beta e[k] @ v of a run."""
+    rows = e @ v[:, edge]
+    rows *= beta
+    squares = np.abs(rows)
+    squares **= 2
+    return np.max(squares, axis=1, initial=0.0)
 
 
 def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajectory:
@@ -263,18 +319,33 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     Only the states of h.basis that psi0 reaches through the nonzeros of
     H (keep) are evolved; every other amplitude stays exactly zero.  In a
     sector that is all of it, unless H is diagonal.  From grid point s,
-    _krylov_stepper is offered a window of min(s + 1, WINDOW_CAP) points
-    (fewer at the end of the grid) and fills a run of it from one Arnoldi
-    basis.  Each run is checked as soon as it is stepped, so a stop at
-    point k computes at most the run that holds the stop: no more than
-    min(2k+1, k+WINDOW_CAP) points.  The squared amplitudes of each run
-    are formed once, and the edge check, P(t),
-    <H_I>(t) = sum_n |psi_n|^2 H_I[n] and the occupations of the track
-    states are read from them; only those series and the final state
-    are kept.  H_I is read from h.h_i_diagonal before any step, so an
-    operator whose anti-Hermitian part is not diagonal raises ValueError
-    there.  A step the largest Krylov basis cannot take, a non-finite
-    dt*H and a step that underflows to zero raise ValueError.
+    _krylov_stepper is offered min(s + 1, WINDOW_CAP) points (fewer at
+    the end of the grid) and steps a run of them from one Arnoldi basis
+    V_m: the state at point k of the run is psi_k = beta e_k^T V_m.  Each
+    run is checked as soon as it is stepped, so a stop at point k steps
+    at most the run that holds the stop: no more than
+    min(2k+1, k+WINDOW_CAP) points.
+
+    Of a run's states only its last is formed.  Per run the m x m forms
+    G = V_m V_m^H, M = V_m diag(H_I) V_m^H and G_E (G summed over the edge
+    states alone) are summed once, and one product of the points' e_k
+    with them gives P(t) = beta^2 e_k^T G conj(e_k),
+    <H_I>(t) = sum_n |psi_n|^2 H_I[n] = beta^2 e_k^T M conj(e_k) and the
+    edge weight, beta^2 e_k^T G_E conj(e_k), which bounds every edge
+    occupation.  A run whose edge weight, rounding included, stays within
+    half of EDGE_OCCUPATION_LIMIT is cleared with no row formed; for any
+    other run the edge amplitudes alone are formed and checked against
+    the limit.  Every amplitude at point k is at most
+    beta |e_k| |V_m|_F, so a point is formed whole, and checked for
+    non-finite amplitudes, only where that bound nears the largest
+    double; P may overflow alone.  The tracked occupations come from
+    their own columns of V_m.  Only those series and the final state are
+    kept.
+
+    H_I is read from h.h_i_diagonal before any step, so an operator whose
+    anti-Hermitian part is not diagonal raises ValueError there.  A step
+    the largest Krylov basis cannot take, a non-finite dt*H and a step
+    that underflows to zero raise ValueError.
     """
     T = float(T)
     dt = float(dt)
@@ -292,9 +363,10 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     while not np.array_equal(grown := reach | (pattern @ reach), reach):
         reach = grown
     keep = np.flatnonzero(reach)
-    h_i_keep = h.h_i_diagonal[keep]
-
-    edge = (h.basis.occupations[keep] > h.basis.n_max - 2).any(axis=1)
+    on_edge = (h.basis.occupations[keep] > h.basis.n_max - 2).any(axis=1)
+    # the diagonals that weigh M and G_E
+    weights = (h.h_i_diagonal[keep], on_edge.astype(float))
+    edge = np.flatnonzero(on_edge)
     column = np.full(h.matrix.shape[0], -1)
     column[keep] = np.arange(len(keep))
     columns = column[tracked_index]
@@ -302,46 +374,52 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     norms = np.empty(n_steps + 1)
     h_i = np.empty(n_steps + 1)
     occupations = np.zeros((n_steps + 1, len(track)))
-    buffer = np.empty((min(n_steps + 1, WINDOW_CAP), len(keep)), dtype=complex)
-    squares = np.empty(buffer.shape)
     last = psi0[keep]
     start, end, aborted = 0, n_steps + 1, False
     with np.errstate(over="ignore", invalid="ignore"):
         advance = _krylov_stepper(h.matrix[keep][:, keep], dt)
         while start < end:
-            window = buffer[:min(start + 1, WINDOW_CAP, end - start)]
             if start:
-                window = window[:advance(last, window)]
+                e, v, beta = advance(last, min(start + 1, WINDOW_CAP, end - start))
             else:
-                window[0] = last
-            weights = np.abs(window, out=squares[:len(window)])
-            weights **= 2
-            bad = ~np.isfinite(window).all(axis=1)
-            occ = np.max(weights[:, edge], axis=1, initial=0.0)
-            hits = np.flatnonzero(bad | (occ > EDGE_OCCUPATION_LIMIT))
-            if hits.size:
-                i = hits[0]
-                k = start + i
-                if bad[i]:
+                e, v, beta = np.ones((1, 1), dtype=complex), last[np.newaxis], 1.0
+            p, h_i_run, edge_weight, bound = _run_series(e, v, beta, weights)
+            # the forms round by at most (dim + 2m) ulps of bound^2
+            count, m = e.shape
+            slack = (len(keep) + 2 * m) * np.finfo(float).eps * bound ** 2
+            stop = count
+            if not np.all(edge_weight + slack <= EDGE_OCCUPATION_LIMIT / 2):
+                occ = _edge_occupations(e, v, beta, edge)
+                hits = np.flatnonzero(occ > EDGE_OCCUPATION_LIMIT)
+                if hits.size:
+                    stop = hits[0]
+            for i in np.flatnonzero(~(bound[:stop + 1] <= _FINITE_BOUND)):
+                row = e[i] @ v
+                row *= beta
+                if not np.isfinite(row).all():
                     raise RuntimeError(
-                        f"non-finite amplitudes at t = {k * dt:.6g}; "
+                        f"non-finite amplitudes at t = {(start + i) * dt:.6g}; "
                         "growth overflowed the truncated basis"
                     )
+            if stop < count:
+                k = start + stop
                 where = f"at t = {k * dt:.6g}" if k else "in the initial state"
                 warnings.warn(
-                    f"edge occupation {float(occ[i]):.3g} {where} exceeds "
+                    f"edge occupation {float(occ[stop]):.3g} {where} exceeds "
                     f"{EDGE_OCCUPATION_LIMIT}; stopping early",
                     RuntimeWarning,
                 )
                 end, aborted = k + 1, True
-                window, weights = window[:i + 1], weights[:i + 1]
-            rows = slice(start, start + len(window))
-            norms[rows] = np.sum(weights, axis=1)
-            occupations[rows, inside] = weights[:, columns[inside]]
-            weights *= h_i_keep
-            h_i[rows] = np.sum(weights, axis=1)
-            last = window[-1].copy()
-            start += len(window)
+                count = stop + 1
+            rows = slice(start, start + count)
+            norms[rows] = p[:count]
+            h_i[rows] = h_i_run[:count]
+            amplitudes = e[:count] @ v[:, columns[inside]]
+            amplitudes *= beta
+            occupations[rows, inside] = np.abs(amplitudes) ** 2
+            last = e[count - 1] @ v
+            last *= beta
+            start += count
 
     return Trajectory(
         times=np.arange(end) * dt,

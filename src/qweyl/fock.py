@@ -217,13 +217,16 @@ class FockOperator:
 
 def build_h_eff(n_max: int, theta: float, mode: str, sector=None) -> FockOperator:
     """Effective Hamiltonian H0 + theta*H1 over FockBasis(n_max, sector), as
-    a sparse sum: it stores no zero (at theta = 0, only H0's diagonal), and
-    a -0.0 product on the diagonal as +0.0."""
+    a sparse sum: it stores no zero, and a -0.0 product on the diagonal as
+    +0.0.  At theta = 0 that sum is H0's diagonal alone, so H1 is not
+    built."""
     check_mode(mode)
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     h0 = sp.diags_array(h0_diagonal(n_max, sector).astype(complex), format="csr")
+    if theta == 0:
+        return FockOperator(matrix=h0, basis=FockBasis(n_max, sector))
     with np.errstate(over="ignore", invalid="ignore"):
         matrix = h0 + theta * build_h1_matrix(n_max, mode, sector)
     if not np.all(np.isfinite(matrix.data)):

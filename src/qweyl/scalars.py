@@ -22,9 +22,11 @@ def _as_part(x):
         return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):
-        return int(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+    try:
+        # the integer rule of every key and code reader
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"expected int or Fraction, got {type(x).__name__}") from None
 
 
 class GaussRat:

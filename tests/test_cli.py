@@ -20,6 +20,7 @@ from hypothesis import given, strategies as st
 from qweyl import cli
 from qweyl.algebra import defining_relations
 from qweyl.cli import (
+    FIXED_BYTES,
     ConfigError,
     RunConfig,
     default_out,
@@ -29,7 +30,7 @@ from qweyl.cli import (
     run_bytes,
     validate_config,
 )
-from qweyl.dynamics import KRYLOV_SIZES, WINDOW_CAP, held_bytes
+from qweyl.dynamics import FORM_CHUNK, KRYLOV_SIZES, WINDOW_CAP, held_bytes
 from qweyl.fock import EVEN, FockBasis, build_h1_matrix, build_h_eff, sparsity_pattern
 
 
@@ -230,38 +231,50 @@ class TestExitCodes:
         assert not list(tmp_path.iterdir())
 
     def test_oversized_cutoff_estimate(self, tmp_path, monkeypatch, capsys):
-        # arithmetic only: the build of the operator the command builds at
-        # 7 entries per column of 56 bytes, plus what it holds.  spectrum
-        # builds one parity sector at a time and is charged the largest,
-        # the even one ((n_max//2 + 1)^3 states), as its sparse build, as a
-        # dense complex block and LAPACK's copy of it, and as 512 complex
-        # values per column for LAPACK's workspace and BLAS's buffers
+        # arithmetic only: 4 MiB of fixed costs, the build of the operator
+        # the command builds at 7 entries per column of 56 bytes, plus what
+        # it holds.  spectrum builds one parity sector at a time and is
+        # charged the largest, the even one ((n_max//2 + 1)^3 states), as
+        # its sparse build, as a dense complex block and LAPACK's copy of
+        # it, and as 512 complex values per column for LAPACK's workspace
+        # and BLAS's buffers
+        assert FIXED_BYTES == 4_194_304
         assert FockBasis(6, EVEN).dim == 64 and FockBasis(30, EVEN).dim == 4_096
-        assert run_bytes(64, 16 * 64 * (2 * 64 + 512)) == 680_448 == (
-            7 * 64 * 56 + 16 * 64 * 640)
-        assert run_bytes(4_096, 16 * 4_096 * (2 * 4_096 + 512)) == 572_030_976
+        assert run_bytes(64, 16 * 64 * (2 * 64 + 512)) == 4_874_752 == (
+            FIXED_BYTES + 7 * 64 * 56 + 16 * 64 * 640)
+        assert run_bytes(4_096, 16 * 4_096 * (2 * 4_096 + 512)) == 576_225_280
         # evolve: the Krylov basis (one more vector than its largest size,
-        # never more than the reach set's states), one window of states,
-        # never more points than the run has, and beside it its squared
-        # amplitudes and one temporary of their size (as reals, together
-        # a second window), and per point the time, P, <H_I> and each
-        # tracked occupation
+        # never more than the reach set's states) and the state formed from
+        # it; one chunk of at most FORM_CHUNK basis columns weighed three
+        # ways for the quadratic forms, and the forms' products with each
+        # point of a run (never more points than the run has), twice; the
+        # basis's edge columns, and one run of edge rows beside their
+        # squares as reals; and per point the time, P, <H_I> and each
+        # tracked occupation.  No window of states is charged.
         assert KRYLOV_SIZES[-1] == 30 and 11 < WINDOW_CAP < 5_001
-        assert held_bytes(64, 10) == 16 * (31 * 64 + 2 * 11 * 64) + 8 * 3 * 11
-        assert held_bytes(64, 5_000) == (
-            16 * (31 * 64 + 2 * WINDOW_CAP * 64) + 8 * 3 * 5_001)
-        assert held_bytes(4_096, 5_000, 4) == (
-            16 * (31 + 2 * WINDOW_CAP) * 4_096 + 8 * 7 * 5_001)
+        assert 64 < FORM_CHUNK <= 4_096
+        assert held_bytes(64, 10) == (
+            16 * (32 * 64 + 3 * 31 * (64 + 2 * 11)) + 8 * 3 * 11)
+        assert held_bytes(64, 5_000, edge=37) == (
+            16 * (32 * 64 + 3 * 31 * (64 + 2 * WINDOW_CAP) + 31 * 37)
+            + 24 * WINDOW_CAP * 37 + 8 * 3 * 5_001)
+        assert held_bytes(4_096, 5_000, 4, 721) == (
+            16 * (32 * 4_096 + 3 * 31 * (FORM_CHUNK + 2 * WINDOW_CAP) + 31 * 721)
+            + 24 * WINDOW_CAP * 721 + 8 * 7 * 5_001)
         # evolve builds the even sector too; a decay run at n_max=30 evolves
-        # one amplitude of it, on a two-vector basis: about 1.8 MiB, where
-        # (steps + 1) even-sector states made it 573 MiB
+        # one amplitude of it, on a two-vector basis: about 5.7 MiB with
+        # the fixed costs, where (steps + 1) even-sector states made it
+        # 573 MiB
         assert run_bytes(4_096, held_bytes(1, 5_000)) == (
-            7 * 4_096 * 56 + 16 * (2 + 2 * WINDOW_CAP) + 8 * 3 * 5_001)
+            FIXED_BYTES + 7 * 4_096 * 56 + 16 * (3 + 3 * 2 * (1 + 2 * WINDOW_CAP))
+            + 8 * 3 * 5_001)
+        # the even sector's edge at n_max 30: the states with some n_j = 30
+        assert FockBasis(30, EVEN).dim - FockBasis(28, EVEN).dim == 721
         # the commands charge these at n_max 30 (evolve's series twice)
         monkeypatch.setattr(cli, "available_memory", lambda: 0)
-        for argv, need in ((["spectrum"], 572_030_976),
-                           (["evolve"], 1_605_632 + held_bytes(4_096, 5_000, 4)
-                            + 8 * 7 * 5_001)):
+        for argv, need in ((["spectrum"], 576_225_280),
+                           (["evolve"], FIXED_BYTES + 1_605_632
+                            + held_bytes(4_096, 5_000, 4, 721) + 8 * 7 * 5_001)):
             assert main([*argv, "--nmax", "30", "--out", str(tmp_path)]) == 2
             err = capsys.readouterr().err
             assert f"needs at least {need / 2 ** 20:.1f} MiB" in err
@@ -279,7 +292,8 @@ class TestExitCodes:
     def test_build_peaks_within_its_charge(self, n_max):
         # the builds the commands are charged for, temporaries and kept
         # operator together: the even sector's H_eff (spectrum, evolve;
-        # theta = 0 peaks highest) and the box's H1 (mixing)
+        # theta = 0 builds no H1) and the box's H1 (mixing), within the
+        # charge less the fixed costs
         builds = [(EVEN, lambda t=theta: build_h_eff(n_max, t, "paper", EVEN))
                   for theta in (0.0, 0.01)]
         builds.append((None, lambda: build_h1_matrix(n_max, "paper")))
@@ -290,7 +304,7 @@ class TestExitCodes:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert 0 < peak <= run_bytes(FockBasis(n_max, sector).dim, 0), sector
+            assert 0 < peak <= run_bytes(FockBasis(n_max, sector).dim, 0) - FIXED_BYTES, sector
 
     def test_interior_scan_holds_no_more_than_its_charge(self):
         # as cmd_mixing runs it: on a new basis, whose occupation table

@@ -139,11 +139,11 @@ def point_spy(monkeypatch):
         advance = stepper(matrix, dt)
         calls.append([])
 
-        def counted(last, window):
-            calls[-1].append((len(window), None))
-            filled = advance(last, window)
-            calls[-1][-1] = (len(window), filled)
-            return filled
+        def counted(last, offered):
+            calls[-1].append((offered, None))
+            run = advance(last, offered)
+            calls[-1][-1] = (offered, len(run[0]))
+            return run
 
         return counted
 
@@ -633,6 +633,24 @@ class TestAbortSemantics:
         assert "at t = 8;" in str(raised.value)
         assert stepped(point_spy[0]) <= 2 * 8
 
+    def test_overflowing_norm_alone_does_not_raise(self):
+        # the same growth to t = 7: P overflows from t = 4 (e^800 past the
+        # largest double), while the amplitude, e^700 at t = 7, stays finite
+        # where its bound passes 1e300 and the state is formed to check it
+        basis = FockBasis(2)
+        grow = FockOperator(
+            matrix=sp.diags_array(np.full(basis.dim, 100.0j), format="csr"),
+            basis=basis,
+        )
+        psi0 = basis.vector((0, 0, 0))
+        _, states, message = reference_propagate(grow, psi0, 7.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = propagate(grow, psi0, T=7.0, dt=1.0)
+        assert message is None and not traj.edge_aborted
+        assert np.all(np.isfinite(traj.norms[:4])) and np.all(traj.norms[4:] == np.inf)
+        assert abs(traj.states[0, 0] / states[-1, 0] - 1) <= 1e-12
+
 
 class TestBlockSteps:
     """Krylov steps of the reach set's sparse block against scipy's dense
@@ -882,9 +900,10 @@ class TestSectors:
 
 class TestStreaming:
     def test_peak_memory_flat_in_steps(self):
-        # doubling T at fixed dt adds 2,000 points of series (24 bytes
-        # each), never stored states: the traced peak grows by less than
-        # one window of states
+        # doubling T at fixed dt adds 2,000 points of series (P and <H_I>,
+        # 16 bytes each), never stored states, and neither run holds one
+        # window of states (WINDOW_CAP rows over keep): only the basis, the
+        # forms and the short vectors e_k of one run
         h = build_h_eff(10, 0.01, "paper")
         _, psi0 = ground(10)
         propagate(h, psi0, T=0.01, dt=1e-3)
@@ -898,7 +917,64 @@ class TestStreaming:
                 tracemalloc.stop()
             assert not traj.edge_aborted
         window = WINDOW_CAP * len(traj.keep) * 16
-        assert peaks[1] - peaks[0] < window, peaks
+        assert max(peaks) < window, peaks
+        assert peaks[1] - peaks[0] < 2_000 * 24, peaks
+
+
+class TestEdgeScreen:
+    """A run is cleared by its summed edge weight, and edge rows are
+    formed only for a run that weight does not clear."""
+
+    @staticmethod
+    def spy_on_edge_rows(monkeypatch):
+        """The largest edge occupations of each run whose edge rows are
+        formed, one array per run."""
+        formed = []
+        occupations = dynamics._edge_occupations
+
+        def spy(e, v, beta, edge):
+            formed.append(occupations(e, v, beta, edge))
+            return formed[-1]
+
+        monkeypatch.setattr(dynamics, "_edge_occupations", spy)
+        return formed
+
+    def test_rows_formed_where_the_edge_weight_does_not_clear(self, monkeypatch):
+        # n_max 6, theta 0.05 rederived to T = 0.44: the last run's edge
+        # weight passes half the limit while no edge state reaches even
+        # that, so the run forms its edge rows and goes on
+        formed = self.spy_on_edge_rows(monkeypatch)
+        h = build_h_eff(6, 0.05, "rederived", EVEN)
+        psi0 = h.basis.vector((0, 0, 0))
+        _, states, message = reference_propagate(h, psi0, 0.44, 1e-3)
+        assert message is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = propagate(h, psi0, T=0.44, dt=1e-3, track=TRACKED)
+        assert not traj.edge_aborted and len(traj.times) == 441
+        assert_streams_match(traj, h, states)
+        # the one run formed holds points 255 .. 440
+        assert [len(occ) for occ in formed] == [186]
+        edge = (h.basis.occupations > 4).any(axis=1)
+        largest = np.max(np.abs(states[255:, edge]) ** 2, axis=1)
+        assert np.max(np.abs(formed[0] - largest)) <= 1e-12
+        assert np.max(largest) < EDGE_OCCUPATION_LIMIT / 2
+
+    def test_evolve_defaults_form_no_edge_rows(self, monkeypatch, tmp_path):
+        formed = self.spy_on_edge_rows(monkeypatch)
+        assert cli.main(["evolve", "--out", str(tmp_path)]) == 0
+        assert formed == []
+
+    def test_edge_abort_forms_the_rows_it_reads(self, monkeypatch):
+        # the stop at t = 0.513 (n_max 6, theta 0.05 rederived) is found in
+        # the edge rows of the two runs the weight does not clear, the
+        # second the 490 points from 511 to the end of the grid
+        formed = self.spy_on_edge_rows(monkeypatch)
+        h = build_h_eff(6, 0.05, "rederived", EVEN)
+        traj = quiet_propagate(h, h.basis.vector((0, 0, 0)), T=1.0, dt=1e-3)
+        assert traj.edge_aborted and len(traj.times) == 514
+        assert [len(occ) for occ in formed] == [256, 490]
+        assert np.flatnonzero(formed[1] > EDGE_OCCUPATION_LIMIT)[0] == 513 - 511
 
 
 class TestKrylovStep:

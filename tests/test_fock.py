@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from qweyl import fock
 from qweyl.algebra import d_code, x_code
-from qweyl.cli import _json_default, run_bytes
+from qweyl.cli import FIXED_BYTES, _json_default, run_bytes
 from qweyl.dynamics import propagate
 from qweyl.effective import hamiltonian_operator
 from qweyl.fock import (
@@ -194,6 +194,21 @@ def test_h_eff_at_theta_zero_is_exactly_diagonal():
     basis = h.basis
     n = (2, 1, 0)
     assert h.matrix[basis.index(n), basis.index(n)] == 4.5
+
+
+def test_h_eff_at_theta_zero_builds_no_h1(monkeypatch):
+    # every coupling of theta*H1 is zero there, so H1 is not built; the
+    # bits are test_h_eff_is_the_dense_sum's
+    calls = []
+    build = fock.build_h1_matrix
+    monkeypatch.setattr(fock, "build_h1_matrix",
+                        lambda *args: calls.append(args) or build(*args))
+    for theta in (0.0, -0.0, 0):
+        for sector in (None, EVEN):
+            build_h_eff(6, theta, "paper", sector)
+    assert calls == []
+    build_h_eff(6, 0.01, "rederived", EVEN)
+    assert calls == [(6, "rederived", EVEN)]
 
 
 @pytest.mark.parametrize("n_max", [1, 4, 8])
@@ -451,7 +466,7 @@ def test_largest_sector_matches_run_bytes():
         assert max(sizes) == sizes[0] == (n_max // 2 + 1) ** 3
         assert FockBasis(n_max, EVEN).dim == sizes[0]
         nnz = build_h_eff(n_max, 0.01, "paper", EVEN).matrix.nnz
-        assert run_bytes(sizes[0], 0) == 7 * sizes[0] * 56 >= nnz * 24
+        assert run_bytes(sizes[0], 0) - FIXED_BYTES == 7 * sizes[0] * 56 >= nnz * 24
 
 
 def test_mixing_amplitudes_from_ground_state():

@@ -3,6 +3,7 @@ import operator
 from contextlib import contextmanager
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -130,6 +131,21 @@ def test_gaussrat_division_never_floats():
     assert type(GaussRat(True).re) is int
     with pytest.raises(TypeError):
         GaussRat(0.5)
+
+
+def test_parts_follow_the_integer_rule():
+    # a part is read by operator.index, as every key and code is: a numpy
+    # integer is the plain int it holds, and a float is refused
+    two = GaussRat(np.int64(2), np.int32(-1))
+    assert two == GaussRat(2, -1)
+    assert type(two.re) is int and type(two.im) is int
+    assert QScalar({0: np.int64(2)}) == QScalar({0: 2})
+    assert QScalar({np.int64(2): 1}) == QScalar.from_q_power(2)
+    for part in (0.5, 2.0, np.float64(2.0), "2"):
+        with pytest.raises(TypeError, match="expected int or Fraction"):
+            GaussRat(part)
+        with pytest.raises(TypeError, match="expected int or Fraction"):
+            QScalar({0: part})
 
 
 @contextmanager

@@ -107,6 +107,13 @@ def runs(config: str) -> list:
     out.append(("evolve-abort-in-halved-window", ["evolve", "--nmax", "8",
                                                   "--theta", "0.05", "--dt",
                                                   "0.25", "--T", "50"]))
+    # a run whose summed edge weight passes half the edge limit while no
+    # edge state does, so its edge amplitudes are formed and checked
+    out.append(("evolve-edge-rows-formed", ["evolve", "--mode", "rederived",
+                                            "--theta", "0.05", "--nmax", "6",
+                                            "--T", "0.44", "--dt", "0.001"]))
+    # a 4,096-state even sector, with runs of up to 512 points
+    out.append(("evolve-n30", ["evolve", "--nmax", "30", "--T", "1"]))
     # a 100,001-row CSV through the streamed rows, with a one-amplitude
     # reach set, and the decay oracle at the largest routine cutoff
     out.append(("evolve-theta0-long", ["evolve", "--theta", "0", "--nmax", "4",
