@@ -397,11 +397,11 @@ def cmd_evolve(config: RunConfig, args) -> dict:
     # the evolved states on the edge (some n_j > n_max - 2); the ground
     # state alone is one only below n_max 2
     edge = int(config.n_max < 2) if evolved == 1 else even.dim - (config.n_max // 2) ** 3
-    # beyond what propagate holds, its series are held once more per
-    # point: as the CSV table, or as the decay law, the deviation from it
-    # and the deviation's magnitude
-    series = 8 * (3 + len(tracked)) * (n_steps + 1)
-    _ensure_fits(even, held_bytes(evolved, n_steps, len(tracked), edge) + series)
+    # beyond what propagate holds, the checks hold at most two reals per
+    # point: the norm-flow difference and its temporary (the decay law is
+    # worked in one array); trajectory.csv is streamed from the series
+    checks = 16 * (n_steps + 1)
+    _ensure_fits(even, held_bytes(evolved, n_steps, len(tracked), edge) + checks)
     psi0 = even.vector((0, 0, 0))
     if decay:
         alphas = sorted({0.1, 0.5, 1.0, config.alpha})
@@ -414,10 +414,14 @@ def cmd_evolve(config: RunConfig, args) -> dict:
             except ValueError as exc:
                 # a huge alpha*dt underflows the step propagator
                 raise ConfigError(str(exc)) from None
-            exact = np.exp(-2.0 * alpha * traj.times)
-            deviation = float(np.max(np.abs(traj.norms - exact)))
+            dev = traj.times * (-2.0 * alpha)
+            np.exp(dev, out=dev)
+            dev -= traj.norms
+            deviation = float(np.max(np.abs(dev, out=dev)))
             # an edge abort leaves the law checked on too few points
             row_ok = deviation <= DECAY_LIMIT and not traj.edge_aborted
+            # neither outlives its alpha: the next one is propagated alone
+            del traj, dev
             ok = ok and row_ok
             rows.append({"alpha": alpha, "max_abs_deviation": deviation, "ok": row_ok})
         return {"decay_table": rows, "threshold": DECAY_LIMIT, "ok": ok}
@@ -438,8 +442,8 @@ def cmd_evolve(config: RunConfig, args) -> dict:
         rate = initial_norm_rate(traj)
     header = ["t", "p", "re_h_i"] + [
         "occ_" + "_".join(map(str, s)) for s in traj.tracked]
-    columns = [traj.times, traj.norms, traj.h_i, *traj.tracked.values()]
-    rows = (row.tolist() for row in np.column_stack(columns))
+    rows = ([t, *row.tolist()]
+            for t, row in zip(map(float, traj.times), traj.series))
     return {
         "method": "matrix-exponential",
         "points": int(len(traj.times)),

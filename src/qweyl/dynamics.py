@@ -65,13 +65,15 @@ class Trajectory:
     """Uniform-grid evolution record.  keep lists the indices into h.basis
     (the box, or the sector H is built on) that the initial state reaches
     through the nonzeros of H; every other amplitude is exactly zero.
-    norms is P(t) and h_i is <H_I>(t) on the grid, tracked maps each
-    state passed as track to its occupation on the grid, and states holds
-    only the final point, one row over keep."""
+    series holds one row per grid point: P(t), <H_I>(t) and the
+    occupation of each state passed as track.  norms, h_i and the values
+    of tracked (keyed by those states) are views of its columns, and
+    states holds only the final point, one row over keep."""
 
     times: np.ndarray
     keep: np.ndarray
     states: np.ndarray
+    series: np.ndarray
     norms: np.ndarray
     h_i: np.ndarray
     tracked: dict
@@ -100,8 +102,8 @@ def held_bytes(dim: int, n_steps: int, tracked: int = 0, edge: int = 0) -> int:
     state formed from it; one chunk of the basis's columns weighed three
     ways for the forms, and the forms' products with each point of a run,
     twice; the edge columns of the basis, and one run of edge rows with
-    their squares as reals; and per grid point, as reals, the time, P,
-    <H_I> and each tracked occupation."""
+    their squares as reals; and per grid point, as reals, the time and
+    one row of the series array: P, <H_I> and each tracked occupation."""
     points = n_steps + 1
     vectors = min(KRYLOV_SIZES[-1], dim) + 1
     run = min(points, WINDOW_CAP)
@@ -339,8 +341,8 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     beta |e_k| |V_m|_F, so a point is formed whole, and checked for
     non-finite amplitudes, only where that bound nears the largest
     double; P may overflow alone.  The tracked occupations come from
-    their own columns of V_m.  Only those series and the final state are
-    kept.
+    their own columns of V_m.  Only those series, the columns of one
+    array, and the final state are kept.
 
     H_I is read from h.h_i_diagonal before any step, so an operator whose
     anti-Hermitian part is not diagonal raises ValueError there.  A step
@@ -371,9 +373,7 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     column[keep] = np.arange(len(keep))
     columns = column[tracked_index]
     inside = np.flatnonzero(columns >= 0)
-    norms = np.empty(n_steps + 1)
-    h_i = np.empty(n_steps + 1)
-    occupations = np.zeros((n_steps + 1, len(track)))
+    series = np.zeros((n_steps + 1, 2 + len(track)))
     last = psi0[keep]
     start, end, aborted = 0, n_steps + 1, False
     with np.errstate(over="ignore", invalid="ignore"):
@@ -412,22 +412,24 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
                 end, aborted = k + 1, True
                 count = stop + 1
             rows = slice(start, start + count)
-            norms[rows] = p[:count]
-            h_i[rows] = h_i_run[:count]
+            series[rows, 0] = p[:count]
+            series[rows, 1] = h_i_run[:count]
             amplitudes = e[:count] @ v[:, columns[inside]]
             amplitudes *= beta
-            occupations[rows, inside] = np.abs(amplitudes) ** 2
+            series[rows, 2 + inside] = np.abs(amplitudes) ** 2
             last = e[count - 1] @ v
             last *= beta
             start += count
 
+    series = series[:end]
     return Trajectory(
         times=np.arange(end) * dt,
         keep=keep,
         states=last[np.newaxis],
-        norms=norms[:end],
-        h_i=h_i[:end],
-        tracked=dict(zip(track, occupations[:end].T)),
+        series=series,
+        norms=series[:, 0],
+        h_i=series[:, 1],
+        tracked=dict(zip(track, series[:, 2:].T)),
         dt=dt,
         edge_aborted=aborted,
     )

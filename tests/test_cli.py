@@ -270,11 +270,12 @@ class TestExitCodes:
             + 8 * 3 * 5_001)
         # the even sector's edge at n_max 30: the states with some n_j = 30
         assert FockBasis(30, EVEN).dim - FockBasis(28, EVEN).dim == 721
-        # the commands charge these at n_max 30 (evolve's series twice)
+        # the commands charge these at n_max 30 (evolve's checks two reals
+        # per point beside what propagate holds)
         monkeypatch.setattr(cli, "available_memory", lambda: 0)
         for argv, need in ((["spectrum"], 576_225_280),
                            (["evolve"], FIXED_BYTES + 1_605_632
-                            + held_bytes(4_096, 5_000, 4, 721) + 8 * 7 * 5_001)):
+                            + held_bytes(4_096, 5_000, 4, 721) + 16 * 5_001)):
             assert main([*argv, "--nmax", "30", "--out", str(tmp_path)]) == 2
             err = capsys.readouterr().err
             assert f"needs at least {need / 2 ** 20:.1f} MiB" in err
@@ -327,11 +328,17 @@ class TestExitCodes:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the resident sizes from /proc/self/status")
-    @pytest.mark.parametrize("command", ["spectrum", "evolve"])
-    def test_run_grows_no_more_than_its_charge(self, command, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--nmax", "20"],
+        ["evolve", "--nmax", "20"],
+        ["evolve", "--decay-oracle", "--nmax", "4", "--T", "30", "--dt", "1e-4"],
+        ["evolve", "--theta", "0", "--nmax", "4", "--T", "30", "--dt", "1e-4"],
+    ], ids=["spectrum", "evolve", "evolve-decay-long", "evolve-theta0-long"])
+    def test_run_grows_no_more_than_its_charge(self, argv, tmp_path):
         # a fresh process at n_max 20, the smallest cutoff at which the
         # charge outgrows the few MiB of fixed costs (caches, LAPACK's
-        # setup): its peak RSS after main (VmHWM, which unlike ru_maxrss
+        # setup), or over 300,001 points, where the per-point series
+        # dominate: its peak RSS after main (VmHWM, which unlike ru_maxrss
         # does not carry over the parent's peak), less its RSS before
         # (VmRSS), is at most what _ensure_fits charged
         code = (
@@ -351,8 +358,7 @@ class TestExitCodes:
             "print(kib('VmHWM') - before, *charges)\n"
         )
         done = subprocess.run(
-            [sys.executable, "-c", code, command, "--nmax", "20",
-             "--out", str(tmp_path)],
+            [sys.executable, "-c", code, *argv, "--out", str(tmp_path)],
             capture_output=True, text=True, check=True)
         growth, charged = map(int, done.stdout.split()[-2:])
         assert 0 < growth <= charged, (growth / 2 ** 20, charged / 2 ** 20)
@@ -362,10 +368,10 @@ class TestExitCodes:
     ])
     def test_evolve_is_charged_its_series(self, argv, series, tmp_path,
                                           monkeypatch, capsys):
-        # 100,001 points of one evolved amplitude: propagate's series and
-        # the CSV table (or the decay law and its deviations) dwarf the
-        # 4 MiB available, which the operator, the two-vector basis and one
-        # window fit into
+        # 100,001 points of one evolved amplitude: propagate's series (the
+        # time, P, <H_I> and each tracked occupation, held once) and the
+        # checks' two reals per point dwarf the 4 MiB available, which the
+        # operator, the two-vector basis and one window fit into
         monkeypatch.setattr(cli, "available_memory", lambda: 4 * 2 ** 20)
         assert main([*argv, "--nmax", "4", "--T", "10", "--dt", "1e-4",
                      "--out", str(tmp_path)]) == 2
@@ -373,9 +379,9 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: nmax=4 needs at least ")
         need = err[0].split("needs at least ")[1].split(" MiB")[0]
         charged = run_bytes(FockBasis(4, EVEN).dim, held_bytes(1, 100_000, series - 3)
-                            + 8 * series * 100_001)
+                            + 16 * 100_001)
         assert need == f"{charged / 2 ** 20:.1f}"
-        assert float(need) >= 2 * 8 * series * 100_001 / 2 ** 20
+        assert float(need) >= (8 * series + 16) * 100_001 / 2 ** 20
         assert not list(tmp_path.iterdir())
 
     def test_evolve_too_many_points_is_two(self, tmp_path, capsys):

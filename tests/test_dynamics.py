@@ -110,8 +110,12 @@ def assert_streams_match(traj, h, states):
     ones computed row by row from the reference loop's states, which
     carry their own stepping round-off; <H_I> is also held to round-off of
     the full expectation <psi|H_I|psi>, and the times are the grid's, bit
-    for bit."""
+    for bit.  norms, h_i and the tracked occupations are views of the
+    columns of series, in that order, the order of trajectory.csv."""
     keep = traj.keep
+    named = [traj.norms, traj.h_i, *traj.tracked.values()]
+    assert np.array_equal(traj.series, np.column_stack(named))
+    assert all(np.shares_memory(series, traj.series) for series in named)
     weights = np.abs(states) ** 2
     assert np.array_equal(traj.times, np.arange(len(states)) * traj.dt)
     assert np.max(np.abs(traj.norms - np.sum(weights, axis=1))) <= 1e-12

@@ -119,6 +119,9 @@ def runs(config: str) -> list:
     out.append(("evolve-theta0-long", ["evolve", "--theta", "0", "--nmax", "4",
                                        "--T", "10", "--dt", "1e-4"]))
     out.append(("evolve-decay-n30", ["evolve", "--decay-oracle", "--nmax", "30"]))
+    # the decay law's deviation, worked in place, over 300,001 points
+    out.append(("evolve-decay-long", ["evolve", "--decay-oracle", "--nmax", "4",
+                                      "--T", "30", "--dt", "1e-4"]))
     # the symbolic benchmark's degree; every verify-algebra report carries
     # non-zero normal forms as the reduced symplectic residuals
     out.append(("verify-algebra-degree8", ["verify-algebra", "--degree", "8"]))

@@ -5,7 +5,8 @@ Usage: python tools/edge_escape.py [n_max ...]
 For every cutoff (default 8, 10, ..., 40), both theta values in THETAS and
 both modes, evolves the ground state of the working tree's truncated H_eff
 with `dynamics.propagate` at dt = DT until the edge guard stops it (an
-edge state holds more than EDGE_OCCUPATION_LIMIT of the norm), and prints
+edge state's occupation |psi_n|^2 passes EDGE_OCCUPATION_LIMIT, an
+absolute occupation rather than a share of the norm P), and prints
 a markdown table of the stop time t_edge and the squared norm P(t_edge)
 there; a run that reaches T_MAX without stopping shows `>T_MAX` and P at
 T_MAX.  Then, for each theta and mode that stopped at three cutoffs or
