@@ -390,18 +390,12 @@ def cmd_evolve(config: RunConfig, args) -> dict:
     n_steps = step_count(config.t_final, config.dt)
     decay = args.decay_oracle
     tracked = [] if decay else [s for s in TRACKED_STATES if max(s) <= config.n_max]
-    # H is built on the even sector; it is diagonal under the decay oracle
-    # and at theta = 0, where the ground state evolves alone
     even = FockBasis(config.n_max, EVEN)
-    evolved = 1 if decay or config.theta == 0 else even.dim
-    # the evolved states on the edge (some n_j > n_max - 2); the ground
-    # state alone is one only below n_max 2
-    edge = int(config.n_max < 2) if evolved == 1 else even.dim - (config.n_max // 2) ** 3
     # beyond what propagate holds, the checks hold at most two reals per
     # point: the norm-flow difference and its temporary (the decay law is
     # worked in one array); trajectory.csv is streamed from the series
     checks = 16 * (n_steps + 1)
-    _ensure_fits(even, held_bytes(evolved, n_steps, len(tracked), edge) + checks)
+    _ensure_fits(even, held_bytes(even, n_steps, len(tracked)) + checks)
     psi0 = even.vector((0, 0, 0))
     if decay:
         alphas = sorted({0.1, 0.5, 1.0, config.alpha})

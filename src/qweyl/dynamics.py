@@ -4,20 +4,21 @@ Solves i dpsi/dt = H psi without renormalizing: the squared norm P(t)
 is the observable, and its flow obeys dP/dt = 2<H_I> with H_I the
 Hermitian generator of the anti-Hermitian part, which FockOperator
 checks is diagonal, so P, <H_I> and the occupations are all weighted
-sums of the squared amplitudes |psi_n|^2.  The states the initial one
-reaches are stepped by one Krylov method (Saad, SIAM J. Numer. Anal.
-29(1), 1992; Hochbruck & Lubich, SIAM J. Numer. Anal. 34(5), 1997): an
-Arnoldi basis V_m of their sparse block, grown from the state before a
-run of grid points, reduces -i dt H to a small Hessenberg matrix; expm
-exponentiates that, and its powers step the run as short vectors e_k,
-psi_k = beta V_m^T e_k.  So every weighted sum of |psi_n|^2 is a small
-quadratic form in e_k, and no state of a run but its last is formed.
-Probability pumped into the cutoff edge is an artifact of truncation, so
-evolution stops with a warning as soon as any edge state (some
-n_j > n_max - 2, so its same-parity neighbour along axis j is cut off)
-holds more than a threshold occupation; the edge amplitudes are formed
-only for a run whose summed edge weight does not clear it.  Non-finite
-amplitudes abort outright.
+sums of the squared amplitudes |psi_n|^2.  The states of the
+operator's basis are stepped by one Krylov method (Saad, SIAM J. Numer.
+Anal. 29(1), 1992; Hochbruck & Lubich, SIAM J. Numer. Anal. 34(5),
+1997): an Arnoldi basis V_m, grown from the state before a run of grid
+points, reduces -i dt H to a small Hessenberg matrix and stops short at
+an invariant subspace, so a diagonal H steps one basis state on one
+vector; expm exponentiates that, and its powers step the run as short
+vectors e_k, psi_k = beta V_m^T e_k.  So every weighted sum of
+|psi_n|^2 is a small quadratic form in e_k, and no state of a run but
+its last is formed.  Probability pumped into the cutoff edge is an
+artifact of truncation, so evolution stops with a warning as soon as
+any edge state (some n_j > n_max - 2, so its same-parity neighbour
+along axis j is cut off) holds more than a threshold occupation; the
+edge amplitudes are formed only for a run whose summed edge weight does
+not clear it.  Non-finite amplitudes abort outright.
 """
 
 from __future__ import annotations
@@ -62,16 +63,13 @@ _PADE_COEFFS = (64764752532480000, 32382376266240000, 7771770303897600,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid evolution record.  keep lists the indices into h.basis
-    (the box, or the sector H is built on) that the initial state reaches
-    through the nonzeros of H; every other amplitude is exactly zero.
-    series holds one row per grid point: P(t), <H_I>(t) and the
-    occupation of each state passed as track.  norms, h_i and the values
-    of tracked (keyed by those states) are views of its columns, and
-    states holds only the final point, one row over keep."""
+    """Uniform-grid evolution record.  series holds one row per grid
+    point: P(t), <H_I>(t) and the occupation of each state passed as
+    track.  norms, h_i and the values of tracked (keyed by those states)
+    are views of its columns, and states holds only the final point, one
+    row over h.basis (the box, or the sector H is built on)."""
 
     times: np.ndarray
-    keep: np.ndarray
     states: np.ndarray
     series: np.ndarray
     norms: np.ndarray
@@ -95,15 +93,21 @@ def step_count(T: float, dt: float) -> int:
     return n_steps
 
 
-def held_bytes(dim: int, n_steps: int, tracked: int = 0, edge: int = 0) -> int:
-    """What propagate holds for a dim-state reach set, edge of them on
-    the edge, over n_steps steps with tracked track states, complex unless
-    said: the Krylov basis (at most KRYLOV_SIZES[-1] + 1 vectors) and the
-    state formed from it; one chunk of the basis's columns weighed three
-    ways for the forms, and the forms' products with each point of a run,
-    twice; the edge columns of the basis, and one run of edge rows with
-    their squares as reals; and per grid point, as reals, the time and
-    one row of the series array: P, <H_I> and each tracked occupation."""
+def held_bytes(basis: FockBasis, n_steps: int, tracked: int = 0) -> int:
+    """What propagate holds for an operator on basis over n_steps steps
+    with tracked track states, complex unless said: the Krylov basis (at
+    most KRYLOV_SIZES[-1] + 1 vectors) and the state formed from it; one
+    chunk of the basis's columns weighed three ways for the forms, and
+    the forms' products with each point of a run, twice; the edge columns
+    of the basis, and one run of edge rows with their squares as reals;
+    and per grid point, as reals, the time and one row of the series
+    array: P, <H_I> and each tracked occupation.  The edge states are
+    those with some n_j > n_max - 2: every state but the interior ones,
+    counted along each axis from the first occupation p_j in steps of
+    basis.step."""
+    dim = basis.dim
+    edge = dim - math.prod(max(0, (basis.n_max - 2 - p) // basis.step + 1)
+                           for p in basis.first)
     points = n_steps + 1
     vectors = min(KRYLOV_SIZES[-1], dim) + 1
     run = min(points, WINDOW_CAP)
@@ -159,11 +163,12 @@ def _pade(a, norm):
     return u
 
 
-def _arnoldi_step(a, basis, hess, j):
+def _arnoldi_step(a, basis, hess, j, floor):
     """Column j of the Hessenberg matrix and basis row j + 1: a @ basis[j]
     orthogonalized against basis[:j + 1] by classical Gram-Schmidt, run
-    twice so the basis stays orthonormal to working precision.  A zero
-    remainder (the basis spans an invariant subspace) leaves row j + 1."""
+    twice so the basis stays orthonormal to working precision.  A
+    remainder whose norm is at most floor is rounding: it counts as zero
+    (the basis spans an invariant subspace) and leaves row j + 1."""
     w = a @ basis[j]
     prior = basis[:j + 1]
     # <v, w> as the conjugate of prior @ conj(w), with no conjugated copy
@@ -173,7 +178,10 @@ def _arnoldi_step(a, basis, hess, j):
     second = (prior @ w.conj()).conj()
     w -= second @ prior
     hess[:j + 1, j] = first + second
-    hess[j + 1, j] = norm = np.linalg.norm(w)
+    norm = np.linalg.norm(w)
+    if norm <= floor:
+        norm = 0.0
+    hess[j + 1, j] = norm
     if norm:
         basis[j + 1] = w / norm
 
@@ -202,16 +210,18 @@ def _krylov_stepper(matrix, dt):
     The run gets one Arnoldi basis V_m (the rows of v), grown from last,
     and the Hessenberg H_m of -i dt H on it.  Row k of e is F^(k+1) e_1,
     with beta the norm of last and F = expm(H_m), so no state of the run
-    is formed here.  m is the first of KRYLOV_SIZES (up to the reach
-    set's size) at which Saad's estimate h_(m+1,m) |e_m^T F^(k+1) e_1|
-    stays within KRYLOV_TOL at every point.  Past the largest the run is
-    cut to the longest halving of it that meets the estimate, and a
-    single step that cannot is refused.  Later runs start from the last
-    m, no longer than the last run cut.  A basis that spans the reach
-    set, or an invariant subspace of it, is exact.  On an invariant line
-    (m = 1) each point is its own scalar exponential, so no rounding
-    compounds.  A zero last stays zero at every point offered.  v is a
-    view of the stepper's basis, which its next call overwrites.
+    is formed here.  m is the first of KRYLOV_SIZES (up to the basis's
+    size) at which Saad's estimate h_(m+1,m) |e_m^T F^(k+1) e_1| stays
+    within KRYLOV_TOL at every point.  Past the largest the run is cut to
+    the longest halving of it that meets the estimate, and a single step
+    that cannot is refused.  Later runs start from the last m, no longer
+    than the last run cut.  An Arnoldi remainder within eps of the bound
+    on the scaled |a|_1 counts as zero, so the basis stops at an
+    invariant subspace (Saad's happy breakdown) and is exact: a diagonal
+    H keeps one basis state on one vector.  On an invariant line (m = 1)
+    each point is its own scalar exponential, so no rounding compounds.
+    A zero last stays zero at every point offered.  v is a view of the
+    stepper's basis, which its next call overwrites.
     """
     dim = matrix.shape[0]
     norm = dt * float(abs(matrix).sum(axis=0).max())
@@ -221,6 +231,8 @@ def _krylov_stepper(matrix, dt):
     shift = max(0, math.frexp(norm)[1])
     scale = np.ldexp(1.0, shift)
     a = matrix * (-1j * math.ldexp(dt, -shift))
+    # a remainder within one ulp of the bound on |a|_1 is rounding
+    floor = np.finfo(float).eps * math.ldexp(norm, -shift)
     sizes = sorted({min(m, dim) for m in KRYLOV_SIZES})
     basis = np.empty((sizes[-1] + 1, dim), dtype=complex)
     hess = np.zeros((sizes[-1] + 1, sizes[-1]), dtype=complex)
@@ -242,7 +254,7 @@ def _krylov_stepper(matrix, dt):
             m = sizes[index]
             # a zero remainder stops the basis short: it is exact
             while built < m and (not built or hess[built, built - 1]):
-                _arnoldi_step(a, basis, hess, built)
+                _arnoldi_step(a, basis, hess, built, floor)
                 built += 1
             m = built
             h_m = hess[:m, :m] * scale
@@ -318,15 +330,16 @@ def _edge_occupations(e, v, beta, edge):
 def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajectory:
     """Evolve psi0 under i dpsi/dt = H psi on a uniform grid.
 
-    Only the states of h.basis that psi0 reaches through the nonzeros of
-    H (keep) are evolved; every other amplitude stays exactly zero.  In a
-    sector that is all of it, unless H is diagonal.  From grid point s,
-    _krylov_stepper is offered min(s + 1, WINDOW_CAP) points (fewer at
-    the end of the grid) and steps a run of them from one Arnoldi basis
-    V_m: the state at point k of the run is psi_k = beta e_k^T V_m.  Each
-    run is checked as soon as it is stepped, so a stop at point k steps
-    at most the run that holds the stop: no more than
-    min(2k+1, k+WINDOW_CAP) points.
+    Every state of h.basis is stepped.  A state psi0 cannot reach
+    through the nonzeros of H stays exactly zero: no Arnoldi vector has
+    weight there, and the basis stops at an invariant subspace, one
+    vector per run for a diagonal H and a basis state psi0.  From grid
+    point s, _krylov_stepper is offered min(s + 1, WINDOW_CAP) points
+    (fewer at the end of the grid) and steps a run of them from one
+    Arnoldi basis V_m: the state at point k of the run is
+    psi_k = beta e_k^T V_m.  Each run is checked as soon as it is
+    stepped, so a stop at point k steps at most the run that holds the
+    stop: no more than min(2k+1, k+WINDOW_CAP) points.
 
     Of a run's states only its last is formed.  Per run the m x m forms
     G = V_m V_m^H, M = V_m diag(H_I) V_m^H and G_E (G summed over the edge
@@ -352,32 +365,22 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     T = float(T)
     dt = float(dt)
     n_steps = step_count(T, dt)
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = np.array(psi0, dtype=complex)
     if psi0.shape != (h.matrix.shape[0],):
         raise ValueError("psi0 dimension does not match the operator")
     if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-6:
         raise ValueError("psi0 must be unit-normalized")
     track = [tuple(map(operator.index, s)) for s in track]
-    tracked_index = [h.basis.index(s) for s in track]
-    # grow the support of psi0 along the nonzeros of H until it is closed
-    pattern = h.matrix != 0
-    reach = psi0 != 0
-    while not np.array_equal(grown := reach | (pattern @ reach), reach):
-        reach = grown
-    keep = np.flatnonzero(reach)
-    on_edge = (h.basis.occupations[keep] > h.basis.n_max - 2).any(axis=1)
+    columns = [h.basis.index(s) for s in track]
+    on_edge = (h.basis.occupations > h.basis.n_max - 2).any(axis=1)
     # the diagonals that weigh M and G_E
-    weights = (h.h_i_diagonal[keep], on_edge.astype(float))
+    weights = (h.h_i_diagonal, on_edge.astype(float))
     edge = np.flatnonzero(on_edge)
-    column = np.full(h.matrix.shape[0], -1)
-    column[keep] = np.arange(len(keep))
-    columns = column[tracked_index]
-    inside = np.flatnonzero(columns >= 0)
     series = np.zeros((n_steps + 1, 2 + len(track)))
-    last = psi0[keep]
+    last = psi0
     start, end, aborted = 0, n_steps + 1, False
     with np.errstate(over="ignore", invalid="ignore"):
-        advance = _krylov_stepper(h.matrix[keep][:, keep], dt)
+        advance = _krylov_stepper(h.matrix, dt)
         while start < end:
             if start:
                 e, v, beta = advance(last, min(start + 1, WINDOW_CAP, end - start))
@@ -386,7 +389,7 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
             p, h_i_run, edge_weight, bound = _run_series(e, v, beta, weights)
             # the forms round by at most (dim + 2m) ulps of bound^2
             count, m = e.shape
-            slack = (len(keep) + 2 * m) * np.finfo(float).eps * bound ** 2
+            slack = (len(psi0) + 2 * m) * np.finfo(float).eps * bound ** 2
             stop = count
             if not np.all(edge_weight + slack <= EDGE_OCCUPATION_LIMIT / 2):
                 occ = _edge_occupations(e, v, beta, edge)
@@ -414,9 +417,9 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
             rows = slice(start, start + count)
             series[rows, 0] = p[:count]
             series[rows, 1] = h_i_run[:count]
-            amplitudes = e[:count] @ v[:, columns[inside]]
+            amplitudes = e[:count] @ v[:, columns]
             amplitudes *= beta
-            series[rows, 2 + inside] = np.abs(amplitudes) ** 2
+            series[rows, 2:] = np.abs(amplitudes) ** 2
             last = e[count - 1] @ v
             last *= beta
             start += count
@@ -424,7 +427,6 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     series = series[:end]
     return Trajectory(
         times=np.arange(end) * dt,
-        keep=keep,
         states=last[np.newaxis],
         series=series,
         norms=series[:, 0],

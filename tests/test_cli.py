@@ -31,7 +31,14 @@ from qweyl.cli import (
     validate_config,
 )
 from qweyl.dynamics import FORM_CHUNK, KRYLOV_SIZES, WINDOW_CAP, held_bytes
-from qweyl.fock import EVEN, FockBasis, build_h1_matrix, build_h_eff, sparsity_pattern
+from qweyl.fock import (
+    EVEN,
+    SECTORS,
+    FockBasis,
+    build_h1_matrix,
+    build_h_eff,
+    sparsity_pattern,
+)
 
 
 def read_report(out_dir, command):
@@ -244,7 +251,7 @@ class TestExitCodes:
             FIXED_BYTES + 7 * 64 * 56 + 16 * 64 * 640)
         assert run_bytes(4_096, 16 * 4_096 * (2 * 4_096 + 512)) == 576_225_280
         # evolve: the Krylov basis (one more vector than its largest size,
-        # never more than the reach set's states) and the state formed from
+        # never more than the basis's states) and the state formed from
         # it; one chunk of at most FORM_CHUNK basis columns weighed three
         # ways for the quadratic forms, and the forms' products with each
         # point of a run (never more points than the run has), twice; the
@@ -253,32 +260,49 @@ class TestExitCodes:
         # tracked occupation.  No window of states is charged.
         assert KRYLOV_SIZES[-1] == 30 and 11 < WINDOW_CAP < 5_001
         assert 64 < FORM_CHUNK <= 4_096
-        assert held_bytes(64, 10) == (
-            16 * (32 * 64 + 3 * 31 * (64 + 2 * 11)) + 8 * 3 * 11)
-        assert held_bytes(64, 5_000, edge=37) == (
+        # the even sector at n_max 6 has 64 states, 37 of them on the edge
+        six = FockBasis(6, EVEN)
+        assert held_bytes(six, 10) == (
+            16 * (32 * 64 + 3 * 31 * (64 + 2 * 11) + 31 * 37)
+            + 24 * 11 * 37 + 8 * 3 * 11)
+        assert held_bytes(six, 5_000) == (
             16 * (32 * 64 + 3 * 31 * (64 + 2 * WINDOW_CAP) + 31 * 37)
             + 24 * WINDOW_CAP * 37 + 8 * 3 * 5_001)
-        assert held_bytes(4_096, 5_000, 4, 721) == (
-            16 * (32 * 4_096 + 3 * 31 * (FORM_CHUNK + 2 * WINDOW_CAP) + 31 * 721)
-            + 24 * WINDOW_CAP * 721 + 8 * 7 * 5_001)
-        # evolve builds the even sector too; a decay run at n_max=30 evolves
-        # one amplitude of it, on a two-vector basis: about 5.7 MiB with
-        # the fixed costs, where (steps + 1) even-sector states made it
-        # 573 MiB
-        assert run_bytes(4_096, held_bytes(1, 5_000)) == (
-            FIXED_BYTES + 7 * 4_096 * 56 + 16 * (3 + 3 * 2 * (1 + 2 * WINDOW_CAP))
-            + 8 * 3 * 5_001)
         # the even sector's edge at n_max 30: the states with some n_j = 30
         assert FockBasis(30, EVEN).dim - FockBasis(28, EVEN).dim == 721
+        thirty = held_bytes(FockBasis(30, EVEN), 5_000, 4)
+        assert thirty == (
+            16 * (32 * 4_096 + 3 * 31 * (FORM_CHUNK + 2 * WINDOW_CAP) + 31 * 721)
+            + 24 * WINDOW_CAP * 721 + 8 * 7 * 5_001)
+        # evolve builds the even sector, and every run is charged for all of
+        # it: a decay run at n_max=30, whose Arnoldi bases stop at the
+        # ground state's line, about 23.7 MiB with the fixed costs
+        decay = run_bytes(4_096, held_bytes(FockBasis(30, EVEN), 5_000))
+        assert decay == FIXED_BYTES + 7 * 4_096 * 56 + thirty - 8 * 4 * 5_001
+        assert f"{decay / 2 ** 20:.1f}" == "23.7"
         # the commands charge these at n_max 30 (evolve's checks two reals
         # per point beside what propagate holds)
         monkeypatch.setattr(cli, "available_memory", lambda: 0)
         for argv, need in ((["spectrum"], 576_225_280),
-                           (["evolve"], FIXED_BYTES + 1_605_632
-                            + held_bytes(4_096, 5_000, 4, 721) + 16 * 5_001)):
+                           (["evolve"], FIXED_BYTES + 1_605_632 + thirty + 16 * 5_001),
+                           (["evolve", "--decay-oracle"], decay + 16 * 5_001)):
             assert main([*argv, "--nmax", "30", "--out", str(tmp_path)]) == 2
             err = capsys.readouterr().err
             assert f"needs at least {need / 2 ** 20:.1f} MiB" in err
+
+    def test_edge_count_of_every_basis(self):
+        # held_bytes counts the edge states (some n_j > n_max - 2) from the
+        # basis's shape: for the box and each sector at n_max 1-12 its charge
+        # is the one with no edge states plus theirs, counted from the table
+        for n_max in range(1, 13):
+            for sector in (None, *SECTORS):
+                basis = FockBasis(n_max, sector)
+                edge = int((basis.occupations > n_max - 2).any(axis=1).sum())
+                vectors = min(KRYLOV_SIZES[-1], basis.dim) + 1
+                assert held_bytes(basis, 10) == (
+                    16 * ((vectors + 1) * basis.dim
+                          + 3 * vectors * (basis.dim + 2 * 11) + vectors * edge)
+                    + 24 * 11 * edge + 8 * 3 * 11), (n_max, sector)
 
     def test_mixing_is_charged_its_interior_scan(self, tmp_path, monkeypatch):
         # 7 entries per interior column at 120 bytes: (30 - 4 + 1)^3 = 19,683
@@ -368,19 +392,21 @@ class TestExitCodes:
     ])
     def test_evolve_is_charged_its_series(self, argv, series, tmp_path,
                                           monkeypatch, capsys):
-        # 100,001 points of one evolved amplitude: propagate's series (the
-        # time, P, <H_I> and each tracked occupation, held once) and the
-        # checks' two reals per point dwarf the 4 MiB available, which the
-        # operator, the two-vector basis and one window fit into
+        # 100,001 points at n_max 4: propagate's series (the time, P, <H_I>
+        # and each tracked occupation, held once) and the checks' two reals
+        # per point dwarf the 4 MiB available, which the operator, the
+        # Krylov basis over the 27-state sector and one window fit into:
+        # 12.5 MiB charged with --theta 0, 9.4 MiB with --decay-oracle
         monkeypatch.setattr(cli, "available_memory", lambda: 4 * 2 ** 20)
         assert main([*argv, "--nmax", "4", "--T", "10", "--dt", "1e-4",
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: nmax=4 needs at least ")
         need = err[0].split("needs at least ")[1].split(" MiB")[0]
-        charged = run_bytes(FockBasis(4, EVEN).dim, held_bytes(1, 100_000, series - 3)
+        even = FockBasis(4, EVEN)
+        charged = run_bytes(even.dim, held_bytes(even, 100_000, series - 3)
                             + 16 * 100_001)
-        assert need == f"{charged / 2 ** 20:.1f}"
+        assert need == f"{charged / 2 ** 20:.1f}" == {7: "12.5", 3: "9.4"}[series]
         assert float(need) >= (8 * series + 16) * 100_001 / 2 ** 20
         assert not list(tmp_path.iterdir())
 

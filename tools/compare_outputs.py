@@ -114,11 +114,14 @@ def runs(config: str) -> list:
                                             "--T", "0.44", "--dt", "0.001"]))
     # a 4,096-state even sector, with runs of up to 512 points
     out.append(("evolve-n30", ["evolve", "--nmax", "30", "--T", "1"]))
-    # a 100,001-row CSV through the streamed rows, with a one-amplitude
-    # reach set, and the decay oracle at the largest routine cutoff
+    # a 100,001-row CSV through the streamed rows, on a diagonal H whose
+    # Arnoldi bases stop at the ground state's line, and diagonal runs over
+    # the 4,096-state sector at the largest routine cutoff
     out.append(("evolve-theta0-long", ["evolve", "--theta", "0", "--nmax", "4",
                                        "--T", "10", "--dt", "1e-4"]))
     out.append(("evolve-decay-n30", ["evolve", "--decay-oracle", "--nmax", "30"]))
+    out.append(("evolve-theta0-n30", ["evolve", "--theta", "0", "--nmax", "30",
+                                      "--T", "1"]))
     # the decay law's deviation, worked in place, over 300,001 points
     out.append(("evolve-decay-long", ["evolve", "--decay-oracle", "--nmax", "4",
                                       "--T", "30", "--dt", "1e-4"]))
