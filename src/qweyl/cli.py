@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -71,6 +73,13 @@ TRACKED_STATES = ((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2))
 # sparse routines, BLAS and LAPACK build on first use.  In fresh
 # processes it was 1.6 to 2.9 MiB of peak RSS, for every command.
 FIXED_BYTES = 4 * 2 ** 20
+# Where available_memory reads the host's free memory, the process's
+# cgroups and the cgroup file system.
+MEMINFO = "/proc/meminfo"
+CGROUP = "/proc/self/cgroup"
+CGROUP_ROOT = "/sys/fs/cgroup"
+# Rows of trajectory.csv that _write_csv formats at a time.
+CSV_BLOCK = 256
 
 
 class ConfigError(Exception):
@@ -200,15 +209,51 @@ def write_report(config: RunConfig, name: str, payload: dict) -> str:
 
 
 def available_memory() -> int:
-    """MemAvailable from /proc/meminfo, else all physical memory."""
+    """The least of MemAvailable from MEMINFO (all physical memory where
+    it is missing) and what each memory cgroup the process is in (listed
+    in CGROUP, mounted under CGROUP_ROOT) has left: under cgroup v2
+    memory.max less memory.current, no limit where max is "max"; under
+    v1 memory.limit_in_bytes less memory.usage_in_bytes.  A cgroup whose
+    files cannot be read sets no limit."""
+    free = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     try:
-        with open("/proc/meminfo") as fh:
+        with open(MEMINFO) as fh:
             for line in fh:
                 if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
+                    free = int(line.split()[1]) * 1024
+                    break
     except OSError:
         pass
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    return min([free, *_cgroup_free()])
+
+
+def _cgroup_free() -> list:
+    """Limit less usage of each memory cgroup in CGROUP that has one."""
+    try:
+        with open(CGROUP) as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return []
+    free = []
+    for line in lines:
+        # hierarchy-ID:controllers:path, with no controllers under v2
+        _, _, rest = line.partition(":")
+        controllers, _, path = rest.partition(":")
+        if not controllers:
+            files = ("memory.max", "memory.current")
+        elif "memory" in controllers.split(","):
+            files = ("memory.limit_in_bytes", "memory.usage_in_bytes")
+            path = "memory/" + path
+        else:
+            continue
+        directory = Path(CGROUP_ROOT, path.lstrip("/"))
+        try:
+            limit, usage = ((directory / name).read_text().strip() for name in files)
+            if limit != "max":
+                free.append(int(limit) - int(usage))
+        except (OSError, ValueError):
+            pass
+    return free
 
 
 def interior_scan_bytes(n_max: int) -> int:
@@ -305,25 +350,29 @@ def cmd_effective(config: RunConfig, args) -> dict:
     }
 
 
-def _write_csv(config: RunConfig, name: str, header, rows) -> str:
+def _write_csv(config: RunConfig, name: str, header, blocks) -> str:
     """Write a timestamp-free table into the output directory and return
-    its name.  The provenance columns mode, theta, n_max close the header
-    and every row.  The bytes are csv.writer's: each field is its str (a
+    its name.  blocks yields the rows in lists, and each list is written
+    with one % operation: the row format, one %s per header column and
+    the provenance columns mode, theta, n_max, repeated over the block and
+    fed its cells.  The bytes are csv.writer's: each field is its str (a
     float's is its repr), and lines end in CRLF.  No field needs quoting,
     as each is a number, true/false, a mode name or theta's repr; a None
-    field, which csv.writer would write empty, raises ValueError.  Rows
-    are streamed, so no whole-table string is held."""
-    tail = f",{config.mode},{float(config.theta)!r},{config.n_max}\r\n"
-
-    def lines():
-        yield ",".join([*header, "mode", "theta", "n_max"]) + "\r\n"
-        for row in rows:
-            if None in row:
-                raise ValueError(f"{name}: a table field is None")
-            yield ",".join(map(str, row)) + tail
-
+    field, which csv.writer would write empty, and a row whose width is
+    not the header's raise ValueError.  Only one block's text is held at
+    a time."""
+    width = len(header)
+    row = ",".join(["%s"] * width) + (
+        f",{config.mode},{float(config.theta)!r},{config.n_max}\r\n")
     with open(os.path.join(config.out, name), "w", newline="") as fh:
-        fh.writelines(lines())
+        fh.write(",".join([*header, "mode", "theta", "n_max"]) + "\r\n")
+        for block in blocks:
+            if set(map(len, block)) - {width}:
+                raise ValueError(f"{name}: a row is not {width} fields wide")
+            cells = tuple(itertools.chain.from_iterable(block))
+            if None in cells:
+                raise ValueError(f"{name}: a table field is None")
+            fh.write(row * len(block) % cells)
     return name
 
 
@@ -351,7 +400,7 @@ def cmd_spectrum(config: RunConfig, args) -> dict:
     }
     if config.fmt == "csv":
         payload["files"] = [
-            _write_csv(config, "spectrum.csv", ["re", "im"], eigenvalues)]
+            _write_csv(config, "spectrum.csv", ["re", "im"], [eigenvalues])]
     return payload
 
 
@@ -376,12 +425,12 @@ def cmd_mixing(config: RunConfig, args) -> dict:
         "ok": True,
     }
     if config.fmt == "csv":
-        rows = (
+        rows = [
             [*offset, str(offset in report["inside_conjecture"]).lower()]
             for offset in report["offsets"]
-        )
+        ]
         payload["files"] = [_write_csv(
-            config, "mixing.csv", ["dx", "dy", "dz", "in_conjectured_set"], rows)]
+            config, "mixing.csv", ["dx", "dy", "dz", "in_conjectured_set"], [rows])]
     return payload
 
 
@@ -393,8 +442,13 @@ def cmd_evolve(config: RunConfig, args) -> dict:
     even = FockBasis(config.n_max, EVEN)
     # beyond what propagate holds, the checks hold at most two reals per
     # point: the norm-flow difference and its temporary (the decay law is
-    # worked in one array); trajectory.csv is streamed from the series
+    # worked in one array); trajectory.csv is written from the series a
+    # block at a time, at 96 bytes a cell and two cells more a row (the
+    # rows' lists and floats, the cells' tuple, the format, the text and
+    # its encoding; under tracemalloc, 79 bytes a cell and 144 a row)
     checks = 16 * (n_steps + 1)
+    if not decay:
+        checks += 96 * CSV_BLOCK * (5 + len(tracked))
     _ensure_fits(even, held_bytes(even, n_steps, len(tracked)) + checks)
     psi0 = even.vector((0, 0, 0))
     if decay:
@@ -436,8 +490,9 @@ def cmd_evolve(config: RunConfig, args) -> dict:
         rate = initial_norm_rate(traj)
     header = ["t", "p", "re_h_i"] + [
         "occ_" + "_".join(map(str, s)) for s in traj.tracked]
-    rows = ([t, *row.tolist()]
-            for t, row in zip(map(float, traj.times), traj.series))
+    blocks = (np.column_stack((traj.times[lo:lo + CSV_BLOCK],
+                               traj.series[lo:lo + CSV_BLOCK])).tolist()
+              for lo in range(0, len(traj.times), CSV_BLOCK))
     return {
         "method": "matrix-exponential",
         "points": int(len(traj.times)),
@@ -448,7 +503,7 @@ def cmd_evolve(config: RunConfig, args) -> dict:
         "generator_expectation_rate": float(2.0 * traj.h_i[0]),
         "edge_aborted": traj.edge_aborted,
         "gain_loss": gain_loss_map(traj),
-        "files": [_write_csv(config, "trajectory.csv", header, rows)],
+        "files": [_write_csv(config, "trajectory.csv", header, blocks)],
         "ok": flow is not None and flow <= NORM_FLOW_LIMIT,
     }
 

@@ -7,22 +7,26 @@ checks is diagonal, so P, <H_I> and the occupations are all weighted
 sums of the squared amplitudes |psi_n|^2.  The states of the
 operator's basis are stepped by one Krylov method (Saad, SIAM J. Numer.
 Anal. 29(1), 1992; Hochbruck & Lubich, SIAM J. Numer. Anal. 34(5),
-1997): an Arnoldi basis V_m, grown from the state before a run of grid
-points, reduces -i dt H to a small Hessenberg matrix and stops short at
-an invariant subspace, so a diagonal H steps one basis state on one
-vector; expm exponentiates that, and its powers step the run as short
-vectors e_k, psi_k = beta V_m^T e_k.  So every weighted sum of
-|psi_n|^2 is a small quadratic form in e_k, and no state of a run but
-its last is formed.  Probability pumped into the cutoff edge is an
-artifact of truncation, so evolution stops with a warning as soon as
-any edge state (some n_j > n_max - 2, so its same-parity neighbour
-along axis j is cut off) holds more than a threshold occupation; the
-edge amplitudes are formed only for a run whose summed edge weight does
-not clear it.  Non-finite amplitudes abort outright.
+1997): an Arnoldi basis V_m, grown from one state, reduces -i dt H to a
+small Hessenberg matrix and stops short at an invariant subspace, so a
+diagonal H steps one basis state on one vector; expm exponentiates
+that, and its powers step the points that follow as short vectors e_k,
+psi_k = beta V_m^T e_k.  One basis serves successive runs of grid
+points for as long as Saad's error estimate covers them (an invariant
+one to the end of the grid), and every weighted sum of |psi_n|^2 is a
+small quadratic form in e_k, its m x m matrix summed once per basis, so
+no state of a run but its last is formed.  Probability pumped into the
+cutoff edge is an artifact of truncation, so evolution stops with a
+warning as soon as any edge state (some n_j > n_max - 2, so its
+same-parity neighbour along axis j is cut off) holds more than a
+threshold occupation; the edge amplitudes are formed only for a run
+whose summed edge weight does not clear it.  Non-finite amplitudes
+abort outright.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import warnings
@@ -37,7 +41,8 @@ EDGE_OCCUPATION_LIMIT = 1e-6
 # A net occupation change no larger than this is round-off: gain_loss_map
 # lists the state as neither gaining nor losing.
 GAIN_LOSS_FLOOR = 1e-12
-# Most grid points one run holds; the windows offered double up to it.
+# Most grid points one run holds, and that one Arnoldi basis is sized
+# for; the windows offered double up to it.
 WINDOW_CAP = 512
 # Basis columns summed into a run's quadratic forms at a time.
 FORM_CHUNK = 4096
@@ -186,11 +191,24 @@ def _arnoldi_step(a, basis, hess, j, floor):
         basis[j + 1] = w / norm
 
 
-def _powers(f, count):
-    """Rows k = 0 .. count-1 hold column 0 of f^(k+1): each doubling of
-    the rows applies f^n, formed by squaring, to the n rows before it."""
+def _norm(x):
+    """The 2-norm of x: the squares of x / max|x|, which cannot overflow,
+    summed exactly (math.fsum) FORM_CHUNK entries at a time, so that how
+    a sum is grouped cannot round it."""
+    peak = np.abs(x).max()
+    if not peak:
+        return 0.0
+    parts = (x[lo:lo + FORM_CHUNK] / peak for lo in range(0, len(x), FORM_CHUNK))
+    squares = itertools.chain.from_iterable(
+        np.square(part.view(float)).tolist() for part in parts)
+    return peak * math.sqrt(math.fsum(squares))
+
+
+def _powers(f, row, count):
+    """Rows k = 0 .. count-1 hold F^k row: each doubling of the rows
+    applies F^n, formed by squaring, to the n rows before it."""
     rows = np.empty((count, len(f)), dtype=complex)
-    rows[0] = f[:, 0]
+    rows[0] = row
     done, power = 1, f
     while done < count:
         block = rows[done:2 * done]
@@ -204,24 +222,30 @@ def _powers(f, count):
 def _krylov_stepper(matrix, dt):
     """The advance(last, offered) that propagate calls: it steps a run of
     at most offered grid points from last under the sparse block
-    H = matrix and returns it as (e, v, beta), the state at point k of
-    the run, exp(-i (k+1) dt H) last, being beta e[k] @ v.
+    H = matrix and returns it as (e, v, beta), the state at point k of the
+    run being beta e[k] @ v.
 
-    The run gets one Arnoldi basis V_m (the rows of v), grown from last,
-    and the Hessenberg H_m of -i dt H on it.  Row k of e is F^(k+1) e_1,
-    with beta the norm of last and F = expm(H_m), so no state of the run
-    is formed here.  m is the first of KRYLOV_SIZES (up to the basis's
-    size) at which Saad's estimate h_(m+1,m) |e_m^T F^(k+1) e_1| stays
-    within KRYLOV_TOL at every point.  Past the largest the run is cut to
-    the longest halving of it that meets the estimate, and a single step
-    that cannot is refused.  Later runs start from the last m, no longer
-    than the last run cut.  An Arnoldi remainder within eps of the bound
-    on the scaled |a|_1 counts as zero, so the basis stops at an
-    invariant subspace (Saad's happy breakdown) and is exact: a diagonal
-    H keeps one basis state on one vector.  On an invariant line (m = 1)
-    each point is its own scalar exponential, so no rounding compounds.
-    A zero last stays zero at every point offered.  v is a view of the
-    stepper's basis, which its next call overwrites.
+    A run is a slice of the points one Arnoldi basis V_m (the rows of v)
+    covers.  The basis is grown from the state it starts at, of norm
+    beta, with the Hessenberg H_m of -i dt H on it, and its table holds
+    F^j e_1 for its j-th point, F = expm(H_m), so no state is formed here.
+    m is the first of KRYLOV_SIZES (up to the basis's size) at which
+    Saad's estimate h_(m+1,m) |e_m^T F^j e_1| stays within KRYLOV_TOL for
+    WINDOW_CAP points, else the largest, and the basis covers the points
+    where it does.  Successive offers get consecutive slices of its
+    table; a new basis is grown from last only for a run longer than the
+    points left.  A run the largest basis grown from last does not cover
+    is cut to the longest halving of it that it does, and a single step
+    that none covers is refused.  Later bases start from the last m, and
+    later runs are no longer than the last run cut.  An Arnoldi remainder
+    within eps of the bound on the scaled |a|_1 counts as zero, so the
+    basis stops at an invariant subspace (Saad's happy breakdown) and is
+    exact: it is never regrown and serves every later point, so a
+    diagonal H steps one basis state on one vector.  On an invariant line
+    (m = 1) each point is its own scalar exponential, counted from the
+    basis start, so no rounding compounds.  A zero last spans the zero
+    line, and stays zero.  Every run of one basis returns the same v, a
+    view of the stepper's basis, which the next basis overwrites.
     """
     dim = matrix.shape[0]
     norm = dt * float(abs(matrix).sum(axis=0).max())
@@ -237,19 +261,27 @@ def _krylov_stepper(matrix, dt):
     basis = np.empty((sizes[-1] + 1, dim), dtype=complex)
     hess = np.zeros((sizes[-1] + 1, sizes[-1]), dtype=complex)
     span, first = WINDOW_CAP, 0
+    # the basis at hand: v, beta, H_m, F and whether it is invariant; the
+    # points served from it, and table[at:], the vectors F^j e_1 of the
+    # points it covers after them
+    v = beta = h_m = f = None
+    invariant, served, table, at = False, 0, np.empty((0, 1)), 0
 
-    def advance(last, offered):
-        nonlocal span, first
-        count = min(span, offered)
-        peak = np.abs(last).max()
-        if not peak:
-            # underflowed to zero, and zero it stays
-            basis[0] = 0.0
-            return np.ones((offered, 1), dtype=complex), basis[:1], 1.0
-        # the norm of last / peak, whose squares cannot overflow
-        beta = peak * np.linalg.norm(last / peak)
+    def points(row):
+        """The table of the WINDOW_CAP points after the served ones, row
+        being the first one's vector where m > 1."""
+        if len(h_m) == 1:
+            steps = np.arange(served + 1.0, served + WINDOW_CAP + 1)
+            return np.exp(steps * h_m[0, 0])[:, np.newaxis]
+        return _powers(f, row, WINDOW_CAP)
+
+    def grow(last, count):
+        """Grow a basis from last; return the points of count it covers."""
+        nonlocal span, first, v, beta, h_m, f, invariant, served, table, at
+        # a zero last spans the zero line
+        beta = _norm(last) or 1.0
         basis[0] = last / beta
-        built = 0
+        built = served = at = 0
         for index in range(first, len(sizes)):
             m = sizes[index]
             # a zero remainder stops the basis short: it is exact
@@ -259,29 +291,45 @@ def _krylov_stepper(matrix, dt):
             m = built
             h_m = hess[:m, :m] * scale
             f = expm(h_m)
-            if m == 1:
-                e = np.exp(np.arange(1.0, count + 1) * h_m[0, 0])[:, np.newaxis]
-            else:
-                e = _powers(f, count)
-            # exact, or overflowing, where propagate's check stops it
-            if m == dim or not hess[m, m - 1] or not np.isfinite(e).all():
+            table = points(f[:, 0])
+            invariant = m == dim or not hess[m, m - 1]
+            if invariant:
+                break
+            if not np.isfinite(table[:count]).all():
+                # overflowing, where propagate's check stops it
+                table = table[:count]
                 break
             error = np.maximum.accumulate(
-                abs(hess[m, m - 1]) * scale * np.abs(e[:, m - 1]))
-            if error[-1] <= KRYLOV_TOL:
+                abs(hess[m, m - 1]) * scale * np.abs(table[:, m - 1]))
+            table = table[:np.count_nonzero(error <= KRYLOV_TOL)]
+            if len(table) == WINDOW_CAP:
                 break
         else:
-            while count and error[count - 1] > KRYLOV_TOL:
+            while count > len(table):
                 count //= 2
+                span = count
             if not count:
                 raise ValueError(
                     f"one step of dt = {dt:g} needs a Krylov basis of more "
                     f"than {m} vectors (error estimate {error[0]:.3g} "
                     f"against {KRYLOV_TOL:g}); shrink dt"
                 )
-            span = count
         first = index
-        return e[:count], basis[:m], beta
+        v = basis[:m]
+        return count
+
+    def advance(last, offered):
+        nonlocal served, table, at
+        count = min(span, offered)
+        if at + count > len(table):
+            if invariant:
+                table, at = points(f @ table[at - 1]), 0
+            else:
+                count = grow(last, count)
+        e = table[at:at + count]
+        at += count
+        served += count
+        return e, v, beta
 
     return advance
 
@@ -305,12 +353,12 @@ def _forms(v, weights):
     return forms
 
 
-def _run_series(e, v, beta, weights):
-    """At each point beta e[k] @ v of a run: the quadratic forms
-    beta^2 e[k]^T W conj(e[k]) of G and of each weighted W, and a bound on
-    every amplitude, beta |e[k]| |v|_F."""
-    forms = _forms(v, weights)
-    m = len(v)
+def _run_series(e, forms, beta):
+    """At each point beta e[k] @ v of a run on the basis rows v whose
+    _forms are forms: the quadratic forms beta^2 e[k]^T W conj(e[k]) of G
+    and of each weighted W, and a bound on every amplitude,
+    beta |e[k]| |v|_F."""
+    m = e.shape[1]
     products = (e @ forms).reshape(len(e), -1, m)
     sums = np.vecdot(e[:, np.newaxis], products).real.T * beta * beta
     bound = np.sqrt(np.vecdot(e, e).real * np.trace(forms[:, :m]).real) * beta
@@ -333,18 +381,20 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     Every state of h.basis is stepped.  A state psi0 cannot reach
     through the nonzeros of H stays exactly zero: no Arnoldi vector has
     weight there, and the basis stops at an invariant subspace, one
-    vector per run for a diagonal H and a basis state psi0.  From grid
-    point s, _krylov_stepper is offered min(s + 1, WINDOW_CAP) points
-    (fewer at the end of the grid) and steps a run of them from one
-    Arnoldi basis V_m: the state at point k of the run is
-    psi_k = beta e_k^T V_m.  Each run is checked as soon as it is
-    stepped, so a stop at point k steps at most the run that holds the
-    stop: no more than min(2k+1, k+WINDOW_CAP) points.
+    vector for the whole grid for a diagonal H and a basis state psi0.
+    From grid point s, _krylov_stepper is offered min(s + 1, WINDOW_CAP)
+    points (fewer at the end of the grid) and steps a run of them on an
+    Arnoldi basis V_m, the next points of the one it holds or a new one:
+    the state at point k of the run is psi_k = beta e_k^T V_m.  Each run
+    is checked as soon as it is stepped, so a stop at point k steps at
+    most the run that holds the stop: no more than min(2k+1, k+WINDOW_CAP)
+    points.
 
-    Of a run's states only its last is formed.  Per run the m x m forms
+    Of a run's states only its last is formed.  Per basis the m x m forms
     G = V_m V_m^H, M = V_m diag(H_I) V_m^H and G_E (G summed over the edge
-    states alone) are summed once, and one product of the points' e_k
-    with them gives P(t) = beta^2 e_k^T G conj(e_k),
+    states alone) are summed once, and its tracked columns taken; for
+    each run one product of the points' e_k with the forms gives
+    P(t) = beta^2 e_k^T G conj(e_k),
     <H_I>(t) = sum_n |psi_n|^2 H_I[n] = beta^2 e_k^T M conj(e_k) and the
     edge weight, beta^2 e_k^T G_E conj(e_k), which bounds every edge
     occupation.  A run whose edge weight, rounding included, stays within
@@ -377,16 +427,21 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     weights = (h.h_i_diagonal, on_edge.astype(float))
     edge = np.flatnonzero(on_edge)
     series = np.zeros((n_steps + 1, 2 + len(track)))
-    last = psi0
+    last, v = psi0, None
     start, end, aborted = 0, n_steps + 1, False
     with np.errstate(over="ignore", invalid="ignore"):
         advance = _krylov_stepper(h.matrix, dt)
         while start < end:
             if start:
-                e, v, beta = advance(last, min(start + 1, WINDOW_CAP, end - start))
+                e, run_v, beta = advance(last, min(start + 1, WINDOW_CAP, end - start))
             else:
-                e, v, beta = np.ones((1, 1), dtype=complex), last[np.newaxis], 1.0
-            p, h_i_run, edge_weight, bound = _run_series(e, v, beta, weights)
+                e, run_v, beta = np.ones((1, 1), dtype=complex), last[np.newaxis], 1.0
+            if run_v is not v:
+                # a new basis: its forms and tracked columns
+                v = run_v
+                forms = _forms(v, weights)
+                v_track = v[:, columns]
+            p, h_i_run, edge_weight, bound = _run_series(e, forms, beta)
             # the forms round by at most (dim + 2m) ulps of bound^2
             count, m = e.shape
             slack = (len(psi0) + 2 * m) * np.finfo(float).eps * bound ** 2
@@ -417,7 +472,7 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
             rows = slice(start, start + count)
             series[rows, 0] = p[:count]
             series[rows, 1] = h_i_run[:count]
-            amplitudes = e[:count] @ v[:, columns]
+            amplitudes = e[:count] @ v_track
             amplitudes *= beta
             series[rows, 2:] = np.abs(amplitudes) ** 2
             last = e[count - 1] @ v

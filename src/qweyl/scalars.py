@@ -191,6 +191,10 @@ class SparseTerms:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        """A zero term map is falsy, as a zero number is."""
+        return not self.is_zero()
+
     def __add__(self, other):
         other = self._operand(other)
         if other is NotImplemented:

@@ -20,6 +20,7 @@ from hypothesis import given, strategies as st
 from qweyl import cli
 from qweyl.algebra import defining_relations
 from qweyl.cli import (
+    CSV_BLOCK,
     FIXED_BYTES,
     ConfigError,
     RunConfig,
@@ -281,10 +282,13 @@ class TestExitCodes:
         assert decay == FIXED_BYTES + 7 * 4_096 * 56 + thirty - 8 * 4 * 5_001
         assert f"{decay / 2 ** 20:.1f}" == "23.7"
         # the commands charge these at n_max 30 (evolve's checks two reals
-        # per point beside what propagate holds)
+        # per point beside what propagate holds, and one block of
+        # trajectory.csv's 7 columns at 96 bytes a cell, two cells more a row)
         monkeypatch.setattr(cli, "available_memory", lambda: 0)
+        block = 96 * CSV_BLOCK * (7 + 2)
         for argv, need in ((["spectrum"], 576_225_280),
-                           (["evolve"], FIXED_BYTES + 1_605_632 + thirty + 16 * 5_001),
+                           (["evolve"], FIXED_BYTES + 1_605_632 + thirty + 16 * 5_001
+                            + block),
                            (["evolve", "--decay-oracle"], decay + 16 * 5_001)):
             assert main([*argv, "--nmax", "30", "--out", str(tmp_path)]) == 2
             err = capsys.readouterr().err
@@ -395,8 +399,9 @@ class TestExitCodes:
         # 100,001 points at n_max 4: propagate's series (the time, P, <H_I>
         # and each tracked occupation, held once) and the checks' two reals
         # per point dwarf the 4 MiB available, which the operator, the
-        # Krylov basis over the 27-state sector and one window fit into:
-        # 12.5 MiB charged with --theta 0, 9.4 MiB with --decay-oracle
+        # Krylov basis over the 27-state sector, one window and one block
+        # of trajectory.csv fit into: 12.7 MiB charged with --theta 0, 9.4
+        # MiB with --decay-oracle, which writes no table
         monkeypatch.setattr(cli, "available_memory", lambda: 4 * 2 ** 20)
         assert main([*argv, "--nmax", "4", "--T", "10", "--dt", "1e-4",
                      "--out", str(tmp_path)]) == 2
@@ -404,9 +409,10 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: nmax=4 needs at least ")
         need = err[0].split("needs at least ")[1].split(" MiB")[0]
         even = FockBasis(4, EVEN)
+        block = 96 * CSV_BLOCK * (series + 2) if series == 7 else 0
         charged = run_bytes(even.dim, held_bytes(even, 100_000, series - 3)
-                            + 16 * 100_001)
-        assert need == f"{charged / 2 ** 20:.1f}" == {7: "12.5", 3: "9.4"}[series]
+                            + 16 * 100_001 + block)
+        assert need == f"{charged / 2 ** 20:.1f}" == {7: "12.7", 3: "9.4"}[series]
         assert float(need) >= (8 * series + 16) * 100_001 / 2 ** 20
         assert not list(tmp_path.iterdir())
 
@@ -437,6 +443,63 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: nmax=6 needs")
         assert not list(tmp_path.iterdir())
+
+    @staticmethod
+    def memory_fixture(root, monkeypatch, cgroup, files):
+        """Point available_memory at a meminfo of 8 GiB available, a
+        /proc/self/cgroup reading cgroup, and a cgroup file system under
+        root holding files (path under the mount -> text)."""
+        (root / "meminfo").write_text(
+            "MemTotal:       16777216 kB\nMemAvailable:    8388608 kB\n")
+        (root / "cgroup").write_text(cgroup)
+        for name, text in files.items():
+            path = root / "fs" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        monkeypatch.setattr(cli, "MEMINFO", str(root / "meminfo"))
+        monkeypatch.setattr(cli, "CGROUP", str(root / "cgroup"))
+        monkeypatch.setattr(cli, "CGROUP_ROOT", str(root / "fs"))
+
+    @pytest.mark.parametrize("cgroup, files, free", [
+        # cgroup v2: max less current, or no limit
+        ("0::/user.slice/run\n", {"user.slice/run/memory.max": "1073741824\n",
+                                  "user.slice/run/memory.current": "104857600\n"},
+         2 ** 30 - 100 * 2 ** 20),
+        ("0::/user.slice/run\n", {"user.slice/run/memory.max": "max\n",
+                                  "user.slice/run/memory.current": "104857600\n"},
+         8 * 2 ** 30),
+        # v1: limit_in_bytes less usage_in_bytes; an unlimited one is the
+        # largest multiple of the page size below 2^63
+        ("5:cpu,cpuacct:/\n4:memory:/jobs/a\n0::/\n",
+         {"memory/jobs/a/memory.limit_in_bytes": "536870912\n",
+          "memory/jobs/a/memory.usage_in_bytes": "1000\n"},
+         2 ** 29 - 1000),
+        ("4:memory:/jobs/a\n0::/\n",
+         {"memory/jobs/a/memory.limit_in_bytes": "9223372036854771712\n",
+          "memory/jobs/a/memory.usage_in_bytes": "1000\n"},
+         8 * 2 ** 30),
+        # a cgroup without memory files, or no cgroup file, sets no limit
+        ("0::/\n", {}, 8 * 2 ** 30),
+        (None, {}, 8 * 2 ** 30),
+    ], ids=["v2", "v2-max", "v1", "v1-unlimited", "no-files", "no-cgroup"])
+    def test_available_memory_is_the_cgroups_if_less(self, cgroup, files, free,
+                                                     tmp_path, monkeypatch):
+        self.memory_fixture(tmp_path, monkeypatch, cgroup or "", files)
+        if cgroup is None:
+            (tmp_path / "cgroup").unlink()
+        assert cli.available_memory() == free
+
+    def test_refuses_what_its_cgroup_cannot_hold(self, tmp_path, monkeypatch, capsys):
+        # evolve at n_max 30 needs about 24 MiB: refused under a 16 MiB
+        # cgroup limit though the host has 8 GiB available
+        self.memory_fixture(tmp_path, monkeypatch, "0::/job\n",
+                            {"job/memory.max": "16777216\n",
+                             "job/memory.current": "0\n"})
+        out = tmp_path / "out"
+        assert main(["evolve", "--nmax", "30", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("MiB, 16.0 MiB available")
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["spectrum"], ["mixing"], ["evolve"], ["evolve", "--decay-oracle"],
@@ -725,8 +788,10 @@ class TestWriters:
     ]
 
     def write(self, tmp_path, rows, header=("a", "b", "c", "d")):
+        # in blocks of CSV_BLOCK rows, as evolve writes trajectory.csv
         config = replace(self.CONFIG, out=str(tmp_path))
-        name = cli._write_csv(config, "table.csv", header, iter(rows))
+        blocks = (rows[lo:lo + CSV_BLOCK] for lo in range(0, len(rows), CSV_BLOCK))
+        name = cli._write_csv(config, "table.csv", header, blocks)
         return (tmp_path / name).read_bytes(), config
 
     def test_csv_matches_csv_writer_on_edge_values(self, tmp_path):
@@ -739,10 +804,38 @@ class TestWriters:
         data, config = self.write(tmp_path_factory.mktemp("t"), rows)
         assert data == csv_writer_bytes(config, ("a", "b", "c", "d"), rows)
 
+    @pytest.mark.parametrize("count", [CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK + 3])
+    def test_csv_matches_csv_writer_across_blocks(self, tmp_path, count):
+        rows = [[k * 1e-3, 1.0 / (k + 1), -k, k % 3 == 0] for k in range(count)]
+        data, config = self.write(tmp_path, rows)
+        assert data == csv_writer_bytes(config, ("a", "b", "c", "d"), rows)
+
     def test_csv_refuses_a_none_field(self, tmp_path):
         # csv.writer would write it as an empty field
         with pytest.raises(ValueError, match="None"):
             self.write(tmp_path, [[1.0, None, 2.0, 3.0]])
+
+    @pytest.mark.parametrize("short", [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0, 5.0]])
+    def test_csv_refuses_a_ragged_row(self, tmp_path, short):
+        # a short row beside a long one fills the block's cells exactly
+        with pytest.raises(ValueError, match="4 fields wide"):
+            self.write(tmp_path, [[1.0, 2.0, 3.0, 4.0], short, [1.0] * (8 - len(short))])
+
+    @pytest.mark.parametrize("width", [3, 7])
+    def test_block_holds_no_more_than_its_charge(self, tmp_path, width):
+        # evolve's charge for one formatted block of trajectory.csv, its
+        # floats the longest reprs a double has; twenty blocks hold no more
+        series = np.full((20 * CSV_BLOCK, width), -2.2250738585072014e-308)
+        config = replace(self.CONFIG, out=str(tmp_path))
+        blocks = (series[lo:lo + CSV_BLOCK].tolist()
+                  for lo in range(0, len(series), CSV_BLOCK))
+        tracemalloc.start()
+        try:
+            cli._write_csv(config, "table.csv", ["x"] * width, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak <= 96 * CSV_BLOCK * (width + 2), peak
 
     def test_report_matches_json_dump(self, tmp_path):
         config = replace(self.CONFIG, out=str(tmp_path))

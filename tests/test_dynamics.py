@@ -737,24 +737,19 @@ class TestBlockSteps:
         assert len(traj.times) == 300_001 and not traj.edge_aborted
         assert norm_flow_check(traj) <= 3e-7
 
-    def test_estimate_halves_a_window(self, monkeypatch):
+    def test_estimate_halves_a_window(self, point_spy):
         # dt = 0.5 on the n_max = 6 even sector (compare_outputs'
         # evolve-large-step): a 30-vector basis misses the tolerance over
         # the 8-point window, so its run and every later one holds 4
         # points, and the points still match the dense exponential
-        runs = []
-        powers = dynamics._powers
-
-        def spy(f, count):
-            runs.append(count)
-            return powers(f, count)
-
-        monkeypatch.setattr(dynamics, "_powers", spy)
         h = build_h_eff(6, 0.01, "paper", EVEN)
         psi0 = h.basis.vector((0, 0, 0))
         traj = propagate(h, psi0, T=50.0, dt=0.5)
         assert len(traj.times) == 101 and not traj.edge_aborted
-        assert max(runs) == 8 and max(runs[runs.index(8) + 1:]) == 4
+        pairs = point_spy[0]
+        cut = pairs.index((8, 4))
+        assert pairs[:cut] == [(2, 2), (4, 4)]
+        assert all(filled == min(4, offered) for offered, filled in pairs[cut:])
         exact = expm(-50j * h.matrix.toarray()) @ psi0
         assert np.max(np.abs(traj.states[0] - exact)) <= 1e-12
         _, states, message = reference_propagate(h, psi0, 50.0, 0.5)
@@ -1055,6 +1050,54 @@ class TestKrylovStep:
         assert sizes == [1] * 17
         assert np.max(np.abs(traj.states[0] - np.exp(-2.5j * T) * psi0)) <= 1e-12
         assert np.max(np.abs(traj.norms - 1.0)) <= 1e-12
+
+    @staticmethod
+    def spy_on_bases(monkeypatch):
+        """The Arnoldi steps of each basis grown, one count per basis, and
+        the number of _forms calls."""
+        grown, forms = [], []
+        arnoldi_step, summed = dynamics._arnoldi_step, dynamics._forms
+
+        def step(a, basis, hess, j, floor):
+            if j == 0:
+                grown.append(0)
+            grown[-1] += 1
+            return arnoldi_step(a, basis, hess, j, floor)
+
+        def counted(v, weights):
+            forms.append(len(v))
+            return summed(v, weights)
+
+        monkeypatch.setattr(dynamics, "_arnoldi_step", step)
+        monkeypatch.setattr(dynamics, "_forms", counted)
+        return grown, forms
+
+    @pytest.mark.parametrize("theta", ["decay", 0.0])
+    def test_invariant_basis_serves_the_whole_grid(self, theta, monkeypatch):
+        # a diagonal H keeps the ground state's line: one basis of one
+        # Arnoldi step serves all 17 runs, and its forms are summed once
+        # after point 0's
+        grown, forms = self.spy_on_bases(monkeypatch)
+        if theta == "decay":
+            h = decay_operator(10, 0.5, EVEN)
+        else:
+            h = build_h_eff(10, theta, "paper", EVEN)
+        psi0 = h.basis.vector((0, 0, 0))
+        traj = propagate(h, psi0, T=5.0, dt=1e-3, track=TRACKED)
+        assert len(traj.times) == 5_001 and not traj.edge_aborted
+        assert grown == [1] and forms == [1, 1]
+        exact = np.exp(-1j * 5.0 * h.matrix.diagonal()[0])
+        assert abs(traj.states[0, 0] - exact) <= 1e-14
+
+    def test_bases_serve_successive_runs(self, monkeypatch, point_spy):
+        # the evolve-long benchmark's run: each basis is sized for
+        # WINDOW_CAP points, so the 17 runs take 10 bases, not one each
+        grown, forms = self.spy_on_bases(monkeypatch)
+        h = build_h_eff(10, 0.01, "paper", EVEN)
+        traj = propagate(h, h.basis.vector((0, 0, 0)), T=5.0, dt=1e-3, track=TRACKED)
+        assert len(traj.times) == 5_001 and not traj.edge_aborted
+        assert len(point_spy[0]) == 17
+        assert len(grown) <= 10 and len(forms) == len(grown) + 1
 
     @pytest.mark.parametrize("flags", [[], ["--theta", "0"], ["--decay-oracle"]])
     def test_evolve_imports_no_scipy_linalg(self, flags, tmp_path):

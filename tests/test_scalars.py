@@ -260,3 +260,11 @@ def test_sparse_terms_results_are_clean(name, data):
         with pytest.raises(AttributeError):
             r.anything = 0
     assert (a - a).is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@given(data=st.data())
+def test_term_map_is_falsy_exactly_when_zero(name, data):
+    a = data.draw(SPECS[name]["inst"], label="a")
+    assert bool(a) is not a.is_zero()
+    assert not (a - a) and not type(a)()

@@ -122,6 +122,12 @@ def runs(config: str) -> list:
     out.append(("evolve-decay-n30", ["evolve", "--decay-oracle", "--nmax", "30"]))
     out.append(("evolve-theta0-n30", ["evolve", "--theta", "0", "--nmax", "30",
                                       "--T", "1"]))
+    # trajectory.csv of exactly one block of rows and of one row more
+    # (cli.CSV_BLOCK, 256), so a slip at a block boundary of the writer
+    # shows as a differing byte
+    for label, T in (("evolve-csv-one-block", "0.255"),
+                     ("evolve-csv-block-and-row", "0.256")):
+        out.append((label, ["evolve", "--nmax", "4", "--dt", "0.001", "--T", T]))
     # the decay law's deviation, worked in place, over 300,001 points
     out.append(("evolve-decay-long", ["evolve", "--decay-oracle", "--nmax", "4",
                                       "--T", "30", "--dt", "1e-4"]))
