@@ -211,9 +211,10 @@ def write_report(config: RunConfig, name: str, payload: dict) -> str:
 def available_memory() -> int:
     """The least of MemAvailable from MEMINFO (all physical memory where
     it is missing) and what each memory cgroup the process is in (listed
-    in CGROUP, mounted under CGROUP_ROOT) has left: under cgroup v2
-    memory.max less memory.current, no limit where max is "max"; under
-    v1 memory.limit_in_bytes less memory.usage_in_bytes.  A cgroup whose
+    in CGROUP, mounted under CGROUP_ROOT), and each of its ancestors up
+    to the hierarchy's root, has left: under cgroup v2 memory.max less
+    memory.current, no limit where max is "max"; under v1
+    memory.limit_in_bytes less memory.usage_in_bytes.  A cgroup whose
     files cannot be read sets no limit."""
     free = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     try:
@@ -228,7 +229,8 @@ def available_memory() -> int:
 
 
 def _cgroup_free() -> list:
-    """Limit less usage of each memory cgroup in CGROUP that has one."""
+    """Limit less usage of each memory cgroup in CGROUP, or ancestor of
+    one, that has a limit."""
     try:
         with open(CGROUP) as fh:
             lines = fh.read().splitlines()
@@ -240,19 +242,23 @@ def _cgroup_free() -> list:
         _, _, rest = line.partition(":")
         controllers, _, path = rest.partition(":")
         if not controllers:
-            files = ("memory.max", "memory.current")
+            root, files = Path(CGROUP_ROOT), ("memory.max", "memory.current")
         elif "memory" in controllers.split(","):
+            root = Path(CGROUP_ROOT, "memory")
             files = ("memory.limit_in_bytes", "memory.usage_in_bytes")
-            path = "memory/" + path
         else:
             continue
-        directory = Path(CGROUP_ROOT, path.lstrip("/"))
-        try:
-            limit, usage = ((directory / name).read_text().strip() for name in files)
-            if limit != "max":
-                free.append(int(limit) - int(usage))
-        except (OSError, ValueError):
-            pass
+        # the cgroup and every ancestor up to the root: each limit binds
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts) + 1):
+            directory = root.joinpath(*parts[:depth])
+            try:
+                limit, usage = ((directory / name).read_text().strip()
+                                for name in files)
+                if limit != "max":
+                    free.append(int(limit) - int(usage))
+            except (OSError, ValueError):
+                pass
     return free
 
 

@@ -11,11 +11,11 @@ Anal. 29(1), 1992; Hochbruck & Lubich, SIAM J. Numer. Anal. 34(5),
 small Hessenberg matrix and stops short at an invariant subspace, so a
 diagonal H steps one basis state on one vector; expm exponentiates
 that, and its powers step the points that follow as short vectors e_k,
-psi_k = beta V_m^T e_k.  One basis serves successive runs of grid
-points for as long as Saad's error estimate covers them (an invariant
-one to the end of the grid), and every weighted sum of |psi_n|^2 is a
-small quadratic form in e_k, its m x m matrix summed once per basis, so
-no state of a run but its last is formed.  Probability pumped into the
+psi_k = beta V_m^T e_k.  One basis serves one run of grid points, as
+many as Saad's error estimate covers (an invariant one every run to the
+end of the grid), and every weighted sum of |psi_n|^2 is a small
+quadratic form in e_k, its m x m matrix summed once per basis, so no
+state of a run but its last is formed.  Probability pumped into the
 cutoff edge is an artifact of truncation, so evolution stops with a
 warning as soon as any edge state (some n_j > n_max - 2, so its
 same-parity neighbour along axis j is cut off) holds more than a
@@ -41,8 +41,8 @@ EDGE_OCCUPATION_LIMIT = 1e-6
 # A net occupation change no larger than this is round-off: gain_loss_map
 # lists the state as neither gaining nor losing.
 GAIN_LOSS_FLOOR = 1e-12
-# Most grid points one run holds, and that one Arnoldi basis is sized
-# for; the windows offered double up to it.
+# Most grid points one run holds: the table of one Arnoldi basis, or of
+# one refill of an invariant one.
 WINDOW_CAP = 512
 # Basis columns summed into a run's quadratic forms at a time.
 FORM_CHUNK = 4096
@@ -220,32 +220,31 @@ def _powers(f, row, count):
 
 
 def _krylov_stepper(matrix, dt):
-    """The advance(last, offered) that propagate calls: it steps a run of
-    at most offered grid points from last under the sparse block
-    H = matrix and returns it as (e, v, beta), the state at point k of the
-    run being beta e[k] @ v.
+    """The advance(last, left) that propagate calls: it steps one run of
+    grid points from last, of the left still to go, under the sparse
+    block H = matrix and returns it as (e, v, beta), the state at point k
+    of the run being beta e[k] @ v.
 
-    A run is a slice of the points one Arnoldi basis V_m (the rows of v)
-    covers.  The basis is grown from the state it starts at, of norm
-    beta, with the Hessenberg H_m of -i dt H on it, and its table holds
-    F^j e_1 for its j-th point, F = expm(H_m), so no state is formed here.
-    m is the first of KRYLOV_SIZES (up to the basis's size) at which
-    Saad's estimate h_(m+1,m) |e_m^T F^j e_1| stays within KRYLOV_TOL for
-    WINDOW_CAP points, else the largest, and the basis covers the points
-    where it does.  Successive offers get consecutive slices of its
-    table; a new basis is grown from last only for a run longer than the
-    points left.  A run the largest basis grown from last does not cover
-    is cut to the longest halving of it that it does, and a single step
-    that none covers is refused.  Later bases start from the last m, and
-    later runs are no longer than the last run cut.  An Arnoldi remainder
-    within eps of the bound on the scaled |a|_1 counts as zero, so the
-    basis stops at an invariant subspace (Saad's happy breakdown) and is
-    exact: it is never regrown and serves every later point, so a
-    diagonal H steps one basis state on one vector.  On an invariant line
-    (m = 1) each point is its own scalar exponential, counted from the
-    basis start, so no rounding compounds.  A zero last spans the zero
-    line, and stays zero.  Every run of one basis returns the same v, a
-    view of the stepper's basis, which the next basis overwrites.
+    A run is one table of the points an Arnoldi basis V_m (the rows of v)
+    covers, for at most min(left, WINDOW_CAP) points.  The basis is grown
+    from last, of norm beta, with the Hessenberg H_m of -i dt H on it,
+    and its table holds F^j e_1 for its j-th point, F = expm(H_m), so no
+    state is formed here.  m is the first of KRYLOV_SIZES (up to the
+    basis's size) at which Saad's estimate h_(m+1,m) |e_m^T F^j e_1|
+    stays within KRYLOV_TOL over the whole table, else the largest, and
+    the run is the prefix of the table where it does; a single step that
+    none covers is refused.  A table that overflows before the estimate
+    fails is the run whole, for propagate to stop at the overflow.  Later
+    bases start from the last m.  An Arnoldi remainder within eps of the
+    bound on the scaled |a|_1 counts as zero, so the basis stops at an
+    invariant subspace (Saad's happy breakdown) and is exact: it is never
+    regrown, and refills its table for every later run, so a diagonal H
+    steps one basis state on one vector.  On an invariant line (m = 1)
+    each point is its own scalar exponential, counted from the basis
+    start, so no rounding compounds.
+    A zero last spans the zero line, and stays zero.  Every run of one
+    basis returns the same v, a view of the stepper's basis, which the
+    next basis overwrites.
     """
     dim = matrix.shape[0]
     norm = dt * float(abs(matrix).sum(axis=0).max())
@@ -260,28 +259,28 @@ def _krylov_stepper(matrix, dt):
     sizes = sorted({min(m, dim) for m in KRYLOV_SIZES})
     basis = np.empty((sizes[-1] + 1, dim), dtype=complex)
     hess = np.zeros((sizes[-1] + 1, sizes[-1]), dtype=complex)
-    span, first = WINDOW_CAP, 0
+    first = 0
     # the basis at hand: v, beta, H_m, F and whether it is invariant; the
-    # points served from it, and table[at:], the vectors F^j e_1 of the
-    # points it covers after them
-    v = beta = h_m = f = None
-    invariant, served, table, at = False, 0, np.empty((0, 1)), 0
+    # points served from it, and the table of the last run
+    v = beta = h_m = f = table = None
+    invariant, served = False, 0
 
-    def points(row):
-        """The table of the WINDOW_CAP points after the served ones, row
-        being the first one's vector where m > 1."""
+    def points(row, count):
+        """The table of the count points after the served ones, row being
+        the first one's vector where m > 1."""
         if len(h_m) == 1:
-            steps = np.arange(served + 1.0, served + WINDOW_CAP + 1)
+            steps = np.arange(served + 1.0, served + count + 1)
             return np.exp(steps * h_m[0, 0])[:, np.newaxis]
-        return _powers(f, row, WINDOW_CAP)
+        return _powers(f, row, count)
 
     def grow(last, count):
-        """Grow a basis from last; return the points of count it covers."""
-        nonlocal span, first, v, beta, h_m, f, invariant, served, table, at
+        """Grow a basis from last; return the table of the points of
+        count it covers."""
+        nonlocal first, v, beta, h_m, f, invariant, served
         # a zero last spans the zero line
         beta = _norm(last) or 1.0
         basis[0] = last / beta
-        built = served = at = 0
+        built = served = 0
         for index in range(first, len(sizes)):
             m = sizes[index]
             # a zero remainder stops the basis short: it is exact
@@ -291,45 +290,37 @@ def _krylov_stepper(matrix, dt):
             m = built
             h_m = hess[:m, :m] * scale
             f = expm(h_m)
-            table = points(f[:, 0])
+            table = points(f[:, 0], count)
             invariant = m == dim or not hess[m, m - 1]
             if invariant:
                 break
-            if not np.isfinite(table[:count]).all():
-                # overflowing, where propagate's check stops it
-                table = table[:count]
-                break
             error = np.maximum.accumulate(
                 abs(hess[m, m - 1]) * scale * np.abs(table[:, m - 1]))
-            table = table[:np.count_nonzero(error <= KRYLOV_TOL)]
-            if len(table) == WINDOW_CAP:
+            held = np.count_nonzero(error <= KRYLOV_TOL)
+            # a table that overflows before the estimate fails is kept
+            # whole: propagate's check stops it at the overflow
+            if held == count or not np.isfinite(table[:held + 1]).all():
                 break
-        else:
-            while count > len(table):
-                count //= 2
-                span = count
-            if not count:
-                raise ValueError(
-                    f"one step of dt = {dt:g} needs a Krylov basis of more "
-                    f"than {m} vectors (error estimate {error[0]:.3g} "
-                    f"against {KRYLOV_TOL:g}); shrink dt"
-                )
+            table = table[:held]
+        if not len(table):
+            raise ValueError(
+                f"one step of dt = {dt:g} needs a Krylov basis of more "
+                f"than {m} vectors (error estimate {error[0]:.3g} "
+                f"against {KRYLOV_TOL:g}); shrink dt"
+            )
         first = index
         v = basis[:m]
-        return count
+        return table
 
-    def advance(last, offered):
-        nonlocal served, table, at
-        count = min(span, offered)
-        if at + count > len(table):
-            if invariant:
-                table, at = points(f @ table[at - 1]), 0
-            else:
-                count = grow(last, count)
-        e = table[at:at + count]
-        at += count
-        served += count
-        return e, v, beta
+    def advance(last, left):
+        nonlocal table, served
+        count = min(left, WINDOW_CAP)
+        if invariant:
+            table = points(f @ table[-1], count)
+        else:
+            table = grow(last, count)
+        served += len(table)
+        return table, v, beta
 
     return advance
 
@@ -382,13 +373,12 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     through the nonzeros of H stays exactly zero: no Arnoldi vector has
     weight there, and the basis stops at an invariant subspace, one
     vector for the whole grid for a diagonal H and a basis state psi0.
-    From grid point s, _krylov_stepper is offered min(s + 1, WINDOW_CAP)
-    points (fewer at the end of the grid) and steps a run of them on an
-    Arnoldi basis V_m, the next points of the one it holds or a new one:
-    the state at point k of the run is psi_k = beta e_k^T V_m.  Each run
-    is checked as soon as it is stepped, so a stop at point k steps at
-    most the run that holds the stop: no more than min(2k+1, k+WINDOW_CAP)
-    points.
+    Past point 0, _krylov_stepper is passed the points left and steps one
+    run of at most WINDOW_CAP of them on an Arnoldi basis V_m, a new one
+    or the invariant one it holds: the state at point k of the run is
+    psi_k = beta e_k^T V_m.  Each run is checked as soon as it is
+    stepped, so a stop at point k steps at most the run that holds the
+    stop: no more than k + WINDOW_CAP - 1 points.
 
     Of a run's states only its last is formed.  Per basis the m x m forms
     G = V_m V_m^H, M = V_m diag(H_I) V_m^H and G_E (G summed over the edge
@@ -433,7 +423,7 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
         advance = _krylov_stepper(h.matrix, dt)
         while start < end:
             if start:
-                e, run_v, beta = advance(last, min(start + 1, WINDOW_CAP, end - start))
+                e, run_v, beta = advance(last, end - start)
             else:
                 e, run_v, beta = np.ones((1, 1), dtype=complex), last[np.newaxis], 1.0
             if run_v is not v:

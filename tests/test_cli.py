@@ -399,7 +399,7 @@ class TestExitCodes:
         # 100,001 points at n_max 4: propagate's series (the time, P, <H_I>
         # and each tracked occupation, held once) and the checks' two reals
         # per point dwarf the 4 MiB available, which the operator, the
-        # Krylov basis over the 27-state sector, one window and one block
+        # Krylov basis over the 27-state sector, one run and one block
         # of trajectory.csv fit into: 12.7 MiB charged with --theta 0, 9.4
         # MiB with --decay-oracle, which writes no table
         monkeypatch.setattr(cli, "available_memory", lambda: 4 * 2 ** 20)
@@ -499,6 +499,30 @@ class TestExitCodes:
         assert main(["evolve", "--nmax", "30", "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].endswith("MiB, 16.0 MiB available")
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("cgroup, mount, files, unlimited", [
+        ("0::/jobs/a\n", "", ("memory.max", "memory.current"), "max"),
+        ("4:memory:/jobs/a\n0::/\n", "memory/",
+         ("memory.limit_in_bytes", "memory.usage_in_bytes"), "9223372036854771712"),
+    ], ids=["v2", "v1"])
+    def test_refuses_what_a_parent_cgroup_cannot_hold(self, cgroup, mount, files,
+                                                       unlimited, tmp_path,
+                                                       monkeypatch, capsys):
+        # the process's own cgroup sets no limit, and its parent's 16 MiB,
+        # 1 MiB of it in use, binds
+        limit, usage = files
+        self.memory_fixture(tmp_path, monkeypatch, cgroup, {
+            f"{mount}jobs/a/{limit}": unlimited + "\n",
+            f"{mount}jobs/a/{usage}": "0\n",
+            f"{mount}jobs/{limit}": "16777216\n",
+            f"{mount}jobs/{usage}": "1048576\n",
+        })
+        assert cli.available_memory() == 15 * 2 ** 20
+        out = tmp_path / "out"
+        assert main(["evolve", "--nmax", "30", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("MiB, 15.0 MiB available")
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("argv", [

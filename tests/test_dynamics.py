@@ -135,9 +135,9 @@ def assert_streams_match(traj, h, sectors, states):
 
 @pytest.fixture
 def point_spy(monkeypatch):
-    """One list per propagate call that gets as far as stepping, of an
-    (offered, filled) pair per call of its Krylov stepper: the grid points
-    the window offered and the run filled, None where the stepper raised."""
+    """One list per propagate call that gets as far as stepping, of a
+    (left, filled) pair per call of its Krylov stepper: the grid points
+    left to step and those the run filled, None where the stepper raised."""
     calls = []
     stepper = dynamics._krylov_stepper
 
@@ -145,10 +145,10 @@ def point_spy(monkeypatch):
         advance = stepper(matrix, dt)
         calls.append([])
 
-        def counted(last, offered):
-            calls[-1].append((offered, None))
-            run = advance(last, offered)
-            calls[-1][-1] = (offered, len(run[0]))
+        def counted(last, left):
+            calls[-1].append((left, None))
+            run = advance(last, left)
+            calls[-1][-1] = (left, len(run[0]))
             return run
 
         return counted
@@ -567,9 +567,10 @@ class TestAbortSemantics:
         self.check_abort(n_max, theta, mode, dt, 1.0)
 
     def test_edge_abort_stops_with_the_run_that_holds_it(self, point_spy):
-        # dt = 0.25 on the n_max 8 even sector: Saad's estimate halves the
-        # 4-point window at t = 0.75 to a run of 2, which holds the stop at
-        # t = 1, so the window's other 2 points are never stepped
+        # dt = 0.25 on the n_max 8 even sector: Saad's estimate holds for
+        # 3 points on each basis, so the stop at t = 1 is the first point
+        # of the second run, and none of the 197 points after that run is
+        # ever stepped
         h = build_h_eff(8, 0.05, "paper", EVEN)
         psi0 = h.basis.vector((0, 0, 0))
         sectors, states, message = reference_propagate(h, psi0, 50.0, 0.25)
@@ -578,7 +579,7 @@ class TestAbortSemantics:
         assert [str(w.message) for w in record] == [message]
         assert traj.edge_aborted and len(traj.times) == 5
         assert_streams_match(traj, h, sectors, states)
-        assert point_spy == [[(2, 2), (4, 2)]]
+        assert point_spy == [[(200, 3), (197, 3)]]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_edge_abort_at_n_max_10_matches_reference(self, mode):
@@ -591,20 +592,21 @@ class TestAbortSemantics:
         traj = quiet_propagate(h, psi0, T=1.0, dt=1e-3)
         k = len(traj.times) - 1
         assert traj.edge_aborted and 0 < k < 1000
-        # point 0 is psi0, so at most 2k+1 points means at most 2k stepped
-        assert k <= stepped(point_spy[0]) <= 2 * k
+        # the run that holds the stop at point k starts at most at point k
+        # and holds at most WINDOW_CAP points
+        assert k <= stepped(point_spy[0]) <= k + WINDOW_CAP - 1
 
     def test_complete_run_steps_once_per_point(self, point_spy):
         h = build_h_eff(4, 0.01, "paper")
         _, psi0 = ground(4)
         traj = propagate(h, psi0, T=0.1, dt=1e-3)
         assert not traj.edge_aborted
-        # every window offered comes back full: points 1..100 once each
-        assert point_spy == [[(n, n) for n in (2, 4, 8, 16, 32, 38)]]
+        # one run covers the 100 points left: points 1..100 once each
+        assert point_spy == [[(100, 100)]]
 
     def test_capped_windows_match_reference(self, point_spy, monkeypatch):
-        # windows stop doubling at the cap, so a stop at point k has stepped
-        # at most max(2k, k + cap - 1) points
+        # no run holds more than the cap, so a stop at point k has stepped
+        # at most k + cap - 1 points
         cap = 16
         monkeypatch.setattr(dynamics, "WINDOW_CAP", cap)
         h = build_h_eff(6, 0.05, "rederived")
@@ -635,7 +637,31 @@ class TestAbortSemantics:
                 propagate(grow, psi0, T=20.0, dt=1.0)
         assert str(raised.value) == str(expected.value)
         assert "at t = 8;" in str(raised.value)
-        assert stepped(point_spy[0]) <= 2 * 8
+        assert stepped(point_spy[0]) <= 8 + WINDOW_CAP - 1
+
+    def test_overflowing_table_is_cut_where_the_estimate_fails(self, point_spy):
+        # the same growth on the chain (0,0,0) - (2,0,0) - ... - (16,0,0),
+        # coupled by 1e-6: the table overflows at the eighth point, an
+        # 8-vector basis misses the estimate at the first and never sees
+        # the edge state (16,0,0), the 9-vector one is exact, and the edge
+        # passes the limit at t = 2, before any amplitude overflows
+        basis = FockBasis(16)
+        chain = [basis.index((n, 0, 0)) for n in range(0, 17, 2)]
+        hops = sp.coo_array((np.full(8, 1e-6), (chain[:-1], chain[1:])),
+                            shape=(basis.dim, basis.dim))
+        matrix = sp.diags_array(np.full(basis.dim, 100.0j)) + hops + hops.T
+        grow = FockOperator(matrix=sp.csr_array(matrix), basis=basis)
+        psi0 = basis.vector((0, 0, 0))
+        sectors, states, message = reference_propagate(grow, psi0, 20.0, 1.0)
+        assert message.startswith("edge occupation") and len(states) == 3
+        with pytest.warns(RuntimeWarning) as record:
+            traj = propagate(grow, psi0, T=20.0, dt=1.0)
+        assert [str(w.message) for w in record] == [message]
+        assert point_spy == [[(20, 20)]]
+        norms = np.sum(np.abs(states) ** 2, axis=1)
+        assert np.max(np.abs(traj.norms / norms - 1)) <= 1e-12
+        error = np.max(np.abs(traj.states[0, sectors] - states[-1]))
+        assert error <= 1e-12 * np.max(np.abs(states[-1]))
 
     def test_overflowing_norm_alone_does_not_raise(self):
         # the same growth to t = 7: P overflows from t = 4 (e^800 past the
@@ -664,7 +690,7 @@ class TestBlockSteps:
     def test_points_match_dense_exponential(self, mode):
         # the evolve defaults at theta = +-0.01: each point is the final
         # state of a run that ends there, at t = 1, 3, 5 and on both sides
-        # of the first window boundaries
+        # of the first WINDOW_CAP boundary
         dt = 1e-3
         for theta in (0.01, -0.01):
             h = build_h_eff(10, theta, mode, EVEN)
@@ -683,7 +709,7 @@ class TestBlockSteps:
     @staticmethod
     def hessenberg_blocks():
         """The blocks propagate exponentiates on the evolve defaults' even
-        sector and on the large-step run, where windows split."""
+        sector and on the large-step run, where the estimate cuts runs."""
         blocks = []
         original = dynamics.expm
 
@@ -737,20 +763,50 @@ class TestBlockSteps:
         assert len(traj.times) == 300_001 and not traj.edge_aborted
         assert norm_flow_check(traj) <= 3e-7
 
+    @staticmethod
+    def saad_estimate(matrix, start, dt, m, count):
+        """Saad's estimate h_(m+1,m) |e_m^T F^j e_1| at points j = 1 ..
+        count of the m-vector Arnoldi basis of -i dt H grown from start
+        (Gram-Schmidt run twice, F from scipy's dense expm), as a running
+        maximum."""
+        a = -1j * dt * matrix
+        v = np.zeros((m + 1, len(start)), dtype=complex)
+        hess = np.zeros((m + 1, m), dtype=complex)
+        v[0] = start / np.linalg.norm(start)
+        for j in range(m):
+            w = a @ v[j]
+            for _ in range(2):
+                c = v[:j + 1].conj() @ w
+                w -= c @ v[:j + 1]
+                hess[:j + 1, j] += c
+            hess[j + 1, j] = np.linalg.norm(w)
+            v[j + 1] = w / hess[j + 1, j]
+        f = expm(hess[:m, :m])
+        e, estimate = f[:, 0], []
+        for _ in range(count):
+            estimate.append(abs(hess[m, m - 1] * e[m - 1]))
+            e = f @ e
+        return np.maximum.accumulate(estimate)
+
     def test_estimate_halves_a_window(self, point_spy):
         # dt = 0.5 on the n_max = 6 even sector (compare_outputs'
-        # evolve-large-step): a 30-vector basis misses the tolerance over
-        # the 8-point window, so its run and every later one holds 4
-        # points, and the points still match the dense exponential
+        # evolve-large-step): even a 30-vector basis misses the tolerance
+        # a few points on, so each run is the prefix of its table where
+        # Saad's estimate, computed here from the run's start state,
+        # holds, and the points still match the dense exponential
         h = build_h_eff(6, 0.01, "paper", EVEN)
         psi0 = h.basis.vector((0, 0, 0))
         traj = propagate(h, psi0, T=50.0, dt=0.5)
         assert len(traj.times) == 101 and not traj.edge_aborted
-        pairs = point_spy[0]
-        cut = pairs.index((8, 4))
-        assert pairs[:cut] == [(2, 2), (4, 4)]
-        assert all(filled == min(4, offered) for offered, filled in pairs[cut:])
-        exact = expm(-50j * h.matrix.toarray()) @ psi0
+        dense = h.matrix.toarray()
+        start = 0
+        for left, filled in point_spy[0]:
+            state = expm(-0.5j * start * dense) @ psi0
+            estimate = self.saad_estimate(dense, state, 0.5, 30, left)
+            assert filled == np.count_nonzero(estimate <= dynamics.KRYLOV_TOL)
+            start += filled
+        assert start == 100 and point_spy[0][0] == (100, 4)
+        exact = expm(-50j * dense) @ psi0
         assert np.max(np.abs(traj.states[0] - exact)) <= 1e-12
         _, states, message = reference_propagate(h, psi0, 50.0, 0.5)
         assert message is None
@@ -950,9 +1006,9 @@ class TestEdgeScreen:
         return formed
 
     def test_rows_formed_where_the_edge_weight_does_not_clear(self, monkeypatch):
-        # n_max 6, theta 0.05 rederived to T = 0.44: the last run's edge
-        # weight passes half the limit while no edge state reaches even
-        # that, so the run forms its edge rows and goes on
+        # n_max 6, theta 0.05 rederived to T = 0.44: the run's edge weight
+        # passes half the limit while no edge state reaches even that, so
+        # the run forms its edge rows and goes on
         formed = self.spy_on_edge_rows(monkeypatch)
         h = build_h_eff(6, 0.05, "rederived", EVEN)
         psi0 = h.basis.vector((0, 0, 0))
@@ -963,10 +1019,10 @@ class TestEdgeScreen:
             traj = propagate(h, psi0, T=0.44, dt=1e-3, track=TRACKED)
         assert not traj.edge_aborted and len(traj.times) == 441
         assert_streams_match(traj, h, sectors, states)
-        # the one run formed holds points 255 .. 440
-        assert [len(occ) for occ in formed] == [186]
+        # the grid's one run holds points 1 .. 440
+        assert [len(occ) for occ in formed] == [440]
         edge = (h.basis.occupations > 4).any(axis=1)
-        largest = np.max(np.abs(states[255:, edge]) ** 2, axis=1)
+        largest = np.max(np.abs(states[1:, edge]) ** 2, axis=1)
         assert np.max(np.abs(formed[0] - largest)) <= 1e-12
         assert np.max(largest) < EDGE_OCCUPATION_LIMIT / 2
 
@@ -978,13 +1034,13 @@ class TestEdgeScreen:
     def test_edge_abort_forms_the_rows_it_reads(self, monkeypatch):
         # the stop at t = 0.513 (n_max 6, theta 0.05 rederived) is found in
         # the edge rows of the two runs the weight does not clear, the
-        # second the 490 points from 511 to the end of the grid
+        # second the 488 points from 513 to the end of the grid
         formed = self.spy_on_edge_rows(monkeypatch)
         h = build_h_eff(6, 0.05, "rederived", EVEN)
         traj = quiet_propagate(h, h.basis.vector((0, 0, 0)), T=1.0, dt=1e-3)
         assert traj.edge_aborted and len(traj.times) == 514
-        assert [len(occ) for occ in formed] == [256, 490]
-        assert np.flatnonzero(formed[1] > EDGE_OCCUPATION_LIMIT)[0] == 513 - 511
+        assert [len(occ) for occ in formed] == [512, 488]
+        assert np.flatnonzero(formed[1] > EDGE_OCCUPATION_LIMIT)[0] == 513 - 513
 
 
 class TestKrylovStep:
@@ -1012,7 +1068,8 @@ class TestKrylovStep:
         psi0 = h.basis.vector((0, 0, 0))
         with pytest.raises(ValueError, match="needs a Krylov basis of more than 30"):
             propagate(h, psi0, T=2.0, dt=1.0)
-        # the 2 points offered are halved to 1, and the next 1 is refused
+        # the largest basis covers 1 of the 2 points left, and none of the
+        # last one, which is refused
         assert point_spy == [[(2, 1), (1, None)]]
         assert not propagate(h, psi0, T=2.0, dt=0.1).edge_aborted
 
@@ -1033,8 +1090,8 @@ class TestKrylovStep:
         def sizing_stepper(matrix, dt):
             advance = stepper(matrix, dt)
 
-            def sized(last, offered):
-                run = advance(last, offered)
+            def sized(last, left):
+                run = advance(last, left)
                 sizes.append(len(run[1]))
                 return run
 
@@ -1047,7 +1104,7 @@ class TestKrylovStep:
         T = 5.0
         traj = propagate(h, psi0, T=T, dt=1e-3)
         assert not traj.edge_aborted
-        assert sizes == [1] * 17
+        assert sizes == [1] * 10
         assert np.max(np.abs(traj.states[0] - np.exp(-2.5j * T) * psi0)) <= 1e-12
         assert np.max(np.abs(traj.norms - 1.0)) <= 1e-12
 
@@ -1075,7 +1132,7 @@ class TestKrylovStep:
     @pytest.mark.parametrize("theta", ["decay", 0.0])
     def test_invariant_basis_serves_the_whole_grid(self, theta, monkeypatch):
         # a diagonal H keeps the ground state's line: one basis of one
-        # Arnoldi step serves all 17 runs, and its forms are summed once
+        # Arnoldi step serves all 10 runs, and its forms are summed once
         # after point 0's
         grown, forms = self.spy_on_bases(monkeypatch)
         if theta == "decay":
@@ -1090,14 +1147,46 @@ class TestKrylovStep:
         assert abs(traj.states[0, 0] - exact) <= 1e-14
 
     def test_bases_serve_successive_runs(self, monkeypatch, point_spy):
-        # the evolve-long benchmark's run: each basis is sized for
-        # WINDOW_CAP points, so the 17 runs take 10 bases, not one each
+        # the evolve-long benchmark's run: each basis covers WINDOW_CAP
+        # points in one run, so the 5,000 points take 10 runs on 10 bases
         grown, forms = self.spy_on_bases(monkeypatch)
         h = build_h_eff(10, 0.01, "paper", EVEN)
         traj = propagate(h, h.basis.vector((0, 0, 0)), T=5.0, dt=1e-3, track=TRACKED)
         assert len(traj.times) == 5_001 and not traj.edge_aborted
-        assert len(point_spy[0]) == 17
-        assert len(grown) <= 10 and len(forms) == len(grown) + 1
+        assert len(point_spy[0]) == len(grown) == 10
+        assert len(forms) == len(grown) + 1
+
+    @pytest.mark.parametrize("theta", [0.01, 0.0])
+    def test_tables_are_sized_by_the_points_left(self, theta, monkeypatch):
+        # an 11-point grid at n_max 30: no table of a run's vectors e_k
+        # holds more than the 10 points left, neither the powers F^k e_1
+        # nor, on the ground state's invariant line at theta = 0, the
+        # scalar exponentials; each run's e is its table or a view of it
+        rows, tables = [], []
+        powers, stepper = dynamics._powers, dynamics._krylov_stepper
+
+        def counted(f, row, count):
+            rows.append(count)
+            return powers(f, row, count)
+
+        def table_stepper(matrix, dt):
+            advance = stepper(matrix, dt)
+
+            def tabled(last, left):
+                run = advance(last, left)
+                table = run[0] if run[0].base is None else run[0].base
+                tables.append(len(table))
+                return run
+
+            return tabled
+
+        monkeypatch.setattr(dynamics, "_powers", counted)
+        monkeypatch.setattr(dynamics, "_krylov_stepper", table_stepper)
+        h = build_h_eff(30, theta, "paper", EVEN)
+        traj = propagate(h, h.basis.vector((0, 0, 0)), T=0.01, dt=1e-3)
+        assert len(traj.times) == 11 and not traj.edge_aborted
+        assert bool(rows) == bool(theta) and tables
+        assert max(rows + tables) <= min(10, WINDOW_CAP)
 
     @pytest.mark.parametrize("flags", [[], ["--theta", "0"], ["--decay-oracle"]])
     def test_evolve_imports_no_scipy_linalg(self, flags, tmp_path):

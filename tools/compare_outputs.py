@@ -95,15 +95,15 @@ def runs(config: str) -> list:
         out.append((f"evolve-n{n}", ["evolve", "--nmax", str(n)]))
         out.append((f"evolve-decay-n{n}", ["evolve", "--decay-oracle",
                                            "--nmax", str(n)]))
-    # a 1,331-state even sector, whose windows of up to 32 points are
-    # stepped on 8-vector Krylov bases
+    # a 1,331-state even sector, whose 50 points are one run on an
+    # 8-vector Krylov basis
     out.append(("evolve-krylov-n20", ["evolve", "--nmax", "20", "--T", "0.05"]))
-    # a dt at which Saad's estimate halves the runs: past 4 points even a
-    # 30-vector basis misses it, so every later run holds 4 points
+    # a dt at which Saad's estimate cuts every run: past 4 to 6 points
+    # even a 30-vector basis misses it, so each run holds only those
     out.append(("evolve-large-step", ["evolve", "--nmax", "6", "--dt", "0.5",
                                       "--T", "50"]))
-    # an edge abort inside a window that Saad's estimate halves: the
-    # 2-point run at t = 0.75 and 1 holds the stop at t = 1 (5 points)
+    # an edge abort inside a run that Saad's estimate cuts: the stop at
+    # t = 1 (5 points) is the first of the second basis's 3-point run
     out.append(("evolve-abort-in-halved-window", ["evolve", "--nmax", "8",
                                                   "--theta", "0.05", "--dt",
                                                   "0.25", "--T", "50"]))
@@ -112,8 +112,10 @@ def runs(config: str) -> list:
     out.append(("evolve-edge-rows-formed", ["evolve", "--mode", "rederived",
                                             "--theta", "0.05", "--nmax", "6",
                                             "--T", "0.44", "--dt", "0.001"]))
-    # a 4,096-state even sector, with runs of up to 512 points
+    # a 4,096-state even sector, with runs of up to 512 points, and a grid
+    # shorter than one run, whose table is sized by the 10 points left
     out.append(("evolve-n30", ["evolve", "--nmax", "30", "--T", "1"]))
+    out.append(("evolve-short-n30", ["evolve", "--nmax", "30", "--T", "0.01"]))
     # a 100,001-row CSV through the streamed rows, on a diagonal H whose
     # Arnoldi bases stop at the ground state's line, and diagonal runs over
     # the 4,096-state sector at the largest routine cutoff
