@@ -13,11 +13,12 @@ diagonal H steps one basis state on one vector; expm exponentiates
 that, and its powers step the points that follow as short vectors e_k,
 psi_k = beta V_m^T e_k.  One basis serves one run of grid points, as
 many as Saad's error estimate covers (an invariant one every run to the
-end of the grid), and every weighted sum of |psi_n|^2 is a small
-quadratic form in e_k, its m x m matrix summed once per basis, so no
-state of a run but its last is formed.  Probability pumped into the
-cutoff edge is an artifact of truncation, so evolution stops with a
-warning as soon as any edge state (some n_j > n_max - 2, so its
+end of the grid), and one generator yields the runs in order, point 0
+first.  Every weighted sum of |psi_n|^2 is a small quadratic form in
+e_k, its m x m matrix summed once per basis, so no state is formed but
+the one each basis grows from and the final one.  Probability pumped
+into the cutoff edge is an artifact of truncation, so evolution stops
+with a warning as soon as any edge state (some n_j > n_max - 2, so its
 same-parity neighbour along axis j is cut off) holds more than a
 threshold occupation; the edge amplitudes are formed only for a run
 whose summed edge weight does not clear it.  Non-finite amplitudes
@@ -219,34 +220,38 @@ def _powers(f, row, count):
     return rows
 
 
-def _krylov_stepper(matrix, dt):
-    """The advance(last, left) that propagate calls: it steps one run of
-    grid points from last, of the left still to go, under the sparse
-    block H = matrix and returns it as (e, v, beta), the state at point k
-    of the run being beta e[k] @ v.
+def _krylov_runs(matrix, dt, psi0, end):
+    """Every run (e, v, beta) of the grid points 0 .. end - 1 of psi0
+    under the sparse block H = matrix, in order: the state at point k of
+    a run is beta e[k] @ v.  Point 0 is a run of its own, psi0 itself.
 
-    A run is one table of the points an Arnoldi basis V_m (the rows of v)
-    covers, for at most min(left, WINDOW_CAP) points.  The basis is grown
-    from last, of norm beta, with the Hessenberg H_m of -i dt H on it,
-    and its table holds F^j e_1 for its j-th point, F = expm(H_m), so no
-    state is formed here.  m is the first of KRYLOV_SIZES (up to the
-    basis's size) at which Saad's estimate h_(m+1,m) |e_m^T F^j e_1|
-    stays within KRYLOV_TOL over the whole table, else the largest, and
-    the run is the prefix of the table where it does; a single step that
-    none covers is refused.  A table that overflows before the estimate
-    fails is the run whole, for propagate to stop at the overflow.  Later
-    bases start from the last m.  An Arnoldi remainder within eps of the
-    bound on the scaled |a|_1 counts as zero, so the basis stops at an
-    invariant subspace (Saad's happy breakdown) and is exact: it is never
-    regrown, and refills its table for every later run, so a diagonal H
-    steps one basis state on one vector.  On an invariant line (m = 1)
-    each point is its own scalar exponential, counted from the basis
-    start, so no rounding compounds.
-    A zero last spans the zero line, and stays zero.  Every run of one
-    basis returns the same v, a view of the stepper's basis, which the
-    next basis overwrites.
+    Every later run is one table of the points an Arnoldi basis V_m (the
+    rows of v) covers, for at most min(left, WINDOW_CAP) of the points
+    left.  The basis is grown from the last state of the run before, of
+    norm beta, with the Hessenberg H_m of -i dt H on it, and its table
+    holds F^j e_1 for its j-th point, F = expm(H_m), so no other state is
+    formed here.  m is the first of KRYLOV_SIZES (up to the basis's size)
+    at which Saad's estimate h_(m+1,m) |e_m^T F^j e_1| stays within
+    KRYLOV_TOL over the whole table, else the largest, and the run is the
+    prefix of the table where it does; a single step that none covers
+    raises ValueError ("shrink dt") from the iteration.  A table that
+    overflows before the estimate fails is the run whole, for the caller
+    to stop at the overflow.  Later bases start from the last m.  An
+    Arnoldi remainder within eps of the bound on the scaled |a|_1 counts
+    as zero, so the basis stops at an invariant subspace (Saad's happy
+    breakdown) and is exact: it is never regrown, and refills its table
+    for every later run, so a diagonal H steps one basis state on one
+    vector.  On an invariant line (m = 1) each point is its own scalar
+    exponential, counted from the basis start, so no rounding compounds.
+    A zero last state spans the zero line, and stays zero.
+
+    Every run of one basis yields the same v, a view of the generator's
+    basis that the next basis overwrites, so the caller spots a new basis
+    by v's identity.  The caller stops the runs by leaving the loop.
     """
-    dim = matrix.shape[0]
+    e, v, beta = np.ones((1, 1), dtype=complex), psi0[np.newaxis], 1.0
+    yield e, v, beta
+    dim = len(psi0)
     norm = dt * float(abs(matrix).sum(axis=0).max())
     # the basis is grown on -i dt H over a power of two at its 1-norm, so
     # no vector norm overflows; the Hessenberg matrix is scaled back
@@ -259,70 +264,56 @@ def _krylov_stepper(matrix, dt):
     sizes = sorted({min(m, dim) for m in KRYLOV_SIZES})
     basis = np.empty((sizes[-1] + 1, dim), dtype=complex)
     hess = np.zeros((sizes[-1] + 1, sizes[-1]), dtype=complex)
-    first = 0
-    # the basis at hand: v, beta, H_m, F and whether it is invariant; the
-    # points served from it, and the table of the last run
-    v = beta = h_m = f = table = None
-    invariant, served = False, 0
-
-    def points(row, count):
-        """The table of the count points after the served ones, row being
-        the first one's vector where m > 1."""
-        if len(h_m) == 1:
-            steps = np.arange(served + 1.0, served + count + 1)
-            return np.exp(steps * h_m[0, 0])[:, np.newaxis]
-        return _powers(f, row, count)
-
-    def grow(last, count):
-        """Grow a basis from last; return the table of the points of
-        count it covers."""
-        nonlocal first, v, beta, h_m, f, invariant, served
-        # a zero last spans the zero line
-        beta = _norm(last) or 1.0
-        basis[0] = last / beta
-        built = served = 0
-        for index in range(first, len(sizes)):
-            m = sizes[index]
-            # a zero remainder stops the basis short: it is exact
-            while built < m and (not built or hess[built, built - 1]):
-                _arnoldi_step(a, basis, hess, built, floor)
-                built += 1
-            m = built
-            h_m = hess[:m, :m] * scale
-            f = expm(h_m)
-            table = points(f[:, 0], count)
-            invariant = m == dim or not hess[m, m - 1]
-            if invariant:
-                break
-            error = np.maximum.accumulate(
-                abs(hess[m, m - 1]) * scale * np.abs(table[:, m - 1]))
-            held = np.count_nonzero(error <= KRYLOV_TOL)
-            # a table that overflows before the estimate fails is kept
-            # whole: propagate's check stops it at the overflow
-            if held == count or not np.isfinite(table[:held + 1]).all():
-                break
-            table = table[:held]
-        if not len(table):
-            raise ValueError(
-                f"one step of dt = {dt:g} needs a Krylov basis of more "
-                f"than {m} vectors (error estimate {error[0]:.3g} "
-                f"against {KRYLOV_TOL:g}); shrink dt"
-            )
-        first = index
-        v = basis[:m]
-        return table
-
-    def advance(last, left):
-        nonlocal table, served
-        count = min(left, WINDOW_CAP)
+    # the size the next basis starts from, and whether the basis at hand
+    # is invariant
+    first, invariant, start = 0, False, 1
+    while start < end:
+        count = min(end - start, WINDOW_CAP)
+        if not invariant:
+            last = e[-1] @ v
+            last *= beta
+            # a zero last spans the zero line
+            beta = _norm(last) or 1.0
+            basis[0] = last / beta
+            built = served = 0
+            for index in range(first, len(sizes)):
+                m = sizes[index]
+                # a zero remainder stops the basis short: it is exact
+                while built < m and (not built or hess[built, built - 1]):
+                    _arnoldi_step(a, basis, hess, built, floor)
+                    built += 1
+                m = built
+                h_m = hess[:m, :m] * scale
+                f = expm(h_m)
+                invariant = m == dim or not hess[m, m - 1]
+                if invariant:
+                    break
+                e = _powers(f, f[:, 0], count)
+                error = np.maximum.accumulate(
+                    abs(hess[m, m - 1]) * scale * np.abs(e[:, m - 1]))
+                held = np.count_nonzero(error <= KRYLOV_TOL)
+                # a table that overflows before the estimate fails is kept
+                # whole: the caller's check stops it at the overflow
+                if held == count or not np.isfinite(e[:held + 1]).all():
+                    break
+                e = e[:held]
+            if not invariant and not len(e):
+                raise ValueError(
+                    f"one step of dt = {dt:g} needs a Krylov basis of more "
+                    f"than {m} vectors (error estimate {error[0]:.3g} "
+                    f"against {KRYLOV_TOL:g}); shrink dt"
+                )
+            first, v = index, basis[:m]
         if invariant:
-            table = points(f @ table[-1], count)
-        else:
-            table = grow(last, count)
-        served += len(table)
-        return table, v, beta
-
-    return advance
+            # the table of the count points after the served ones
+            if m == 1:
+                steps = np.arange(served + 1.0, served + count + 1)
+                e = np.exp(steps * h_m[0, 0])[:, np.newaxis]
+            else:
+                e = _powers(f, f @ e[-1] if served else f[:, 0], count)
+        served += len(e)
+        start += len(e)
+        yield e, v, beta
 
 
 def _forms(v, weights):
@@ -373,14 +364,16 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     through the nonzeros of H stays exactly zero: no Arnoldi vector has
     weight there, and the basis stops at an invariant subspace, one
     vector for the whole grid for a diagonal H and a basis state psi0.
-    Past point 0, _krylov_stepper is passed the points left and steps one
-    run of at most WINDOW_CAP of them on an Arnoldi basis V_m, a new one
-    or the invariant one it holds: the state at point k of the run is
-    psi_k = beta e_k^T V_m.  Each run is checked as soon as it is
-    stepped, so a stop at point k steps at most the run that holds the
-    stop: no more than k + WINDOW_CAP - 1 points.
+    The grid comes from _krylov_runs as runs: point 0, psi0 itself, then
+    runs of at most WINDOW_CAP of the points left, each on an Arnoldi
+    basis V_m, a new one or the invariant one at hand: the state at point
+    k of a run is psi_k = beta e_k^T V_m.  Each run is checked as soon as
+    it is stepped, and an edge stop leaves the loop, so a stop at point k
+    steps at most the run that holds the stop: no more than
+    k + WINDOW_CAP - 1 points.
 
-    Of a run's states only its last is formed.  Per basis the m x m forms
+    No state is formed but the one each new basis grows from and the
+    final one, once after the last run.  Per basis the m x m forms
     G = V_m V_m^H, M = V_m diag(H_I) V_m^H and G_E (G summed over the edge
     states alone) are summed once, and its tracked columns taken; for
     each run one product of the points' e_k with the forms gives
@@ -417,15 +410,9 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
     weights = (h.h_i_diagonal, on_edge.astype(float))
     edge = np.flatnonzero(on_edge)
     series = np.zeros((n_steps + 1, 2 + len(track)))
-    last, v = psi0, None
-    start, end, aborted = 0, n_steps + 1, False
+    start, end, aborted, v = 0, n_steps + 1, False, None
     with np.errstate(over="ignore", invalid="ignore"):
-        advance = _krylov_stepper(h.matrix, dt)
-        while start < end:
-            if start:
-                e, run_v, beta = advance(last, end - start)
-            else:
-                e, run_v, beta = np.ones((1, 1), dtype=complex), last[np.newaxis], 1.0
+        for e, run_v, beta in _krylov_runs(h.matrix, dt, psi0, end):
             if run_v is not v:
                 # a new basis: its forms and tracked columns
                 v = run_v
@@ -465,9 +452,11 @@ def propagate(h: FockOperator, psi0, T: float, dt: float, track=()) -> Trajector
             amplitudes = e[:count] @ v_track
             amplitudes *= beta
             series[rows, 2:] = np.abs(amplitudes) ** 2
-            last = e[count - 1] @ v
-            last *= beta
             start += count
+            if aborted:
+                break
+        last = e[count - 1] @ v
+        last *= beta
 
     series = series[:end]
     return Trajectory(

@@ -136,30 +136,36 @@ def assert_streams_match(traj, h, sectors, states):
 @pytest.fixture
 def point_spy(monkeypatch):
     """One list per propagate call that gets as far as stepping, of a
-    (left, filled) pair per call of its Krylov stepper: the grid points
-    left to step and those the run filled, None where the stepper raised."""
+    (left, filled, m) triple per Krylov run past point 0's: the grid
+    points left to step, the rows the run filled and its basis size,
+    the last two None where the iteration raised."""
     calls = []
-    stepper = dynamics._krylov_stepper
+    krylov_runs = dynamics._krylov_runs
 
-    def counting_stepper(matrix, dt):
-        advance = stepper(matrix, dt)
+    def spied_runs(matrix, dt, psi0, end):
         calls.append([])
+        runs = krylov_runs(matrix, dt, psi0, end)
+        yield next(runs)
+        start = 1
+        while start < end:
+            calls[-1].append((end - start, None, None))
+            e, v, beta = next(runs)
+            calls[-1][-1] = (end - start, len(e), len(v))
+            start += len(e)
+            yield e, v, beta
 
-        def counted(last, left):
-            calls[-1].append((left, None))
-            run = advance(last, left)
-            calls[-1][-1] = (left, len(run[0]))
-            return run
-
-        return counted
-
-    monkeypatch.setattr(dynamics, "_krylov_stepper", counting_stepper)
+    monkeypatch.setattr(dynamics, "_krylov_runs", spied_runs)
     return calls
 
 
-def stepped(pairs):
-    """The grid points one propagate call's stepper filled."""
-    return sum(filled for _, filled in pairs)
+def fills(calls):
+    """The (left, filled) pairs of each propagate call point_spy saw."""
+    return [[(left, filled) for left, filled, _ in runs] for runs in calls]
+
+
+def stepped(runs):
+    """The grid points one propagate call's Krylov runs filled."""
+    return sum(filled for _, filled, _ in runs)
 
 
 class TestClosedFormOracles:
@@ -579,14 +585,14 @@ class TestAbortSemantics:
         assert [str(w.message) for w in record] == [message]
         assert traj.edge_aborted and len(traj.times) == 5
         assert_streams_match(traj, h, sectors, states)
-        assert point_spy == [[(200, 3), (197, 3)]]
+        assert fills(point_spy) == [[(200, 3), (197, 3)]]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_edge_abort_at_n_max_10_matches_reference(self, mode):
         # the whole 216-state even sector reached, stopping near t = 1.1
         self.check_abort(10, 0.05, mode, 1e-3, 2.0)
 
-    def test_edge_abort_computes_at_most_twice_the_stop(self, point_spy):
+    def test_edge_abort_steps_at_most_the_run_that_holds_it(self, point_spy):
         h = build_h_eff(6, 0.05, "rederived")
         _, psi0 = ground(6)
         traj = quiet_propagate(h, psi0, T=1.0, dt=1e-3)
@@ -602,7 +608,7 @@ class TestAbortSemantics:
         traj = propagate(h, psi0, T=0.1, dt=1e-3)
         assert not traj.edge_aborted
         # one run covers the 100 points left: points 1..100 once each
-        assert point_spy == [[(100, 100)]]
+        assert fills(point_spy) == [[(100, 100)]]
 
     def test_capped_windows_match_reference(self, point_spy, monkeypatch):
         # no run holds more than the cap, so a stop at point k has stepped
@@ -657,7 +663,7 @@ class TestAbortSemantics:
         with pytest.warns(RuntimeWarning) as record:
             traj = propagate(grow, psi0, T=20.0, dt=1.0)
         assert [str(w.message) for w in record] == [message]
-        assert point_spy == [[(20, 20)]]
+        assert fills(point_spy) == [[(20, 20)]]
         norms = np.sum(np.abs(states) ** 2, axis=1)
         assert np.max(np.abs(traj.norms / norms - 1)) <= 1e-12
         error = np.max(np.abs(traj.states[0, sectors] - states[-1]))
@@ -788,7 +794,7 @@ class TestBlockSteps:
             e = f @ e
         return np.maximum.accumulate(estimate)
 
-    def test_estimate_halves_a_window(self, point_spy):
+    def test_estimate_cuts_each_run(self, point_spy):
         # dt = 0.5 on the n_max = 6 even sector (compare_outputs'
         # evolve-large-step): even a 30-vector basis misses the tolerance
         # a few points on, so each run is the prefix of its table where
@@ -800,12 +806,12 @@ class TestBlockSteps:
         assert len(traj.times) == 101 and not traj.edge_aborted
         dense = h.matrix.toarray()
         start = 0
-        for left, filled in point_spy[0]:
+        for left, filled, _ in point_spy[0]:
             state = expm(-0.5j * start * dense) @ psi0
             estimate = self.saad_estimate(dense, state, 0.5, 30, left)
             assert filled == np.count_nonzero(estimate <= dynamics.KRYLOV_TOL)
             start += filled
-        assert start == 100 and point_spy[0][0] == (100, 4)
+        assert start == 100 and fills(point_spy)[0][0] == (100, 4)
         exact = expm(-50j * dense) @ psi0
         assert np.max(np.abs(traj.states[0] - exact)) <= 1e-12
         _, states, message = reference_propagate(h, psi0, 50.0, 0.5)
@@ -1070,7 +1076,7 @@ class TestKrylovStep:
             propagate(h, psi0, T=2.0, dt=1.0)
         # the largest basis covers 1 of the 2 points left, and none of the
         # last one, which is refused
-        assert point_spy == [[(2, 1), (1, None)]]
+        assert fills(point_spy) == [[(2, 1), (1, None)]]
         assert not propagate(h, psi0, T=2.0, dt=0.1).edge_aborted
 
     def test_krylov_step_margin_is_a_config_error(self, tmp_path, capsys):
@@ -1080,33 +1086,53 @@ class TestKrylovStep:
         assert len(err) == 1 and err[0].endswith("; shrink dt")
         assert not list(tmp_path.iterdir())
 
-    def test_degenerate_level_steps_on_one_vector(self, monkeypatch):
+    def test_degenerate_level_steps_on_one_vector(self, point_spy):
         # (|100> + |010>)/sqrt(2) is an eigenvector of H0 at 2.5: the first
         # Arnoldi remainder is rounding, so every run is stepped on that
         # one vector, as its own scalar exponential
-        sizes = []
-        stepper = dynamics._krylov_stepper
-
-        def sizing_stepper(matrix, dt):
-            advance = stepper(matrix, dt)
-
-            def sized(last, left):
-                run = advance(last, left)
-                sizes.append(len(run[1]))
-                return run
-
-            return sized
-
-        monkeypatch.setattr(dynamics, "_krylov_stepper", sizing_stepper)
         h = build_h_eff(4, 0.0, "paper")
         basis = h.basis
         psi0 = (basis.vector((1, 0, 0)) + basis.vector((0, 1, 0))) / np.sqrt(2)
         T = 5.0
         traj = propagate(h, psi0, T=T, dt=1e-3)
         assert not traj.edge_aborted
-        assert sizes == [1] * 10
+        assert [m for _, _, m in point_spy[0]] == [1] * 10
         assert np.max(np.abs(traj.states[0] - np.exp(-2.5j * T) * psi0)) <= 1e-12
         assert np.max(np.abs(traj.norms - 1.0)) <= 1e-12
+
+    def test_zero_state_spans_the_zero_line(self, monkeypatch):
+        # H_eff - 800i damps every amplitude by e^-8 a step of 0.01: P is
+        # exactly 0 from point 47 on, and the state at point 512, where
+        # the first basis's run ends, is exactly zero.  The second basis
+        # is grown on it with beta = 1, stops at its one (zero) vector, and
+        # keeps every later point and the final state at zero.
+        norms, norm = [], dynamics._norm
+
+        def spied(x):
+            norms.append(norm(x))
+            return norms[-1]
+
+        monkeypatch.setattr(dynamics, "_norm", spied)
+        h = build_h_eff(8, 0.01, "paper", EVEN)
+        damp = 800j * sp.eye_array(h.basis.dim)
+        damped = FockOperator(matrix=sp.csr_array(h.matrix - damp), basis=h.basis)
+        psi0 = h.basis.vector((0, 0, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = propagate(damped, psi0, T=6.0, dt=0.01)
+        assert len(traj.times) == 601 and not traj.edge_aborted
+        assert traj.norms[46] > 0 and not traj.norms[47:].any()
+        assert norms == [1.0, 0.0]
+        assert not traj.states.any()
+        # P(t) = e^(-1600 t) P_undamped(t) wherever that factor is a
+        # normal double (t <= 0.44), to 5e-12 relative: the rounding of
+        # the exponent grows with t and reads 8.3e-13 at t = 0.44
+        undamped = propagate(h, psi0, T=6.0, dt=0.01)
+        factor = np.exp(-1600 * traj.times)
+        normal = factor >= np.finfo(float).tiny
+        ratio = traj.norms[normal] / (factor[normal] * undamped.norms[normal])
+        assert np.count_nonzero(normal) == 45
+        assert np.max(np.abs(ratio - 1)) <= 5e-12
 
     @staticmethod
     def spy_on_bases(monkeypatch):
@@ -1157,36 +1183,26 @@ class TestKrylovStep:
         assert len(forms) == len(grown) + 1
 
     @pytest.mark.parametrize("theta", [0.01, 0.0])
-    def test_tables_are_sized_by_the_points_left(self, theta, monkeypatch):
+    def test_tables_are_sized_by_the_points_left(self, theta, monkeypatch,
+                                                 point_spy):
         # an 11-point grid at n_max 30: no table of a run's vectors e_k
         # holds more than the 10 points left, neither the powers F^k e_1
-        # nor, on the ground state's invariant line at theta = 0, the
-        # scalar exponentials; each run's e is its table or a view of it
-        rows, tables = [], []
-        powers, stepper = dynamics._powers, dynamics._krylov_stepper
+        # (counted where they are formed) nor, on the ground state's
+        # invariant line at theta = 0, the scalar exponentials, each of
+        # which is a run's e whole
+        rows, powers = [], dynamics._powers
 
         def counted(f, row, count):
             rows.append(count)
             return powers(f, row, count)
 
-        def table_stepper(matrix, dt):
-            advance = stepper(matrix, dt)
-
-            def tabled(last, left):
-                run = advance(last, left)
-                table = run[0] if run[0].base is None else run[0].base
-                tables.append(len(table))
-                return run
-
-            return tabled
-
         monkeypatch.setattr(dynamics, "_powers", counted)
-        monkeypatch.setattr(dynamics, "_krylov_stepper", table_stepper)
         h = build_h_eff(30, theta, "paper", EVEN)
         traj = propagate(h, h.basis.vector((0, 0, 0)), T=0.01, dt=1e-3)
         assert len(traj.times) == 11 and not traj.edge_aborted
-        assert bool(rows) == bool(theta) and tables
-        assert max(rows + tables) <= min(10, WINDOW_CAP)
+        filled = [filled for _, filled, _ in point_spy[0]]
+        assert bool(rows) == bool(theta) and filled
+        assert max(rows + filled) <= min(10, WINDOW_CAP)
 
     @pytest.mark.parametrize("flags", [[], ["--theta", "0"], ["--decay-oracle"]])
     def test_evolve_imports_no_scipy_linalg(self, flags, tmp_path):

@@ -5,7 +5,8 @@ Usage: python tools/compare_outputs.py <parent-rev>
 Exports <parent-rev> into a temporary directory with `git archive`, runs
 one fixed list of commands from both source trees with
 `PYTHONPATH=<tree>/src python -m qweyl`, each into its own output
-directory (named by `--out`, or for one run by `QWEYL_OUT`), and compares
+directory (named by `--out`, or for one run by `QWEYL_OUT`), the two
+trees side by side with one subprocess each at a time, and compares
 every report with its top-level `timestamp` value blanked, every CSV byte
 for byte, every `--help` text byte for byte, and every exit code.  Exits 0 when all of
 them match, 1 otherwise, and 2 when <parent-rev> cannot be exported.
@@ -32,6 +33,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -150,7 +152,9 @@ def runs(config: str) -> list:
 
 
 def collect(tree: Path, work: Path, config: str) -> dict:
-    """Map 'label/file' (and 'label/exit') to bytes for one source tree."""
+    """Map 'label/file' (and 'label/exit') to bytes for one source tree,
+    run in work, a directory made here."""
+    work.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), COLUMNS="80")
     outputs = {}
 
@@ -262,12 +266,12 @@ def main(argv=None) -> int:
                        check=True)
         config = tmp / "criterion10.cfg"
         config.write_text(CRITERION_10)
-        sides = []
-        for name, tree in (("parent", parent), ("change", REPO)):
-            work = tmp / f"out-{name}"
-            work.mkdir()
-            sides.append(collect(tree, work, str(config)))
-    before, after = sides
+        # no output depends on timing or run order, so the two trees' runs
+        # go at once, each thread driving its own subprocesses
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            before, after = pool.map(
+                lambda name, tree: collect(tree, tmp / f"out-{name}", str(config)),
+                ("parent", "change"), (parent, REPO))
     differ = sorted(k for k in before.keys() | after.keys()
                     if before.get(k) != after.get(k))
     for key in differ:
