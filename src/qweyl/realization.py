@@ -14,8 +14,10 @@ where S_j = sum_{k>j} n_k and beta(n) is the square root of the symmetric
 q-number ratio (q^{2(n+1)} - 1) / ((q^2 - 1)(n + 1)).  A word acts on a
 monomial as one scalar chain (_image), pruned after each letter as a
 MonomialVec is, with beta(k) and q^s from tables filled once per call.
-The relation scan substitutes each coefficient once and shares a word's
-image among the relations at one monomial, dropping it at the next.
+A word shifts all monomials alike, so their images never meet, and both
+scans act on a block of monomials as one vector: the relation scan shares
+a word's image of a block among the relations, and the order scan shares
+the exact action at each theta between both modes.
 
 First-order expansions in theta are provided in two modes.  "paper" keeps
 the correction proportional to M_j + 1 in the beta factor; "rederived"
@@ -28,6 +30,7 @@ residual order of each against the exact action.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -36,6 +39,8 @@ from .algebra import GEN_NAMES, gen_code, raw_defining_relations
 from .scalars import QScalar, SparseTerms, exponent_key
 
 PRUNE_TOL = 1e-15
+# Monomials the relation scan acts on at once, as one vector.
+RESIDUAL_BLOCK = 8
 
 MODES = ("paper", "rederived")
 
@@ -206,9 +211,9 @@ def monomials_up_to(degree: int):
 
 def relation_residual_numeric(theta: float, degree_cutoff: int) -> dict:
     """Apply both sides of every defining relation to all monomials of
-    total degree <= degree_cutoff and report the worst coefficientwise
-    discrepancy, per relation (per_relation) and over all (max_residual),
-    with theta and degree_cutoff.
+    total degree <= degree_cutoff, RESIDUAL_BLOCK at a time, and report
+    the worst coefficientwise discrepancy, per relation (per_relation) and
+    over all (max_residual), with theta and degree_cutoff.
     """
     if degree_cutoff < 2:
         raise ValueError("degree cutoff must be at least 2")
@@ -216,8 +221,9 @@ def relation_residual_numeric(theta: float, degree_cutoff: int) -> dict:
     relations = [(name, _side(lhs, theta), _side(rhs, theta))
                  for name, lhs, rhs in raw_defining_relations()]
     per_relation = {name: 0.0 for name, _, _ in relations}
-    for n in monomials_up_to(degree_cutoff):
-        vec = MonomialVec.basis(n)
+    monomials = monomials_up_to(degree_cutoff)
+    while block := list(itertools.islice(monomials, RESIDUAL_BLOCK)):
+        vec = MonomialVec(dict.fromkeys(block, 1.0))
         memo = {}  # word -> its image of vec, shared by the relations
         for name, lhs, rhs in relations:
             lhs_v = _apply_side(lhs, vec, tables, memo)
@@ -227,13 +233,15 @@ def relation_residual_numeric(theta: float, degree_cutoff: int) -> dict:
             "max_residual": max(per_relation.values()), "per_relation": per_relation}
 
 
-def expansion_order_scan(g, v: MonomialVec, theta_grid, mode: str) -> dict:
-    """Least-squares slope of log residual vs log theta, as the report
-    {generator, mode, slope, exact_match, points}.
+def expansion_order_scan(g, monomials, theta_grid) -> list:
+    """Least-squares slopes of log residual vs log theta: per monomial (an
+    exponent triple), a report {generator, mode, slope, exact_match, points}
+    for each mode in MODES order.
 
     The residual compares the exact action, apply_word on the one-letter
-    word, against apply_first_order in the requested mode; points holds
-    the pairs [theta, residual].  Grid points where the residual vanishes
+    word, against apply_first_order in the mode, on the monomials as one
+    vector, at the monomial's image; points holds the pairs
+    [theta, residual].  Grid points where the residual vanishes
     identically are excluded from the fit; if every point vanishes the
     result is reported as an exact match with no slope.
     """
@@ -243,8 +251,23 @@ def expansion_order_scan(g, v: MonomialVec, theta_grid, mode: str) -> dict:
     if max(thetas) / min(thetas) < 100.0:
         raise ValueError("theta grid must span at least two decades")
     code = gen_code(g)
-    points = [[t, (apply_word((code,), v, t)
-                   - apply_first_order(code, v, t, mode)).norm()] for t in thetas]
+    monomials = [tuple(n) for n in monomials]
+    v = MonomialVec(dict.fromkeys(monomials, 1.0))
+    shift = [(j == code % 3) * (1 if code < 3 else -1) for j in range(3)]
+    images = [tuple(map(sum, zip(n, shift))) for n in monomials]
+    points = [[[] for _ in MODES] for _ in images]
+    for t in thetas:
+        exact = v._new(_act((code,), v, t, _tables(t)))
+        for m, mode in enumerate(MODES):
+            diff = (exact - apply_first_order(code, v, t, mode)).terms
+            for rows, key in zip(points, images):  # norm() of the one term, bit for bit
+                d = diff.get(key)
+                rows[m].append([t, 0.0 if d is None else math.sqrt(abs(d) ** 2)])
+    return [[_order_report(code, mode, pts) for mode, pts in zip(MODES, rows)]
+            for rows in points]
+
+
+def _order_report(code: int, mode: str, points: list) -> dict:
     fit = np.log([(t, r) for t, r in points if r > 0.0]).reshape(-1, 2)
     slope = float(np.polyfit(*fit.T, 1)[0]) if len(fit) else None
     return {"generator": GEN_NAMES[code], "mode": mode, "slope": slope,

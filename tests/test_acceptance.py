@@ -37,11 +37,7 @@ from qweyl.effective import (
 from qweyl.fock import FockBasis, build_h1_matrix, build_h_eff, h0_diagonal, sparsity_pattern
 from qweyl.gaussian import CPoly3
 from qweyl.quadrature import element_3d
-from qweyl.realization import (
-    MonomialVec,
-    expansion_order_scan,
-    relation_residual_numeric,
-)
+from qweyl.realization import MODES, expansion_order_scan, relation_residual_numeric
 from qweyl.reference import (
     REFERENCE_A,
     REFERENCE_GROUND_ACTIONS,
@@ -121,18 +117,15 @@ def test_criterion_03_expansion_order_slopes():
     rederived = []
     paper_interior = []
     for code in range(6):
-        for mono in monomials:
-            vec = MonomialVec.basis(mono)
-            res = expansion_order_scan(code, vec, thetas, "rederived")
+        for reports in expansion_order_scan(code, monomials, thetas):
+            res, pres = (reports[MODES.index(m)] for m in ("rederived", "paper"))
             if res["slope"] is not None:
                 rederived.append(res["slope"])
-            pres = expansion_order_scan(code, vec, thetas, "paper")
             if pres["slope"] is not None:
                 paper_interior.append(pres["slope"])
-    origin = MonomialVec.basis((0, 0, 0))
     paper_origin = []
     for name in ("X1", "X2", "X3"):
-        res = expansion_order_scan(name, origin, thetas, "paper")
+        res = expansion_order_scan(name, [(0, 0, 0)], thetas)[0][MODES.index("paper")]
         assert res["slope"] is not None
         paper_origin.append(res["slope"])
     slopes_ok = all(1.9 <= s <= 2.1 for s in rederived)

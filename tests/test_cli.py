@@ -222,6 +222,17 @@ class TestExitCodes:
         assert len(err) == 14 and all(line.startswith("error: ") for line in err)
         assert not list(tmp_path.glob("*.json"))
 
+    # theta times an exponent overflows a relation's q-power (5e307 and
+    # past) or, at 2e307, a phase of the degree 8 scan
+    @pytest.mark.parametrize("theta, degree", [
+        ("5e307", "6"), ("1e308", "6"), ("-1e308", "6"), ("2e307", "8")])
+    def test_relation_scan_overflow_is_two(self, theta, degree, tmp_path, capsys):
+        assert main(["verify-algebra", f"--theta={theta}", "--degree", degree,
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: theta={float(theta)!r} overflows the operators"]
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("args, message", [
         (["--theta", "1e308"], "theta=1e+308 overflows the operator"),
         # one step's decay underflows the step propagator to zero
@@ -694,6 +705,22 @@ class TestCommands:
         csv_lines = (out / "mixing.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "dx,dy,dz,in_conjectured_set,mode,theta,n_max"
         assert len(csv_lines) == len(sparsity["offsets"]) + 1
+
+    def test_mixing_fails_on_an_offset_outside_the_coupling_set(
+            self, tmp_path, monkeypatch, capsys):
+        # one (1,0,0) coupling between interior states, as a broken build
+        # of H1 would hold it
+        def build(n_max, mode, *rest):
+            h1 = build_h1_matrix(n_max, mode, *rest).tolil()
+            basis = FockBasis(n_max)
+            h1[basis.index((2, 1, 1)), basis.index((1, 1, 1))] = 0.5
+            return h1.tocsr()
+
+        monkeypatch.setattr(cli, "build_h1_matrix", build)
+        assert main(["mixing", "--nmax", "6", "--out", str(tmp_path)]) == 1
+        report = read_report(tmp_path, "mixing")
+        assert [1, 0, 0] in report["sparsity"]["offsets"]
+        assert report["ok"] is False
 
     def test_evolve_report_and_trajectory(self, tmp_path, capsys):
         out = tmp_path / "out"

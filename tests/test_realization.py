@@ -16,7 +16,8 @@ from qweyl.algebra import (
     raw_defining_relations,
     x_code,
 )
-from qweyl.cli import SCAN_MONOMIALS, _json_default
+from qweyl import realization
+from qweyl.cli import SCAN_MONOMIALS, RunConfig, _json_default, cmd_expand_scan
 from qweyl.effective import expansion_bracket, generator_operator
 from qweyl.fock import build_h_eff
 from qweyl.scalars import GaussRat, QScalar
@@ -156,9 +157,10 @@ def test_relation_residual_rejects_small_cutoff():
 
 
 def test_relation_residual_memory_flat_in_degree():
-    # the scan holds one monomial at a time, so its traced peak does not
-    # grow with the cutoff; holding the whole basis (about 440 B per
-    # monomial) would add some 44 KiB for the 100 monomials from 3 to 7
+    # the scan holds one block of RESIDUAL_BLOCK monomials at a time, so
+    # its traced peak does not grow with the cutoff; holding the whole basis
+    # (about 440 B per monomial) would add some 44 KiB for the 100
+    # monomials from 3 to 7
     def traced_peak(degree):
         tracemalloc.start()
         try:
@@ -272,38 +274,36 @@ def test_bad_mode_refused_by_check_mode(refuse):
 
 
 def test_scan_rederived_slope_two():
-    v = MonomialVec.basis((1, 1, 1))
     for g in ("X1", "d1"):
-        res = expansion_order_scan(g, v, GRID, "rederived")
+        res = expansion_order_scan(g, [(1, 1, 1)], GRID)[0][MODES.index("rederived")]
         assert not res["exact_match"]
         assert abs(res["slope"] - 2.0) < 0.1, (g, res["slope"])
 
 
 def test_scan_paper_slope_one_at_zero_exponent():
-    res = expansion_order_scan("X1", MonomialVec.basis((0, 0, 0)), GRID, "paper")
+    res = expansion_order_scan("X1", [(0, 0, 0)], GRID)[0][MODES.index("paper")]
     assert abs(res["slope"] - 1.0) < 0.1
 
 
 def test_scan_exact_match_paths():
     # d3 on (1,1,1) in rederived mode reproduces the exact action, so the
     # residual vanishes at every grid point
-    res = expansion_order_scan("d3", MonomialVec.basis((1, 1, 1)), GRID, "rederived")
+    res = expansion_order_scan("d3", [(1, 1, 1)], GRID)[0][MODES.index("rederived")]
     assert res["exact_match"] and res["slope"] is None
-    # the zero vector trivially matches
-    res = expansion_order_scan("X2", MonomialVec(), GRID, "paper")
-    assert res["exact_match"]
+    # d1 lowers n1 = 0 to nothing in both actions, in both modes
+    assert all(res["exact_match"] and not any(r for _, r in res["points"])
+               for res in expansion_order_scan("d1", [(0, 2, 1)], GRID)[0])
 
 
 def test_scan_rejects_degenerate_grid():
-    v = MonomialVec.basis((1, 0, 0))
     with pytest.raises(ValueError):
-        expansion_order_scan("X1", v, [0.01, 0.02], "paper")
+        expansion_order_scan("X1", [(1, 0, 0)], [0.01, 0.02])
     with pytest.raises(ValueError):
-        expansion_order_scan("X1", v, [0.01], "paper")
+        expansion_order_scan("X1", [(1, 0, 0)], [0.01])
 
 
 def test_scan_result_serializes():
-    res = expansion_order_scan("X1", MonomialVec.basis((2, 2, 2)), GRID, "rederived")
+    res = expansion_order_scan("X1", [(2, 2, 2)], GRID)[0][MODES.index("rederived")]
     js = json.loads(dumped(res))
     assert js["generator"] == "X1" and js["mode"] == "rederived"
     assert len(js["points"]) == len(GRID)
@@ -509,11 +509,24 @@ def test_bad_generator_code_raises(call):
 def test_expand_scan_results_match_sparse_pass_oracle():
     thetas = np.geomspace(1e-4, 1e-1, 13)
     count = 0
-    for mono in (*SCAN_MONOMIALS, (0, 0, 0)):
-        v = MonomialVec.basis(mono)
+    # the blocks cmd_expand_scan scans
+    for monomials in (SCAN_MONOMIALS, ((0, 0, 0),)):
         for code in range(6):
-            for mode in MODES:
-                got = expansion_order_scan(code, v, thetas, mode)
-                assert dumped(got) == dumped(oracle_scan_json(code, v, thetas, mode))
-                count += 1
+            scans = expansion_order_scan(code, monomials, thetas)
+            for mono, reports in zip(monomials, scans, strict=True):
+                v = MonomialVec.basis(mono)
+                for mode, got in zip(MODES, reports, strict=True):
+                    assert dumped(got) == dumped(oracle_scan_json(code, v, thetas, mode))
+                    count += 1
     assert count == 72
+
+
+def test_expand_scan_builds_tables_per_theta_generator_and_block(monkeypatch):
+    # 13 thetas x 6 generators x 2 blocks (interior, origin); a scan per
+    # monomial and mode would build 936
+    thetas = []
+    tables = realization._tables
+    monkeypatch.setattr(realization, "_tables",
+                        lambda theta: thetas.append(theta) or tables(theta))
+    assert cmd_expand_scan(RunConfig(), None)["ok"]
+    assert len(thetas) == 156

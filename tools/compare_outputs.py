@@ -145,6 +145,10 @@ def runs(config: str) -> list:
     out.append(("verify-algebra-theta0", ["verify-algebra", "--theta", "0"]))
     out.append(("verify-algebra-degree10", ["verify-algebra", "--theta", "0.3",
                                             "--degree", "10"]))
+    # 56 monomials, a whole number of the relation scan's blocks
+    # (realization.RESIDUAL_BLOCK, 8), where every other cutoff here ends in
+    # a partial block, so a slip at a block boundary shows as a differing byte
+    out.append(("verify-algebra-whole-blocks", ["verify-algebra", "--degree", "5"]))
     for c in ("verify-algebra", "expand-scan", "effective", "evolve"):
         out.append((f"default-{c}", [c]))
     out.append(("default-decay", ["evolve", "--decay-oracle"]))
