@@ -23,8 +23,11 @@ X_a that meets copies of d_a also yields the diagonal rule's shorter and
 X_k d_k words, summed over the copies.  That product depends on the
 pair alone, so _insert is one memo for the whole process, shared by
 every normalize call; its keys are tuples of plain ints, which is why
-every word is checked into that form first.  Each output word's
-q-coefficient becomes one QScalar, times the input coefficient.
+every word is checked into that form first.  A plain int coefficient
+seeds the fold itself; any other is lifted to a QScalar that multiplies
+the word's results.  The result is built once per normal word: its
+q-powers ascending, its integer coefficients the shared GaussRats of
+GaussRat._int, summed only where two input words meet on one word.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ GEN_NAMES = ("X1", "X2", "X3", "d1", "d2", "d3")
 Word = tuple  # tuple of int generator codes; () is the identity
 
 _ONE = QScalar.one()
+_int = GaussRat._int
 
 
 def gen_code(g) -> int:
@@ -132,16 +136,27 @@ def normalize(terms) -> "NCPoly":
     terms may be an NCPoly or any mapping word -> coefficient.  Each
     word's letters fold into integer q-coefficients through the _insert
     memo, which computes each (normal word, letter) pair once per
-    process, and the terms come in ascending word order.
+    process.  A plain int coefficient seeds that fold unlifted; any
+    other is lifted to a QScalar, which multiplies the word's results.
+    Each normal word is written once, from the shared integer
+    coefficients of GaussRat._int, and summed only where two input words
+    meet on it.  The terms come in ascending word order, each QScalar's
+    q-powers ascending.
     """
-    ring = NCPoly()
+    items = getattr(terms, "terms", terms).items()
     done: dict = {}
-    for word, coeff in getattr(terms, "terms", terms).items():
+    for word, coeff in items:
         word = _checked_word(word)
-        coeff = QScalar.coerce(coeff)
-        if coeff.is_zero():
+        if type(coeff) is int:
+            seed, coeff = coeff, None
+        else:
+            coeff = QScalar.coerce(coeff)
+            seed = 1 if coeff else 0
+            if coeff == _ONE:
+                coeff = None
+        if not seed:
             continue
-        state = {(): {0: 1}}  # normal word -> {q-power: int}
+        state = {(): {0: seed}}  # normal word -> {q-power: int}
         for letter in word:
             grown: dict = {}
             for w, powers in state.items():
@@ -153,13 +168,21 @@ def normalize(terms) -> "NCPoly":
                         p += dp
                         into[p] = into.get(p, 0) + sign * c
             state = grown
-        unit = coeff == _ONE
         for w in sorted(state):
-            powers = {p: GaussRat._int(c) for p, c in sorted(state[w].items()) if c}
-            if powers:
-                scalar = _ONE._new(powers)
-                ring._accumulate(done, w, scalar if unit else scalar * coeff)
-    return ring._new({w: done[w] for w in sorted(done)})
+            powers = {p: _int(c) for p, c in sorted(state[w].items()) if c}
+            if not powers:
+                continue
+            scalar = _ONE._new(powers)
+            if coeff is not None:
+                scalar = scalar * coeff
+            if w in done:  # two input words meet on w
+                scalar = done.pop(w) + scalar
+                if not scalar:
+                    continue
+            done[w] = scalar
+    if len(items) > 1:  # the input words' results, merged, in word order
+        done = {w: done[w] for w in sorted(done)}
+    return _RING._new(done)
 
 
 class NCPoly(SparseTerms):
@@ -188,6 +211,9 @@ class NCPoly(SparseTerms):
             {"word": word_to_str(w), "coeff": self.terms[w].coeff_rows()}
             for w in sorted(self.terms)
         ]
+
+
+_RING = NCPoly()  # the zero NCPoly, whose _new normalize builds through
 
 
 def nc_mul(a: NCPoly, b: NCPoly) -> NCPoly:

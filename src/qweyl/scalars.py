@@ -45,10 +45,15 @@ class GaussRat:
 
     @classmethod
     def _int(cls, re: int) -> "GaussRat":
-        """re + 0i for a plain int re, unchecked, as SparseTerms._new."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "re", re)
-        object.__setattr__(out, "im", 0)
+        """re + 0i for a plain int re, unchecked, as SparseTerms._new.
+        A small re gets the shared instance of _SHARED_INTS, a fixed table
+        built at import, so normalize writes each normal word's q-powers
+        without a new object per coefficient; a larger re gets a new one."""
+        out = _SHARED_INTS.get(re)
+        if out is None:
+            out = object.__new__(cls)
+            object.__setattr__(out, "re", re)
+            object.__setattr__(out, "im", 0)
         return out
 
     @staticmethod
@@ -85,6 +90,9 @@ class GaussRat:
         return NotImplemented
 
     def __hash__(self):
+        """A real value hashes as its real part, the int or Fraction it equals."""
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __complex__(self):
@@ -95,6 +103,10 @@ class GaussRat:
             return f"GaussRat({self.re})"
         return f"GaussRat({self.re}, {self.im})"
 
+
+#: the integers -64..64 as shared GaussRats, which GaussRat._int hands
+#: out; immutable values, so sharing one is safe, and the table never grows
+_SHARED_INTS = {re: GaussRat(re) for re in range(-64, 65)}
 
 #: the imaginary unit and one half as exact scalars
 I_UNIT = GaussRat(0, 1)
@@ -161,12 +173,20 @@ class SparseTerms:
 
     @classmethod
     def _operand(cls, x):
-        """x as an instance of cls, or NotImplemented."""
+        """x as an instance of cls, or NotImplemented.  Past the plain
+        numbers of _scalars, any integer (operator.index, such as a numpy
+        int) is a constant too, by the rule keys and parts follow."""
         if isinstance(x, cls):
             return x
         if isinstance(x, cls._scalars):
             return cls({cls._unit_key: x})
-        return NotImplemented
+        if not cls._scalars:
+            return NotImplemented
+        try:
+            x = operator.index(x)
+        except TypeError:
+            return NotImplemented
+        return cls({cls._unit_key: x})
 
     @classmethod
     def coerce(cls, x):
@@ -227,6 +247,10 @@ class SparseTerms:
         return self.terms == other.terms
 
     def __hash__(self):
+        """Equal values hash alike: a constant or zero map of a class that
+        lifts plain numbers (_scalars) hashes as the number it equals."""
+        if self._scalars and self.terms.keys() <= {self._unit_key}:
+            return hash(self.terms.get(self._unit_key, 0))
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qweyl import scalars
 from qweyl.scalars import GaussRat, QScalar, Q, Q_INV
 from qweyl.algebra import (
     ALTERNATIVE_OFFSET,
@@ -152,6 +153,12 @@ def test_integer_codes_become_plain_ints():
     assert code_types(got) == code_types(want) == {int}
     assert code_types(normalize({(True, np.int64(3), False): 1})) == {int}
     assert code_types(NCPoly({(np.int64(0), True): 1})) == {int}
+    # coefficients follow the rule too: a numpy integer is the int it holds
+    assert forms([normalize({(3, 0): np.int64(2)})]) == forms([normalize({(3, 0): 2})])
+    assert NCPoly({(0, 3): np.int64(2)}) == NCPoly({(0, 3): 2})
+    for coeff in (2.0, np.float64(2.0), "2"):
+        with pytest.raises(TypeError, match="cannot coerce"):
+            normalize({(3, 0): coeff})
 
 
 @pytest.mark.parametrize("word", [(0,), (3, 0)])
@@ -329,6 +336,35 @@ def test_default_path_matches_stepper_on_words(chunk):
         nf = normalize({word: 1})
         assert nf == stepper({word: 1}), word
         assert list(nf.terms) == sorted(nf.terms), word
+        # QScalar.substitute sums in q-power order, so it is pinned too
+        for q in nf.terms.values():
+            assert list(q.terms) == sorted(q.terms), word
+
+
+def test_coefficients_past_the_shared_table_match_stepper():
+    # d1^5 X1^5 reaches 100 in one q-coefficient, past the shared GaussRats
+    # of GaussRat._int, so its large coefficients are built fresh
+    word = (d_code(1),) * 5 + (x_code(1),) * 5
+    nf = normalize({word: 1})
+    coeffs = [c.re for q in nf.terms.values() for c in q.terms.values()]
+    assert max(map(abs, coeffs)) > max(scalars._SHARED_INTS) == 64
+    assert nf == stepper({word: 1})
+    assert all(type(c) is int for c in coeffs)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_every_unit_coefficient_gives_one_normal_form(seed):
+    # a plain int seeds the integer fold unlifted; every other form of 1
+    # is lifted to a QScalar, and each must give the same terms, word
+    # order and q-power order; a plain int c scales the counts as
+    # scale(c) scales the form
+    for word in seeded_words(60 + seed, 100):
+        want = forms([normalize({word: 1})])
+        for unit in (True, Fraction(1), GaussRat(1), QScalar.one(), np.int64(1)):
+            assert forms([normalize({word: unit})]) == want, (word, unit)
+        for c in (2, -3, 0, 70):
+            assert (forms([normalize({word: c})])
+                    == forms([normalize({word: 1}).scale(c)])), (word, c)
 
 
 def test_default_path_matches_stepper_on_relations():

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from qweyl.algebra import NCPoly, nc_mul
 from qweyl.gaussian import CPoly3, DiffOp3
 from qweyl.realization import PRUNE_TOL, MonomialVec, apply_word
+from qweyl import scalars
 from qweyl.scalars import HALF, GaussRat, QScalar, Q, Q_INV, I_UNIT, SparseTerms
 
 
@@ -146,6 +147,59 @@ def test_parts_follow_the_integer_rule():
             GaussRat(part)
         with pytest.raises(TypeError, match="expected int or Fraction"):
             QScalar({0: part})
+    # a whole operand is lifted by the same rule, after the plain numbers
+    assert QScalar.coerce(np.int64(2)) == QScalar({0: 2})
+    assert CPoly3.coerce(np.int64(2)) == CPoly3({(0, 0, 0, 0): 2})
+    assert Q + np.int32(-1) == Q - 1
+    for operand in (0.5, 2.0, np.float64(2.0), "2"):
+        for cls in (QScalar, CPoly3):
+            with pytest.raises(TypeError, match="cannot coerce"):
+                cls.coerce(operand)
+
+
+def test_shared_integer_table_is_fixed():
+    # GaussRat._int hands out one shared, immutable GaussRat per int in
+    # -64..64 and builds any other int anew; the table never grows
+    table = dict(scalars._SHARED_INTS)
+    assert sorted(table) == list(range(-64, 65))
+    assert GaussRat._int(-64) is GaussRat._int(-64) is table[-64]
+    assert GaussRat._int(65) is not GaussRat._int(65)
+    assert GaussRat._int(65) == GaussRat(65)
+    nc_mul(NCPoly({(3,) * 5: 1}), NCPoly({(0,) * 5: 1}))  # reaches 100
+    assert scalars._SHARED_INTS == table
+    assert all(scalars._SHARED_INTS[k] is v for k, v in table.items())
+    with pytest.raises(AttributeError):
+        table[7].re = 8
+
+
+# ------------------------------------------------ hashing follows equality
+#
+# Shared instances leave value as a scalar's only identity, so equal
+# values across int, Fraction, GaussRat and QScalar must hash alike.
+
+few_rats = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+scalar_forms = st.one_of(
+    few_rats,
+    few_rats.map(GaussRat),
+    st.builds(GaussRat, few_rats, few_rats),
+    few_rats.map(lambda r: QScalar({0: r})),
+    st.dictionaries(st.integers(-1, 1), st.builds(GaussRat, few_rats, few_rats),
+                    max_size=2).map(QScalar),
+)
+
+
+@given(scalar_forms, scalar_forms)
+def test_equal_values_hash_alike(a, b):
+    if a == b:
+        assert hash(a) == hash(b), (a, b)
+
+
+def test_equal_constants_share_a_set_slot():
+    assert len({GaussRat(1), 1}) == 1
+    assert len({GaussRat(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert len({QScalar.one(), 1, GaussRat(1), True}) == 1
+    assert len({QScalar(), 0}) == len({CPoly3(), 0}) == 1
+    assert len({CPoly3({(0, 0, 0, 0): GaussRat(0, 1)}), I_UNIT}) == 1
 
 
 @contextmanager
